@@ -8,11 +8,9 @@ from .errors import (
     HbwaveError,
     InvalidModel,
     MaxIterExceeded,
-    MeasureAssumptionViolation,
     NoPeriodicAttractor,
     NonContraction,
     NonConvergedIteration,
-    NonPositiveCoefficient,
     SingularMeanMode,
     SolveFailure,
     SolverFailure,
@@ -49,7 +47,6 @@ from .spatial import (
 )
 from .norms import l2l2_norm, parseval_weights, time_space_norm_sq, u0lo_norm, u0me_norm
 from .linear import (
-    HarmonicSystem,
     assemble_harmonic_system,
     kappa_squared,
     linear_residual,
@@ -64,6 +61,7 @@ from .nonlinear import (
     eval_bilinear,
     eval_nonlinearity,
     fixed_point_solve,
+    solve,
 )
 from .diagnostics import (
     EnergyReport,

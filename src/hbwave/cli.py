@@ -29,8 +29,7 @@ from .io import (
     write_tau_sweep_csv,
     write_taylor_csv,
 )
-from .linear import solve_linear_mgt
-from .nonlinear import fixed_point_solve
+from .nonlinear import solve
 from .studies import (
     convergence_study,
     oracle_discrepancy,
@@ -58,17 +57,6 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
-def _solve(setup):
-    if setup.solver_kind == "linear":
-        return solve_linear_mgt(setup.f, setup.model)
-    return fixed_point_solve(setup.f, setup.model, setup.solver_kind,
-                             setup.options).u
-
-
-def _study_value(setup, key, default):
-    return setup.study.get(key, default)
-
-
 def _run_verb(verb: str, setup, out: str) -> dict:
     extra = {}
     if verb == "validate":
@@ -76,7 +64,7 @@ def _run_verb(verb: str, setup, out: str) -> dict:
         return extra
 
     if verb in ("solve", "energy"):
-        u = _solve(setup)
+        u = solve(setup.f, setup.model, setup.solver_kind, setup.options)
         report = compute_energies(u, setup.model)
         if verb == "solve":
             write_solution_csv(os.path.join(out, "solution.csv"), u,
@@ -88,7 +76,7 @@ def _run_verb(verb: str, setup, out: str) -> dict:
         return extra
 
     if verb == "sweep-tau":
-        taus = _study_value(setup, "taus", [0.4, 0.2, 0.1, 0.05, 0.0])
+        taus = setup.study.get("taus", [0.4, 0.2, 0.1, 0.05, 0.0])
         result = tau_sweep(setup.f, setup.model, taus,
                            kind=setup.solver_kind, opts=setup.options)
         write_tau_sweep_csv(os.path.join(out, "tau_sweep.csv"), result)
@@ -99,7 +87,7 @@ def _run_verb(verb: str, setup, out: str) -> dict:
         if setup.solver_kind == "linear":
             raise ConfigError(
                 "deriv-check needs [solver] kind = westervelt or kuznetsov")
-        eps = _study_value(setup, "eps", [1e-1, 1e-2, 1e-3])
+        eps = setup.study.get("eps", [1e-1, 1e-2, 1e-3])
         result = taylor_test(setup.f, setup.f, setup.model,
                              setup.solver_kind, eps, opts=setup.options)
         write_taylor_csv(os.path.join(out, "taylor.csv"), result)
@@ -109,8 +97,8 @@ def _run_verb(verb: str, setup, out: str) -> dict:
         return extra
 
     if verb == "converge":
-        case = _study_value(setup, "case", "linear-dirichlet")
-        grids = _study_value(setup, "grids", [65, 129, 257])
+        case = setup.study.get("case", "linear-dirichlet")
+        grids = setup.study.get("grids", [65, 129, 257])
         p = setup.model.params
         coeffs = {k: float(np.asarray(getattr(p, k)).reshape(-1)[0])
                   for k in ("tau", "taubar", "b", "c2", "eta", "eta_tilde")}
@@ -127,13 +115,13 @@ def _run_verb(verb: str, setup, out: str) -> dict:
         return extra
 
     if verb == "oracle-compare":
-        u = _solve(setup)
+        u = solve(setup.f, setup.model, setup.solver_kind, setup.options)
         T = setup.model.params.T
-        dt = T / _study_value(setup, "dt_divisor", 512)
+        dt = T / setup.study.get("dt_divisor", 512)
         tf, gap = time_stepping_oracle(
             setup.f, setup.model, setup.solver_kind, dt=dt,
-            max_periods=_study_value(setup, "max_periods", 200),
-            period_tol=_study_value(setup, "period_tol", 1e-8))
+            max_periods=setup.study.get("max_periods", 200),
+            period_tol=setup.study.get("period_tol", 1e-8))
         d = oracle_discrepancy(u, tf, setup.model)
         write_oracle_csv(os.path.join(out, "oracle.csv"),
                          {"discrepancy": d, "periodicity_gap": gap,

@@ -19,7 +19,7 @@ from .model import (
     dealiased_samples,
     to_time_samples,
 )
-from .norms import parseval_weights, time_space_norm_sq
+from .norms import spatial_sq, time_space_norm_sq, time_sum
 from .spatial import dual_norm_h1star, gradient, l2_norm, laplacian_fd
 
 
@@ -41,26 +41,16 @@ def _trace_norm_sq(u: HarmonicField, model: ValidatedModel, t_order: int,
     """T * sum_m w_m (m omega)^{2k} sum_endpoints weight * |v_m(endpoint)|^2."""
     p = model.params
     vals = u.coeffs if values is None else values
-    w = parseval_weights(u.M)
-    m = np.arange(u.M + 1)
-    total = 0.0
-    for idx, bc in endpoints:
-        weight = weight_fn(bc)
-        total += weight * float(np.sum(
-            w * (m * p.omega) ** (2 * t_order) * np.abs(vals[:, idx]) ** 2))
-    return p.T * total
+    return sum((weight_fn(bc) * time_sum(np.abs(vals[:, idx]) ** 2, p.omega,
+                                         p.T, t_order)
+                for idx, bc in endpoints), 0.0)
 
 
 def _dual_time_norm_sq(u: HarmonicField, model: ValidatedModel,
                        t_order: int) -> float:
     p = model.params
-    w = parseval_weights(u.M)
-    total = 0.0
-    for m in range(u.M + 1):
-        d = dual_norm_h1star(u.coeffs[m], model.grid, model.bc_left,
-                             model.bc_right)
-        total += w[m] * (m * p.omega) ** (2 * t_order) * d**2
-    return p.T * total
+    d = dual_norm_h1star(u.coeffs, model.grid, model.bc_left, model.bc_right)
+    return time_sum(d**2, p.omega, p.T, t_order)
 
 
 @dataclass
@@ -106,14 +96,18 @@ def compute_energies(u: HarmonicField, model: ValidatedModel) -> EnergyReport:
     grid, p = model.grid, model.params
     tb, tau, omega, T = p.taubar, p.tau, p.omega, p.T
 
+    sq = {key: spatial_sq(u, grid, key)
+          for key in (None, "H1_semi", "laplacian", "grad_laplacian")}
+
     def vol(k, spatial=None):
-        return time_space_norm_sq(u, grid, omega, T, k, spatial)
+        return time_sum(sq[spatial], omega, T, k)
 
     gamma_a = _endpoints(model, ABSORBING_ONLY)
     gamma = _endpoints(model, GAMMA_KINDS)
 
+    uttt_dual = tb * tau**2 * _dual_time_norm_sq(u, model, 3)
     lo = {
-        "uttt_dual": tb * tau**2 * _dual_time_norm_sq(u, model, 3),
+        "uttt_dual": uttt_dual,
         "utt_l2": tb * vol(2),
         "u_h1h1": vol(0) + vol(1) + vol(0, "H1_semi") + vol(1, "H1_semi"),
         "utt_trace_absorbing": tb * _trace_norm_sq(
@@ -134,7 +128,7 @@ def compute_energies(u: HarmonicField, model: ValidatedModel) -> EnergyReport:
     }
     lap_coeffs = laplacian_fd(u.coeffs, grid)
     hi = {
-        "uttt_dual": tb * tau**2 * _dual_time_norm_sq(u, model, 3),
+        "uttt_dual": uttt_dual,
         "lap_utt_l2": tb * vol(2, "laplacian"),
         "grad_lap_u_h1l2": vol(0, "grad_laplacian") + vol(1, "grad_laplacian"),
         "lap_utt_trace_absorbing": tb * _trace_norm_sq(

@@ -3,6 +3,7 @@
 Each class corresponds to a runtime condition surfaced by the library;
 CLI exit codes map validation errors to 1 and solver failures to 2.
 """
+from dataclasses import dataclass
 
 
 class HbwaveError(Exception):
@@ -33,19 +34,12 @@ class TypeMismatch(ConfigError):
     code = "TypeMismatch"
 
 
+@dataclass(frozen=True)
 class Violation:
     """A single validation failure (code + human-readable message)."""
 
-    def __init__(self, code, message):
-        self.code = code
-        self.message = message
-
-    def __repr__(self):
-        return f"Violation({self.code}: {self.message})"
-
-    def __eq__(self, other):
-        return isinstance(other, Violation) and (self.code, self.message) == (
-            other.code, other.message)
+    code: str
+    message: str
 
 
 class InvalidModel(HbwaveError):
@@ -58,20 +52,8 @@ class InvalidModel(HbwaveError):
         super().__init__("; ".join(f"{v.code}: {v.message}" for v in self.violations))
 
 
-class NonPositiveCoefficient(HbwaveError):
-    code = "NonPositiveCoefficient"
-
-
 class StabilityViolation(HbwaveError):
     code = "StabilityViolation"
-
-
-class MeasureAssumptionViolation(HbwaveError):
-    code = "MeasureAssumptionViolation"
-
-
-class BadGrid(HbwaveError):
-    code = "BadGrid"
 
 
 class UndersampledTime(HbwaveError):

@@ -66,7 +66,6 @@ class RunSetup:
     options: FixedPointOptions
     M: int
     study: dict = field(default_factory=dict)
-    raw: dict = field(default_factory=dict)
 
 
 def parse_config(path: str) -> dict:
@@ -220,6 +219,8 @@ def build_setup(raw: dict, config_path: str) -> RunSetup:
         if not 0 <= m <= M:
             raise TypeMismatch(f"[forcing] {key}: harmonic {m} outside 0..{M}")
         amp = _as_float("forcing", key, value)
+        if not np.isfinite(amp):
+            raise TypeMismatch(f"[forcing] {key} = {value!r} is not finite")
         f.coeffs[m] = amp * profile if m == 0 else 0.5 * amp * profile
 
     sol = raw.get("solver", {})
@@ -228,16 +229,20 @@ def build_setup(raw: dict, config_path: str) -> RunSetup:
         raise TypeMismatch(
             f"[solver] kind = {solver_kind!r}; expected one of "
             f"{SOLVER_KINDS}")
-    options = FixedPointOptions(
-        tol=_as_float("solver", "tol", sol.get("tol", "1e-11")),
-        max_iter=_as_int("solver", "max_iter", sol.get("max_iter", "100")),
-        relaxation=_as_float("solver", "relaxation",
-                             sol.get("relaxation", "1.0")),
-        degeneracy_floor=_as_float("solver", "degeneracy_floor",
-                                   sol.get("degeneracy_floor", "0.1")),
-        ball_radius=(_as_float("solver", "ball_radius", sol["ball_radius"])
-                     if "ball_radius" in sol else None),
-    )
+    def number(key, default):
+        return _as_float("solver", key, sol.get(key, default))
+
+    try:
+        options = FixedPointOptions(
+            tol=number("tol", "1e-11"),
+            max_iter=_as_int("solver", "max_iter", sol.get("max_iter", "100")),
+            relaxation=number("relaxation", "1.0"),
+            degeneracy_floor=number("degeneracy_floor", "0.1"),
+            ball_radius=(number("ball_radius", None)
+                         if "ball_radius" in sol else None),
+        )
+    except ValueError as exc:
+        raise TypeMismatch(f"[solver] {exc}")
 
     study = {}
     st = raw.get("study", {})
@@ -252,16 +257,12 @@ def build_setup(raw: dict, config_path: str) -> RunSetup:
             except ValueError:
                 raise TypeMismatch(f"[study] {key} = {st[key]!r} is not a "
                                    "numeric list")
-    if "dt_divisor" in st:
-        study["dt_divisor"] = _as_int("study", "dt_divisor", st["dt_divisor"])
-    if "max_periods" in st:
-        study["max_periods"] = _as_int("study", "max_periods",
-                                       st["max_periods"])
-    if "period_tol" in st:
-        study["period_tol"] = _as_float("study", "period_tol",
-                                        st["period_tol"])
+    for key, convert in (("dt_divisor", _as_int), ("max_periods", _as_int),
+                         ("period_tol", _as_float)):
+        if key in st:
+            study[key] = convert("study", key, st[key])
     return RunSetup(model=model, f=f, solver_kind=solver_kind,
-                    options=options, M=M, study=study, raw=raw)
+                    options=options, M=M, study=study)
 
 
 # --- serialization ---------------------------------------------------------

@@ -7,10 +7,11 @@ gives the decoupled family
     A_m u_m = -r_m,
     A_m = (-i tau m^3 w^3 - m^2 w^2) I + diag(c2 + i m w b) Lap_m,
 with Lap_m the discrete -Laplacian carrying the harmonic-m Robin rows.
+Every A_m is tridiagonal: all M+1 of them are assembled at once as one
+(M+1, 3, nr) band array and solved with LAPACK's tridiagonal solver, so a
+linear solve costs O(M nx).
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -22,10 +23,9 @@ from .errors import (
 )
 from .model import HarmonicField, ValidatedModel
 from .norms import l2l2_norm
-from .spatial import SpatialOperator, assemble_laplacian
+from .spatial import assemble_laplacian, band_product, dense_from_bands
 
 RESIDUAL_RTOL = 1e-10
-CONDITION_LIMIT = 1e13
 
 
 def kappa_squared(m: int, tau: float, omega: float, b_const: float,
@@ -39,55 +39,57 @@ def kappa_squared(m: int, tau: float, omega: float, b_const: float,
     return (mw**2 + 1j * tau * mw**3) / (c2_const + 1j * mw * b_const)
 
 
-@dataclass
-class HarmonicSystem:
-    """Reduced system A_m u_m = -r_m of one harmonic."""
-
-    m: int
-    op: SpatialOperator
-    matrix: np.ndarray
-    rhs: np.ndarray            # already negated: equals -r_m on active nodes
-
-    def solve(self) -> np.ndarray:
-        try:
-            sol = scipy.linalg.solve(self.matrix, self.rhs)
-        except scipy.linalg.LinAlgError as exc:
-            raise SolveFailure(f"harmonic {self.m} factorization failed: {exc}")
-        res = np.linalg.norm(self.matrix @ sol - self.rhs)
-        scale = (np.linalg.norm(self.matrix, ord=np.inf)
-                 * np.linalg.norm(sol) + np.linalg.norm(self.rhs))
-        if scale > 0 and res > RESIDUAL_RTOL * scale:
-            cond = float(np.linalg.cond(self.matrix))
-            raise SolveFailure(
-                f"harmonic {self.m} residual {res:.3e} exceeds tolerance "
-                f"(cond ~ {cond:.3e})", condition_estimate=cond)
-        return sol
+def _one_norms(bands: np.ndarray) -> np.ndarray:
+    """1-norm (largest column sum) of each matrix in a band stack."""
+    return np.abs(bands).sum(axis=-2).max(axis=-1)
 
 
-def assemble_harmonic_system(m: int, model: ValidatedModel,
-                             rhs_harmonic: np.ndarray) -> HarmonicSystem:
-    """Build A_m and the (negated) right-hand side for one harmonic."""
+def assemble_harmonic_system(model: ValidatedModel, M: int):
+    """Bands of A_0..A_M and the -Lap_m operator they scale.
+
+    Returns (op, bands): `op` restricts and extends nodal vectors, `bands`
+    has shape (M+1, 3, nr) in LAPACK (1, 1) storage with bands[m] = A_m.
+    """
     p = model.params
-    omega = p.omega
-    op = assemble_laplacian(model.grid, model.bc_left, model.bc_right, m, omega)
+    m = np.arange(M + 1)
+    mw = m * p.omega
+    op = assemble_laplacian(model.grid, model.bc_left, model.bc_right, m,
+                            p.omega)
     if op.is_singular():
         raise SingularMeanMode(
             "mean-mode operator is singular: no impedance or Dirichlet "
             "endpoint")
-    mw = m * omega
-    coef = (p.c2 + 1j * mw * p.b)[op.active]
-    matrix = coef[:, None] * op.matrix
-    matrix[np.diag_indices(op.nr)] += -1j * p.tau * mw**3 - mw**2
-    rhs = -np.asarray(rhs_harmonic, dtype=complex)[op.active]
-    return HarmonicSystem(m=m, op=op, matrix=matrix, rhs=rhs)
+    # row i of A_m is scaled by c2_i + i m w b_i; band k of column j lies in
+    # row j + k - 1 (the entries np.roll wraps around meet the zero corners)
+    coef = p.c2[op.active] + 1j * mw[:, None] * p.b[op.active]
+    bands = op.bands * np.stack(
+        [np.roll(coef, 1, axis=-1), coef, np.roll(coef, -1, axis=-1)], axis=1)
+    bands[:, 1, :] += (-1j * p.tau * mw**3 - mw**2)[:, None]
+    return op, bands
+
+
+def _solve_harmonic(m: int, bands: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve A_m x = rhs and verify it by re-substitution."""
+    try:
+        sol = scipy.linalg.solve_banded((1, 1), bands, rhs)
+    except scipy.linalg.LinAlgError as exc:
+        raise SolveFailure(f"harmonic {m} factorization failed: {exc}")
+    res = np.linalg.norm(band_product(bands, sol) - rhs)
+    scale = _one_norms(bands) * np.linalg.norm(sol) + np.linalg.norm(rhs)
+    if scale > 0 and res > RESIDUAL_RTOL * scale:
+        cond = float(np.linalg.cond(dense_from_bands(bands)))
+        raise SolveFailure(
+            f"harmonic {m} residual {res:.3e} exceeds tolerance "
+            f"(cond ~ {cond:.3e})", condition_estimate=cond)
+    return sol
 
 
 def solve_linear_mgt(f: HarmonicField, model: ValidatedModel) -> HarmonicField:
     """Solve the decoupled per-harmonic systems for all m = 0..M."""
-    out = HarmonicField.zeros(f.M, model.grid.nx)
-    for m in range(f.M + 1):
-        system = assemble_harmonic_system(m, model, f.coeffs[m])
-        out.coeffs[m] = system.op.extend(system.solve())
+    op, bands = assemble_harmonic_system(model, f.M)
+    rhs = -op.restrict(f.coeffs)
+    out = HarmonicField(op.extend(np.array(
+        [_solve_harmonic(m, bands[m], rhs[m]) for m in range(f.M + 1)])))
     out.coeffs[0] = out.coeffs[0].real
     return out
 
@@ -95,15 +97,12 @@ def solve_linear_mgt(f: HarmonicField, model: ValidatedModel) -> HarmonicField:
 def linear_residual(u: HarmonicField, rtilde: HarmonicField,
                     model: ValidatedModel) -> float:
     """Relative re-substitution residual of A_m u_m + r_m over all harmonics."""
-    num_sq = 0.0
-    den_sq = 0.0
-    for m in range(u.M + 1):
-        system = assemble_harmonic_system(m, model, rtilde.coeffs[m])
-        ur = system.op.restrict(u.coeffs[m])
-        num_sq += float(np.linalg.norm(system.matrix @ ur - system.rhs) ** 2)
-        den_sq += float((np.linalg.norm(system.matrix, ord=np.inf)
-                         * np.linalg.norm(ur)
-                         + np.linalg.norm(system.rhs)) ** 2)
+    op, bands = assemble_harmonic_system(model, u.M)
+    ur = op.restrict(u.coeffs)
+    rhs = -op.restrict(rtilde.coeffs)
+    num_sq = np.sum(np.abs(band_product(bands, ur) - rhs) ** 2)
+    den_sq = np.sum((_one_norms(bands) * np.linalg.norm(ur, axis=-1)
+                     + np.linalg.norm(rhs, axis=-1)) ** 2)
     if den_sq == 0.0:
         return 0.0
     return float(np.sqrt(num_sq / den_sq))

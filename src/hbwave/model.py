@@ -253,7 +253,15 @@ def _check_bc(bc: BoundaryCondition, side: str, violations):
 
 def collect_violations(grid, params, bc_left, bc_right):
     """All structural-assumption failures of a candidate configuration."""
-    violations = []
+    values = {"L": grid.L, "T": params.T, "tau": params.tau,
+              "taubar": params.taubar, "b": params.b, "c2": params.c2,
+              "eta": params.eta, "eta_tilde": params.eta_tilde,
+              "left beta": bc_left.beta, "left gamma": bc_left.gamma,
+              "right beta": bc_right.beta, "right gamma": bc_right.gamma}
+    nonfinite = [name for name, value in values.items()
+                 if not np.all(np.isfinite(value))]
+    violations = [Violation("NonFiniteValue", f"{name} must be finite")
+                  for name in nonfinite]
     if grid.nx < 3:
         violations.append(Violation("BadGrid", f"nx={grid.nx} < 3"))
     if grid.L <= 0:
@@ -284,7 +292,7 @@ def collect_violations(grid, params, bc_left, bc_right):
             "is singular"))
 
     # a-priori stability with alpha = 1
-    if np.all(params.b > 0) and np.all(params.c2 > 0):
+    if not nonfinite and np.all(params.b > 0) and np.all(params.c2 > 0):
         margin = float(np.min(params.b / params.c2) - params.taubar)
         if margin <= 0:
             violations.append(Violation(

@@ -107,12 +107,17 @@ class FixedPointOptions:
     ball_radius: float | None = None
 
     def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError("tol must be finite and > 0")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if not 0.0 < self.relaxation <= 1.0:
             raise ValueError("relaxation must be in (0, 1]")
+        # a NaN floor or radius would silently switch its guard off
+        if not np.isfinite(self.degeneracy_floor):
+            raise ValueError("degeneracy_floor must be finite")
+        if not (self.ball_radius is None or 0.0 < self.ball_radius < np.inf):
+            raise ValueError("ball_radius must be finite and > 0")
 
 
 @dataclass
@@ -170,7 +175,6 @@ def fixed_point_solve(f: HarmonicField, model: ValidatedModel, kind: str,
                     "iterations", history=update_norms)
         u = u_new
         if update <= opts.tol * max(scale, 1e-300):
-            mon = degeneracy_monitor(u, kind, model)
             residual = linear_residual(
                 u, f + eval_nonlinearity(u, kind, model), model)
             return SolveReport(
@@ -181,3 +185,12 @@ def fixed_point_solve(f: HarmonicField, model: ValidatedModel, kind: str,
     raise MaxIterExceeded(
         f"no convergence within {opts.max_iter} iterations",
         history=update_norms)
+
+
+def solve(f: HarmonicField, model: ValidatedModel, kind: str,
+          opts: FixedPointOptions | None = None) -> HarmonicField:
+    """Periodic solution for the forcing f: the decoupled per-harmonic solve
+    for kind "linear", the Picard iteration for a nonlinear kind."""
+    if kind == "linear":
+        return solve_linear_mgt(f, model)
+    return fixed_point_solve(f, model, kind, opts).u

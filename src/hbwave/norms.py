@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .model import Grid, HarmonicField
-from .spatial import gradient, l2_norm, laplacian_fd
+from .spatial import gradient, laplacian_fd
 
 
 def parseval_weights(M: int) -> np.ndarray:
@@ -18,24 +18,29 @@ def parseval_weights(M: int) -> np.ndarray:
     return w
 
 
+def spatial_sq(u: HarmonicField, grid: Grid, spatial=None) -> np.ndarray:
+    """||X u_m||^2 for every harmonic m, shape (M+1,); X as in
+    time_space_norm_sq."""
+    c = u.coeffs
+    if spatial in ("laplacian", "grad_laplacian"):
+        c = laplacian_fd(c, grid)
+    if spatial in ("H1_semi", "grad_laplacian"):
+        c = gradient(c, grid)
+    return np.sum(grid.trapezoid_weights() * np.abs(c) ** 2, axis=-1)
+
+
+def time_sum(sq: np.ndarray, omega: float, T: float, t_order: int) -> float:
+    """T * sum_m w_m (m omega)^{2k} sq_m for per-harmonic squared norms sq."""
+    m = np.arange(len(sq))
+    return T * float(np.sum(parseval_weights(len(sq) - 1)
+                            * (m * omega) ** (2 * t_order) * sq))
+
+
 def time_space_norm_sq(u: HarmonicField, grid: Grid, omega: float, T: float,
                        t_order: int = 0, spatial=None) -> float:
-    """||d_t^k u||^2_{L2(0,T;X)} where X is given by `spatial` (default L2)."""
-    w = parseval_weights(u.M)
-    m = np.arange(u.M + 1)
-    total = 0.0
-    for k in range(u.M + 1):
-        c = u.coeffs[k]
-        if spatial == "H1_semi":
-            val = l2_norm(gradient(c, grid), grid) ** 2
-        elif spatial == "laplacian":
-            val = l2_norm(laplacian_fd(c, grid), grid) ** 2
-        elif spatial == "grad_laplacian":
-            val = l2_norm(gradient(laplacian_fd(c, grid), grid), grid) ** 2
-        else:
-            val = l2_norm(c, grid) ** 2
-        total += w[k] * (m[k] * omega) ** (2 * t_order) * val
-    return T * total
+    """||d_t^k u||^2_{L2(0,T;X)} where X is given by `spatial`: None (L2),
+    "H1_semi", "laplacian" or "grad_laplacian"."""
+    return time_sum(spatial_sq(u, grid, spatial), omega, T, t_order)
 
 
 def l2l2_norm(u: HarmonicField, grid: Grid, omega: float, T: float) -> float:
@@ -44,20 +49,17 @@ def l2l2_norm(u: HarmonicField, grid: Grid, omega: float, T: float) -> float:
 
 def u0lo_norm(u: HarmonicField, grid: Grid, omega: float, T: float) -> float:
     """Discrete H^2(L^2) + H^1(H^1) norm (tau-independent low energy)."""
-    sq = 0.0
-    for k in range(3):
-        sq += time_space_norm_sq(u, grid, omega, T, k)
-    for k in range(2):
-        sq += time_space_norm_sq(u, grid, omega, T, k, spatial="H1_semi")
+    l2 = spatial_sq(u, grid)
+    h1 = spatial_sq(u, grid, "H1_semi")
+    sq = (sum(time_sum(l2, omega, T, k) for k in range(3))
+          + sum(time_sum(h1, omega, T, k) for k in range(2)))
     return float(np.sqrt(sq))
 
 
 def u0me_norm(u: HarmonicField, grid: Grid, omega: float, T: float) -> float:
     """Discrete H^2(H^1) + H^1(L^2 with Laplacian) norm (medium level)."""
-    sq = 0.0
-    for k in range(3):
-        sq += time_space_norm_sq(u, grid, omega, T, k)
-        sq += time_space_norm_sq(u, grid, omega, T, k, spatial="H1_semi")
-    for k in range(2):
-        sq += time_space_norm_sq(u, grid, omega, T, k, spatial="laplacian")
+    l2_h1 = spatial_sq(u, grid) + spatial_sq(u, grid, "H1_semi")
+    lap = spatial_sq(u, grid, "laplacian")
+    sq = (sum(time_sum(l2_h1, omega, T, k) for k in range(3))
+          + sum(time_sum(lap, omega, T, k) for k in range(2)))
     return float(np.sqrt(sq))

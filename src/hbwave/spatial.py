@@ -3,8 +3,13 @@ Robin/Dirichlet boundary rows, finite-difference norms, and the discrete
 H^1-dual norm.
 
 Robin rows use ghost-node elimination of the central stencil, so the
-operator stays symmetric tridiagonal (complex symmetric for m >= 1 with an
-absorbing endpoint).
+operator stays tridiagonal (complex for m >= 1 with an absorbing
+endpoint).  It is stored in LAPACK (1, 1) band form, (3, n) per harmonic:
+row 0 the super-diagonal, row 1 the diagonal, row 2 the sub-diagonal, with
+the unused corners [0, 0] and [2, -1] zero.  Assembling all M+1 harmonics,
+applying them and solving with them each cost O(M nx).  Only
+dense_from_bands forms an nx x nx matrix, for the time-stepping oracle and
+for the condition estimate of a failed solve.
 """
 from __future__ import annotations
 
@@ -16,78 +21,87 @@ import scipy.linalg
 from .model import BoundaryCondition, Grid
 
 
+def band_product(bands: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Tridiagonal (..., 3, n) bands times (..., n) vectors."""
+    out = bands[..., 1, :] * v
+    out[..., 1:] += bands[..., 2, :-1] * v[..., :-1]
+    out[..., :-1] += bands[..., 0, 1:] * v[..., 1:]
+    return out
+
+
+def dense_from_bands(bands: np.ndarray) -> np.ndarray:
+    """The (n, n) matrix of one (3, n) band array."""
+    return (np.diag(bands[1]) + np.diag(bands[0, 1:], 1)
+            + np.diag(bands[2, :-1], -1))
+
+
 @dataclass
 class SpatialOperator:
-    """Reduced discrete -Laplacian with harmonic-m boundary rows.
+    """Reduced discrete -Laplacian of harmonic m (or of each m in an array).
 
     Dirichlet nodes are eliminated; `active` maps reduced indices to full
     grid indices.
     """
 
-    matrix: np.ndarray          # (nr, nr) complex
+    bands: np.ndarray           # (3, nr) or (len(m), 3, nr), see module doc
     active: np.ndarray          # indices of non-Dirichlet nodes
     grid: Grid
-    m: int
+    m: np.ndarray
     bc_left: BoundaryCondition
     bc_right: BoundaryCondition
 
-    @property
-    def nr(self) -> int:
-        return len(self.active)
-
     def restrict(self, v_full: np.ndarray) -> np.ndarray:
-        return np.asarray(v_full)[self.active]
+        return np.asarray(v_full)[..., self.active]
 
     def extend(self, v_reduced: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.grid.nx, dtype=complex)
-        out[self.active] = v_reduced
+        out = np.zeros(v_reduced.shape[:-1] + (self.grid.nx,), dtype=complex)
+        out[..., self.active] = v_reduced
         return out
 
     def apply(self, v_full: np.ndarray) -> np.ndarray:
-        """Apply to a full-grid vector; Dirichlet nodes read as zero."""
-        return self.extend(self.matrix @ self.restrict(v_full))
+        """Apply to full-grid vectors; Dirichlet nodes read as zero."""
+        return self.extend(band_product(self.bands, self.restrict(v_full)))
 
     def is_singular(self) -> bool:
         # the only singular configuration is the pure-Neumann mean mode
-        if self.m != 0:
-            return False
-        def free(bc):
-            return (not bc.is_dirichlet) and bc.gamma == 0.0
-        return free(self.bc_left) and free(self.bc_right)
+        return bool(np.any(self.m == 0)) and all(
+            not bc.is_dirichlet and bc.gamma == 0.0
+            for bc in (self.bc_left, self.bc_right))
 
 
 def assemble_laplacian(grid: Grid, bc_left: BoundaryCondition,
-                       bc_right: BoundaryCondition, m: int,
+                       bc_right: BoundaryCondition, m,
                        omega: float) -> SpatialOperator:
-    """Second-order -d_xx with the harmonic-m Robin data i m omega beta + gamma."""
+    """Second-order -d_xx with the harmonic-m Robin data i m omega beta + gamma.
+
+    `m` is one harmonic or an array of them; the bands of an array stack
+    along a leading axis.
+    """
+    m = np.asarray(m)
     nx, h = grid.nx, grid.h
-    A = np.zeros((nx, nx), dtype=complex)
     inv_h2 = 1.0 / h**2
-    for j in range(1, nx - 1):
-        A[j, j - 1] = -inv_h2
-        A[j, j] = 2.0 * inv_h2
-        A[j, j + 1] = -inv_h2
+    bands = np.empty(m.shape + (3, nx), dtype=complex)
+    bands[...] = np.array([[-inv_h2], [2.0 * inv_h2], [-inv_h2]])
 
-    active = np.arange(nx)
-    keep = np.ones(nx, dtype=bool)
-
+    lo, hi = 0, nx
     if bc_left.is_dirichlet:
-        keep[0] = False
+        lo = 1
     else:
         q = bc_left.robin_coefficient(m, omega)
-        A[0, 0] = (2.0 + 2.0 * h * q) * inv_h2
-        A[0, 1] = -2.0 * inv_h2
+        bands[..., 1, 0] = (2.0 + 2.0 * h * q) * inv_h2
+        bands[..., 0, 1] = -2.0 * inv_h2
     if bc_right.is_dirichlet:
-        keep[-1] = False
+        hi = nx - 1
     else:
         q = bc_right.robin_coefficient(m, omega)
-        A[-1, -1] = (2.0 + 2.0 * h * q) * inv_h2
-        A[-1, -2] = -2.0 * inv_h2
+        bands[..., 1, -1] = (2.0 + 2.0 * h * q) * inv_h2
+        bands[..., 2, -2] = -2.0 * inv_h2
 
-    active = active[keep]
-    matrix = A[np.ix_(active, active)]
-    return SpatialOperator(matrix=matrix, active=active, grid=grid, m=m,
-                           bc_left=bc_left, bc_right=bc_right)
+    bands = bands[..., lo:hi]
+    bands[..., 0, 0] = 0.0
+    bands[..., 2, -1] = 0.0
+    return SpatialOperator(bands=bands, active=np.arange(lo, hi), grid=grid,
+                           m=m, bc_left=bc_left, bc_right=bc_right)
 
 
 def gradient(v: np.ndarray, grid: Grid) -> np.ndarray:
@@ -132,16 +146,18 @@ def spatial_norms(v: np.ndarray, grid: Grid) -> dict:
 
 
 def dual_norm_h1star(v: np.ndarray, grid: Grid, bc_left: BoundaryCondition,
-                     bc_right: BoundaryCondition) -> float:
+                     bc_right: BoundaryCondition):
     """Discrete H^1-dual norm: sqrt(<v, z>) with (I - Lap_h) z = v.
 
-    Uses the mean-mode (m = 0) boundary rows; the identity shift makes the
-    operator nonsingular for every endpoint combination.
+    `v` is one nodal vector, or a stack of them along the leading axis, which
+    gives one norm per row from a single factorization.  Uses the mean-mode
+    (m = 0) boundary rows; the identity shift makes the operator nonsingular
+    for every endpoint combination.
     """
     op = assemble_laplacian(grid, bc_left, bc_right, 0, omega=1.0)
-    A = np.eye(op.nr) + op.matrix
+    op.bands[1] += 1.0
     vr = op.restrict(np.asarray(v, dtype=complex))
-    z = scipy.linalg.solve(A, vr)
+    z = scipy.linalg.solve_banded((1, 1), op.bands, vr.T).T
     w = grid.trapezoid_weights()[op.active]
-    val = np.sum(w * np.conj(vr) * z).real
-    return float(np.sqrt(max(val, 0.0)))
+    val = np.sum(w * np.conj(vr) * z, axis=-1).real
+    return np.sqrt(np.maximum(val, 0.0))

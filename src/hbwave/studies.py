@@ -13,7 +13,7 @@ import scipy.linalg
 
 from .diagnostics import estimate_rhs_lo, compute_energies
 from .errors import NoPeriodicAttractor, StepRejected, UnknownCase
-from .linear import solve_linear_mgt, solve_linearized
+from .linear import solve_linearized
 from .model import (
     BCKind,
     BoundaryCondition,
@@ -24,9 +24,14 @@ from .model import (
     ValidatedModel,
     validate_model,
 )
-from .nonlinear import FixedPointOptions, eval_nonlinearity, fixed_point_solve
+from .nonlinear import (
+    FixedPointOptions,
+    eval_nonlinearity,
+    fixed_point_solve,
+    solve,
+)
 from .norms import l2l2_norm, u0lo_norm, u0me_norm
-from .spatial import gradient
+from .spatial import assemble_laplacian, dense_from_bands, gradient
 
 CASE_IDS = ("linear-dirichlet", "linear-impedance", "westervelt-dirichlet",
             "kuznetsov-dirichlet")
@@ -107,9 +112,7 @@ def manufactured_case(case_id: str, params: PhysicalParams, grid: Grid,
 
 def solve_case(case: ManufacturedCase, model: ValidatedModel,
                opts: FixedPointOptions | None = None) -> HarmonicField:
-    if case.kind == "linear":
-        return solve_linear_mgt(case.f, model)
-    return fixed_point_solve(case.f, model, case.kind, opts).u
+    return solve(case.f, model, case.kind, opts)
 
 
 def convergence_study(case_id: str, coeffs: dict, L: float, nx_list,
@@ -161,12 +164,9 @@ def tau_sweep(f: HarmonicField, model: ValidatedModel, taus,
 
     def solve_at(tau):
         m_tau = model.with_params(model.params.with_tau(tau))
-        if kind == "linear":
-            u = solve_linear_mgt(f, m_tau)
-            rtilde = f
-        else:
-            u = fixed_point_solve(f, m_tau, kind, opts).u
-            rtilde = f + eval_nonlinearity(u, kind, m_tau)
+        u = solve(f, m_tau, kind, opts)
+        rtilde = (f if kind == "linear"
+                  else f + eval_nonlinearity(u, kind, m_tau))
         return m_tau, u, rtilde
 
     _, u_ref, _ = solve_at(0.0)
@@ -238,8 +238,6 @@ class _Oracle:
 
     def __init__(self, f: HarmonicField, model: ValidatedModel, kind: str,
                  dt: float):
-        from .spatial import assemble_laplacian
-
         self.model = model
         self.kind = kind
         self.dt = dt
@@ -248,10 +246,10 @@ class _Oracle:
         op = assemble_laplacian(model.grid, model.bc_left, model.bc_right, 0,
                                 p.omega)
         self.op = op
-        nr = op.nr
+        nr = len(op.active)
         self.nr = nr
         # discrete Laplacian split: lap(u, u_t) = Lu @ u + d_beta * u_t
-        self.Lu = -op.matrix.real
+        self.Lu = -dense_from_bands(op.bands).real
         d_beta = np.zeros(nr)
         h = model.grid.h
         for pos, bc in ((0, model.bc_left), (-1, model.bc_right)):

@@ -165,3 +165,30 @@ def test_no_success_exit_without_outputs(config, tmp_path):
     assert code == 0
     assert os.path.exists(os.path.join(out, "solution.csv"))
     assert not os.path.exists(os.path.join(out, "error.json"))
+
+
+@pytest.mark.parametrize("override, kind", [
+    ("physics.b=nan", "InvalidModel"),
+    ("physics.eta=nan", "InvalidModel"),
+    ("physics.c2=inf", "InvalidModel"),
+    ("time.t=nan", "InvalidModel"),
+    ("domain.l=nan", "InvalidModel"),
+    ("solver.relaxation=0", "TypeMismatch"),
+    ("solver.tol=nan", "TypeMismatch"),
+    ("solver.degeneracy_floor=nan", "TypeMismatch"),
+    ("solver.ball_radius=nan", "TypeMismatch"),
+    ("forcing.amplitude_1=nan", "TypeMismatch"),
+])
+def test_degenerate_input_exits_one_with_record(config, tmp_path, override,
+                                                kind):
+    out = str(tmp_path / "out")
+    code = run_command(["solve", config, "-o", out, "-s", override])
+    assert code == 1
+    with open(os.path.join(out, "error.json")) as fh:
+        record = json.load(fh)
+    assert record["kind"] == kind
+    if kind == "InvalidModel":
+        # the non-finite value is the only diagnosis, not a knock-on one
+        assert [v["code"] for v in record["violations"]] == [
+            "NonFiniteValue"]
+    assert not os.path.exists(os.path.join(out, "solution.csv"))

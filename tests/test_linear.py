@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from hbwave.errors import SingularMeanMode
+from hbwave.errors import SingularMeanMode, SolveFailure
 from hbwave.linear import (
     assemble_harmonic_system,
     kappa_squared,
@@ -15,6 +15,7 @@ from hbwave.model import (
     Grid,
     HarmonicField,
     PhysicalParams,
+    ValidatedModel,
     validate_model,
 )
 from hbwave.norms import l2l2_norm
@@ -77,19 +78,32 @@ def test_mean_mode_without_anchor_raises():
     params = PhysicalParams.create(grid, tau=0.1, taubar=0.5, b=1.0, c2=1.0,
                                    T=2 * np.pi)
     with pytest.raises(SingularMeanMode):
-        assemble_harmonic_system(0, type("M", (), {
+        assemble_harmonic_system(type("M", (), {
             "params": params, "grid": grid, "bc_left": NEUMANN,
-            "bc_right": NEUMANN})(), np.zeros(17))
+            "bc_right": NEUMANN})(), 0)
 
 
 def test_harmonic_system_diagonal_shift():
     model = make_model(nx=9, tau=0.2)
-    sys1 = assemble_harmonic_system(2, model, np.zeros(9))
+    _, bands = assemble_harmonic_system(model, 2)
     mw = 2 * model.params.omega
-    op_diag = sys1.matrix[0, 0] - (
+    # bands[2, 1, 0] is the first diagonal entry A_2[0, 0]
+    op_diag = bands[2, 1, 0] - (
         model.params.c2[1] + 1j * mw * model.params.b[1]) * (
         2.0 / model.grid.h**2)
     assert op_diag == pytest.approx(-1j * 0.2 * mw**3 - mw**2)
+
+
+def test_singular_harmonic_raises_solve_failure():
+    grid = Grid(1.0, 9)
+    params = PhysicalParams.create(grid, tau=0.1, taubar=0.5, b=1.0, c2=0.0,
+                                   T=2 * np.pi)
+    # built directly to skip validation: with c2 = 0 the system A_0 is zero
+    model = ValidatedModel(grid, params, DIRICHLET, DIRICHLET)
+    f = HarmonicField.zeros(1, 9)
+    f.coeffs[0] = 1.0
+    with pytest.raises(SolveFailure):
+        solve_linear_mgt(f, model)
 
 
 def test_linearized_around_zero_base_is_direct_solve():

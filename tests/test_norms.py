@@ -60,3 +60,26 @@ def test_norms_are_absolutely_homogeneous():
     scaled = HarmonicField(u.coeffs * -3.0)
     assert u0lo_norm(scaled, grid, 1.0, 2 * np.pi) == pytest.approx(
         3.0 * u0lo_norm(u, grid, 1.0, 2 * np.pi))
+
+
+@pytest.mark.parametrize("spatial", [None, "H1_semi", "laplacian",
+                                     "grad_laplacian"])
+def test_vectorised_norm_matches_per_harmonic_loop(spatial):
+    from hbwave.spatial import gradient, laplacian_fd
+
+    grid = Grid(1.0, 33)
+    u = random_field(5, 33, seed=3)
+    omega, T = 1.3, 2.0
+    transform = {
+        None: lambda c: c,
+        "H1_semi": lambda c: gradient(c, grid),
+        "laplacian": lambda c: laplacian_fd(c, grid),
+        "grad_laplacian": lambda c: gradient(laplacian_fd(c, grid), grid),
+    }[spatial]
+    w = parseval_weights(u.M)
+    for k in range(4):
+        loop = T * sum(w[m] * (m * omega) ** (2 * k)
+                       * l2_norm(transform(u.coeffs[m]), grid) ** 2
+                       for m in range(u.M + 1))
+        assert time_space_norm_sq(u, grid, omega, T, k, spatial) == (
+            pytest.approx(loop, rel=1e-13))

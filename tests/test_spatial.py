@@ -121,3 +121,13 @@ def test_dual_norm_nonnegative_and_dominated_by_l2():
     v = rng.normal(size=33).astype(complex)
     val = dual_norm_h1star(v, grid, DIRICHLET, DIRICHLET)
     assert 0.0 <= val <= l2_norm(v, grid) * (1 + 1e-12)
+
+
+def test_dual_norm_of_a_stack_is_per_row():
+    rng = np.random.default_rng(5)
+    grid = Grid(1.0, 33)
+    right = BoundaryCondition(BCKind.ABSORBING, beta=1.0, gamma=0.5)
+    vs = rng.normal(size=(4, 33)) + 1j * rng.normal(size=(4, 33))
+    stacked = dual_norm_h1star(vs, grid, NEUMANN, right)
+    rows = [dual_norm_h1star(v, grid, NEUMANN, right) for v in vs]
+    np.testing.assert_allclose(stacked, rows, rtol=1e-14)
