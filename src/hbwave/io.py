@@ -32,6 +32,7 @@ from .model import (
     validate_model,
 )
 from .nonlinear import FixedPointOptions
+from .studies import MIN_LEVELS
 
 _SCHEMA = {
     "domain": {"l", "nx"},
@@ -68,6 +69,11 @@ class RunSetup:
     study: dict = field(default_factory=dict)
 
 
+def _in_schema(section: str, key: str) -> bool:
+    return key in _SCHEMA[section] or (
+        section == "forcing" and key.startswith("amplitude_"))
+
+
 def parse_config(path: str) -> dict:
     """Read an INI config into {section: {key: string}} with schema checks."""
     cp = configparser.ConfigParser(interpolation=None, strict=True)
@@ -88,8 +94,7 @@ def parse_config(path: str) -> dict:
             raise UnknownKey(f"unknown section [{section}]")
         raw[key] = {}
         for opt, value in cp.items(section):
-            if opt not in _SCHEMA[key] and not (
-                    key == "forcing" and opt.startswith("amplitude_")):
+            if not _in_schema(key, opt):
                 raise UnknownKey(f"unknown key {opt!r} in section [{section}]")
             raw[key][opt] = value
     for required in ("domain", "time", "physics", "forcing"):
@@ -111,8 +116,7 @@ def apply_overrides(raw: dict, overrides) -> dict:
         sec, key = sec.lower(), key.lower()
         if sec not in _SCHEMA:
             raise UnknownKey(f"unknown section [{sec}] in override {item!r}")
-        if key not in _SCHEMA[sec] and not (
-                sec == "forcing" and key.startswith("amplitude_")):
+        if not _in_schema(sec, key):
             raise UnknownKey(f"unknown key {key!r} in override {item!r}")
         out.setdefault(sec, {})[key] = value
     return out
@@ -248,19 +252,30 @@ def build_setup(raw: dict, config_path: str) -> RunSetup:
     st = raw.get("study", {})
     if "case" in st:
         study["case"] = st["case"].strip()
-    for key in ("grids", "taus", "eps"):
-        if key in st:
-            try:
-                parts = [p for p in st[key].replace(",", " ").split() if p]
-                study[key] = ([int(p) for p in parts] if key == "grids"
-                              else [float(p) for p in parts])
-            except ValueError:
-                raise TypeMismatch(f"[study] {key} = {st[key]!r} is not a "
-                                   "numeric list")
+    for key, convert, need in (("grids", int, MIN_LEVELS), ("taus", float, 1),
+                               ("eps", float, MIN_LEVELS)):
+        if key not in st:
+            continue
+        try:
+            study[key] = [convert(p)
+                          for p in st[key].replace(",", " ").split()]
+        except ValueError:
+            raise TypeMismatch(f"[study] {key} = {st[key]!r} is not a "
+                               "numeric list")
+        if len(study[key]) < need:
+            raise TypeMismatch(f"[study] {key} = {st[key]!r}; need "
+                               f"{need} or more values")
+        # each tau is checked against taubar when its model is validated
+        if key != "taus" and not all(0 < v < np.inf for v in study[key]):
+            raise TypeMismatch(f"[study] {key} = {st[key]!r}; need finite "
+                               "values > 0")
     for key, convert in (("dt_divisor", _as_int), ("max_periods", _as_int),
                          ("period_tol", _as_float)):
         if key in st:
             study[key] = convert("study", key, st[key])
+            if not 0 < study[key] < np.inf:
+                raise TypeMismatch(f"[study] {key} = {st[key]!r}; need a "
+                                   "finite value > 0")
     return RunSetup(model=model, f=f, solver_kind=solver_kind,
                     options=options, M=M, study=study)
 

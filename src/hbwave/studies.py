@@ -35,6 +35,7 @@ from .spatial import assemble_laplacian, dense_from_bands, gradient
 
 CASE_IDS = ("linear-dirichlet", "linear-impedance", "westervelt-dirichlet",
             "kuznetsov-dirichlet")
+MIN_LEVELS = 3      # fewest grids or epsilons: two observed orders
 
 
 @dataclass
@@ -122,8 +123,8 @@ def convergence_study(case_id: str, coeffs: dict, L: float, nx_list,
     coeffs holds scalar tau, taubar, b, c2, eta, eta_tilde, T; nodal arrays
     are rebuilt per grid level.
     """
-    if len(nx_list) < 3:
-        raise ValueError("need >= 3 grids for observed orders")
+    if len(nx_list) < MIN_LEVELS:
+        raise ValueError(f"need >= {MIN_LEVELS} grids for observed orders")
     rows = []
     for nx in nx_list:
         grid = Grid(L=L, nx=nx)
@@ -202,8 +203,8 @@ def taylor_test(f: HarmonicField, f_dir: HarmonicField,
     R(eps) = ||S(f + eps f_dir) - S(f) - eps u_lin|| should shrink at
     second order; the first-order difference at first order.
     """
-    if len(eps_list) < 3:
-        raise ValueError("need >= 3 epsilons")
+    if len(eps_list) < MIN_LEVELS:
+        raise ValueError(f"need >= {MIN_LEVELS} epsilons")
     grid, p = model.grid, model.params
     base = fixed_point_solve(f, model, kind, opts).u
     u_lin = solve_linearized(base, f_dir, model, kind)
@@ -311,34 +312,34 @@ class _Oracle:
         zero = np.zeros(self.nr)
         return zero, zero
 
-    def _g(self, y: np.ndarray, t: float) -> np.ndarray:
-        """Non-stiff remainder F(y, t) - A y."""
+    def _g(self, y: np.ndarray, forcing: np.ndarray) -> np.ndarray:
+        """Non-stiff remainder F(y, t) - A y, given the forcing at t."""
         nr = self.nr
         out = np.zeros_like(y)
         if self.tau > 0:
             u, v, w = y[:nr], y[nr:2 * nr], y[2 * nr:]
             da, r_nl = self._nonlinear_rest(u, v)
-            out[2 * nr:] = -(da * w + r_nl + self._forcing(t)) / self.tau
+            out[2 * nr:] = -(da * w + r_nl + forcing) / self.tau
         else:
             u, v = y[:nr], y[nr:]
             da, r_nl = self._nonlinear_rest(u, v)
             D = 1.0 - self.b * self.d_beta
             lin_w = (self.A[nr:, :] @ y)
             # exact w solves (1 + da - b d_beta) w = b lap v + c2 lap u - r
-            rhs = D * lin_w - r_nl - self._forcing(t)
+            rhs = D * lin_w - r_nl - forcing
             w = rhs / (1.0 + da - self.b * self.d_beta)
             out[nr:] = w - lin_w
         return out
 
     def step(self, y: np.ndarray, t: float) -> np.ndarray:
         dt = self.dt
-        t_mid = t + 0.5 * dt
+        forcing = self._forcing(t + 0.5 * dt)   # fixed within the step
         rhs_lin = y + 0.5 * dt * (self.A @ y)
         y_new = y.copy()
         for _ in range(self.MAX_STAGE_ITER):
             y_mid = 0.5 * (y + y_new)
             cand = scipy.linalg.lu_solve(
-                self.lu, rhs_lin + dt * self._g(y_mid, t_mid))
+                self.lu, rhs_lin + dt * self._g(y_mid, forcing))
             delta = np.linalg.norm(cand - y_new)
             y_new = cand
             if delta <= self.STAGE_TOL * (np.linalg.norm(y_new) + 1.0):

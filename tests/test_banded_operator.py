@@ -2,8 +2,9 @@
 built here from the finite-difference stencil."""
 import numpy as np
 import pytest
+import scipy.linalg
 
-from hbwave.linear import solve_linear_mgt
+from hbwave.linear import assemble_harmonic_system, solve_linear_mgt
 from hbwave.model import (
     BCKind,
     BoundaryCondition,
@@ -85,3 +86,28 @@ def test_banded_solve_matches_dense_system(bc_left, bc_right, m):
     expected[active] = np.linalg.solve(A, -f.coeffs[m, active])
     assert np.linalg.norm(u.coeffs[m] - expected) <= (
         1e-12 * np.linalg.norm(expected))
+
+
+@pytest.mark.parametrize("bc_left, bc_right", ENDPOINTS)
+def test_every_harmonic_block_has_zero_corners(bc_left, bc_right):
+    # the stacked solve of all harmonics relies on these: with them zero,
+    # no entry of the stacked tridiagonal matrix couples two blocks
+    _, bands = assemble_harmonic_system(make_model(bc_left, bc_right), 5)
+    assert np.all(bands[:, 0, 0] == 0)
+    assert np.all(bands[:, 2, -1] == 0)
+
+
+@pytest.mark.parametrize("bc_left, bc_right", ENDPOINTS)
+def test_stacked_solve_equals_separate_block_solves(bc_left, bc_right):
+    model = make_model(bc_left, bc_right)
+    rng = np.random.default_rng(20)
+    f = HarmonicField(rng.normal(size=(6, NX)) + 1j * rng.normal(
+        size=(6, NX)))
+    f.coeffs[0] = f.coeffs[0].real
+    op, bands = assemble_harmonic_system(model, f.M)
+    rhs = -op.restrict(f.coeffs)
+    separate = np.array([scipy.linalg.solve_banded((1, 1), bands[m], rhs[m])
+                         for m in range(f.M + 1)])
+    separate[0] = separate[0].real
+    np.testing.assert_array_equal(solve_linear_mgt(f, model).coeffs,
+                                  op.extend(separate))

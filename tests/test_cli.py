@@ -178,6 +178,18 @@ def test_no_success_exit_without_outputs(config, tmp_path):
     ("solver.degeneracy_floor=nan", "TypeMismatch"),
     ("solver.ball_radius=nan", "TypeMismatch"),
     ("forcing.amplitude_1=nan", "TypeMismatch"),
+    ("study.dt_divisor=0", "TypeMismatch"),
+    ("study.max_periods=0", "TypeMismatch"),
+    ("study.period_tol=0", "TypeMismatch"),
+    ("study.period_tol=nan", "TypeMismatch"),
+    ("study.taus=", "TypeMismatch"),
+    ("study.eps=", "TypeMismatch"),
+    ("study.grids=", "TypeMismatch"),
+    ("study.eps=1", "TypeMismatch"),
+    ("study.grids=65", "TypeMismatch"),
+    ("study.eps=0.1,0,0.001", "TypeMismatch"),
+    ("study.eps=0.1,inf,0.001", "TypeMismatch"),
+    ("study.grids=0,65,129", "TypeMismatch"),
 ])
 def test_degenerate_input_exits_one_with_record(config, tmp_path, override,
                                                 kind):

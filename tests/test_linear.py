@@ -106,6 +106,18 @@ def test_singular_harmonic_raises_solve_failure():
         solve_linear_mgt(f, model)
 
 
+def test_nan_residual_fails_the_check_and_names_the_harmonic():
+    # a subnormal c2 passes validation, but the mean-mode solution overflows
+    # and its re-substitution residual is NaN
+    with np.errstate(all="ignore"):
+        model = make_model(nx=9, c2=1e-310)
+        f = HarmonicField.zeros(1, 9)
+        f.coeffs[0] = 1.0
+        with pytest.raises(SolveFailure, match="harmonic 0 residual") as info:
+            solve_linear_mgt(f, model)
+    assert info.value.condition_estimate > 0
+
+
 def test_linearized_around_zero_base_is_direct_solve():
     model = make_model(nx=33)
     f_dir = HarmonicField.zeros(3, 33)
