@@ -47,15 +47,16 @@ from .spatial import (
 )
 from .norms import l2l2_norm, parseval_weights, time_space_norm_sq, u0lo_norm, u0me_norm
 from .linear import (
+    FixedPointOptions,
+    SolveReport,
     assemble_harmonic_system,
+    fixed_point,
     kappa_squared,
     linear_residual,
     solve_linear_mgt,
     solve_linearized,
 )
 from .nonlinear import (
-    FixedPointOptions,
-    SolveReport,
     alpha_samples,
     degeneracy_monitor,
     eval_bilinear,

@@ -4,13 +4,15 @@
 
 Verbs: solve, sweep-tau, energy, deriv-check, converge, oracle-compare,
 validate.  Exit codes: 0 success, 1 validation/config error, 2 solver
-failure; failures leave a machine-readable error.json in the output dir.
+failure or unexpected error; failures leave a machine-readable error.json
+in the output dir.
 """
 from __future__ import annotations
 
 import argparse
 import os
 import sys
+import traceback
 
 import numpy as np
 
@@ -148,6 +150,14 @@ def run_command(argv) -> int:
         write_error_record(out, exc)
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except Exception as exc:
+        # last resort: an unexpected error still leaves its record, with
+        # the traceback for a bug report instead of on stderr
+        exc.traceback = traceback.format_exc()
+        write_error_record(out, exc)
+        print(f"unexpected error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 2
     write_run_info(out, args.verb, args.config, args.overrides, extra)
     return 0
 

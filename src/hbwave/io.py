@@ -31,7 +31,7 @@ from .model import (
     ValidatedModel,
     validate_model,
 )
-from .nonlinear import FixedPointOptions
+from .linear import FixedPointOptions
 from .studies import MIN_LEVELS
 
 _SCHEMA = {
@@ -55,6 +55,10 @@ PROFILES = {
 }
 
 SOLVER_KINDS = ("linear", "westervelt", "kuznetsov")
+# bound on (M + 1) * nx, the complex coefficients of one field: 16 MB a
+# field, about 29 times the largest size of the ROADMAP grid sweep
+# (nx=2049, M=16)
+MAX_UNKNOWNS = 10**6
 
 
 @dataclass
@@ -181,13 +185,19 @@ def build_setup(raw: dict, config_path: str) -> RunSetup:
     dom = raw["domain"]
     L = _as_float("domain", "l", dom.get("l", "1"))
     nx = _as_int("domain", "nx", dom.get("nx", "65"))
-    grid = Grid(L=L, nx=nx)
-
     tim = raw["time"]
     T = _as_float("time", "t", tim.get("t", str(2 * np.pi)))
     M = _as_int("time", "m", tim.get("m", "8"))
     if M < 1:
         raise TypeMismatch(f"[time] m = {M}; need >= 1")
+    # checked before anything of size nx or (M + 1) nx is allocated
+    if nx < 3:
+        raise TypeMismatch(f"[domain] nx = {nx}; need >= 3")
+    if (M + 1) * nx > MAX_UNKNOWNS:
+        raise TypeMismatch(
+            f"(M + 1) * nx = {(M + 1) * nx} unknowns per field exceeds "
+            f"{MAX_UNKNOWNS}")
+    grid = Grid(L=L, nx=nx)
 
     phys = raw["physics"]
     params = PhysicalParams.create(
@@ -370,7 +380,7 @@ def write_error_record(output_dir: str, exc) -> str:
         "message": str(exc),
     }
     for attr in ("violations", "history", "gaps", "alpha_min", "iterations",
-                 "residual", "condition_estimate"):
+                 "residual", "condition_estimate", "traceback"):
         value = getattr(exc, attr, None)
         if value is None:
             continue

@@ -1,5 +1,5 @@
 """Per-harmonic Helmholtz-type systems for the linear third-order wave
-equation and the block-coupled solve for its linearization around a state.
+equation, and the one fixed-point iteration built on their solve.
 
 Substituting u_m exp(i m omega t) into
     tau u_ttt + u_tt + (b d_t + c^2)(-Lap) u + r = 0
@@ -12,22 +12,30 @@ array and solved, in O(M nx), as one block-diagonal tridiagonal system of
 order (M+1) nr.  That is exact: the corners [0, 0] and [2, -1] of every
 block are zero and LAPACK's tridiagonal solver eliminates nothing across a
 zero sub-diagonal, so each harmonic's solution is bit-identical to its own.
+
+The nonlinear solve and the linearized solve around a state are both
+`fixed_point`, the iteration u <- S(rhs(u)) with S this decoupled solve.
 """
 from __future__ import annotations
+
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
 from .errors import (
+    MaxIterExceeded,
+    NonContraction,
     NonConvergedIteration,
     SingularMeanMode,
     SolveFailure,
 )
 from .model import HarmonicField, ValidatedModel
-from .norms import l2l2_norm
+from .norms import u0lo_norm
 from .spatial import assemble_laplacian, band_product, dense_from_bands
 
 RESIDUAL_RTOL = 1e-10
+NONCONTRACTION_PATIENCE = 5
 
 
 def kappa_squared(m: int, tau: float, omega: float, b_const: float,
@@ -106,52 +114,99 @@ def linear_residual(u: HarmonicField, rtilde: HarmonicField,
     return float(np.linalg.norm(res) / den) if den > 0 else 0.0
 
 
+@dataclass(frozen=True)
+class FixedPointOptions:
+    tol: float = 1e-11
+    max_iter: int = 100
+    relaxation: float = 1.0
+    degeneracy_floor: float = 0.1
+    ball_radius: float | None = None
+
+    def __post_init__(self):
+        if not 0.0 < self.tol < np.inf:
+            raise ValueError("tol must be finite and > 0")
+        if self.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
+        if not 0.0 < self.relaxation <= 1.0:
+            raise ValueError("relaxation must be in (0, 1]")
+        # a NaN floor or radius would silently switch its guard off
+        if not np.isfinite(self.degeneracy_floor):
+            raise ValueError("degeneracy_floor must be finite")
+        if not (self.ball_radius is None or 0.0 < self.ball_radius < np.inf):
+            raise ValueError("ball_radius must be finite and > 0")
+
+
+# the linearized solve's stopping rule, not user options; a base of
+# amplitude 1.0 at nx=33, M=4 needs 127 iterations
+LINEARIZED = FixedPointOptions(tol=1e-12, max_iter=200)
+
+
+@dataclass
+class SolveReport:
+    u: HarmonicField
+    iterations: int
+    update_norms: list = field(default_factory=list)
+    contraction_ratios: list = field(default_factory=list)
+    final_residual: float = 0.0
+    degeneracy_margin: float = 0.0
+    stability_margin: float = 0.0
+
+
+def fixed_point(rhs, u: HarmonicField, model: ValidatedModel,
+                opts: FixedPointOptions, check=None) -> SolveReport:
+    """Iterate u <- theta S(rhs(u)) + (1 - theta) u from u, with S the linear
+    solve, until the u0lo update is at most tol times the iterate's norm;
+    then verify by re-substitution.  check(u, norm, update_norms), if given,
+    vets every iterate before the contraction test and returns extra
+    SolveReport fields."""
+    grid, p = model.grid, model.params
+    theta = opts.relaxation
+    update_norms: list[float] = []
+    ratios: list[float] = []
+    rising = 0
+    extra = {}
+    for it in range(1, opts.max_iter + 1):
+        u_new = theta * solve_linear_mgt(rhs(u), model) + (1.0 - theta) * u
+        update = u0lo_norm(u_new - u, grid, p.omega, p.T)
+        scale = u0lo_norm(u_new, grid, p.omega, p.T)
+        update_norms.append(update)
+        if check is not None:
+            extra = check(u_new, scale, update_norms)
+        if len(update_norms) >= 2 and update_norms[-2] > 0:
+            ratio = update_norms[-1] / update_norms[-2]
+            ratios.append(ratio)
+            rising = rising + 1 if ratio >= 1.0 else 0
+            if rising >= NONCONTRACTION_PATIENCE:
+                raise NonContraction(
+                    f"contraction ratio >= 1 for {rising} consecutive "
+                    "iterations", history=update_norms)
+        u = u_new
+        if update <= opts.tol * max(scale, 1e-300):
+            return SolveReport(
+                u=u, iterations=it, update_norms=update_norms,
+                contraction_ratios=ratios,
+                final_residual=linear_residual(u, rhs(u), model), **extra)
+    raise MaxIterExceeded(
+        f"no convergence within {opts.max_iter} iterations",
+        history=update_norms)
+
+
 def solve_linearized(u_base: HarmonicField, f_dir: HarmonicField,
-                     model: ValidatedModel, kind: str,
-                     tol: float = 1e-12, max_iter: int = 200,
-                     include_third_order_term: bool = True) -> HarmonicField:
-    """Solve the linearized periodic equation around a converged state.
-
-    The cross-harmonic coupling from the time-varying coefficient is applied
-    pseudospectrally; the decoupled per-harmonic solves act as the
-    preconditioner of a fixed-point iteration (convergent in the same
-    small-data regime as the nonlinear solver).
-
-    With include_third_order_term=False the relaxation term is dropped from
-    the linearized operator (the second-order linearization variant).
-    """
+                     model: ValidatedModel, kind: str) -> HarmonicField:
+    """Derivative of the source-to-state map at u_base in the direction
+    f_dir: the fixed point of u = S(f_dir + r[2 u_base, u]), with the
+    cross-harmonic coupling applied pseudospectrally.  It converges in the
+    same small-data regime as the nonlinear solve.  For the second-order
+    linearization pass a model with tau = 0."""
     from .nonlinear import eval_bilinear
 
-    lin_model = model
-    if not include_third_order_term:
-        lin_model = model.with_params(model.params.with_tau(0.0))
-
-    grid, p = model.grid, model.params
     base2 = 2.0 * u_base
-    u = solve_linear_mgt(f_dir, lin_model)
-    if u_base.amplitude() == 0.0:
-        return u
-    prev_update = None
-    for it in range(1, max_iter + 1):
-        coupling = eval_bilinear(base2, u, kind, model)
-        u_new = solve_linear_mgt(f_dir + coupling, lin_model)
-        update = l2l2_norm(u_new - u, grid, p.omega, p.T)
-        scale = max(l2l2_norm(u_new, grid, p.omega, p.T), 1e-300)
-        u = u_new
-        if update <= tol * scale:
-            coupling = eval_bilinear(base2, u, kind, model)
-            res = linear_residual(u, f_dir + coupling, lin_model)
-            if res > RESIDUAL_RTOL:
-                raise NonConvergedIteration(
-                    f"linearized solve residual {res:.3e} > {RESIDUAL_RTOL}",
-                    iterations=it, residual=res)
-            return u
-        if prev_update is not None and update >= prev_update:
-            raise NonConvergedIteration(
-                "linearized coupling iteration stagnated "
-                f"(update {update:.3e} after {it} iterations)",
-                iterations=it, residual=update / scale)
-        prev_update = update
-    raise NonConvergedIteration(
-        f"linearized solve did not converge in {max_iter} iterations",
-        iterations=max_iter, residual=None)
+    report = fixed_point(
+        lambda u: f_dir + eval_bilinear(base2, u, kind, model),
+        HarmonicField.zeros(f_dir.M, model.grid.nx), model, LINEARIZED)
+    if report.final_residual > RESIDUAL_RTOL:
+        raise NonConvergedIteration(
+            f"linearized solve residual {report.final_residual:.3e} > "
+            f"{RESIDUAL_RTOL}", iterations=report.iterations,
+            residual=report.final_residual)
+    return report.u

@@ -190,6 +190,10 @@ def test_no_success_exit_without_outputs(config, tmp_path):
     ("study.eps=0.1,0,0.001", "TypeMismatch"),
     ("study.eps=0.1,inf,0.001", "TypeMismatch"),
     ("study.grids=0,65,129", "TypeMismatch"),
+    ("domain.nx=-5", "TypeMismatch"),
+    ("domain.nx=100000000", "TypeMismatch"),
+    ("domain.nx=1000000000000", "TypeMismatch"),
+    ("time.m=1000000000000", "TypeMismatch"),
 ])
 def test_degenerate_input_exits_one_with_record(config, tmp_path, override,
                                                 kind):
@@ -204,3 +208,21 @@ def test_degenerate_input_exits_one_with_record(config, tmp_path, override,
         assert [v["code"] for v in record["violations"]] == [
             "NonFiniteValue"]
     assert not os.path.exists(os.path.join(out, "solution.csv"))
+
+
+def test_unexpected_error_exits_two_with_record(config, tmp_path,
+                                                monkeypatch, capsys):
+    def crash(*args, **kwargs):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("hbwave.cli.solve", crash)
+    out = str(tmp_path / "out")
+    code = run_command(["solve", config, "-o", out])
+    assert code == 2
+    with open(os.path.join(out, "error.json")) as fh:
+        record = json.load(fh)
+    assert record["kind"] == "RuntimeError"
+    assert record["message"] == "boom"
+    assert "RuntimeError: boom" in record["traceback"]
+    assert "Traceback" not in capsys.readouterr().err
+    assert not os.path.exists(os.path.join(out, "run_info.json"))

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from hbwave.errors import SingularMeanMode, SolveFailure
+from hbwave.errors import NonContraction, SingularMeanMode, SolveFailure
 from hbwave.linear import (
+    NONCONTRACTION_PATIENCE,
     assemble_harmonic_system,
     kappa_squared,
     linear_residual,
@@ -152,8 +153,23 @@ def test_linearized_without_relaxation_term_differs():
     f = HarmonicField.zeros(4, grid.nx)
     f.coeffs[1] = 3e-3 * np.sin(np.pi * grid.nodes)
     base = HarmonicField.zeros(4, grid.nx)
-    with_term = solve_linearized(base, f, model, "westervelt",
-                                 include_third_order_term=True)
-    without = solve_linearized(base, f, model, "westervelt",
-                               include_third_order_term=False)
+    with_term = solve_linearized(base, f, model, "westervelt")
+    without = solve_linearized(
+        base, f, model.with_params(model.params.with_tau(0.0)), "westervelt")
     assert not np.allclose(with_term.coeffs, without.coeffs)
+
+
+def test_linearized_around_non_contractive_base_raises_non_contraction():
+    model = make_model(nx=33, eta=1.0)
+    phi = np.sin(np.pi * model.grid.nodes)
+    base = HarmonicField.zeros(4, 33)
+    base.coeffs[1] = 3.0 * phi
+    f_dir = HarmonicField.zeros(4, 33)
+    f_dir.coeffs[1] = phi
+    with pytest.raises(NonContraction) as info:
+        solve_linearized(base, f_dir, model, "westervelt")
+    history = info.value.history
+    assert len(history) > NONCONTRACTION_PATIENCE
+    assert all(b >= a for a, b in
+               zip(history[-NONCONTRACTION_PATIENCE - 1:-1],
+                   history[-NONCONTRACTION_PATIENCE:]))

@@ -11,7 +11,7 @@ from hbwave.model import (
     PhysicalParams,
     validate_model,
 )
-from hbwave.nonlinear import FixedPointOptions, fixed_point_solve
+from hbwave.nonlinear import FixedPointOptions, fixed_point_solve, solve
 from hbwave.studies import (
     convergence_study,
     manufactured_case,
@@ -171,6 +171,51 @@ def test_oracle_discrepancy_improves_with_smaller_dt():
                                      max_periods=60, period_tol=1e-8)
         d.append(oracle_discrepancy(u, tf, model))
     assert d[1] < d[0]
+
+
+ABSORBING = BoundaryCondition(BCKind.ABSORBING, beta=1.0)
+IMPEDANCE = BoundaryCondition(BCKind.IMPEDANCE, gamma=1.0)
+NEUMANN = BoundaryCondition(BCKind.NEUMANN)
+
+
+def smooth(x, a, k):
+    # a nodal coefficient within 1 +- |a|
+    return 1.0 + a * np.cos(k * np.pi * x)
+
+
+@pytest.mark.parametrize("kind, bc_left, bc_right, heterogeneous, kw", [
+    pytest.param("linear", DIRICHLET, ABSORBING, False, {},
+                 id="linear-dirichlet-absorbing"),
+    pytest.param("linear", DIRICHLET, IMPEDANCE, False, {},
+                 id="linear-dirichlet-impedance"),
+    pytest.param("linear", NEUMANN, IMPEDANCE, False, {},
+                 id="linear-neumann-impedance"),
+    pytest.param("linear", DIRICHLET, DIRICHLET, True, {},
+                 id="linear-heterogeneous"),
+    pytest.param("westervelt", DIRICHLET, ABSORBING, True, {"eta": 1.0},
+                 id="westervelt-heterogeneous-absorbing"),
+    pytest.param("kuznetsov", DIRICHLET, DIRICHLET, False,
+                 {"eta_tilde": 1.0}, id="kuznetsov-dirichlet-dirichlet"),
+    pytest.param("kuznetsov", DIRICHLET, ABSORBING, False,
+                 {"eta_tilde": 1.0}, id="kuznetsov-dirichlet-absorbing"),
+    pytest.param("westervelt", DIRICHLET, DIRICHLET, False,
+                 {"eta": 1.0, "tau": 0.0}, id="westervelt-tau0"),
+])
+def test_oracle_cross_check_matrix(kind, bc_left, bc_right, heterogeneous,
+                                   kw):
+    grid = Grid(1.0, 33)
+    coeffs = dict(COEFFS, **kw)
+    if heterogeneous:
+        coeffs["b"] = smooth(grid.nodes, 0.08, 1)
+        coeffs["c2"] = smooth(grid.nodes, -0.06, 2)
+    params = PhysicalParams.create(grid, **coeffs)
+    model = validate_model(grid, params, bc_left, bc_right)
+    f = drive(model)
+    u = solve(f, model, kind)
+    tf, gap = time_stepping_oracle(f, model, kind, dt=model.params.T / 512,
+                                   period_tol=1e-8)
+    assert gap < 1e-8
+    assert oracle_discrepancy(u, tf, model) < 1e-3
 
 
 def test_oracle_second_harmonic_agreement_westervelt():
