@@ -32,7 +32,7 @@ from .model import (
     validate_model,
 )
 from .linear import FixedPointOptions
-from .studies import MIN_LEVELS
+from .studies import CASE_M, MIN_LEVELS
 
 _SCHEMA = {
     "domain": {"l", "nx"},
@@ -179,6 +179,15 @@ def _boundary(raw: dict, section: str) -> BoundaryCondition:
     return BoundaryCondition(kind=kind, beta=beta, gamma=gamma)
 
 
+def _check_size(what: str, nx: int, M: int):
+    # checked before anything of size nx or (M + 1) nx is allocated
+    if nx < 3:
+        raise TypeMismatch(f"{what} = {nx}; need >= 3")
+    if (M + 1) * nx > MAX_UNKNOWNS:
+        raise TypeMismatch(f"{what} = {nx}: (M + 1) * nx = {(M + 1) * nx} "
+                           f"unknowns per field exceed {MAX_UNKNOWNS}")
+
+
 def build_setup(raw: dict, config_path: str) -> RunSetup:
     """Turn a parsed config into a validated model, forcing and options."""
     config_dir = os.path.dirname(os.path.abspath(config_path))
@@ -190,13 +199,7 @@ def build_setup(raw: dict, config_path: str) -> RunSetup:
     M = _as_int("time", "m", tim.get("m", "8"))
     if M < 1:
         raise TypeMismatch(f"[time] m = {M}; need >= 1")
-    # checked before anything of size nx or (M + 1) nx is allocated
-    if nx < 3:
-        raise TypeMismatch(f"[domain] nx = {nx}; need >= 3")
-    if (M + 1) * nx > MAX_UNKNOWNS:
-        raise TypeMismatch(
-            f"(M + 1) * nx = {(M + 1) * nx} unknowns per field exceeds "
-            f"{MAX_UNKNOWNS}")
+    _check_size("[domain] nx", nx, M)
     grid = Grid(L=L, nx=nx)
 
     phys = raw["physics"]
@@ -279,6 +282,8 @@ def build_setup(raw: dict, config_path: str) -> RunSetup:
         if key != "taus" and not all(0 < v < np.inf for v in study[key]):
             raise TypeMismatch(f"[study] {key} = {st[key]!r}; need finite "
                                "values > 0")
+    for g in study.get("grids", ()):
+        _check_size("[study] grids level", g, CASE_M)
     for key, convert in (("dt_divisor", _as_int), ("max_periods", _as_int),
                          ("period_tol", _as_float)):
         if key in st:

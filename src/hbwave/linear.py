@@ -32,7 +32,8 @@ from .errors import (
 )
 from .model import HarmonicField, ValidatedModel
 from .norms import u0lo_norm
-from .spatial import assemble_laplacian, band_product, dense_from_bands
+from .spatial import (assemble_laplacian, band_product, dense_from_bands,
+                      scale_rows)
 
 RESIDUAL_RTOL = 1e-10
 NONCONTRACTION_PATIENCE = 5
@@ -64,11 +65,10 @@ def assemble_harmonic_system(model: ValidatedModel, M: int):
         raise SingularMeanMode(
             "mean-mode operator is singular: no impedance or Dirichlet "
             "endpoint")
-    # row i of A_m is scaled by c2_i + i m w b_i; band k of column j lies in
-    # row j + k - 1 (the entries np.roll wraps around meet the zero corners)
-    coef = p.c2[op.active] + 1j * mw[:, None] * p.b[op.active]
-    bands = op.bands * np.stack(
-        [np.roll(coef, 1, axis=-1), coef, np.roll(coef, -1, axis=-1)], axis=1)
+    # row i of A_m is scaled by c2_i + i m w b_i; the entries scale_rows
+    # wraps around meet the zero corners, so no block leaks into the next
+    bands = scale_rows(op.bands,
+                       p.c2[op.active] + 1j * mw[:, None] * p.b[op.active])
     bands[:, 1, :] += (-1j * p.tau * mw**3 - mw**2)[:, None]
     return op, bands
 

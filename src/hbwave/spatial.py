@@ -8,8 +8,8 @@ endpoint).  It is stored in LAPACK (1, 1) band form, (3, n) per harmonic:
 row 0 the super-diagonal, row 1 the diagonal, row 2 the sub-diagonal, with
 the unused corners [0, 0] and [2, -1] zero.  Assembling all M+1 harmonics,
 applying them and solving with them each cost O(M nx).  Only
-dense_from_bands forms an nx x nx matrix, for the time-stepping oracle and
-for the condition estimate of a failed solve.
+dense_from_bands forms an nx x nx matrix, for the condition estimate of a
+failed solve.
 """
 from __future__ import annotations
 
@@ -27,6 +27,24 @@ def band_product(bands: np.ndarray, v: np.ndarray) -> np.ndarray:
     out[..., 1:] += bands[..., 2, :-1] * v[..., :-1]
     out[..., :-1] += bands[..., 0, 1:] * v[..., 1:]
     return out
+
+
+def scale_rows(bands: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """diag(s) times tridiagonal (..., 3, n) bands, for (..., n) scales s."""
+    # band k of column j lies in row j + k - 1; the entries np.roll wraps
+    # around meet the zero corners
+    return bands * np.stack(
+        [np.roll(s, 1, axis=-1), s, np.roll(s, -1, axis=-1)], axis=-2)
+
+
+def tridiagonal_solver(bands: np.ndarray):
+    """Factor one real (3, n) band array (LAPACK gttrf) and return the
+    function that solves with it (gttrs)."""
+    *lu, info = scipy.linalg.lapack.dgttrf(bands[2, :-1], bands[1],
+                                           bands[0, 1:])
+    if info != 0:
+        raise scipy.linalg.LinAlgError(f"singular tridiagonal (info {info})")
+    return lambda rhs: scipy.linalg.lapack.dgttrs(*lu, rhs)[0]
 
 
 def dense_from_bands(bands: np.ndarray) -> np.ndarray:

@@ -9,7 +9,6 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .diagnostics import estimate_rhs_lo, compute_energies
 from .errors import NoPeriodicAttractor, StepRejected, UnknownCase
@@ -31,11 +30,13 @@ from .nonlinear import (
     solve,
 )
 from .norms import l2l2_norm, u0lo_norm, u0me_norm
-from .spatial import assemble_laplacian, dense_from_bands, gradient
+from .spatial import (assemble_laplacian, band_product, gradient,
+                      scale_rows, tridiagonal_solver)
 
 CASE_IDS = ("linear-dirichlet", "linear-impedance", "westervelt-dirichlet",
             "kuznetsov-dirichlet")
 MIN_LEVELS = 3      # fewest grids or epsilons: two observed orders
+CASE_M = 2          # harmonics of a convergence study's cases
 
 
 @dataclass
@@ -117,7 +118,7 @@ def solve_case(case: ManufacturedCase, model: ValidatedModel,
 
 
 def convergence_study(case_id: str, coeffs: dict, L: float, nx_list,
-                      M: int = 2, amplitude: float = 1e-3) -> StudyResult:
+                      M: int = CASE_M, amplitude: float = 1e-3) -> StudyResult:
     """Dyadic-refinement errors against the manufactured solution.
 
     coeffs holds scalar tau, taubar, b, c2, eta, eta_tilde, T; nodal arrays
@@ -230,9 +231,15 @@ def taylor_test(f: HarmonicField, f_dir: HarmonicField,
 # --- time-stepping oracle --------------------------------------------------
 
 class _Oracle:
-    """Implicit-midpoint integrator of the first-order system on the
-    reduced (non-Dirichlet) nodes; the stiff constant-coefficient part is
-    prefactored, small nonlinear corrections iterate per step."""
+    """Implicit-midpoint integrator on the reduced (non-Dirichlet) nodes.
+
+    The state has one row per derivative: (u, u_t, u_tt) when tau > 0,
+    (u, u_t) when tau = 0.  Each stage eliminates the lower derivatives, so
+    its unknown is the midpoint z of the top one, with v_mid = v + h z and
+    u_mid = u + h v_mid (h = dt/2), and its linear part is one tridiagonal
+    system K z = rhs, factored once.  The nonlinear terms are taken at the
+    previous stage iterate's midpoint and iterated to STAGE_TOL.
+    """
 
     MAX_STAGE_ITER = 50
     STAGE_TOL = 1e-13
@@ -243,60 +250,39 @@ class _Oracle:
         self.kind = kind
         self.dt = dt
         p = model.params
-        self.p = p
-        op = assemble_laplacian(model.grid, model.bc_left, model.bc_right, 0,
-                                p.omega)
-        self.op = op
-        nr = len(op.active)
-        self.nr = nr
-        # discrete Laplacian split: lap(u, u_t) = Lu @ u + d_beta * u_t
-        self.Lu = -dense_from_bands(op.bands).real
-        d_beta = np.zeros(nr)
-        h = model.grid.h
+        self.tau = p.tau
+        self.op = op = assemble_laplacian(model.grid, model.bc_left,
+                                          model.bc_right, 0, p.omega)
+        self.nr = len(op.active)
+        # discrete Laplacian split: lap(u, u_t) = L u + d_beta * u_t
+        self.L = -op.bands.real
+        self.d_beta = d_beta = np.zeros(self.nr)
         for pos, bc in ((0, model.bc_left), (-1, model.bc_right)):
-            if not bc.is_dirichlet and bc.beta != 0.0:
-                d_beta[pos] = -2.0 * bc.beta / h
-        self.d_beta = d_beta
-        self.b = p.b[op.active]
-        self.c2 = p.c2[op.active]
+            if not bc.is_dirichlet:
+                d_beta[pos] = -2.0 * bc.beta / model.grid.h
+        self.b = b = p.b[op.active]
+        self.c2 = c2 = p.c2[op.active]
         self.eta = p.eta[op.active]
         self.eta_tilde = p.eta_tilde[op.active]
-        self.f = f
-        self.tau = p.tau
+        self.f0, self.fm = f.coeffs[0, op.active].real, f.coeffs[1:, op.active]
+        self.phase_rate = 1j * np.arange(1, f.M + 1) * p.omega
 
-        A = self._linear_matrix()
-        n = A.shape[0]
-        self.lu = scipy.linalg.lu_factor(np.eye(n) - 0.5 * dt * A)
-        self.A = A
-
-    def _linear_matrix(self) -> np.ndarray:
-        nr, Lu, db = self.nr, self.Lu, self.d_beta
-        b, c2 = self.b, self.c2
+        # the z terms of the top equation at the stage midpoint
+        hs = 0.5 * dt
         if self.tau > 0:
-            A = np.zeros((3 * nr, 3 * nr))
-            A[:nr, nr:2 * nr] = np.eye(nr)
-            A[nr:2 * nr, 2 * nr:] = np.eye(nr)
-            blk = A[2 * nr:, :]
-            blk[:, :nr] = (c2[:, None] * Lu) / self.tau
-            blk[:, nr:2 * nr] = (b[:, None] * Lu
-                                 + np.diag(c2 * db)) / self.tau
-            blk[:, 2 * nr:] = (np.diag(b * db) - np.eye(nr)) / self.tau
-            return A
-        # tau = 0: (1 - b d_beta) w = b lap v + c2 lap u  (alpha = 1 part)
-        D = 1.0 - b * db
-        A = np.zeros((2 * nr, 2 * nr))
-        A[:nr, nr:] = np.eye(nr)
-        A[nr:, :nr] = (c2[:, None] * Lu) / D[:, None]
-        A[nr:, nr:] = (b[:, None] * Lu + np.diag(c2 * db)) / D[:, None]
-        return A
+            K = scale_rows(self.L, -(hs * hs * c2 + hs * b))
+            K[1] += self.tau / hs + 1.0 - (hs * c2 + b) * d_beta
+        else:
+            K = scale_rows(self.L, -(hs * c2 + b))
+            K[1] += (1.0 - b * d_beta) / hs - c2 * d_beta
+        self.solve_stage = tridiagonal_solver(K)
 
     def _forcing(self, t: float) -> np.ndarray:
-        c = self.f.coeffs[:, self.op.active]
-        m = np.arange(self.f.M + 1)
-        phases = np.exp(1j * m * self.p.omega * t)
-        vals = c[0].real + 2.0 * np.einsum("m,mj->j", phases[1:],
-                                           c[1:]).real
-        return vals
+        phases = np.exp(self.phase_rate * t)
+        return self.f0 + 2.0 * np.einsum("m,mj->j", phases, self.fm).real
+
+    def _lap(self, u, v):
+        return band_product(self.L, u) + self.d_beta * v
 
     def _nonlinear_rest(self, u, v):
         """(alpha - 1, r_nl) of the current state."""
@@ -312,40 +298,41 @@ class _Oracle:
         zero = np.zeros(self.nr)
         return zero, zero
 
-    def _g(self, y: np.ndarray, forcing: np.ndarray) -> np.ndarray:
-        """Non-stiff remainder F(y, t) - A y, given the forcing at t."""
-        nr = self.nr
-        out = np.zeros_like(y)
-        if self.tau > 0:
-            u, v, w = y[:nr], y[nr:2 * nr], y[2 * nr:]
-            da, r_nl = self._nonlinear_rest(u, v)
-            out[2 * nr:] = -(da * w + r_nl + forcing) / self.tau
-        else:
-            u, v = y[:nr], y[nr:]
-            da, r_nl = self._nonlinear_rest(u, v)
-            D = 1.0 - self.b * self.d_beta
-            lin_w = (self.A[nr:, :] @ y)
-            # exact w solves (1 + da - b d_beta) w = b lap v + c2 lap u - r
-            rhs = D * lin_w - r_nl - forcing
-            w = rhs / (1.0 + da - self.b * self.d_beta)
-            out[nr:] = w - lin_w
-        return out
+    def _rest(self, y_mid: np.ndarray, forcing: np.ndarray) -> np.ndarray:
+        """(alpha - 1) u_tt + r_nl + forcing: what K leaves out."""
+        u, v = y_mid[0], y_mid[1]
+        da, r_nl = self._nonlinear_rest(u, v)
+        # at tau = 0, w solves (1 + da - b d_beta) w = b lap v + c2 lap u - r
+        w = y_mid[2] if self.tau > 0 else (
+            (self.c2 * self._lap(u, v) + self.b * band_product(self.L, v)
+             - r_nl - forcing) / (1.0 + da - self.b * self.d_beta))
+        return da * w + r_nl + forcing
 
     def step(self, y: np.ndarray, t: float) -> np.ndarray:
-        dt = self.dt
-        forcing = self._forcing(t + 0.5 * dt)   # fixed within the step
-        rhs_lin = y + 0.5 * dt * (self.A @ y)
+        dt, h, b, c2 = self.dt, 0.5 * self.dt, self.b, self.c2
+        forcing = self._forcing(t + h)   # fixed within the step
+        # the top equation's linear terms free of z, fixed within the step
+        if self.tau > 0:
+            u, v, w = y
+            rhs_lin = ((self.tau / h) * w + c2 * self._lap(u + h * v, v)
+                       + b * band_product(self.L, v))
+        else:
+            u, v = y
+            rhs_lin = ((1.0 - b * self.d_beta) / h * v
+                       + c2 * band_product(self.L, u))
         y_new = y.copy()
         for _ in range(self.MAX_STAGE_ITER):
-            y_mid = 0.5 * (y + y_new)
-            cand = scipy.linalg.lu_solve(
-                self.lu, rhs_lin + dt * self._g(y_mid, forcing))
+            z = self.solve_stage(
+                rhs_lin - self._rest(0.5 * (y + y_new), forcing))
+            if self.tau > 0:
+                cand = np.array([u + dt * (v + h * z), v + dt * z, 2 * z - w])
+            else:
+                cand = np.array([u + dt * z, 2 * z - v])
             delta = np.linalg.norm(cand - y_new)
             y_new = cand
             if delta <= self.STAGE_TOL * (np.linalg.norm(y_new) + 1.0):
                 return y_new
-        raise StepRejected(
-            f"implicit stage did not converge at t={t:.6g}")
+        raise StepRejected(f"implicit stage did not converge at t={t:.6g}")
 
 
 def time_stepping_oracle(f: HarmonicField, model: ValidatedModel, kind: str,
@@ -361,9 +348,7 @@ def time_stepping_oracle(f: HarmonicField, model: ValidatedModel, kind: str,
     n_steps = int(round(T / dt))
     dt = T / n_steps
     oracle = _Oracle(f, model, kind, dt)
-    nr = oracle.nr
-    dim = 3 * nr if p.tau > 0 else 2 * nr
-    y = np.zeros(dim)
+    y = np.zeros((3 if p.tau > 0 else 2, oracle.nr))
     y_prev = y.copy()
     gaps = []
     converged = False
@@ -386,7 +371,7 @@ def time_stepping_oracle(f: HarmonicField, model: ValidatedModel, kind: str,
     values = np.zeros((n_steps, model.grid.nx))
     t0 = k * T
     for j in range(n_steps):
-        values[j] = oracle.op.extend(y[:nr]).real
+        values[j] = oracle.op.extend(y[0]).real
         y = oracle.step(y, t0 + j * dt)
     return TimeField(values), gaps[-1]
 

@@ -1,10 +1,13 @@
 import json
 import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hbwave.cli import run_command
-from hbwave.io import read_solution_csv
+from hbwave.io import _SCHEMA, read_solution_csv
 
 CONFIG = """\
 [domain]
@@ -190,6 +193,8 @@ def test_no_success_exit_without_outputs(config, tmp_path):
     ("study.eps=0.1,0,0.001", "TypeMismatch"),
     ("study.eps=0.1,inf,0.001", "TypeMismatch"),
     ("study.grids=0,65,129", "TypeMismatch"),
+    ("study.grids=1,65,129", "TypeMismatch"),
+    ("study.grids=65,129,100000000", "TypeMismatch"),
     ("domain.nx=-5", "TypeMismatch"),
     ("domain.nx=100000000", "TypeMismatch"),
     ("domain.nx=1000000000000", "TypeMismatch"),
@@ -226,3 +231,37 @@ def test_unexpected_error_exits_two_with_record(config, tmp_path,
     assert "RuntimeError: boom" in record["traceback"]
     assert "Traceback" not in capsys.readouterr().err
     assert not os.path.exists(os.path.join(out, "run_info.json"))
+
+
+FUZZ_KEYS = sorted(f"{section}.{key}" for section, keys in _SCHEMA.items()
+                   for key in keys) + ["forcing.amplitude_1",
+                                       "forcing.amplitude_9"]
+FUZZ_VALUES = ["nan", "inf", "-inf", "-1", "0", "1", "0.5", "3", "65",
+               "1e308", "-1e308", "", "junk", "1,x", "0.1 0.01 0.001",
+               "absorbing", "impedance"]
+
+
+# 120 examples take about 1 s
+@settings(max_examples=120, derandomize=True, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(FUZZ_KEYS),
+                          st.sampled_from(FUZZ_VALUES) | st.text(max_size=4)),
+                min_size=1, max_size=3))
+def test_validate_exits_zero_or_one_with_record(overrides):
+    """validate never fails as a solver would: it exits 0 with no
+    error.json, or 1 with a complete one."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "run.ini")
+        with open(config, "w") as fh:
+            fh.write(CONFIG)
+        out = os.path.join(tmp, "out")
+        argv = ["validate", config, "-o", out]
+        for key, value in overrides:
+            argv += ["-s", f"{key}={value}"]
+        code = run_command(argv)
+        record = os.path.join(out, "error.json")
+        assert code in (0, 1)
+        if code == 0:
+            assert not os.path.exists(record)
+        else:
+            with open(record) as fh:
+                assert {"kind", "code", "message"} <= set(json.load(fh))

@@ -12,7 +12,9 @@ from hbwave.model import (
     validate_model,
 )
 from hbwave.nonlinear import FixedPointOptions, fixed_point_solve, solve
+from hbwave.spatial import assemble_laplacian, dense_from_bands
 from hbwave.studies import (
+    _Oracle,
     convergence_study,
     manufactured_case,
     oracle_discrepancy,
@@ -249,3 +251,63 @@ def test_oracle_tau_zero_path():
                                    dt=model.params.T / 256,
                                    max_periods=60, period_tol=1e-8)
     assert oracle_discrepancy(u, tf, model) < 1e-3
+
+
+def dense_midpoint_step(model, f, y, t, dt):
+    """One implicit-midpoint step (I - hA)^{-1} (y + hAy + dt g), h = dt/2,
+    of the linear kind's first-order system y' = A y + g(t), with A dense:
+    y = (u, u_t, u_tt) when tau > 0 and (u, u_t) when tau = 0."""
+    p = model.params
+    op = assemble_laplacian(model.grid, model.bc_left, model.bc_right, 0,
+                            p.omega)
+    nr = len(op.active)
+    lap = -dense_from_bands(op.bands).real
+    # a Robin endpoint's ghost node adds -2 beta / h times u_t to its row
+    lap_ut = np.zeros(nr)
+    for pos, bc in ((0, model.bc_left), (-1, model.bc_right)):
+        if not bc.is_dirichlet:
+            lap_ut[pos] = -2.0 * bc.beta / model.grid.h
+    b, c2 = p.b[op.active], p.c2[op.active]
+    eye, zero = np.eye(nr), np.zeros((nr, nr))
+    c = f.coeffs[:, op.active]
+    phases = np.exp(1j * np.arange(1, f.M + 1) * p.omega * (t + dt / 2))
+    forcing = c[0].real + 2.0 * (phases @ c[1:]).real
+    # tau u_ttt + u_tt = c2 lap(u, u_t) + b lap(u_t, u_tt) - forcing
+    rows = [c2[:, None] * lap, b[:, None] * lap + np.diag(c2 * lap_ut),
+            np.diag(b * lap_ut) - eye]
+    if p.tau > 0:
+        A = np.block([[zero, eye, zero], [zero, zero, eye],
+                      [r / p.tau for r in rows]])
+        g = np.concatenate([np.zeros(2 * nr), -forcing / p.tau])
+    else:
+        D = -rows[2].diagonal()[:, None]
+        A = np.block([[zero, eye], [rows[0] / D, rows[1] / D]])
+        g = np.concatenate([np.zeros(nr), -forcing / D[:, 0]])
+    h = dt / 2
+    y = y.reshape(-1)
+    return np.linalg.solve(np.eye(len(y)) - h * A,
+                           y + h * A @ y + dt * g).reshape(-1, nr)
+
+
+@pytest.mark.parametrize("tau", [0.1, 0.0])
+@pytest.mark.parametrize("bc_left, bc_right", [
+    (DIRICHLET, DIRICHLET), (DIRICHLET, ABSORBING), (NEUMANN, IMPEDANCE),
+    (ABSORBING, IMPEDANCE)])
+def test_oracle_step_matches_dense_midpoint_step(tau, bc_left, bc_right):
+    grid = Grid(1.0, 17)
+    params = PhysicalParams.create(grid, **dict(
+        COEFFS, tau=tau, b=smooth(grid.nodes, 0.08, 1),
+        c2=smooth(grid.nodes, -0.06, 2)))
+    model = validate_model(grid, params, bc_left, bc_right)
+    rng = np.random.default_rng(5)
+    f = HarmonicField.zeros(3, grid.nx)
+    f.coeffs[:] = rng.standard_normal((4, grid.nx))
+    f.coeffs[1:] += 1j * rng.standard_normal((3, grid.nx))
+    dt = params.T / 64
+    oracle = _Oracle(f, model, "linear", dt)
+    y = rng.standard_normal((3 if tau > 0 else 2, oracle.nr))
+    expected = dense_midpoint_step(model, f, y, 0.3, dt)
+    got = oracle.step(y, 0.3)
+    assert got.shape == y.shape
+    assert (np.linalg.norm(got - expected)
+            <= 1e-12 * np.linalg.norm(expected))
