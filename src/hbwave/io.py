@@ -3,7 +3,10 @@
 Configs are INI-style files; every key is checked against the schema (no
 silent ignoring), coefficient arrays may be loaded from text files resolved
 relative to the config, and all result CSVs are written atomically with a
-fixed column schema and 17 significant digits.
+fixed column schema and 17 significant digits.  solution.csv, with one row
+per harmonic and node, is formatted one harmonic block at a time and read
+back in one parse, so both cost time linear in its (M + 1) nx rows; the
+small CSVs go through write_csv cell by cell.
 """
 from __future__ import annotations
 
@@ -215,7 +218,7 @@ def build_setup(raw: dict, config_path: str) -> RunSetup:
     )
     bc_left = _boundary(raw, "bc.left")
     bc_right = _boundary(raw, "bc.right")
-    model = validate_model(grid, params, bc_left, bc_right)
+    model = validate_model(grid, params, bc_left, bc_right, M)
 
     forc = raw["forcing"]
     profile_name = forc.get("profile", "sine").strip().lower()
@@ -329,33 +332,53 @@ def write_csv(path: str, header, rows):
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
+SOLUTION_HEADER = ("m", "node_index", "x", "re", "im")
+
+
 def write_solution_csv(path: str, u: HarmonicField, grid: Grid):
-    rows = []
-    for m in range(u.M + 1):
-        for j in range(u.nx):
-            c = u.coeffs[m, j]
-            rows.append((m, j, grid.nodes[j], c.real, c.imag))
-    write_csv(path, ("m", "node_index", "x", "re", "im"), rows)
+    """One row per (m, j), harmonic-major, in the format of write_csv.
+
+    Each harmonic block is formatted by one `%` over a flat tuple, so the
+    cost is linear in the (M + 1) nx rows; m and j are exact integers in
+    float64 and print the same through %d.
+    """
+    x, j = grid.nodes, np.arange(u.nx)
+    row_format = "%d,%d,%.17g,%.17g,%.17g\n" * u.nx
+    blocks = [",".join(SOLUTION_HEADER) + "\n"]
+    for m, c in enumerate(u.coeffs):
+        cells = np.column_stack((np.full(u.nx, m), j, x, c.real, c.imag))
+        blocks.append(row_format % tuple(cells.ravel().tolist()))
+    _atomic_write(path, "".join(blocks))
 
 
 def read_solution_csv(path: str) -> HarmonicField:
-    """Inverse of write_solution_csv (17-digit round trip is bit exact)."""
+    """Inverse of write_solution_csv (17-digit round trip is bit exact).
+
+    Every (m, node_index) of the (M + 1) x nx field must appear exactly
+    once; the x column is not read back.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
-        if header != ["m", "node_index", "x", "re", "im"]:
-            raise ConfigError(f"{path}: unexpected header {header}")
-        entries = []
-        for line in fh:
-            if not line.strip():
-                continue
-            m_s, j_s, _x, re_s, im_s = line.strip().split(",")
-            entries.append((int(m_s), int(j_s),
-                            float(re_s) + 1j * float(im_s)))
-    M = max(e[0] for e in entries)
-    nx = max(e[1] for e in entries) + 1
+        lines = fh.read().splitlines()
+    if header != list(SOLUTION_HEADER):
+        raise ConfigError(f"{path}: unexpected header {header}")
+    if not any(line.strip() for line in lines):
+        raise ConfigError(f"{path}: no rows")
+    try:
+        rows = np.loadtxt(lines, delimiter=",", ndmin=1, dtype=[
+            ("m", np.int64), ("j", np.int64), ("x", float), ("re", float),
+            ("im", float)])
+    except ValueError as exc:
+        raise ConfigError(f"{path}: malformed row: {exc}")
+    m, j = rows["m"], rows["j"]
+    M, nx = int(m.max()), int(j.max()) + 1
+    if (m.min() < 0 or j.min() < 0 or len(rows) != (M + 1) * nx
+            or np.unique(m * nx + j).size != len(rows)):
+        raise ConfigError(f"{path}: the rows do not hold each (m, "
+                          f"node_index) of a {M + 1} x {nx} field once")
     u = HarmonicField.zeros(M, nx)
-    for m, j, c in entries:
-        u.coeffs[m, j] = c
+    u.coeffs.real[m, j] = rows["re"]
+    u.coeffs.imag[m, j] = rows["im"]
     return u
 
 

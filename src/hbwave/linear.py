@@ -15,13 +15,13 @@ zero sub-diagonal, so each harmonic's solution is bit-identical to its own.
 
 The nonlinear solve and the linearized solve around a state are both
 `fixed_point`, the iteration u <- S(rhs(u)) with S this decoupled solve.
+As in `spatial`, scipy.linalg is imported only where a solve needs it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     MaxIterExceeded,
@@ -84,13 +84,14 @@ def _residuals(bands: np.ndarray, x: np.ndarray, rhs: np.ndarray):
 
 def solve_linear_mgt(f: HarmonicField, model: ValidatedModel) -> HarmonicField:
     """Solve A_m u_m = -f_m for m = 0..M; verify each by re-substitution."""
+    import scipy.linalg
     op, bands = assemble_harmonic_system(model, f.M)
     rhs = -op.restrict(f.coeffs)
     try:
         sol = scipy.linalg.solve_banded(
             (1, 1), bands.transpose(1, 0, 2).reshape(3, -1),
             rhs.reshape(-1)).reshape(rhs.shape)
-    except scipy.linalg.LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise SolveFailure(f"harmonic-stack factorization failed: {exc}")
     res, scale = _residuals(bands, sol, rhs)
     # the first harmonic over tolerance, if any; a NaN residual fails too

@@ -251,8 +251,15 @@ def _check_bc(bc: BoundaryCondition, side: str, violations):
                 f"{side} Neumann endpoint must have beta = gamma = 0"))
 
 
-def collect_violations(grid, params, bc_left, bc_right):
-    """All structural-assumption failures of a candidate configuration."""
+def _finite_normal(value) -> bool:
+    return bool(np.isfinite(value)) and abs(value) >= np.finfo(float).tiny
+
+
+def collect_violations(grid, params, bc_left, bc_right, M: int = 1):
+    """All structural-assumption failures of a candidate configuration.
+
+    `M` is the highest harmonic the model is solved with.
+    """
     values = {"L": grid.L, "T": params.T, "tau": params.tau,
               "taubar": params.taubar, "b": params.b, "c2": params.c2,
               "eta": params.eta, "eta_tilde": params.eta_tilde,
@@ -268,6 +275,17 @@ def collect_violations(grid, params, bc_left, bc_right):
         violations.append(Violation("BadGrid", f"L={grid.L} <= 0"))
     if params.T <= 0:
         violations.append(Violation("BadGrid", f"T={params.T} <= 0"))
+    if not nonfinite and grid.nx >= 3 and grid.L > 0 and params.T > 0:
+        # the grid and time scales the operators are built from
+        with np.errstate(all="ignore"):
+            h = np.float64(grid.L) / (grid.nx - 1)
+            omega = TWO_PI / np.float64(params.T)
+            derived = {"h": h, "1/h^2": 1.0 / h**2, "omega": omega,
+                       "M*omega": M * omega}
+        violations.extend(
+            Violation("BadGrid", f"{name} = {value:.6g} is not a finite, "
+                      "normal number")
+            for name, value in derived.items() if not _finite_normal(value))
     if np.any(params.b <= 0):
         violations.append(Violation(
             "NonPositiveCoefficient", "b must be > 0 at every node"))
@@ -301,9 +319,10 @@ def collect_violations(grid, params, bc_left, bc_right):
     return violations
 
 
-def validate_model(grid, params, bc_left, bc_right) -> ValidatedModel:
+def validate_model(grid, params, bc_left, bc_right,
+                   M: int = 1) -> ValidatedModel:
     """Return a validated model or raise InvalidModel with all violations."""
-    violations = collect_violations(grid, params, bc_left, bc_right)
+    violations = collect_violations(grid, params, bc_left, bc_right, M)
     if violations:
         raise InvalidModel(violations)
     return ValidatedModel(grid=grid, params=params,

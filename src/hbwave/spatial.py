@@ -9,14 +9,14 @@ row 0 the super-diagonal, row 1 the diagonal, row 2 the sub-diagonal, with
 the unused corners [0, 0] and [2, -1] zero.  Assembling all M+1 harmonics,
 applying them and solving with them each cost O(M nx).  Only
 dense_from_bands forms an nx x nx matrix, for the condition estimate of a
-failed solve.
+failed solve.  scipy.linalg is imported inside the functions that call it:
+it is most of the package's import time, and validation needs none of it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .model import BoundaryCondition, Grid
 
@@ -40,10 +40,11 @@ def scale_rows(bands: np.ndarray, s: np.ndarray) -> np.ndarray:
 def tridiagonal_solver(bands: np.ndarray):
     """Factor one real (3, n) band array (LAPACK gttrf) and return the
     function that solves with it (gttrs)."""
+    import scipy.linalg
     *lu, info = scipy.linalg.lapack.dgttrf(bands[2, :-1], bands[1],
                                            bands[0, 1:])
     if info != 0:
-        raise scipy.linalg.LinAlgError(f"singular tridiagonal (info {info})")
+        raise np.linalg.LinAlgError(f"singular tridiagonal (info {info})")
     return lambda rhs: scipy.linalg.lapack.dgttrs(*lu, rhs)[0]
 
 
@@ -172,6 +173,7 @@ def dual_norm_h1star(v: np.ndarray, grid: Grid, bc_left: BoundaryCondition,
     (m = 0) boundary rows; the identity shift makes the operator nonsingular
     for every endpoint combination.
     """
+    import scipy.linalg
     op = assemble_laplacian(grid, bc_left, bc_right, 0, omega=1.0)
     op.bands[1] += 1.0
     vr = op.restrict(np.asarray(v, dtype=complex))

@@ -4,8 +4,6 @@ independent time-stepping oracle for the periodic attractor.
 """
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,15 +42,6 @@ class StudyResult:
     kind: str
     rows: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
-
-
-def _config_hash(*parts) -> str:
-    def default(o):
-        if isinstance(o, np.ndarray):
-            return o.tolist()
-        return repr(o)
-    blob = json.dumps(parts, default=default, sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
 @dataclass
@@ -132,7 +121,7 @@ def convergence_study(case_id: str, coeffs: dict, L: float, nx_list,
         params = PhysicalParams.create(grid, **coeffs)
         case = manufactured_case(case_id, params, grid, M=M,
                                  amplitude=amplitude)
-        model = validate_model(grid, params, case.bc_left, case.bc_right)
+        model = validate_model(grid, params, case.bc_left, case.bc_right, M)
         u = solve_case(case, model)
         err = u - case.u_star
         rows.append({
@@ -140,7 +129,6 @@ def convergence_study(case_id: str, coeffs: dict, L: float, nx_list,
             "h": grid.h,
             "err_l2l2": l2l2_norm(err, grid, params.omega, params.T),
             "err_u0lo": u0lo_norm(err, grid, params.omega, params.T),
-            "config_hash": _config_hash(case_id, coeffs, L, nx, M, amplitude),
         })
     for i in range(1, len(rows)):
         ratio_h = rows[i - 1]["h"] / rows[i]["h"]
@@ -186,7 +174,6 @@ def tau_sweep(f: HarmonicField, model: ValidatedModel, taus,
             "tau": tau, "d_lo": d_lo, "d_me": d_me,
             "rate": None,
             "E_lo_ratio": e_lo / den if den > 0 else None,
-            "config_hash": _config_hash(kind, tau, taus),
         })
     for row in rows:
         tau = row["tau"]
@@ -215,8 +202,7 @@ def taylor_test(f: HarmonicField, f_dir: HarmonicField,
         remainder = u0lo_norm(u_eps - base - eps * u_lin, grid, p.omega, p.T)
         diff = u0lo_norm(u_eps - base, grid, p.omega, p.T)
         rows.append({"eps": eps, "remainder": remainder, "diff": diff,
-                     "slope": None,
-                     "config_hash": _config_hash(kind, eps, eps_list)})
+                     "slope": None})
     for i in range(1, len(rows)):
         r0, r1 = rows[i - 1], rows[i]
         dl = np.log(r0["eps"] / r1["eps"])

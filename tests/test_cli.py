@@ -1,11 +1,14 @@
 import json
 import os
+import subprocess
+import sys
 import tempfile
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hbwave
 from hbwave.cli import run_command
 from hbwave.io import _SCHEMA, read_solution_csv
 
@@ -213,6 +216,39 @@ def test_degenerate_input_exits_one_with_record(config, tmp_path, override,
         assert [v["code"] for v in record["violations"]] == [
             "NonFiniteValue"]
     assert not os.path.exists(os.path.join(out, "solution.csv"))
+
+
+@pytest.mark.parametrize("override", [
+    "domain.l=1e300",       # 1/h^2 underflows to 0
+    "domain.l=1e-320",      # h is subnormal, 1/h^2 overflows
+    "time.t=1e-320",        # omega overflows
+])
+def test_out_of_range_derived_scale_exits_one_with_record(config, tmp_path,
+                                                          override):
+    out = str(tmp_path / "out")
+    code = run_command(["solve", config, "-o", out, "-s", override])
+    assert code == 1
+    with open(os.path.join(out, "error.json")) as fh:
+        record = json.load(fh)
+    assert record["kind"] == "InvalidModel"
+    assert {v["code"] for v in record["violations"]} == {"BadGrid"}
+    assert not os.path.exists(os.path.join(out, "solution.csv"))
+
+
+def test_validate_runs_without_scipy(config, tmp_path):
+    # scipy.linalg is most of the start-up time; only solves import it
+    script = ("import sys\n"
+              "from hbwave.cli import run_command\n"
+              "assert 'scipy' not in sys.modules\n"
+              "code = run_command(['validate'] + sys.argv[1:])\n"
+              "assert code == 0, code\n"
+              "assert 'scipy' not in sys.modules, 'validate imported scipy'\n")
+    src = os.path.dirname(os.path.dirname(hbwave.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, config, "-o", str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_unexpected_error_exits_two_with_record(config, tmp_path,

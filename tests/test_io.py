@@ -129,6 +129,42 @@ def test_forcing_harmonic_outside_range_rejected(config_path):
         build_setup(raw, config_path)
 
 
+SPECIAL = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 2.5e-310, 1e308, -1e308]
+
+
+def _field_with_special_values(M, nx, seed):
+    rng = np.random.default_rng(seed)
+    c = rng.normal(size=(M + 1, nx)) + 1j * rng.normal(size=(M + 1, nx))
+    c *= 10.0 ** rng.integers(-300, 300, size=c.shape)
+    c[0] = c[0].real
+    c[1, :len(SPECIAL)] = SPECIAL
+    c[1, -len(SPECIAL):] = [complex(0.5, v) for v in SPECIAL]
+    c[M, :len(SPECIAL)] = [complex(v, w) for v, w in
+                           zip(SPECIAL, SPECIAL[::-1])]
+    return HarmonicField(c)
+
+
+def _reference_solution_csv(path, u, grid):
+    # reference: one write_csv row per (m, j), every cell through
+    # write_csv's own per-cell formatting
+    rows = [(m, j, grid.nodes[j], u.coeffs[m, j].real, u.coeffs[m, j].imag)
+            for m in range(u.M + 1) for j in range(u.nx)]
+    write_csv(path, ("m", "node_index", "x", "re", "im"), rows)
+
+
+@pytest.mark.parametrize("M, nx", [(1, 17), (8, 33)])
+def test_solution_csv_bytes_match_per_row_formatting(tmp_path, M, nx):
+    u = _field_with_special_values(M, nx, seed=M)
+    grid = Grid(1.0, nx)
+    write_solution_csv(str(tmp_path / "fast.csv"), u, grid)
+    _reference_solution_csv(str(tmp_path / "ref.csv"), u, grid)
+    data = (tmp_path / "fast.csv").read_bytes()
+    assert data == (tmp_path / "ref.csv").read_bytes()
+    for text in (b"\n0,16,", b",-0,", b",nan,", b",inf\n", b",-inf,",
+                 b",4.9406564584124654e-324,", b",1e+308,"):
+        assert text in data
+
+
 def test_solution_round_trip_bit_exact(tmp_path):
     rng = np.random.default_rng(2)
     grid = Grid(1.0, 13)
@@ -138,6 +174,37 @@ def test_solution_round_trip_bit_exact(tmp_path):
     write_solution_csv(str(path), u, grid)
     back = read_solution_csv(str(path))
     assert np.array_equal(back.coeffs, u.coeffs)
+    # and with signed zeros, NaN, infinities, subnormals and extremes,
+    # compared bit for bit
+    u = _field_with_special_values(8, 17, seed=3)
+    write_solution_csv(str(path), u, Grid(1.0, 17))
+    back = read_solution_csv(str(path))
+    assert back.coeffs.shape == u.coeffs.shape
+    assert np.array_equal(back.coeffs.view(np.uint64),
+                          u.coeffs.view(np.uint64))
+
+
+# each edits the lines of a 3 x 5 solution.csv; line 5 is (m, j) = (0, 4)
+DEFECTS = {
+    "truncated row": lambda ln: ln[:5] + [ln[5].rsplit(",", 1)[0]] + ln[6:],
+    "non-numeric cell": lambda ln: ln[:5] + [ln[5].replace(",", ",x", 1)]
+    + ln[6:],
+    "fractional index": lambda ln: ln[:5] + ["1.5" + ln[5][1:]] + ln[6:],
+    "negative index": lambda ln: ln[:5] + ["-1" + ln[5][1:]] + ln[6:],
+    "missing (m, j)": lambda ln: ln[:5] + ln[6:],
+    "duplicated (m, j)": lambda ln: ln[:5] + [ln[4]] + ln[6:],
+    "no rows": lambda ln: ln[:1],
+}
+
+
+@pytest.mark.parametrize("defect", DEFECTS)
+def test_read_solution_csv_rejects_malformed_rows(tmp_path, defect):
+    path = tmp_path / "solution.csv"
+    write_solution_csv(str(path), HarmonicField.zeros(2, 5), Grid(1.0, 5))
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(DEFECTS[defect](lines)) + "\n")
+    with pytest.raises(ConfigError):
+        read_solution_csv(str(path))
 
 
 def test_csv_has_header_and_lf_endings(tmp_path):

@@ -104,6 +104,16 @@ def test_bad_grid_rejected():
     assert "BadGrid" in codes
 
 
+def test_highest_harmonic_frequency_must_be_finite():
+    # omega = 2 pi / T is finite here, 8 omega is not
+    grid = Grid(1.0, 9)
+    p = make_params(grid, T=4e-308)
+    assert collect_violations(grid, p, DIRICHLET, DIRICHLET, M=1) == []
+    violations = collect_violations(grid, p, DIRICHLET, DIRICHLET, M=8)
+    assert [v.code for v in violations] == ["BadGrid"]
+    assert "M*omega" in violations[0].message
+
+
 def test_nonpositive_coefficients_rejected():
     grid = Grid(1.0, 9)
     p = make_params(grid, b=-1.0)
