@@ -1,5 +1,5 @@
 """Energy functionals, multiplier selection, the low-order energy-identity
-residual, and coefficient-smallness norms for discrete periodic solutions.
+residual, and the estimate ratios for discrete periodic solutions.
 
 Time norms are evaluated by Parseval from the harmonic coefficients,
 spatial norms by trapezoidal quadrature and second-order differences;
@@ -20,7 +20,7 @@ from .model import (
     to_time_samples,
 )
 from .norms import spatial_sq, time_space_norm_sq, time_sum
-from .spatial import dual_norm_h1star, gradient, l2_norm, laplacian_fd
+from .spatial import dual_norm_h1star, gradient, laplacian_fd
 
 
 def _endpoints(model: ValidatedModel, kinds) -> list:
@@ -221,24 +221,6 @@ def energy_identity_residual(u: HarmonicField, rtilde: HarmonicField,
         dnu = sign * (gb[idx] * ut[:, idx] + gc2[idx] * us[:, idx])
         total += float(np.sum(dnu * test[:, idx])) * (T / nt)
     return abs(total)
-
-
-def coefficient_smallness_report(model: ValidatedModel) -> dict:
-    """Raw discrete norms of coefficient derivatives (no pass/fail: the
-    admissible thresholds are unquantified constants)."""
-    grid, p = model.grid, model.params
-    out = {}
-    for name, c in (("b", p.b), ("c2", p.c2)):
-        g = gradient(c, grid)
-        lap = laplacian_fd(c, grid)
-        out[f"grad_{name}_linf"] = float(np.max(np.abs(g)))
-        out[f"grad_{name}_l2"] = l2_norm(g, grid)
-        out[f"lap_{name}_linf"] = float(np.max(np.abs(lap)))
-        out[f"lap_{name}_l2"] = l2_norm(lap, grid)
-    # alpha = 1 in the lagged-coefficient formulation
-    out["grad_alpha_linf"] = 0.0
-    out["lap_alpha_linf"] = 0.0
-    return out
 
 
 def estimate_rhs_lo(rtilde: HarmonicField, model: ValidatedModel) -> float:

@@ -8,14 +8,16 @@ gives the decoupled family
     A_m = (-i tau m^3 w^3 - m^2 w^2) I + diag(c2 + i m w b) Lap_m,
 with Lap_m the discrete -Laplacian carrying the harmonic-m Robin rows.
 Every A_m is tridiagonal; all M+1 are assembled as one (M+1, 3, nr) band
-array and solved, in O(M nx), as one block-diagonal tridiagonal system of
-order (M+1) nr.  That is exact: the corners [0, 0] and [2, -1] of every
-block are zero and LAPACK's tridiagonal solver eliminates nothing across a
-zero sub-diagonal, so each harmonic's solution is bit-identical to its own.
+array and factored, in O(M nx), as one block-diagonal tridiagonal system of
+order (M+1) nr by `spatial.tridiagonal_solver`.  That is exact: the corners
+[0, 0] and [2, -1] of every block are zero and LAPACK eliminates nothing
+across a zero sub-diagonal, so each harmonic's solution is bit-identical to
+its own.
 
 The nonlinear solve and the linearized solve around a state are both
 `fixed_point`, the iteration u <- S(rhs(u)) with S this decoupled solve.
-As in `spatial`, scipy.linalg is imported only where a solve needs it.
+The model is fixed for the whole iteration, so `linear_solver` assembles
+and factors A_0..A_M once, before the loop; every iterate only solves.
 """
 from __future__ import annotations
 
@@ -32,8 +34,8 @@ from .errors import (
 )
 from .model import HarmonicField, ValidatedModel
 from .norms import u0lo_norm
-from .spatial import (assemble_laplacian, band_product, dense_from_bands,
-                      scale_rows)
+from .spatial import (SingularBlock, assemble_laplacian, band_product,
+                      condition_estimate, scale_rows, tridiagonal_solver)
 
 RESIDUAL_RTOL = 1e-10
 NONCONTRACTION_PATIENCE = 5
@@ -82,27 +84,39 @@ def _residuals(bands: np.ndarray, x: np.ndarray, rhs: np.ndarray):
     return res, scale
 
 
+def linear_solver(model: ValidatedModel, M: int):
+    """Assemble and factor A_0..A_M once; return the solve f -> u of
+    A_m u_m = -f_m for m = 0..M, each verified by re-substitution."""
+    op, bands = assemble_harmonic_system(model, M)
+    # LAPACK would report an overflowed entry as a zero pivot, or not at all
+    nonfinite = ~np.isfinite(bands).all(axis=(1, 2))
+    if nonfinite.any():
+        raise SolveFailure(f"harmonic {int(np.argmax(nonfinite))} has "
+                           "non-finite coefficients")
+    try:
+        solve = tridiagonal_solver(bands)
+    except SingularBlock as exc:
+        raise SolveFailure(f"harmonic {exc.block} is singular (zero pivot)")
+
+    def solve_checked(f: HarmonicField) -> HarmonicField:
+        rhs = -op.restrict(f.coeffs)
+        sol = solve(rhs)
+        res, scale = _residuals(bands, sol, rhs)
+        # the first harmonic over tolerance, if any; a NaN residual fails too
+        m = int(np.argmin(res <= RESIDUAL_RTOL * scale))
+        if not res[m] <= RESIDUAL_RTOL * scale[m]:
+            cond = condition_estimate(bands[m])
+            raise SolveFailure(
+                f"harmonic {m} residual {res[m]:.3e} exceeds tolerance "
+                f"(1-norm cond ~ {cond:.3e})", condition_estimate=cond)
+        sol[0] = sol[0].real
+        return HarmonicField(op.extend(sol))
+    return solve_checked
+
+
 def solve_linear_mgt(f: HarmonicField, model: ValidatedModel) -> HarmonicField:
     """Solve A_m u_m = -f_m for m = 0..M; verify each by re-substitution."""
-    import scipy.linalg
-    op, bands = assemble_harmonic_system(model, f.M)
-    rhs = -op.restrict(f.coeffs)
-    try:
-        sol = scipy.linalg.solve_banded(
-            (1, 1), bands.transpose(1, 0, 2).reshape(3, -1),
-            rhs.reshape(-1)).reshape(rhs.shape)
-    except np.linalg.LinAlgError as exc:
-        raise SolveFailure(f"harmonic-stack factorization failed: {exc}")
-    res, scale = _residuals(bands, sol, rhs)
-    # the first harmonic over tolerance, if any; a NaN residual fails too
-    m = int(np.argmin(res <= RESIDUAL_RTOL * scale))
-    if not res[m] <= RESIDUAL_RTOL * scale[m]:
-        cond = float(np.linalg.cond(dense_from_bands(bands[m])))
-        raise SolveFailure(
-            f"harmonic {m} residual {res[m]:.3e} exceeds tolerance "
-            f"(cond ~ {cond:.3e})", condition_estimate=cond)
-    sol[0] = sol[0].real
-    return HarmonicField(op.extend(sol))
+    return linear_solver(model, f.M)(f)
 
 
 def linear_residual(u: HarmonicField, rtilde: HarmonicField,
@@ -156,18 +170,19 @@ class SolveReport:
 def fixed_point(rhs, u: HarmonicField, model: ValidatedModel,
                 opts: FixedPointOptions, check=None) -> SolveReport:
     """Iterate u <- theta S(rhs(u)) + (1 - theta) u from u, with S the linear
-    solve, until the u0lo update is at most tol times the iterate's norm;
-    then verify by re-substitution.  check(u, norm, update_norms), if given,
-    vets every iterate before the contraction test and returns extra
-    SolveReport fields."""
+    solve factored once, until the u0lo update is at most tol times the
+    iterate's norm; then verify by re-substitution.  check(u, norm,
+    update_norms), if given, vets every iterate before the contraction test
+    and returns extra SolveReport fields."""
     grid, p = model.grid, model.params
     theta = opts.relaxation
     update_norms: list[float] = []
     ratios: list[float] = []
     rising = 0
     extra = {}
+    solve = linear_solver(model, u.M)
     for it in range(1, opts.max_iter + 1):
-        u_new = theta * solve_linear_mgt(rhs(u), model) + (1.0 - theta) * u
+        u_new = theta * solve(rhs(u)) + (1.0 - theta) * u
         update = u0lo_norm(u_new - u, grid, p.omega, p.T)
         scale = u0lo_norm(u_new, grid, p.omega, p.T)
         update_norms.append(update)
@@ -199,11 +214,12 @@ def solve_linearized(u_base: HarmonicField, f_dir: HarmonicField,
     cross-harmonic coupling applied pseudospectrally.  It converges in the
     same small-data regime as the nonlinear solve.  For the second-order
     linearization pass a model with tau = 0."""
-    from .nonlinear import eval_bilinear
+    from .nonlinear import bilinear_factors, bilinear_product
 
-    base2 = 2.0 * u_base
+    base2 = bilinear_factors(2.0 * u_base, kind, model)
     report = fixed_point(
-        lambda u: f_dir + eval_bilinear(base2, u, kind, model),
+        lambda u: f_dir + bilinear_product(
+            base2, bilinear_factors(u, kind, model), kind, model, u.M),
         HarmonicField.zeros(f_dir.M, model.grid.nx), model, LINEARIZED)
     if report.final_residual > RESIDUAL_RTOL:
         raise NonConvergedIteration(

@@ -252,7 +252,9 @@ def _check_bc(bc: BoundaryCondition, side: str, violations):
 
 
 def _finite_normal(value) -> bool:
-    return bool(np.isfinite(value)) and abs(value) >= np.finfo(float).tiny
+    """Every entry of `value` is finite and normal (zero is not normal)."""
+    return bool(np.all(np.isfinite(value)
+                       & (np.abs(value) >= np.finfo(float).tiny)))
 
 
 def collect_violations(grid, params, bc_left, bc_right, M: int = 1):
@@ -276,12 +278,15 @@ def collect_violations(grid, params, bc_left, bc_right, M: int = 1):
     if params.T <= 0:
         violations.append(Violation("BadGrid", f"T={params.T} <= 0"))
     if not nonfinite and grid.nx >= 3 and grid.L > 0 and params.T > 0:
-        # the grid and time scales the operators are built from
+        # the grid and time scales the operators are built from, up to the
+        # highest harmonic's diagonal terms (M omega)^2 and tau (M omega)^3
         with np.errstate(all="ignore"):
             h = np.float64(grid.L) / (grid.nx - 1)
             omega = TWO_PI / np.float64(params.T)
             derived = {"h": h, "1/h^2": 1.0 / h**2, "omega": omega,
-                       "M*omega": M * omega}
+                       "M*omega": M * omega, "(M*omega)^2": (M * omega)**2}
+            if params.tau > 0:
+                derived["tau*(M*omega)^3"] = params.tau * (M * omega)**3
         violations.extend(
             Violation("BadGrid", f"{name} = {value:.6g} is not a finite, "
                       "normal number")
@@ -309,10 +314,17 @@ def collect_violations(grid, params, bc_left, bc_right, M: int = 1):
             "no impedance or Dirichlet endpoint; the mean-mode system "
             "is singular"))
 
-    # a-priori stability with alpha = 1
+    # a-priori stability with alpha = 1; an overflowing b/c2 would pass it
     if not nonfinite and np.all(params.b > 0) and np.all(params.c2 > 0):
-        margin = float(np.min(params.b / params.c2) - params.taubar)
-        if margin <= 0:
+        with np.errstate(all="ignore"):
+            ratio = params.b / params.c2
+        margin = float(np.min(ratio) - params.taubar)
+        if not _finite_normal(ratio):
+            violations.append(Violation(
+                "StabilityViolation",
+                f"b/c2 ranges over [{np.min(ratio):.6g}, "
+                f"{np.max(ratio):.6g}], not finite, normal numbers"))
+        elif margin <= 0:
             violations.append(Violation(
                 "StabilityViolation",
                 f"min(b/c2) - taubar = {margin:.6g} <= 0"))

@@ -5,7 +5,10 @@ Both model nonlinearities share the bilinear structure
     westervelt:  r[v, w] = eta (v w)_tt
     kuznetsov:   r[v, w] = (eta_tilde v_t w_t + grad v . grad w)_t
 with N(u) = r[u, u].  Products are formed nodally on a dealiased time grid
-(Nt >= 4M+2), so truncation back to order M is exact.
+(Nt >= 4M+2), so truncation back to order M is exact.  Synthesizing a
+field's factors and multiplying two factor sets are separate steps, so a
+factor used twice, as in r[u, u] or the fixed base of the linearization,
+is synthesized once.
 """
 from __future__ import annotations
 
@@ -36,31 +39,42 @@ def _check_kind(kind: str):
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
-def eval_bilinear(v: HarmonicField, w: HarmonicField, kind: str,
-                  model: ValidatedModel) -> HarmonicField:
-    """Order-M truncation of the shared bilinear form r[v, w]."""
+def bilinear_factors(v: HarmonicField, kind: str,
+                     model: ValidatedModel) -> tuple:
+    """Time samples of what r[v, .] multiplies: v for westervelt, v_t and
+    grad v for kuznetsov, on the dealiased grid."""
     _check_kind(kind)
-    p = model.params
-    omega = p.omega
-    M = v.M
-    nt = dealiased_samples(M)
+    nt = dealiased_samples(v.M)
     if kind == "westervelt":
-        vs = to_time_samples(v, nt).values
-        ws = to_time_samples(w, nt).values
-        prod = to_harmonics(TimeField(vs * ws), M)
-        out = prod.time_derivative(omega, 2)
+        return (to_time_samples(v, nt).values,)
+    return (to_time_samples(v.time_derivative(model.params.omega),
+                            nt).values,
+            to_time_samples(HarmonicField(gradient(v.coeffs, model.grid)),
+                            nt).values)
+
+
+def bilinear_product(fv: tuple, fw: tuple, kind: str, model: ValidatedModel,
+                     M: int) -> HarmonicField:
+    """Order-M truncation of r[v, w] from the factors of v and of w."""
+    p = model.params
+    if kind == "westervelt":
+        out = to_harmonics(TimeField(fv[0] * fw[0]), M).time_derivative(
+            p.omega, 2)
         out.coeffs *= p.eta[None, :]
     else:
-        vt = to_time_samples(v.time_derivative(omega), nt).values
-        wt = to_time_samples(w.time_derivative(omega), nt).values
-        gv = to_time_samples(HarmonicField(gradient(v.coeffs, model.grid)),
-                             nt).values
-        gw = to_time_samples(HarmonicField(gradient(w.coeffs, model.grid)),
-                             nt).values
-        q = p.eta_tilde[None, :] * vt * wt + gv * gw
-        out = to_harmonics(TimeField(q), M).time_derivative(omega)
+        q = p.eta_tilde[None, :] * fv[0] * fw[0] + fv[1] * fw[1]
+        out = to_harmonics(TimeField(q), M).time_derivative(p.omega)
     out.coeffs[0] = out.coeffs[0].real
     return out
+
+
+def eval_bilinear(v: HarmonicField, w: HarmonicField, kind: str,
+                  model: ValidatedModel) -> HarmonicField:
+    """Order-M truncation of the shared bilinear form r[v, w]; r[u, u]
+    synthesizes u once."""
+    fv = bilinear_factors(v, kind, model)
+    fw = fv if w is v else bilinear_factors(w, kind, model)
+    return bilinear_product(fv, fw, kind, model, v.M)
 
 
 def eval_nonlinearity(u: HarmonicField, kind: str,

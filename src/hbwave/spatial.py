@@ -1,15 +1,15 @@
 """Discrete spatial operators: the negative Laplacian with per-harmonic
-Robin/Dirichlet boundary rows, finite-difference norms, and the discrete
-H^1-dual norm.
+Robin/Dirichlet boundary rows, finite-difference norms, the discrete
+H^1-dual norm, and the package's one linear-solve kernel.
 
 Robin rows use ghost-node elimination of the central stencil, so the
 operator stays tridiagonal (complex for m >= 1 with an absorbing
 endpoint).  It is stored in LAPACK (1, 1) band form, (3, n) per harmonic:
 row 0 the super-diagonal, row 1 the diagonal, row 2 the sub-diagonal, with
 the unused corners [0, 0] and [2, -1] zero.  Assembling all M+1 harmonics,
-applying them and solving with them each cost O(M nx).  Only
-dense_from_bands forms an nx x nx matrix, for the condition estimate of a
-failed solve.  scipy.linalg is imported inside the functions that call it:
+applying them and solving with them each cost O(M nx); every solve goes
+through `tridiagonal_solver` (LAPACK ?gttrf/?gttrs), and no nx x nx matrix
+is formed.  scipy.linalg is imported inside the functions that call it:
 it is most of the package's import time, and validation needs none of it.
 """
 from __future__ import annotations
@@ -37,21 +37,57 @@ def scale_rows(bands: np.ndarray, s: np.ndarray) -> np.ndarray:
         [np.roll(s, 1, axis=-1), s, np.roll(s, -1, axis=-1)], axis=-2)
 
 
-def tridiagonal_solver(bands: np.ndarray):
-    """Factor one real (3, n) band array (LAPACK gttrf) and return the
-    function that solves with it (gttrs)."""
+class SingularBlock(np.linalg.LinAlgError):
+    """?gttrf met a zero pivot; `block` indexes the block that holds it."""
+
+    def __init__(self, block: int):
+        super().__init__(f"zero pivot in block {block}")
+        self.block = block
+
+
+def _gttrf(bands: np.ndarray, *names: str):
+    """LAPACK ?gttrf of one (3, n) band array: the routines `names` for its
+    dtype, the LU arrays and gttrf's info."""
     import scipy.linalg
-    *lu, info = scipy.linalg.lapack.dgttrf(bands[2, :-1], bands[1],
-                                           bands[0, 1:])
-    if info != 0:
-        raise np.linalg.LinAlgError(f"singular tridiagonal (info {info})")
-    return lambda rhs: scipy.linalg.lapack.dgttrs(*lu, rhs)[0]
+    gttrf, *funcs = scipy.linalg.get_lapack_funcs(("gttrf",) + names,
+                                                  (bands,))
+    *lu, info = gttrf(bands[2, :-1], bands[1], bands[0, 1:])
+    return funcs, lu, info
 
 
-def dense_from_bands(bands: np.ndarray) -> np.ndarray:
-    """The (n, n) matrix of one (3, n) band array."""
-    return (np.diag(bands[1]) + np.diag(bands[0, 1:], 1)
-            + np.diag(bands[2, :-1], -1))
+def tridiagonal_solver(bands: np.ndarray):
+    """Factor real or complex tridiagonal bands once (?gttrf) and return the
+    function that solves with them (?gttrs).
+
+    `bands` is one (3, n) array, whose solve takes (n,) or (n, k) right-hand
+    sides, or a (K, 3, nr) stack of blocks with zero corners, whose solve
+    takes (K, nr) right-hand sides.  The stack is factored as one matrix of
+    order K nr.  That is exact: no entry couples two blocks, and LAPACK
+    eliminates nothing across a zero sub-diagonal, so each block's solution
+    is bit-identical to its own.  A zero pivot raises SingularBlock.
+    """
+    flat = bands if bands.ndim == 2 else (
+        bands.transpose(1, 0, 2).reshape(3, -1))
+    (gttrs,), lu, info = _gttrf(flat, "gttrs")
+    if info > 0:
+        raise SingularBlock((info - 1) // bands.shape[-1])
+    if bands.ndim == 2:
+        return lambda rhs: gttrs(*lu, rhs)[0]
+    return lambda rhs: gttrs(*lu, rhs.reshape(-1))[0].reshape(rhs.shape)
+
+
+def condition_estimate(bands: np.ndarray) -> float:
+    """LAPACK ?gtcon estimate of the 1-norm condition number of one (3, n)
+    band array; inf when it is singular."""
+    # the condition number is scale-free; a unit largest entry keeps the
+    # inverse the estimate works with in range
+    scale = np.abs(bands).max()
+    if scale > 0:
+        bands = bands / scale
+    (gtcon,), lu, _ = _gttrf(bands, "gtcon")
+    # column j of the matrix is bands[:, j]; the corners are zero
+    rcond, _ = gtcon(*lu, np.abs(bands).sum(axis=0).max())
+    return 1.0 / rcond if rcond > 0 else np.inf
 
 
 @dataclass
@@ -153,17 +189,6 @@ def l2_norm(v: np.ndarray, grid: Grid) -> float:
     return float(np.sqrt(np.sum(w * np.abs(v) ** 2).real))
 
 
-def spatial_norms(v: np.ndarray, grid: Grid) -> dict:
-    """L2 norm, H1 seminorm and endpoint traces of a nodal vector."""
-    g = gradient(v, grid)
-    return {
-        "L2": l2_norm(v, grid),
-        "H1_semi": l2_norm(g, grid),
-        "trace_left": v[0],
-        "trace_right": v[-1],
-    }
-
-
 def dual_norm_h1star(v: np.ndarray, grid: Grid, bc_left: BoundaryCondition,
                      bc_right: BoundaryCondition):
     """Discrete H^1-dual norm: sqrt(<v, z>) with (I - Lap_h) z = v.
@@ -173,11 +198,10 @@ def dual_norm_h1star(v: np.ndarray, grid: Grid, bc_left: BoundaryCondition,
     (m = 0) boundary rows; the identity shift makes the operator nonsingular
     for every endpoint combination.
     """
-    import scipy.linalg
     op = assemble_laplacian(grid, bc_left, bc_right, 0, omega=1.0)
     op.bands[1] += 1.0
     vr = op.restrict(np.asarray(v, dtype=complex))
-    z = scipy.linalg.solve_banded((1, 1), op.bands, vr.T).T
+    z = tridiagonal_solver(op.bands)(vr.T).T
     w = grid.trapezoid_weights()[op.active]
     val = np.sum(w * np.conj(vr) * z, axis=-1).real
     return np.sqrt(np.maximum(val, 0.0))

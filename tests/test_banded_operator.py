@@ -13,7 +13,12 @@ from hbwave.model import (
     PhysicalParams,
     validate_model,
 )
-from hbwave.spatial import assemble_laplacian
+from hbwave.spatial import (
+    SingularBlock,
+    assemble_laplacian,
+    condition_estimate,
+    tridiagonal_solver,
+)
 
 DIRICHLET = BoundaryCondition(BCKind.DIRICHLET)
 NEUMANN = BoundaryCondition(BCKind.NEUMANN)
@@ -108,6 +113,33 @@ def test_stacked_solve_equals_separate_block_solves(bc_left, bc_right):
     rhs = -op.restrict(f.coeffs)
     separate = np.array([scipy.linalg.solve_banded((1, 1), bands[m], rhs[m])
                          for m in range(f.M + 1)])
+    np.testing.assert_array_equal(tridiagonal_solver(bands)(rhs), separate)
     separate[0] = separate[0].real
     np.testing.assert_array_equal(solve_linear_mgt(f, model).coeffs,
                                   op.extend(separate))
+
+
+@pytest.mark.parametrize("m", [0, 1, 5])
+@pytest.mark.parametrize("bc_left, bc_right", ENDPOINTS)
+def test_condition_estimate_is_the_dense_one_norm_condition(bc_left,
+                                                            bc_right, m):
+    _, bands = assemble_harmonic_system(make_model(bc_left, bc_right), 5)
+    block = bands[m]
+    dense = (np.diag(block[1]) + np.diag(block[0, 1:], 1)
+             + np.diag(block[2, :-1], -1))
+    exact = np.linalg.cond(dense, 1)
+    # ?gtcon estimates ||A^-1||_1 from below (Hager-Higham); it is exact to
+    # 1e-13 on 23 of these 24 blocks and 1.9e-5 low on (absorbing, m=1)
+    assert exact * (1 - 1e-4) <= condition_estimate(block) <= (
+        exact * (1 + 1e-12))
+
+
+def test_zero_pivot_names_its_block():
+    bands = np.tile(np.array([[0.0, -1.0, -1.0], [2.0, 2.0, 2.0],
+                              [-1.0, -1.0, 0.0]]), (4, 1, 1))
+    # block 2 is zero: the stack's first zero pivot is its row 7 of 12, and
+    # (7 - 1) // 3 names the block
+    bands[2, :, :] = 0.0
+    with pytest.raises(SingularBlock) as info:
+        tridiagonal_solver(bands)
+    assert info.value.block == 2

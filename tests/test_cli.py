@@ -222,6 +222,8 @@ def test_degenerate_input_exits_one_with_record(config, tmp_path, override,
     "domain.l=1e300",       # 1/h^2 underflows to 0
     "domain.l=1e-320",      # h is subnormal, 1/h^2 overflows
     "time.t=1e-320",        # omega overflows
+    "time.t=1e-300",        # (M omega)^2 and tau (M omega)^3 overflow
+    "physics.c2=1e-310",    # b/c2 overflows
 ])
 def test_out_of_range_derived_scale_exits_one_with_record(config, tmp_path,
                                                           override):
@@ -231,7 +233,11 @@ def test_out_of_range_derived_scale_exits_one_with_record(config, tmp_path,
     with open(os.path.join(out, "error.json")) as fh:
         record = json.load(fh)
     assert record["kind"] == "InvalidModel"
-    assert {v["code"] for v in record["violations"]} == {"BadGrid"}
+    # b/c2 is the ratio of the stability test; the rest are grid and time
+    # scales
+    expected = ("StabilityViolation" if override.startswith("physics.")
+                else "BadGrid")
+    assert {v["code"] for v in record["violations"]} == {expected}
     assert not os.path.exists(os.path.join(out, "solution.csv"))
 
 

@@ -3,7 +3,6 @@ import pytest
 
 from hbwave.diagnostics import (
     choose_multipliers,
-    coefficient_smallness_report,
     compute_energies,
     energy_identity_residual,
     estimate_ratio_report,
@@ -110,18 +109,6 @@ def test_identity_residual_refines_at_second_order():
             u, case.f, choose_multipliers(model), model))
     assert vals[0] > vals[1] > vals[2]
     assert np.log2(vals[1] / vals[2]) > 1.5
-
-
-def test_smallness_report_linear_profile():
-    grid = Grid(1.0, 65)
-    b = 1.0 + 0.1 * grid.nodes
-    params = PhysicalParams.create(grid, tau=0.1, taubar=0.5, b=b, c2=1.0,
-                                   T=2 * np.pi)
-    model = validate_model(grid, params, DIRICHLET, DIRICHLET)
-    rep = coefficient_smallness_report(model)
-    assert rep["grad_b_linf"] == pytest.approx(0.1, rel=1e-8)
-    assert rep["lap_b_linf"] == pytest.approx(0.0, abs=1e-8)
-    assert rep["grad_c2_linf"] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_estimate_rhs_positive_for_nonzero_data():

@@ -20,6 +20,7 @@ from hbwave.model import (
     validate_model,
 )
 from hbwave.norms import l2l2_norm
+from hbwave.spatial import tridiagonal_solver
 from hbwave.studies import manufactured_case
 
 DIRICHLET = BoundaryCondition(BCKind.DIRICHLET)
@@ -108,15 +109,64 @@ def test_singular_harmonic_raises_solve_failure():
 
 
 def test_nan_residual_fails_the_check_and_names_the_harmonic():
-    # a subnormal c2 passes validation, but the mean-mode solution overflows
-    # and its re-substitution residual is NaN
+    # built directly to skip validation, which rejects a subnormal c2: the
+    # mean-mode solution overflows and its re-substitution residual is NaN.
+    # At nx=4097 the O(nx) condition estimate returns at once.
+    grid = Grid(1.0, 4097)
+    params = PhysicalParams.create(grid, tau=0.1, taubar=0.5, b=1.0,
+                                   c2=1e-310, T=2 * np.pi)
+    model = ValidatedModel(grid, params, DIRICHLET, DIRICHLET)
+    f = HarmonicField.zeros(1, grid.nx)
+    f.coeffs[0] = 1.0
     with np.errstate(all="ignore"):
-        model = make_model(nx=9, c2=1e-310)
-        f = HarmonicField.zeros(1, 9)
-        f.coeffs[0] = 1.0
         with pytest.raises(SolveFailure, match="harmonic 0 residual") as info:
             solve_linear_mgt(f, model)
-    assert info.value.condition_estimate > 0
+    # A_0 = c2 (-Lap) has 1-norm condition (4 / h^2) (1 / 8) = 8.39e6
+    assert info.value.condition_estimate == pytest.approx(
+        0.5 / grid.h**2, rel=1e-6)
+
+
+def test_zero_pivot_names_its_harmonic():
+    # nx=3, h=1/2, omega=1: A_m = 8 c2 - m^2 with b = tau = 0, so c2 = 1/8
+    # makes A_1 exactly zero while A_0 and A_2 are not
+    grid = Grid(1.0, 3)
+    params = PhysicalParams.create(grid, tau=0.0, taubar=0.5, b=0.0,
+                                   c2=0.125, T=2 * np.pi)
+    model = ValidatedModel(grid, params, DIRICHLET, DIRICHLET)
+    f = HarmonicField.zeros(2, 3)
+    f.coeffs[:, 1] = 1.0
+    with pytest.raises(SolveFailure, match="harmonic 1 is singular"):
+        solve_linear_mgt(f, model)
+
+
+def test_overflowed_coefficients_name_their_harmonic():
+    # b = 1e307 passes validation, but i m omega b / h^2 overflows for m >= 1
+    model = make_model(nx=33, b=1e307)
+    f = HarmonicField.zeros(2, 33)
+    f.coeffs[1] = np.sin(np.pi * model.grid.nodes)
+    with np.errstate(all="ignore"):
+        with pytest.raises(SolveFailure,
+                           match="harmonic 1 has non-finite coefficients"):
+            solve_linear_mgt(f, model)
+
+
+def test_fixed_point_factors_the_harmonic_stack_once(monkeypatch):
+    import hbwave.linear
+    from hbwave.nonlinear import fixed_point_solve
+
+    calls = []
+
+    def counting(bands):
+        calls.append(bands.shape)
+        return tridiagonal_solver(bands)
+
+    monkeypatch.setattr(hbwave.linear, "tridiagonal_solver", counting)
+    model = make_model(nx=33, eta=1.0)
+    f = HarmonicField.zeros(4, 33)
+    f.coeffs[1] = 3e-2 * np.sin(np.pi * model.grid.nodes)
+    report = fixed_point_solve(f, model, "westervelt")
+    assert report.iterations > 1
+    assert calls == [(5, 3, 31)]
 
 
 def test_linearized_around_zero_base_is_direct_solve():

@@ -105,13 +105,21 @@ def test_bad_grid_rejected():
 
 
 def test_highest_harmonic_frequency_must_be_finite():
-    # omega = 2 pi / T is finite here, 8 omega is not
+    def bad_scales(T, M):
+        violations = collect_violations(grid, make_params(grid, T=T),
+                                        DIRICHLET, DIRICHLET, M=M)
+        assert {v.code for v in violations} <= {"BadGrid"}
+        return [v.message.split(" = ")[0] for v in violations]
+
     grid = Grid(1.0, 9)
-    p = make_params(grid, T=4e-308)
-    assert collect_violations(grid, p, DIRICHLET, DIRICHLET, M=1) == []
-    violations = collect_violations(grid, p, DIRICHLET, DIRICHLET, M=8)
-    assert [v.code for v in violations] == ["BadGrid"]
-    assert "M*omega" in violations[0].message
+    # omega = 2.1e102: omega^2 and tau omega^3 are finite, tau (8 omega)^3
+    # is not
+    assert bad_scales(3e-102, M=1) == []
+    assert bad_scales(3e-102, M=8) == ["tau*(M*omega)^3"]
+    # omega = 1.6e308 is finite, its square is not, and 8 omega is not
+    assert bad_scales(4e-308, M=1) == ["(M*omega)^2", "tau*(M*omega)^3"]
+    assert bad_scales(4e-308, M=8) == ["M*omega", "(M*omega)^2",
+                                       "tau*(M*omega)^3"]
 
 
 def test_nonpositive_coefficients_rejected():

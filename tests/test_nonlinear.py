@@ -8,6 +8,7 @@ from hbwave.model import (
     Grid,
     HarmonicField,
     PhysicalParams,
+    to_time_samples,
     validate_model,
 )
 from hbwave.nonlinear import (
@@ -77,6 +78,31 @@ def test_bilinear_is_symmetric_and_bilinear():
         scaled = eval_bilinear(2.5 * v, w, kind, model)
         np.testing.assert_allclose(scaled.coeffs, 2.5 * rvw.coeffs,
                                    atol=1e-10)
+
+
+@pytest.mark.parametrize("kind, factors", [("westervelt", 1),
+                                           ("kuznetsov", 2)])
+def test_bilinear_of_a_field_with_itself_synthesizes_it_once(
+        kind, factors, monkeypatch):
+    import hbwave.nonlinear
+
+    model = make_model(nx=17)
+    rng = np.random.default_rng(6)
+    c = rng.normal(size=(4, 17)) + 1j * rng.normal(size=(4, 17))
+    c[0] = c[0].real
+    u = HarmonicField(c)
+    synthesized = []
+
+    def counting(v, nt):
+        synthesized.append(v)
+        return to_time_samples(v, nt)
+
+    monkeypatch.setattr(hbwave.nonlinear, "to_time_samples", counting)
+    same = eval_bilinear(u, u, kind, model)
+    assert len(synthesized) == factors
+    copied = eval_bilinear(u, u.copy(), kind, model)
+    assert len(synthesized) == 3 * factors
+    np.testing.assert_array_equal(same.coeffs, copied.coeffs)
 
 
 def test_alpha_and_monitor_for_zero_state():

@@ -8,7 +8,6 @@ from hbwave.spatial import (
     gradient,
     l2_norm,
     laplacian_fd,
-    spatial_norms,
 )
 
 DIRICHLET = BoundaryCondition(BCKind.DIRICHLET)
@@ -49,16 +48,6 @@ def test_l2_norm_matches_closed_form():
     grid = Grid(1.0, 4097)
     v = np.sin(np.pi * grid.nodes)
     assert l2_norm(v, grid) == pytest.approx(np.sqrt(0.5), rel=1e-6)
-
-
-def test_spatial_norms_keys_and_traces():
-    grid = Grid(1.0, 65)
-    v = grid.nodes.copy()
-    n = spatial_norms(v, grid)
-    assert set(n) >= {"L2", "H1_semi", "trace_left", "trace_right"}
-    assert n["trace_left"] == pytest.approx(0.0)
-    assert n["trace_right"] == pytest.approx(1.0)
-    assert n["H1_semi"] == pytest.approx(1.0, rel=1e-10)
 
 
 def test_dirichlet_operator_eigenvector():

@@ -12,7 +12,7 @@ from hbwave.model import (
     validate_model,
 )
 from hbwave.nonlinear import FixedPointOptions, fixed_point_solve, solve
-from hbwave.spatial import assemble_laplacian, dense_from_bands
+from hbwave.spatial import assemble_laplacian
 from hbwave.studies import (
     _Oracle,
     convergence_study,
@@ -261,7 +261,9 @@ def dense_midpoint_step(model, f, y, t, dt):
     op = assemble_laplacian(model.grid, model.bc_left, model.bc_right, 0,
                             p.omega)
     nr = len(op.active)
-    lap = -dense_from_bands(op.bands).real
+    bands = op.bands.real
+    lap = -(np.diag(bands[1]) + np.diag(bands[0, 1:], 1)
+            + np.diag(bands[2, :-1], -1))
     # a Robin endpoint's ghost node adds -2 beta / h times u_t to its row
     lap_ut = np.zeros(nr)
     for pos, bc in ((0, model.bc_left), (-1, model.bc_right)):
