@@ -66,7 +66,7 @@ def _run_verb(verb: str, setup, out: str) -> dict:
         return extra
 
     if verb in ("solve", "energy"):
-        u = solve(setup.f, setup.model, setup.solver_kind, setup.options)
+        u = solve(setup.f, setup.model, setup.solver_kind, setup.options).u
         report = compute_energies(u, setup.model)
         if verb == "solve":
             write_solution_csv(os.path.join(out, "solution.csv"), u,
@@ -117,13 +117,16 @@ def _run_verb(verb: str, setup, out: str) -> dict:
         return extra
 
     if verb == "oracle-compare":
-        u = solve(setup.f, setup.model, setup.solver_kind, setup.options)
+        u = solve(setup.f, setup.model, setup.solver_kind, setup.options).u
         T = setup.model.params.T
-        dt = T / setup.study.get("dt_divisor", 512)
-        tf, gap = time_stepping_oracle(
-            setup.f, setup.model, setup.solver_kind, dt=dt,
-            max_periods=setup.study.get("max_periods", 200),
-            period_tol=setup.study.get("period_tol", 1e-8))
+        # the oracle's own defaults hold for what the config leaves out
+        given = {k: setup.study[k] for k in ("max_periods", "period_tol")
+                 if k in setup.study}
+        if "dt_divisor" in setup.study:
+            given["dt"] = T / setup.study["dt_divisor"]
+        tf, gap = time_stepping_oracle(setup.f, setup.model,
+                                       setup.solver_kind, **given)
+        dt = T / tf.nt      # the step the oracle took: one sample per step
         d = oracle_discrepancy(u, tf, setup.model)
         write_oracle_csv(os.path.join(out, "oracle.csv"),
                          {"discrepancy": d, "periodicity_gap": gap,

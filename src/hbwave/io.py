@@ -249,18 +249,15 @@ def build_setup(raw: dict, config_path: str) -> RunSetup:
         raise TypeMismatch(
             f"[solver] kind = {solver_kind!r}; expected one of "
             f"{SOLVER_KINDS}")
-    def number(key, default):
-        return _as_float("solver", key, sol.get(key, default))
-
+    # FixedPointOptions holds the defaults of the keys the config leaves out
     try:
-        options = FixedPointOptions(
-            tol=number("tol", "1e-11"),
-            max_iter=_as_int("solver", "max_iter", sol.get("max_iter", "100")),
-            relaxation=number("relaxation", "1.0"),
-            degeneracy_floor=number("degeneracy_floor", "0.1"),
-            ball_radius=(number("ball_radius", None)
-                         if "ball_radius" in sol else None),
-        )
+        options = FixedPointOptions(**{
+            key: convert("solver", key, sol[key])
+            for key, convert in (("tol", _as_float), ("max_iter", _as_int),
+                                 ("relaxation", _as_float),
+                                 ("degeneracy_floor", _as_float),
+                                 ("ball_radius", _as_float))
+            if key in sol})
     except ValueError as exc:
         raise TypeMismatch(f"[solver] {exc}")
 
@@ -281,12 +278,14 @@ def build_setup(raw: dict, config_path: str) -> RunSetup:
         if len(study[key]) < need:
             raise TypeMismatch(f"[study] {key} = {st[key]!r}; need "
                                f"{need} or more values")
-        # each tau is checked against taubar when its model is validated
+        # each tau is validated below, with its model
         if key != "taus" and not all(0 < v < np.inf for v in study[key]):
             raise TypeMismatch(f"[study] {key} = {st[key]!r}; need finite "
                                "values > 0")
     for g in study.get("grids", ()):
         _check_size("[study] grids level", g, CASE_M)
+    for tau in study.get("taus", ()):
+        model.with_params(params.with_tau(tau))
     for key, convert in (("dt_divisor", _as_int), ("max_periods", _as_int),
                          ("period_tol", _as_float)):
         if key in st:

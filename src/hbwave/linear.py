@@ -17,11 +17,15 @@ its own.
 The nonlinear solve and the linearized solve around a state are both
 `fixed_point`, the iteration u <- S(rhs(u)) with S this decoupled solve.
 The model is fixed for the whole iteration, so `linear_solver` assembles
-and factors A_0..A_M once, before the loop; every iterate only solves.
+and factors A_0..A_M once, before the loop; every iterate only solves, and
+the final re-substitution residual uses the same bands.  rhs is evaluated
+once per state, and may vet the state (the nonlinear solve checks alpha
+there), so its result feeds the next solve, the residual and the report.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -84,9 +88,19 @@ def _residuals(bands: np.ndarray, x: np.ndarray, rhs: np.ndarray):
     return res, scale
 
 
+def _relative_residual(op, bands, u: HarmonicField,
+                       rtilde: HarmonicField) -> float:
+    res, scale = _residuals(bands, op.restrict(u.coeffs),
+                            -op.restrict(rtilde.coeffs))
+    den = np.linalg.norm(scale)
+    return float(np.linalg.norm(res) / den) if den > 0 else 0.0
+
+
 def linear_solver(model: ValidatedModel, M: int):
-    """Assemble and factor A_0..A_M once; return the solve f -> u of
-    A_m u_m = -f_m for m = 0..M, each verified by re-substitution."""
+    """Assemble and factor A_0..A_M once.  Return the solve f -> u of
+    A_m u_m = -f_m for m = 0..M, each verified by re-substitution, and the
+    relative residual (u, rtilde) -> float of A_m u_m + r_m on the same
+    bands."""
     op, bands = assemble_harmonic_system(model, M)
     # LAPACK would report an overflowed entry as a zero pivot, or not at all
     nonfinite = ~np.isfinite(bands).all(axis=(1, 2))
@@ -111,22 +125,19 @@ def linear_solver(model: ValidatedModel, M: int):
                 f"(1-norm cond ~ {cond:.3e})", condition_estimate=cond)
         sol[0] = sol[0].real
         return HarmonicField(op.extend(sol))
-    return solve_checked
+    return solve_checked, partial(_relative_residual, op, bands)
 
 
 def solve_linear_mgt(f: HarmonicField, model: ValidatedModel) -> HarmonicField:
     """Solve A_m u_m = -f_m for m = 0..M; verify each by re-substitution."""
-    return linear_solver(model, f.M)(f)
+    return linear_solver(model, f.M)[0](f)
 
 
 def linear_residual(u: HarmonicField, rtilde: HarmonicField,
                     model: ValidatedModel) -> float:
     """Relative re-substitution residual of A_m u_m + r_m over all harmonics."""
-    op, bands = assemble_harmonic_system(model, u.M)
-    res, scale = _residuals(bands, op.restrict(u.coeffs),
-                            -op.restrict(rtilde.coeffs))
-    den = np.linalg.norm(scale)
-    return float(np.linalg.norm(res) / den) if den > 0 else 0.0
+    return _relative_residual(*assemble_harmonic_system(model, u.M), u,
+                              rtilde)
 
 
 @dataclass(frozen=True)
@@ -165,29 +176,37 @@ class SolveReport:
     final_residual: float = 0.0
     degeneracy_margin: float = 0.0
     stability_margin: float = 0.0
+    rhs: HarmonicField | None = None     # rhs(u), the full inhomogeneity
 
 
 def fixed_point(rhs, u: HarmonicField, model: ValidatedModel,
-                opts: FixedPointOptions, check=None) -> SolveReport:
+                opts: FixedPointOptions) -> SolveReport:
     """Iterate u <- theta S(rhs(u)) + (1 - theta) u from u, with S the linear
     solve factored once, until the u0lo update is at most tol times the
-    iterate's norm; then verify by re-substitution.  check(u, norm,
-    update_norms), if given, vets every iterate before the contraction test
-    and returns extra SolveReport fields."""
+    iterate's norm; then verify by re-substitution on the same bands.
+
+    rhs is evaluated once per state: for the start state, and for each new
+    iterate right after the ball guard and before the contraction test, so
+    a rhs that vets its state raises in that order."""
     grid, p = model.grid, model.params
     theta = opts.relaxation
     update_norms: list[float] = []
     ratios: list[float] = []
     rising = 0
-    extra = {}
-    solve = linear_solver(model, u.M)
+    solve, residual = linear_solver(model, u.M)
+    r = rhs(u)
     for it in range(1, opts.max_iter + 1):
-        u_new = theta * solve(rhs(u)) + (1.0 - theta) * u
+        u_new = theta * solve(r) + (1.0 - theta) * u
         update = u0lo_norm(u_new - u, grid, p.omega, p.T)
         scale = u0lo_norm(u_new, grid, p.omega, p.T)
         update_norms.append(update)
-        if check is not None:
-            extra = check(u_new, scale, update_norms)
+        # the self-mapping guard mirrors the smallness requirement: leaving
+        # the ball is the primary diagnosis, a degenerate alpha a consequence
+        if opts.ball_radius is not None and scale > opts.ball_radius:
+            raise NonContraction(
+                f"iterate left the ball of radius {opts.ball_radius}",
+                history=update_norms)
+        r = rhs(u_new)
         if len(update_norms) >= 2 and update_norms[-2] > 0:
             ratio = update_norms[-1] / update_norms[-2]
             ratios.append(ratio)
@@ -200,8 +219,8 @@ def fixed_point(rhs, u: HarmonicField, model: ValidatedModel,
         if update <= opts.tol * max(scale, 1e-300):
             return SolveReport(
                 u=u, iterations=it, update_norms=update_norms,
-                contraction_ratios=ratios,
-                final_residual=linear_residual(u, rhs(u), model), **extra)
+                contraction_ratios=ratios, final_residual=residual(u, r),
+                rhs=r)
     raise MaxIterExceeded(
         f"no convergence within {opts.max_iter} iterations",
         history=update_norms)

@@ -207,12 +207,14 @@ def to_harmonics(v: TimeField, M: int) -> HarmonicField:
 
 @dataclass(frozen=True)
 class ValidatedModel:
-    """Grid, coefficients and endpoint conditions with invariants verified."""
+    """Grid, coefficients and endpoint conditions with invariants verified
+    up to harmonic M."""
 
     grid: Grid
     params: PhysicalParams
     bc_left: BoundaryCondition
     bc_right: BoundaryCondition
+    M: int = 1
 
     @property
     def bcs(self):
@@ -223,7 +225,8 @@ class ValidatedModel:
         return float(np.min(p.b / p.c2) - p.taubar / alpha_min)
 
     def with_params(self, params: PhysicalParams) -> "ValidatedModel":
-        return validate_model(self.grid, params, self.bc_left, self.bc_right)
+        return validate_model(self.grid, params, self.bc_left, self.bc_right,
+                              self.M)
 
 
 def _check_bc(bc: BoundaryCondition, side: str, violations):
@@ -279,7 +282,8 @@ def collect_violations(grid, params, bc_left, bc_right, M: int = 1):
         violations.append(Violation("BadGrid", f"T={params.T} <= 0"))
     if not nonfinite and grid.nx >= 3 and grid.L > 0 and params.T > 0:
         # the grid and time scales the operators are built from, up to the
-        # highest harmonic's diagonal terms (M omega)^2 and tau (M omega)^3
+        # highest harmonic's diagonal terms (M omega)^2 and tau (M omega)^3,
+        # its row scale (c2 + i M omega b)/h^2 and its Robin entries
         with np.errstate(all="ignore"):
             h = np.float64(grid.L) / (grid.nx - 1)
             omega = TWO_PI / np.float64(params.T)
@@ -287,6 +291,14 @@ def collect_violations(grid, params, bc_left, bc_right, M: int = 1):
                        "M*omega": M * omega, "(M*omega)^2": (M * omega)**2}
             if params.tau > 0:
                 derived["tau*(M*omega)^3"] = params.tau * (M * omega)**3
+            # a b or c2 <= 0 has its own violation below
+            if np.all(params.b > 0) and np.all(params.c2 > 0):
+                derived["M*omega*max(b)/h^2"] = (M * omega * params.b.max()
+                                                 / h**2)
+                derived["max(c2)/h^2"] = params.c2.max() / h**2
+            for side, bc in (("left", bc_left), ("right", bc_right)):
+                if not bc.is_dirichlet and bc.beta != 0:
+                    derived[f"M*omega*{side} beta/h"] = M * omega * bc.beta / h
         violations.extend(
             Violation("BadGrid", f"{name} = {value:.6g} is not a finite, "
                       "normal number")
@@ -338,4 +350,4 @@ def validate_model(grid, params, bc_left, bc_right,
     if violations:
         raise InvalidModel(violations)
     return ValidatedModel(grid=grid, params=params,
-                          bc_left=bc_left, bc_right=bc_right)
+                          bc_left=bc_left, bc_right=bc_right, M=M)

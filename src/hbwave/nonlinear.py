@@ -1,5 +1,6 @@
 """Pseudospectral nonlinearity evaluation and the Picard solver, which is
-`linear.fixed_point` with rhs(u) = f + N(u).
+`linear.fixed_point` with rhs(u) = f + N(u), and `solve`, the one place
+that tells the linear kind from the nonlinear ones.
 
 Both model nonlinearities share the bilinear structure
     westervelt:  r[v, w] = eta (v w)_tt
@@ -8,19 +9,15 @@ with N(u) = r[u, u].  Products are formed nodally on a dealiased time grid
 (Nt >= 4M+2), so truncation back to order M is exact.  Synthesizing a
 field's factors and multiplying two factor sets are separate steps, so a
 factor used twice, as in r[u, u] or the fixed base of the linearization,
-is synthesized once.
+is synthesized once.  The Picard rhs synthesizes each state once: the same
+factors give alpha for the degeneracy check and N(u) for the next solve.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegeneracyDetected, NonContraction
-from .linear import (
-    FixedPointOptions,
-    SolveReport,
-    fixed_point,
-    solve_linear_mgt,
-)
+from .errors import DegeneracyDetected
+from .linear import FixedPointOptions, SolveReport, fixed_point, linear_solver
 from .model import (
     HarmonicField,
     TimeField,
@@ -77,30 +74,14 @@ def eval_bilinear(v: HarmonicField, w: HarmonicField, kind: str,
     return bilinear_product(fv, fw, kind, model, v.M)
 
 
-def eval_nonlinearity(u: HarmonicField, kind: str,
-                      model: ValidatedModel) -> HarmonicField:
-    """Nonlinear part N(u) of the residual (forcing excluded)."""
-    return eval_bilinear(u, u, kind, model)
-
-
-def alpha_samples(u: HarmonicField, kind: str,
-                  model: ValidatedModel) -> np.ndarray:
-    """Effective second-time-derivative coefficient on the dealiased grid."""
-    _check_kind(kind)
-    p = model.params
-    nt = dealiased_samples(u.M)
-    if kind == "westervelt":
-        us = to_time_samples(u, nt).values
-        return 1.0 + 2.0 * p.eta[None, :] * us
-    ut = to_time_samples(u.time_derivative(p.omega), nt).values
-    return 1.0 + 2.0 * p.eta_tilde[None, :] * ut
-
-
-def degeneracy_monitor(u: HarmonicField, kind: str,
+def degeneracy_monitor(factors: tuple, kind: str,
                        model: ValidatedModel) -> dict:
-    """Extrema of alpha and of the pointwise stability margin b/c2 - taubar/alpha."""
+    """Extrema of alpha = 1 + 2 coef factors[0], with coef eta (westervelt)
+    or eta_tilde (kuznetsov), and of the pointwise stability margin
+    b/c2 - taubar/alpha, from a state's `bilinear_factors`."""
     p = model.params
-    a = alpha_samples(u, kind, model)
+    coef = p.eta if kind == "westervelt" else p.eta_tilde
+    a = 1.0 + 2.0 * coef[None, :] * factors[0]
     with np.errstate(divide="ignore"):
         margin = p.b[None, :] / p.c2[None, :] - p.taubar / a
     return {
@@ -114,36 +95,38 @@ def fixed_point_solve(f: HarmonicField, model: ValidatedModel, kind: str,
                       opts: FixedPointOptions | None = None,
                       u0: HarmonicField | None = None) -> SolveReport:
     """Iterate u <- solve_linear(f + N(u)) with relaxation until the update
-    is small, then verify by full re-substitution into the discrete PDE."""
+    is small, then verify by full re-substitution into the discrete PDE.
+    Every state, u0 included, must keep alpha above the degeneracy floor."""
     _check_kind(kind)
     opts = opts or FixedPointOptions()
+    monitor = {}
 
-    def check(u, norm, update_norms):
-        # the self-mapping guard mirrors the smallness requirement and is
-        # checked before the degeneracy floor: leaving the ball is the
-        # primary diagnosis, losing positivity of alpha a consequence
-        if opts.ball_radius is not None and norm > opts.ball_radius:
-            raise NonContraction(
-                f"iterate left the ball of radius {opts.ball_radius}",
-                history=update_norms)
-        mon = degeneracy_monitor(u, kind, model)
-        if mon["alpha_min"] < opts.degeneracy_floor:
+    def rhs(u):
+        factors = bilinear_factors(u, kind, model)
+        monitor.update(degeneracy_monitor(factors, kind, model))
+        if monitor["alpha_min"] < opts.degeneracy_floor:
             raise DegeneracyDetected(
-                f"alpha dropped to {mon['alpha_min']:.4g} below floor "
-                f"{opts.degeneracy_floor}", alpha_min=mon["alpha_min"])
-        return {"degeneracy_margin": mon["alpha_min"],
-                "stability_margin": mon["stability_margin_min"]}
+                f"alpha dropped to {monitor['alpha_min']:.4g} below floor "
+                f"{opts.degeneracy_floor}", alpha_min=monitor["alpha_min"])
+        return f + bilinear_product(factors, factors, kind, model, u.M)
 
     if u0 is None:
         u0 = HarmonicField.zeros(f.M, model.grid.nx)
-    return fixed_point(lambda u: f + eval_nonlinearity(u, kind, model), u0,
-                       model, opts, check)
+    report = fixed_point(rhs, u0, model, opts)
+    report.degeneracy_margin = monitor["alpha_min"]
+    report.stability_margin = monitor["stability_margin_min"]
+    return report
 
 
 def solve(f: HarmonicField, model: ValidatedModel, kind: str,
-          opts: FixedPointOptions | None = None) -> HarmonicField:
-    """Periodic solution for the forcing f: the decoupled per-harmonic solve
-    for kind "linear", the Picard iteration for a nonlinear kind."""
-    if kind == "linear":
-        return solve_linear_mgt(f, model)
-    return fixed_point_solve(f, model, kind, opts).u
+          opts: FixedPointOptions | None = None) -> SolveReport:
+    """Periodic solution for the forcing f and its SolveReport: one
+    decoupled per-harmonic solve for kind "linear" (alpha = 1), the Picard
+    iteration for a nonlinear kind."""
+    if kind != "linear":
+        return fixed_point_solve(f, model, kind, opts)
+    solve_f, residual = linear_solver(model, f.M)
+    u = solve_f(f)
+    return SolveReport(u=u, iterations=1, final_residual=residual(u, f),
+                       degeneracy_margin=1.0,
+                       stability_margin=model.stability_margin(), rhs=f)

@@ -21,12 +21,7 @@ from .model import (
     ValidatedModel,
     validate_model,
 )
-from .nonlinear import (
-    FixedPointOptions,
-    eval_nonlinearity,
-    fixed_point_solve,
-    solve,
-)
+from .nonlinear import FixedPointOptions, fixed_point_solve, solve
 from .norms import l2l2_norm, u0lo_norm, u0me_norm
 from .spatial import (assemble_laplacian, band_product, gradient,
                       scale_rows, tridiagonal_solver)
@@ -101,11 +96,6 @@ def manufactured_case(case_id: str, params: PhysicalParams, grid: Grid,
                             bc_left=bc_left, bc_right=bc_right, kind=kind)
 
 
-def solve_case(case: ManufacturedCase, model: ValidatedModel,
-               opts: FixedPointOptions | None = None) -> HarmonicField:
-    return solve(case.f, model, case.kind, opts)
-
-
 def convergence_study(case_id: str, coeffs: dict, L: float, nx_list,
                       M: int = CASE_M, amplitude: float = 1e-3) -> StudyResult:
     """Dyadic-refinement errors against the manufactured solution.
@@ -122,7 +112,7 @@ def convergence_study(case_id: str, coeffs: dict, L: float, nx_list,
         case = manufactured_case(case_id, params, grid, M=M,
                                  amplitude=amplitude)
         model = validate_model(grid, params, case.bc_left, case.bc_right, M)
-        u = solve_case(case, model)
+        u = solve(case.f, model, case.kind).u
         err = u - case.u_star
         rows.append({
             "nx": nx,
@@ -154,21 +144,18 @@ def tau_sweep(f: HarmonicField, model: ValidatedModel, taus,
 
     def solve_at(tau):
         m_tau = model.with_params(model.params.with_tau(tau))
-        u = solve(f, m_tau, kind, opts)
-        rtilde = (f if kind == "linear"
-                  else f + eval_nonlinearity(u, kind, m_tau))
-        return m_tau, u, rtilde
+        return m_tau, solve(f, m_tau, kind, opts)
 
-    _, u_ref, _ = solve_at(0.0)
+    u_ref = solve_at(0.0)[1].u
     rows = []
     d_by_tau = {}
     for tau in taus:
-        m_tau, u, rtilde = solve_at(tau)
-        diff = u - u_ref
+        m_tau, report = solve_at(tau)
+        diff = report.u - u_ref
         d_lo = u0lo_norm(diff, grid, omega, T)
         d_me = u0me_norm(diff, grid, omega, T)
-        den = estimate_rhs_lo(rtilde, m_tau)
-        e_lo = compute_energies(u, m_tau).lo_total
+        den = estimate_rhs_lo(report.rhs, m_tau)
+        e_lo = compute_energies(report.u, m_tau).lo_total
         d_by_tau[tau] = d_lo
         rows.append({
             "tau": tau, "d_lo": d_lo, "d_me": d_me,

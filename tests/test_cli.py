@@ -224,21 +224,50 @@ def test_degenerate_input_exits_one_with_record(config, tmp_path, override,
     "time.t=1e-320",        # omega overflows
     "time.t=1e-300",        # (M omega)^2 and tau (M omega)^3 overflow
     "physics.c2=1e-310",    # b/c2 overflows
+    "physics.b=1e307",      # the row scale M omega b / h^2 overflows
+    "bc.right.beta=1e307",  # the Robin entry M omega beta / h overflows
 ])
 def test_out_of_range_derived_scale_exits_one_with_record(config, tmp_path,
                                                           override):
     out = str(tmp_path / "out")
-    code = run_command(["solve", config, "-o", out, "-s", override])
+    # an absorbing right end, so that a Robin entry is assembled
+    code = run_command(["solve", config, "-o", out,
+                        "-s", "bc.right.kind=absorbing",
+                        "-s", "bc.right.beta=1", "-s", override])
     assert code == 1
     with open(os.path.join(out, "error.json")) as fh:
         record = json.load(fh)
     assert record["kind"] == "InvalidModel"
-    # b/c2 is the ratio of the stability test; the rest are grid and time
-    # scales
-    expected = ("StabilityViolation" if override.startswith("physics.")
+    # b/c2 is the ratio of the stability test; the rest are grid, time and
+    # assembled-entry scales
+    expected = ("StabilityViolation" if override == "physics.c2=1e-310"
                 else "BadGrid")
     assert {v["code"] for v in record["violations"]} == {expected}
     assert not os.path.exists(os.path.join(out, "solution.csv"))
+
+
+# at M = 8, T = 2e-102: tau (M omega)^3 overflows for tau = 0.4, though
+# tau omega^3 does not
+SWEEP_AT_M8 = ["time.m=8", "time.t=2e-102", "physics.tau=0",
+               "solver.kind=linear", "study.taus=0.4,0.0"]
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (SWEEP_AT_M8, "tau*(M*omega)^3"),
+    (["study.taus=0.2,0.6,0.0"], "tau <= taubar"),
+], ids=["order-8", "tau-above-taubar"])
+@pytest.mark.parametrize("verb", ["validate", "sweep-tau"])
+def test_sweep_taus_are_validated_at_the_configured_order(
+        config, tmp_path, verb, overrides, message):
+    out = str(tmp_path / "out")
+    code = run_command([verb, config, "-o", out]
+                       + [arg for o in overrides for arg in ("-s", o)])
+    assert code == 1
+    with open(os.path.join(out, "error.json")) as fh:
+        record = json.load(fh)
+    assert record["kind"] == "InvalidModel"
+    assert any(message in v["message"] for v in record["violations"])
+    assert not os.path.exists(os.path.join(out, "tau_sweep.csv"))
 
 
 def test_validate_runs_without_scipy(config, tmp_path):

@@ -140,8 +140,12 @@ def test_zero_pivot_names_its_harmonic():
 
 
 def test_overflowed_coefficients_name_their_harmonic():
-    # b = 1e307 passes validation, but i m omega b / h^2 overflows for m >= 1
-    model = make_model(nx=33, b=1e307)
+    # built directly to skip validation, which rejects b = 1e307: the row
+    # scale i m omega b / h^2 overflows for m >= 1
+    grid = Grid(1.0, 33)
+    params = PhysicalParams.create(grid, tau=0.1, taubar=0.5, b=1e307,
+                                   c2=1.0, T=2 * np.pi)
+    model = ValidatedModel(grid, params, DIRICHLET, DIRICHLET)
     f = HarmonicField.zeros(2, 33)
     f.coeffs[1] = np.sin(np.pi * model.grid.nodes)
     with np.errstate(all="ignore"):
@@ -154,19 +158,27 @@ def test_fixed_point_factors_the_harmonic_stack_once(monkeypatch):
     import hbwave.linear
     from hbwave.nonlinear import fixed_point_solve
 
-    calls = []
+    calls, assemblies = [], []
 
     def counting(bands):
         calls.append(bands.shape)
         return tridiagonal_solver(bands)
 
+    def counting_assembly(model, M):
+        assemblies.append(M)
+        return assemble_harmonic_system(model, M)
+
     monkeypatch.setattr(hbwave.linear, "tridiagonal_solver", counting)
+    monkeypatch.setattr(hbwave.linear, "assemble_harmonic_system",
+                        counting_assembly)
     model = make_model(nx=33, eta=1.0)
     f = HarmonicField.zeros(4, 33)
     f.coeffs[1] = 3e-2 * np.sin(np.pi * model.grid.nodes)
     report = fixed_point_solve(f, model, "westervelt")
     assert report.iterations > 1
     assert calls == [(5, 3, 31)]
+    # the final residual is taken on the bands the solve factored
+    assert assemblies == [4]
 
 
 def test_linearized_around_zero_base_is_direct_solve():

@@ -116,10 +116,13 @@ def test_highest_harmonic_frequency_must_be_finite():
     # is not
     assert bad_scales(3e-102, M=1) == []
     assert bad_scales(3e-102, M=8) == ["tau*(M*omega)^3"]
-    # omega = 1.6e308 is finite, its square is not, and 8 omega is not
-    assert bad_scales(4e-308, M=1) == ["(M*omega)^2", "tau*(M*omega)^3"]
+    # omega = 1.6e308 is finite, its square is not, and 8 omega is not;
+    # the row scale M omega b / h^2 overflows with either
+    assert bad_scales(4e-308, M=1) == ["(M*omega)^2", "tau*(M*omega)^3",
+                                       "M*omega*max(b)/h^2"]
     assert bad_scales(4e-308, M=8) == ["M*omega", "(M*omega)^2",
-                                       "tau*(M*omega)^3"]
+                                       "tau*(M*omega)^3",
+                                       "M*omega*max(b)/h^2"]
 
 
 def test_nonpositive_coefficients_rejected():

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from hbwave.errors import DegeneracyDetected, NonContraction
+from hbwave.linear import linear_residual, solve_linear_mgt
 from hbwave.model import (
     BCKind,
     BoundaryCondition,
@@ -13,11 +14,11 @@ from hbwave.model import (
 )
 from hbwave.nonlinear import (
     FixedPointOptions,
-    alpha_samples,
+    bilinear_factors,
     degeneracy_monitor,
     eval_bilinear,
-    eval_nonlinearity,
     fixed_point_solve,
+    solve,
 )
 from hbwave.norms import u0lo_norm
 
@@ -43,7 +44,7 @@ def test_westervelt_monochromatic_is_pure_second_harmonic():
     model = make_model()
     a = 0.01
     u = monochromatic(model, a)
-    out = eval_nonlinearity(u, "westervelt", model)
+    out = eval_bilinear(u, u, "westervelt", model)
     omega = model.params.omega
     phi = np.sin(np.pi * model.grid.nodes)
     expected = -model.params.eta * a**2 * omega**2 * phi**2
@@ -56,7 +57,7 @@ def test_westervelt_monochromatic_is_pure_second_harmonic():
 def test_kuznetsov_monochromatic_is_pure_second_harmonic():
     model = make_model()
     u = monochromatic(model, 0.01)
-    out = eval_nonlinearity(u, "kuznetsov", model)
+    out = eval_bilinear(u, u, "kuznetsov", model)
     assert np.max(np.abs(out.coeffs[0])) < 1e-14
     assert np.max(np.abs(out.coeffs[1])) < 1e-14
     assert np.max(np.abs(out.coeffs[2])) > 0
@@ -108,7 +109,8 @@ def test_bilinear_of_a_field_with_itself_synthesizes_it_once(
 def test_alpha_and_monitor_for_zero_state():
     model = make_model()
     u = HarmonicField.zeros(3, model.grid.nx)
-    mon = degeneracy_monitor(u, "westervelt", model)
+    mon = degeneracy_monitor(bilinear_factors(u, "westervelt", model),
+                             "westervelt", model)
     assert mon["alpha_min"] == pytest.approx(1.0)
     assert mon["alpha_max"] == pytest.approx(1.0)
     assert mon["stability_margin_min"] == pytest.approx(
@@ -118,9 +120,10 @@ def test_alpha_and_monitor_for_zero_state():
 def test_alpha_bounds_for_bounded_state():
     model = make_model()
     u = monochromatic(model, 0.2)  # max |u| = 0.2
-    a = alpha_samples(u, "westervelt", model)
-    assert a.min() >= 0.6 - 1e-9
-    assert a.max() <= 1.4 + 1e-9
+    mon = degeneracy_monitor(bilinear_factors(u, "westervelt", model),
+                             "westervelt", model)
+    assert mon["alpha_min"] >= 0.6 - 1e-9
+    assert mon["alpha_max"] <= 1.4 + 1e-9
 
 
 def test_zero_forcing_converges_immediately():
@@ -170,6 +173,63 @@ def test_ball_guard_raises_noncontraction():
     opts = FixedPointOptions(ball_radius=1.0)
     with pytest.raises(NonContraction):
         fixed_point_solve(big, model, "westervelt", opts)
+
+
+@pytest.mark.parametrize("kind, factors", [("westervelt", 1),
+                                           ("kuznetsov", 2)])
+def test_fixed_point_synthesizes_each_state_once(kind, factors,
+                                                 monkeypatch):
+    # the start state and every iterate: alpha and N(u) share one synthesis
+    import hbwave.nonlinear
+
+    model = make_model(nx=33)
+    f = monochromatic(model, 6e-3)
+    synthesized = []
+
+    def counting(v, nt):
+        synthesized.append(v)
+        return to_time_samples(v, nt)
+
+    monkeypatch.setattr(hbwave.nonlinear, "to_time_samples", counting)
+    report = fixed_point_solve(f, model, kind)
+    assert report.iterations > 1
+    assert len(synthesized) == factors * (report.iterations + 1)
+
+
+@pytest.mark.parametrize("kind", ["westervelt", "kuznetsov"])
+def test_report_rhs_is_the_inhomogeneity_of_the_solution(kind):
+    model = make_model(nx=33)
+    f = monochromatic(model, 6e-3)
+    report = solve(f, model, kind)
+    expected = f + eval_bilinear(report.u, report.u, kind, model)
+    np.testing.assert_array_equal(report.rhs.coeffs, expected.coeffs)
+    assert report.final_residual == linear_residual(report.u, report.rhs,
+                                                    model)
+
+
+def test_linear_kind_reports_one_solve():
+    model = make_model(nx=33)
+    f = monochromatic(model, 6e-3)
+    report = solve(f, model, "linear")
+    np.testing.assert_array_equal(report.u.coeffs,
+                                  solve_linear_mgt(f, model).coeffs)
+    assert report.rhs is f
+    assert report.iterations == 1
+    assert report.final_residual == linear_residual(report.u, f, model)
+    assert report.degeneracy_margin == 1.0
+    assert report.stability_margin == model.stability_margin()
+
+
+def test_degenerate_start_state_raises():
+    # a time-constant u0 has N(u0) = 0, so its first iterate is harmless;
+    # u0 itself has alpha = 1 - 0.92 sin(pi x), below the 0.1 floor
+    model = make_model(nx=33)
+    f = monochromatic(model, 6e-3)
+    u0 = HarmonicField.zeros(f.M, model.grid.nx)
+    u0.coeffs[0] = -0.46 * np.sin(np.pi * model.grid.nodes)
+    with pytest.raises(DegeneracyDetected) as info:
+        fixed_point_solve(f, model, "westervelt", u0=u0)
+    assert info.value.alpha_min == pytest.approx(0.08)
 
 
 def test_self_mapping_at_small_data():

@@ -18,7 +18,6 @@ from hbwave.studies import (
     convergence_study,
     manufactured_case,
     oracle_discrepancy,
-    solve_case,
     tau_sweep,
     taylor_test,
     time_stepping_oracle,
@@ -93,7 +92,7 @@ def test_nonlinear_cases_recover_manufactured_solution():
         params = PhysicalParams.create(grid, **{**COEFFS, **extra})
         case = manufactured_case(case_id, params, grid)
         model = validate_model(grid, params, case.bc_left, case.bc_right)
-        u = solve_case(case, model)
+        u = solve(case.f, model, case.kind).u
         rel = (np.max(np.abs((u - case.u_star).coeffs))
                / np.max(np.abs(case.u_star.coeffs)))
         assert rel < 5e-4
@@ -213,7 +212,7 @@ def test_oracle_cross_check_matrix(kind, bc_left, bc_right, heterogeneous,
     params = PhysicalParams.create(grid, **coeffs)
     model = validate_model(grid, params, bc_left, bc_right)
     f = drive(model)
-    u = solve(f, model, kind)
+    u = solve(f, model, kind).u
     tf, gap = time_stepping_oracle(f, model, kind, dt=model.params.T / 512,
                                    period_tol=1e-8)
     assert gap < 1e-8
