@@ -1,5 +1,5 @@
 """Energy functionals, multiplier selection, the low-order energy-identity
-residual, and the estimate ratios for discrete periodic solutions.
+residual, and the energy-to-data ratios for discrete periodic solutions.
 
 Time norms are evaluated by Parseval from the harmonic coefficients,
 spatial norms by trapezoidal quadrature and second-order differences;
@@ -36,13 +36,13 @@ GAMMA_KINDS = (BCKind.ABSORBING, BCKind.IMPEDANCE)   # the paper's Gamma
 ABSORBING_ONLY = (BCKind.ABSORBING,)
 
 
-def _trace_norm_sq(u: HarmonicField, model: ValidatedModel, t_order: int,
-                   endpoints, weight_fn, values=None) -> float:
-    """T * sum_m w_m (m omega)^{2k} sum_endpoints weight * |v_m(endpoint)|^2."""
+def _trace_norm_sq(coeffs: np.ndarray, model: ValidatedModel, t_order: int,
+                   endpoints, gamma_power: int = 0) -> float:
+    """T * sum_m w_m (m omega)^{2k} sum_endpoints gamma^p |v_m(endpoint)|^2
+    for harmonic coefficients v = `coeffs` and p = `gamma_power`."""
     p = model.params
-    vals = u.coeffs if values is None else values
-    return sum((weight_fn(bc) * time_sum(np.abs(vals[:, idx]) ** 2, p.omega,
-                                         p.T, t_order)
+    return sum((bc.gamma**gamma_power
+                * time_sum(np.abs(coeffs[:, idx]) ** 2, p.omega, p.T, t_order)
                 for idx, bc in endpoints), 0.0)
 
 
@@ -110,33 +110,29 @@ def compute_energies(u: HarmonicField, model: ValidatedModel) -> EnergyReport:
         "uttt_dual": uttt_dual,
         "utt_l2": tb * vol(2),
         "u_h1h1": vol(0) + vol(1) + vol(0, "H1_semi") + vol(1, "H1_semi"),
-        "utt_trace_absorbing": tb * _trace_norm_sq(
-            u, model, 2, gamma_a, lambda bc: 1.0),
+        "utt_trace_absorbing": tb * _trace_norm_sq(u.coeffs, model, 2,
+                                                   gamma_a),
         "u_h1_trace_gamma": sum(
-            _trace_norm_sq(u, model, k, gamma, lambda bc: bc.gamma)
-            for k in (0, 1)),
+            _trace_norm_sq(u.coeffs, model, k, gamma, 1) for k in (0, 1)),
     }
     me = {
         "uttt_l2": tb * tau**2 * vol(3),
         "utt_h1": tb * (vol(2) + vol(2, "H1_semi")),
         "lap_u_h1l2": vol(0, "laplacian") + vol(1, "laplacian"),
-        "uttt_trace_absorbing": tb * tau * _trace_norm_sq(
-            u, model, 3, gamma_a, lambda bc: 1.0),
+        "uttt_trace_absorbing": tb * tau * _trace_norm_sq(u.coeffs, model, 3,
+                                                          gamma_a),
         "u_h2_trace_gamma": sum(
-            _trace_norm_sq(u, model, k, gamma, lambda bc: bc.gamma)
-            for k in (0, 1, 2)),
+            _trace_norm_sq(u.coeffs, model, k, gamma, 1) for k in (0, 1, 2)),
     }
     lap_coeffs = laplacian_fd(u.coeffs, grid)
     hi = {
         "uttt_dual": uttt_dual,
         "lap_utt_l2": tb * vol(2, "laplacian"),
         "grad_lap_u_h1l2": vol(0, "grad_laplacian") + vol(1, "grad_laplacian"),
-        "lap_utt_trace_absorbing": tb * _trace_norm_sq(
-            u, model, 2, gamma_a, lambda bc: 1.0, values=lap_coeffs),
+        "lap_utt_trace_absorbing": tb * _trace_norm_sq(lap_coeffs, model, 2,
+                                                       gamma_a),
         "lap_u_h1_trace_gamma": sum(
-            _trace_norm_sq(u, model, k, gamma, lambda bc: bc.gamma**2,
-                           values=lap_coeffs)
-            for k in (0, 1)),
+            _trace_norm_sq(lap_coeffs, model, k, gamma, 2) for k in (0, 1)),
     }
     return EnergyReport(lo=lo, me=me, hi=hi)
 
@@ -231,17 +227,16 @@ def estimate_rhs_lo(rtilde: HarmonicField, model: ValidatedModel) -> float:
 
 
 def estimate_rhs_me(energy: EnergyReport, rtilde: HarmonicField,
-                    r_nabla: HarmonicField, r_t: HarmonicField,
                     model: ValidatedModel) -> float:
-    """E_lo + taubar^2 ||d_t r_nabla||^2 + taubar ||grad r_t||^2
-    + ||r_t||^2_Gamma + ||r||^2."""
+    """E_lo + taubar^2 ||d_t r||^2 + ||r||^2.
+
+    The whole inhomogeneity takes the forcing route (r_nabla = r); with no
+    nonlinear route (r_t = 0) its taubar ||grad r_t||^2 and ||r_t||^2_Gamma
+    terms vanish.
+    """
     grid, p = model.grid, model.params
-    tb = p.taubar
-    gamma = _endpoints(model, GAMMA_KINDS)
     return (energy.lo_total
-            + tb**2 * time_space_norm_sq(r_nabla, grid, p.omega, p.T, 1)
-            + tb * time_space_norm_sq(r_t, grid, p.omega, p.T, 0, "H1_semi")
-            + _trace_norm_sq(r_t, model, 0, gamma, lambda bc: 1.0)
+            + p.taubar**2 * time_space_norm_sq(rtilde, grid, p.omega, p.T, 1)
             + time_space_norm_sq(rtilde, grid, p.omega, p.T, 0))
 
 
@@ -255,35 +250,16 @@ def estimate_rhs_hi(energy: EnergyReport, rtilde: HarmonicField,
             + _dual_time_norm_sq(lap_r, model, 0))
 
 
-def estimate_ratio_report(model: ValidatedModel, taus, solutions, rtildes,
-                          r_nablas=None, r_ts=None) -> dict:
-    """Energy-to-data ratios across a tau sweep (uniform-boundedness check).
-
-    rtildes carry the full inhomogeneity per solve; the splitting defaults
-    to r_nabla = rtilde (forcing route), r_t = 0 (no nonlinear route).
+def energy_ratios(energy: EnergyReport, rtilde: HarmonicField,
+                  model: ValidatedModel) -> dict:
+    """Energy-to-data ratios of one solved state at the three levels, whose
+    boundedness uniformly in tau the paper proves: E_lo, E_me_bar and
+    E_hi_bar over their data estimates, each None where its estimate is 0.
     """
-    rows = []
-    M = solutions[0].M if solutions else 0
-    nx = model.grid.nx
-    zero = HarmonicField.zeros(M, nx)
-    for i, tau in enumerate(taus):
-        m_tau = model.with_params(model.params.with_tau(tau))
-        u, rt = solutions[i], rtildes[i]
-        rn = r_nablas[i] if r_nablas is not None else rt
-        rtt = r_ts[i] if r_ts is not None else zero
-        energy = compute_energies(u, m_tau)
-        den_lo = estimate_rhs_lo(rt, m_tau)
-        den_me = estimate_rhs_me(energy, rt, rn, rtt, m_tau)
-        den_hi = estimate_rhs_hi(energy, rt, m_tau)
-        row = {"tau": tau}
-        row["ratio_lo"] = energy.lo_total / den_lo if den_lo > 0 else None
-        row["ratio_me"] = energy.me_bar / den_me if den_me > 0 else None
-        row["ratio_hi"] = energy.hi_bar / den_hi if den_hi > 0 else None
-        rows.append(row)
-    summary = {}
-    for key in ("ratio_lo", "ratio_me", "ratio_hi"):
-        vals = [r[key] for r in rows if r[key] is not None]
-        if vals:
-            summary[f"{key}_max"] = max(vals)
-            summary[f"{key}_min"] = min(vals)
-    return {"rows": rows, "summary": summary}
+    levels = {
+        "ratio_lo": (energy.lo_total, estimate_rhs_lo(rtilde, model)),
+        "ratio_me": (energy.me_bar, estimate_rhs_me(energy, rtilde, model)),
+        "ratio_hi": (energy.hi_bar, estimate_rhs_hi(energy, rtilde, model)),
+    }
+    return {key: e / den if den > 0 else None
+            for key, (e, den) in levels.items()}

@@ -385,10 +385,13 @@ def write_energy_csv(path: str, report):
     write_csv(path, ("term_name", "level", "value"), report.rows())
 
 
+TAU_SWEEP_HEADER = ("tau", "d_lo", "d_me", "rate", "E_lo_ratio", "ratio_me",
+                    "ratio_hi")
+
+
 def write_tau_sweep_csv(path: str, result):
-    rows = [(r["tau"], r["d_lo"], r["d_me"], r["rate"], r["E_lo_ratio"])
-            for r in result.rows]
-    write_csv(path, ("tau", "d_lo", "d_me", "rate", "E_lo_ratio"), rows)
+    write_csv(path, TAU_SWEEP_HEADER,
+              ([r[key] for key in TAU_SWEEP_HEADER] for r in result.rows))
 
 
 def write_taylor_csv(path: str, result):
@@ -406,8 +409,8 @@ def write_error_record(output_dir: str, exc) -> str:
         "code": getattr(exc, "code", "error"),
         "message": str(exc),
     }
-    for attr in ("violations", "history", "gaps", "alpha_min", "iterations",
-                 "residual", "condition_estimate", "traceback"):
+    for attr in ("line", "violations", "history", "gaps", "alpha_min",
+                 "iterations", "residual", "condition_estimate", "traceback"):
         value = getattr(exc, attr, None)
         if value is None:
             continue

@@ -283,7 +283,8 @@ def collect_violations(grid, params, bc_left, bc_right, M: int = 1):
     if not nonfinite and grid.nx >= 3 and grid.L > 0 and params.T > 0:
         # the grid and time scales the operators are built from, up to the
         # highest harmonic's diagonal terms (M omega)^2 and tau (M omega)^3,
-        # its row scale (c2 + i M omega b)/h^2 and its Robin entries
+        # its row scale (c2 + i M omega b)/h^2, its Robin entries and a bound
+        # on its largest entry
         with np.errstate(all="ignore"):
             h = np.float64(grid.L) / (grid.nx - 1)
             omega = TWO_PI / np.float64(params.T)
@@ -296,6 +297,17 @@ def collect_violations(grid, params, bc_left, bc_right, M: int = 1):
                 derived["M*omega*max(b)/h^2"] = (M * omega * params.b.max()
                                                  / h**2)
                 derived["max(c2)/h^2"] = params.c2.max() / h**2
+                # |A_M| entries are at most the row scale times the largest
+                # -Lap row sum (a Robin row adds 2 |q_M| / h), plus the
+                # diagonal shift; 0 * inf is NaN, so tau = 0 adds nothing
+                robin = max((2.0 * (M * omega * abs(bc.beta) + abs(bc.gamma))
+                             / h for bc in (bc_left, bc_right)
+                             if not bc.is_dirichlet), default=0.0)
+                entry = ((params.c2.max() + M * omega * params.b.max())
+                         * (4.0 / h**2 + robin) + (M * omega)**2)
+                if params.tau > 0:
+                    entry += params.tau * (M * omega)**3
+                derived["|A_M| entry bound"] = entry
             for side, bc in (("left", bc_left), ("right", bc_right)):
                 if not bc.is_dirichlet and bc.beta != 0:
                     derived[f"M*omega*{side} beta/h"] = M * omega * bc.beta / h

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .diagnostics import estimate_rhs_lo, compute_energies
+from .diagnostics import compute_energies, energy_ratios
 from .errors import NoPeriodicAttractor, StepRejected, UnknownCase
 from .linear import solve_linearized
 from .model import (
@@ -34,7 +34,6 @@ CASE_M = 2          # harmonics of a convergence study's cases
 
 @dataclass
 class StudyResult:
-    kind: str
     rows: list = field(default_factory=list)
     metadata: dict = field(default_factory=dict)
 
@@ -129,16 +128,15 @@ def convergence_study(case_id: str, coeffs: dict, L: float, nx_list,
             rows[i][f"order_{key[4:]}"] = float(order)
     orders = [r.get("order_l2l2") for r in rows[1:]]
     ok = all(o is not None and 1.8 <= o <= 2.2 for o in orders)
-    return StudyResult(kind="Convergence", rows=rows,
-                       metadata={"case": case_id, "pass": ok,
-                                 "orders_l2l2": orders})
+    return StudyResult(rows=rows,
+                       metadata={"pass": ok, "orders_l2l2": orders})
 
 
 def tau_sweep(f: HarmonicField, model: ValidatedModel, taus,
               kind: str = "linear",
               opts: FixedPointOptions | None = None) -> StudyResult:
     """Distance to the tau = 0 solution in the tau-independent discrete
-    norms, plus the low-energy-to-data ratio per tau."""
+    norms, plus the energy-to-data ratios at the three levels per tau."""
     grid, p = model.grid, model.params
     omega, T = p.omega, p.T
 
@@ -154,20 +152,17 @@ def tau_sweep(f: HarmonicField, model: ValidatedModel, taus,
         diff = report.u - u_ref
         d_lo = u0lo_norm(diff, grid, omega, T)
         d_me = u0me_norm(diff, grid, omega, T)
-        den = estimate_rhs_lo(report.rhs, m_tau)
-        e_lo = compute_energies(report.u, m_tau).lo_total
+        ratios = energy_ratios(compute_energies(report.u, m_tau),
+                               report.rhs, m_tau)
         d_by_tau[tau] = d_lo
-        rows.append({
-            "tau": tau, "d_lo": d_lo, "d_me": d_me,
-            "rate": None,
-            "E_lo_ratio": e_lo / den if den > 0 else None,
-        })
+        # E_lo_ratio is the sweep's name for ratio_lo
+        rows.append({"tau": tau, "d_lo": d_lo, "d_me": d_me, "rate": None,
+                     "E_lo_ratio": ratios.pop("ratio_lo"), **ratios})
     for row in rows:
         tau = row["tau"]
         if tau > 0 and 2 * tau in d_by_tau and row["d_lo"] > 0:
             row["rate"] = float(np.log2(d_by_tau[2 * tau] / row["d_lo"]))
-    return StudyResult(kind="TauSweep", rows=rows,
-                       metadata={"kind": kind, "taus": list(taus)})
+    return StudyResult(rows=rows)
 
 
 def taylor_test(f: HarmonicField, f_dir: HarmonicField,
@@ -197,8 +192,7 @@ def taylor_test(f: HarmonicField, f_dir: HarmonicField,
             r1["slope"] = float(np.log(r0["remainder"] / r1["remainder"]) / dl)
         r1["diff_slope"] = (float(np.log(r0["diff"] / r1["diff"]) / dl)
                             if r0["diff"] > 0 and r1["diff"] > 0 else None)
-    return StudyResult(kind="Taylor", rows=rows,
-                       metadata={"kind": kind, "eps": list(eps_list)})
+    return StudyResult(rows=rows)
 
 
 # --- time-stepping oracle --------------------------------------------------

@@ -121,13 +121,18 @@ def test_criterion_05_second_harmonic_scaling():
     report(5, abs(slope - 2.0) <= 0.05, f"slope {slope:.4f}")
 
 
-def _sweep_distances(kind, **extra):
+def _sweep(kind, **extra):
+    """Rows of the tau sweep {0.4..0.025} of criteria 6 and 7."""
     model = make_model(**extra)
     f = drive(model, 6e-3)
     taus = [0.4, 0.2, 0.1, 0.05, 0.025]
-    result = tau_sweep(f, model, taus, kind=kind)
-    d = [row["d_lo"] for row in result.rows]
-    ratios = [row["E_lo_ratio"] for row in result.rows]
+    return tau_sweep(f, model, taus, kind=kind).rows
+
+
+def _sweep_distances(kind, **extra):
+    rows = _sweep(kind, **extra)
+    d = [row["d_lo"] for row in rows]
+    ratios = [row["E_lo_ratio"] for row in rows]
     return d, ratios
 
 
@@ -146,6 +151,9 @@ def test_criterion_06_singular_limit():
     report(6, ok, "; ".join(details))
 
 
+SPREAD_BOUND = 10.0    # criterion 7: max/min of an energy ratio over tau
+
+
 def test_criterion_07_uniform_energy_bound():
     """Across the tau sweep the ratio E_lo(u)/(taubar ||r||^2 +
     ||r||^2_{H1*}) has max/min <= 10."""
@@ -154,9 +162,20 @@ def test_criterion_07_uniform_energy_bound():
     for kind, extra in (("linear", {}), ("westervelt", {"eta": 1.0})):
         _, ratios = _sweep_distances(kind, **extra)
         spread = max(ratios) / min(ratios)
-        ok = ok and spread <= 10.0
+        ok = ok and spread <= SPREAD_BOUND
         details.append(f"{kind}: max/min {spread:.3f}")
     report(7, ok, "; ".join(details))
+
+
+@pytest.mark.parametrize("kind, extra", [("linear", {}),
+                                         ("westervelt", {"eta": 1.0})])
+def test_criterion_07_bound_holds_at_medium_and_high_levels(kind, extra):
+    """The medium and high energy-to-data ratios of criterion 7's sweep
+    stay within its spread bound too."""
+    rows = _sweep(kind, **extra)
+    for key in ("ratio_me", "ratio_hi"):
+        ratios = [row[key] for row in rows]
+        assert max(ratios) / min(ratios) <= SPREAD_BOUND, key
 
 
 def test_criterion_08_differentiability():

@@ -88,7 +88,7 @@ def test_sweep_tau_monotone_distance(config, tmp_path):
     assert code == 0
     with open(os.path.join(out, "tau_sweep.csv")) as fh:
         lines = fh.read().splitlines()
-    assert lines[0] == "tau,d_lo,d_me,rate,E_lo_ratio"
+    assert lines[0] == "tau,d_lo,d_me,rate,E_lo_ratio,ratio_me,ratio_hi"
     d = [float(line.split(",")[1]) for line in lines[1:]]
     assert all(a > b for a, b in zip(d[:-1], d[1:]))
 
@@ -136,6 +136,21 @@ def test_validation_failure_exits_one_with_record(config, tmp_path):
     assert record["kind"] == "InvalidModel"
     assert any(v["code"] == "StabilityViolation"
                for v in record["violations"])
+
+
+def test_syntax_error_record_names_its_line(config, tmp_path):
+    with open(config) as fh:
+        lines = fh.read().splitlines()
+    lines[2] = "this line is junk"
+    with open(config, "w") as fh:
+        fh.write("\n".join(lines) + "\n")
+    out = str(tmp_path / "out")
+    code = run_command(["validate", config, "-o", out])
+    assert code == 1
+    with open(os.path.join(out, "error.json")) as fh:
+        record = json.load(fh)
+    assert record["code"] == "SyntaxError"
+    assert record["line"] == 3
 
 
 def test_unknown_key_exits_one(config, tmp_path):
@@ -218,32 +233,40 @@ def test_degenerate_input_exits_one_with_record(config, tmp_path, override,
     assert not os.path.exists(os.path.join(out, "solution.csv"))
 
 
-@pytest.mark.parametrize("override", [
-    "domain.l=1e300",       # 1/h^2 underflows to 0
-    "domain.l=1e-320",      # h is subnormal, 1/h^2 overflows
-    "time.t=1e-320",        # omega overflows
-    "time.t=1e-300",        # (M omega)^2 and tau (M omega)^3 overflow
-    "physics.c2=1e-310",    # b/c2 overflows
-    "physics.b=1e307",      # the row scale M omega b / h^2 overflows
-    "bc.right.beta=1e307",  # the Robin entry M omega beta / h overflows
-])
+@pytest.mark.parametrize("overrides", [
+    ["domain.l=1e300"],       # 1/h^2 underflows to 0
+    ["domain.l=1e-320"],      # h is subnormal, 1/h^2 overflows
+    ["time.t=1e-320"],        # omega overflows
+    ["time.t=1e-300"],        # (M omega)^2 and tau (M omega)^3 overflow
+    ["physics.c2=1e-310"],    # b/c2 overflows
+    ["physics.b=1e307"],      # the row scale M omega b / h^2 overflows
+    ["bc.right.beta=1e307"],  # the Robin entry M omega beta / h overflows
+    # in-range factors whose product, the row scale times the Robin entry
+    # (i M omega b)(2 i M omega beta / h), overflows
+    ["physics.b=1e150", "bc.right.beta=1e160"],
+    # the Robin entry 2 gamma / h of an impedance end overflows
+    ["bc.right.kind=impedance", "bc.right.beta=0", "bc.right.gamma=1e307"],
+], ids=" ".join)
 def test_out_of_range_derived_scale_exits_one_with_record(config, tmp_path,
-                                                          override):
-    out = str(tmp_path / "out")
-    # an absorbing right end, so that a Robin entry is assembled
-    code = run_command(["solve", config, "-o", out,
-                        "-s", "bc.right.kind=absorbing",
-                        "-s", "bc.right.beta=1", "-s", override])
-    assert code == 1
-    with open(os.path.join(out, "error.json")) as fh:
-        record = json.load(fh)
-    assert record["kind"] == "InvalidModel"
+                                                          overrides):
     # b/c2 is the ratio of the stability test; the rest are grid, time and
     # assembled-entry scales
-    expected = ("StabilityViolation" if override == "physics.c2=1e-310"
+    expected = ("StabilityViolation" if overrides == ["physics.c2=1e-310"]
                 else "BadGrid")
-    assert {v["code"] for v in record["violations"]} == {expected}
-    assert not os.path.exists(os.path.join(out, "solution.csv"))
+    # validation alone rejects the model, before a solve would meet it
+    for verb in ("validate", "solve"):
+        out = str(tmp_path / verb)
+        # an absorbing right end, so that a Robin entry is assembled
+        code = run_command([verb, config, "-o", out,
+                            "-s", "bc.right.kind=absorbing",
+                            "-s", "bc.right.beta=1"]
+                           + [arg for o in overrides for arg in ("-s", o)])
+        assert code == 1
+        with open(os.path.join(out, "error.json")) as fh:
+            record = json.load(fh)
+        assert record["kind"] == "InvalidModel"
+        assert {v["code"] for v in record["violations"]} == {expected}
+        assert not os.path.exists(os.path.join(out, "solution.csv"))
 
 
 # at M = 8, T = 2e-102: tau (M omega)^3 overflows for tau = 0.4, though

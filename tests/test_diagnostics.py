@@ -5,7 +5,7 @@ from hbwave.diagnostics import (
     choose_multipliers,
     compute_energies,
     energy_identity_residual,
-    estimate_ratio_report,
+    energy_ratios,
     estimate_rhs_lo,
     estimate_rhs_me,
 )
@@ -115,26 +115,24 @@ def test_estimate_rhs_positive_for_nonzero_data():
     model = make_model()
     u, f = linear_solve(model)
     assert estimate_rhs_lo(f, model) > 0
-    energy = compute_energies(u, model)
-    zero = HarmonicField.zeros(f.M, model.grid.nx)
-    assert estimate_rhs_me(energy, f, f, zero, model) > 0
+    assert estimate_rhs_me(compute_energies(u, model), f, model) > 0
 
 
 def test_ratio_invariant_under_forcing_rescaling():
     model = make_model()
     u, f = linear_solve(model)
     s = 7.3
-    rep1 = estimate_ratio_report(model, [model.params.tau], [u], [f])
-    rep2 = estimate_ratio_report(model, [model.params.tau],
-                                 [HarmonicField(u.coeffs * s)],
-                                 [HarmonicField(f.coeffs * s)])
-    r1 = rep1["rows"][0]["ratio_lo"]
-    r2 = rep2["rows"][0]["ratio_lo"]
-    assert r1 == pytest.approx(r2, rel=1e-10)
+    us, fs = HarmonicField(u.coeffs * s), HarmonicField(f.coeffs * s)
+    r1 = energy_ratios(compute_energies(u, model), f, model)
+    r2 = energy_ratios(compute_energies(us, model), fs, model)
+    assert set(r1) == {"ratio_lo", "ratio_me", "ratio_hi"}
+    for key in r1:
+        assert r1[key] > 0
+        assert r1[key] == pytest.approx(r2[key], rel=1e-10)
 
 
-def test_ratio_rows_undefined_for_zero_forcing():
+def test_ratios_undefined_for_zero_forcing():
     model = make_model()
     z = HarmonicField.zeros(3, model.grid.nx)
-    rep = estimate_ratio_report(model, [0.1], [z], [z])
-    assert rep["rows"][0]["ratio_lo"] is None
+    assert energy_ratios(compute_energies(z, model), z, model) == {
+        "ratio_lo": None, "ratio_me": None, "ratio_hi": None}

@@ -113,16 +113,19 @@ def test_highest_harmonic_frequency_must_be_finite():
 
     grid = Grid(1.0, 9)
     # omega = 2.1e102: omega^2 and tau omega^3 are finite, tau (8 omega)^3
-    # is not
+    # is not, and neither is the bound on the entries of A_8 that holds it
     assert bad_scales(3e-102, M=1) == []
-    assert bad_scales(3e-102, M=8) == ["tau*(M*omega)^3"]
+    assert bad_scales(3e-102, M=8) == ["tau*(M*omega)^3",
+                                       "|A_M| entry bound"]
     # omega = 1.6e308 is finite, its square is not, and 8 omega is not;
-    # the row scale M omega b / h^2 overflows with either
+    # the row scale M omega b / h^2 and the entry bound overflow with either
     assert bad_scales(4e-308, M=1) == ["(M*omega)^2", "tau*(M*omega)^3",
-                                       "M*omega*max(b)/h^2"]
+                                       "M*omega*max(b)/h^2",
+                                       "|A_M| entry bound"]
     assert bad_scales(4e-308, M=8) == ["M*omega", "(M*omega)^2",
                                        "tau*(M*omega)^3",
-                                       "M*omega*max(b)/h^2"]
+                                       "M*omega*max(b)/h^2",
+                                       "|A_M| entry bound"]
 
 
 def test_nonpositive_coefficients_rejected():

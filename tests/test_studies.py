@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from hbwave.diagnostics import compute_energies, energy_ratios
 from hbwave.errors import NoPeriodicAttractor, UnknownCase
 from hbwave.linear import solve_linear_mgt
 from hbwave.model import (
@@ -116,6 +117,23 @@ def test_tau_sweep_reports_rate_when_tau_halves():
     assert len(rates) == 2
     for rate in rates:
         assert 0.5 < rate < 1.5
+
+
+@pytest.mark.parametrize("kind, extra", [("linear", {}),
+                                         ("westervelt", {"eta": 1.0})])
+def test_tau_sweep_ratios_are_the_diagnostics_ratios(kind, extra):
+    model = make_model(**extra)
+    f = drive(model)
+    taus = [0.2, 0.0]
+    result = tau_sweep(f, model, taus, kind=kind)
+    for tau, row in zip(taus, result.rows):
+        m_tau = model.with_params(model.params.with_tau(tau))
+        report = solve(f, m_tau, kind)
+        ratios = energy_ratios(compute_energies(report.u, m_tau), report.rhs,
+                               m_tau)
+        # the same floats, not merely close ones
+        assert (row["E_lo_ratio"], row["ratio_me"], row["ratio_hi"]) == (
+            ratios["ratio_lo"], ratios["ratio_me"], ratios["ratio_hi"])
 
 
 def test_taylor_linear_problem_zero_remainder():
