@@ -3,9 +3,10 @@
     hbwave <verb> <config.ini> --output-dir DIR [--set section.key=value]...
 
 Verbs: solve, sweep-tau, energy, deriv-check, converge, oracle-compare,
-validate.  Exit codes: 0 success, 1 validation/config error, 2 solver
-failure or unexpected error; failures leave a machine-readable error.json
-in the output dir.
+validate.  Exit codes: 0 success, else the failing error class's
+`exit_code` (1 validation/config error, 2 numerical failure) or 2 for an
+unexpected error; failures leave a machine-readable error.json in the
+output dir.
 """
 from __future__ import annotations
 
@@ -17,7 +18,7 @@ import traceback
 import numpy as np
 
 from .diagnostics import compute_energies
-from .errors import ConfigError, HbwaveError, InvalidModel, SolverFailure
+from .errors import ConfigError, HbwaveError
 from .io import (
     apply_overrides,
     build_setup,
@@ -78,9 +79,10 @@ def _run_verb(verb: str, setup, out: str) -> dict:
         return extra
 
     if verb == "sweep-tau":
-        taus = setup.study.get("taus", [0.4, 0.2, 0.1, 0.05, 0.0])
-        result = tau_sweep(setup.f, setup.model, taus,
-                           kind=setup.solver_kind, opts=setup.options)
+        # tau_sweep's own default taus hold when the config sets none
+        given = {"taus": setup.study["taus"]} if "taus" in setup.study else {}
+        result = tau_sweep(setup.f, setup.model, kind=setup.solver_kind,
+                           opts=setup.options, **given)
         write_tau_sweep_csv(os.path.join(out, "tau_sweep.csv"), result)
         print(f"wrote tau_sweep.csv ({len(result.rows)} rows)")
         return extra
@@ -140,27 +142,20 @@ def _run_verb(verb: str, setup, out: str) -> dict:
 def run_command(argv) -> int:
     args = _parser().parse_args(argv)
     out = args.output_dir
-    os.makedirs(out, exist_ok=True)
     try:
+        os.makedirs(out, exist_ok=True)
         raw = apply_overrides(parse_config(args.config), args.overrides)
         setup = build_setup(raw, args.config)
         extra = _run_verb(args.verb, setup, out)
-    except SolverFailure as exc:
-        write_error_record(out, exc)
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 2
-    except (ConfigError, InvalidModel, HbwaveError) as exc:
-        write_error_record(out, exc)
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except Exception as exc:
-        # last resort: an unexpected error still leaves its record, with
-        # the traceback for a bug report instead of on stderr
-        exc.traceback = traceback.format_exc()
-        write_error_record(out, exc)
-        print(f"unexpected error: {type(exc).__name__}: {exc}",
-              file=sys.stderr)
-        return 2
+        # an error outside the taxonomy is a bug: its record keeps the
+        # traceback for a bug report instead of printing it on stderr
+        details = ({} if isinstance(exc, HbwaveError)
+                   else {"traceback": traceback.format_exc()})
+        if os.path.isdir(out):      # else there is nowhere to leave it
+            write_error_record(out, exc, **details)
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return getattr(exc, "exit_code", 2)
     write_run_info(out, args.verb, args.config, args.overrides, extra)
     return 0
 

@@ -1,37 +1,51 @@
 """Exception taxonomy for the harmonic-balance wave solver.
 
-Each class corresponds to a runtime condition surfaced by the library;
-CLI exit codes map validation errors to 1 and solver failures to 2.
+Each class declares how the CLI reports it: `exit_code` is 1 for a
+configuration or validation error and 2 for a numerical failure, and the
+keyword details a raise site passes are the fields error.json records
+after `kind`, `code` and `message`.
 """
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 
 class HbwaveError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
 
-    code = "HbwaveError"
+    Each keyword detail becomes an attribute and, unless it is None, an
+    error.json field, in the order given.  `code` is the class name unless
+    a class sets its own.
+    """
+
+    exit_code = 1
+
+    def __init__(self, message, **details):
+        super().__init__(message)
+        self.__dict__.update(details)
+        self.details = {k: v for k, v in details.items() if v is not None}
+
+    @property
+    def code(self) -> str:
+        return type(self).__name__
 
 
 # --- configuration / validation -------------------------------------------
 
 class ConfigError(HbwaveError):
-    code = "ConfigError"
+    pass
 
 
 class ConfigSyntaxError(ConfigError):
-    code = "SyntaxError"
+    """A malformed config file; detail `line`."""
 
-    def __init__(self, message, line=None):
-        super().__init__(message)
-        self.line = line
+    code = "SyntaxError"
 
 
 class UnknownKey(ConfigError):
-    code = "UnknownKey"
+    pass
 
 
 class TypeMismatch(ConfigError):
-    code = "TypeMismatch"
+    pass
 
 
 @dataclass(frozen=True)
@@ -45,85 +59,62 @@ class Violation:
 class InvalidModel(HbwaveError):
     """Raised by model validation; carries the full violation list."""
 
-    code = "InvalidModel"
-
     def __init__(self, violations):
-        self.violations = list(violations)
-        super().__init__("; ".join(f"{v.code}: {v.message}" for v in self.violations))
+        violations = list(violations)
+        super().__init__(
+            "; ".join(f"{v.code}: {v.message}" for v in violations),
+            violations=[asdict(v) for v in violations])
+        # the attribute keeps the Violation objects, the record their fields
+        self.violations = violations
 
 
 class StabilityViolation(HbwaveError):
-    code = "StabilityViolation"
+    pass
 
 
 class UndersampledTime(HbwaveError):
-    code = "UndersampledTime"
+    pass
 
 
 class UnknownCase(HbwaveError):
-    code = "UnknownCase"
+    pass
 
 
-# --- solver failures -------------------------------------------------------
+# --- numerical failures: the solve left the theory -------------------------
 
-class SolverFailure(HbwaveError):
-    """Base for failures that map to CLI exit code 2."""
+class NumericalFailure(HbwaveError):
+    """Base for the failures that exit 2; nothing raises it directly."""
 
-    code = "SolverFailure"
-
-
-class SingularMeanMode(SolverFailure):
-    code = "SingularMeanMode"
+    exit_code = 2
 
 
-class SolveFailure(SolverFailure):
-    code = "SolveFailure"
-
-    def __init__(self, message, condition_estimate=None):
-        super().__init__(message)
-        self.condition_estimate = condition_estimate
+class SingularMeanMode(NumericalFailure):
+    pass
 
 
-class NonConvergedIteration(SolverFailure):
-    code = "NonConvergedIteration"
-
-    def __init__(self, message, iterations=None, residual=None):
-        super().__init__(message)
-        self.iterations = iterations
-        self.residual = residual
+class SolveFailure(NumericalFailure):
+    """A linear solve failed; detail `condition_estimate`."""
 
 
-class NonContraction(SolverFailure):
-    code = "NonContraction"
-
-    def __init__(self, message, history=None):
-        super().__init__(message)
-        self.history = history or []
+class NonConvergedIteration(NumericalFailure):
+    """Details `iterations` and `residual`."""
 
 
-class DegeneracyDetected(SolverFailure):
-    code = "DegeneracyDetected"
-
-    def __init__(self, message, alpha_min=None):
-        super().__init__(message)
-        self.alpha_min = alpha_min
+class NonContraction(NumericalFailure):
+    """Detail `history`, the update norms."""
 
 
-class MaxIterExceeded(SolverFailure):
-    code = "MaxIterExceeded"
-
-    def __init__(self, message, history=None):
-        super().__init__(message)
-        self.history = history or []
+class DegeneracyDetected(NumericalFailure):
+    """Detail `alpha_min`."""
 
 
-class NoPeriodicAttractor(SolverFailure):
-    code = "NoPeriodicAttractor"
-
-    def __init__(self, message, gaps=None):
-        super().__init__(message)
-        self.gaps = gaps or []
+class MaxIterExceeded(NumericalFailure):
+    """Detail `history`, the update norms."""
 
 
-class StepRejected(SolverFailure):
-    code = "StepRejected"
+class NoPeriodicAttractor(NumericalFailure):
+    """Detail `gaps`, the periodicity gap of each period."""
+
+
+class StepRejected(NumericalFailure):
+    pass

@@ -26,6 +26,7 @@ from .errors import (
     UnknownKey,
 )
 from .model import (
+    MIN_NODES,
     BCKind,
     BoundaryCondition,
     Grid,
@@ -184,8 +185,8 @@ def _boundary(raw: dict, section: str) -> BoundaryCondition:
 
 def _check_size(what: str, nx: int, M: int):
     # checked before anything of size nx or (M + 1) nx is allocated
-    if nx < 3:
-        raise TypeMismatch(f"{what} = {nx}; need >= 3")
+    if nx < MIN_NODES:
+        raise TypeMismatch(f"{what} = {nx}; need >= {MIN_NODES}")
     if (M + 1) * nx > MAX_UNKNOWNS:
         raise TypeMismatch(f"{what} = {nx}: (M + 1) * nx = {(M + 1) * nx} "
                            f"unknowns per field exceed {MAX_UNKNOWNS}")
@@ -403,20 +404,16 @@ def write_oracle_csv(path: str, metrics: dict):
     write_csv(path, ("metric", "value"), sorted(metrics.items()))
 
 
-def write_error_record(output_dir: str, exc) -> str:
+def write_error_record(output_dir: str, exc, **extra) -> str:
+    """error.json: the class, its code, the message, then the details the
+    error carries (errors.HbwaveError) and any `extra` fields."""
     record = {
         "kind": type(exc).__name__,
         "code": getattr(exc, "code", "error"),
         "message": str(exc),
+        **getattr(exc, "details", {}),
+        **extra,
     }
-    for attr in ("line", "violations", "history", "gaps", "alpha_min",
-                 "iterations", "residual", "condition_estimate", "traceback"):
-        value = getattr(exc, attr, None)
-        if value is None:
-            continue
-        if attr == "violations":
-            value = [{"code": v.code, "message": v.message} for v in value]
-        record[attr] = value
     path = os.path.join(output_dir, "error.json")
     _atomic_write(path, json.dumps(record, indent=2, default=float) + "\n")
     return path

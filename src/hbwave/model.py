@@ -19,6 +19,10 @@ from .errors import (
 )
 
 TWO_PI = 2.0 * np.pi
+# fewest grid nodes: the energies' one-sided end stencils read four, and
+# between two Dirichlet ends scipy's ?gttrf, which the H^1-dual norm calls on
+# the interior nodes alone, fails below order 3
+MIN_NODES = 5
 
 
 class BCKind(enum.Enum):
@@ -274,17 +278,17 @@ def collect_violations(grid, params, bc_left, bc_right, M: int = 1):
                  if not np.all(np.isfinite(value))]
     violations = [Violation("NonFiniteValue", f"{name} must be finite")
                   for name in nonfinite]
-    if grid.nx < 3:
-        violations.append(Violation("BadGrid", f"nx={grid.nx} < 3"))
+    if grid.nx < MIN_NODES:
+        violations.append(Violation("BadGrid", f"nx={grid.nx} < {MIN_NODES}"))
     if grid.L <= 0:
         violations.append(Violation("BadGrid", f"L={grid.L} <= 0"))
     if params.T <= 0:
         violations.append(Violation("BadGrid", f"T={params.T} <= 0"))
-    if not nonfinite and grid.nx >= 3 and grid.L > 0 and params.T > 0:
+    if not nonfinite and grid.nx >= MIN_NODES and grid.L > 0 and params.T > 0:
         # the grid and time scales the operators are built from, up to the
         # highest harmonic's diagonal terms (M omega)^2 and tau (M omega)^3,
         # its row scale (c2 + i M omega b)/h^2, its Robin entries and a bound
-        # on its largest entry
+        # on its largest entry; and gamma^2, the energies' trace weight
         with np.errstate(all="ignore"):
             h = np.float64(grid.L) / (grid.nx - 1)
             omega = TWO_PI / np.float64(params.T)
@@ -311,6 +315,8 @@ def collect_violations(grid, params, bc_left, bc_right, M: int = 1):
             for side, bc in (("left", bc_left), ("right", bc_right)):
                 if not bc.is_dirichlet and bc.beta != 0:
                     derived[f"M*omega*{side} beta/h"] = M * omega * bc.beta / h
+                if not bc.is_dirichlet and bc.gamma != 0:
+                    derived[f"{side} gamma^2"] = np.float64(bc.gamma)**2
         violations.extend(
             Violation("BadGrid", f"{name} = {value:.6g} is not a finite, "
                       "normal number")

@@ -5,12 +5,14 @@ import sys
 import tempfile
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hbwave
+from hbwave import errors
 from hbwave.cli import run_command
 from hbwave.io import _SCHEMA, read_solution_csv
+from hbwave.nonlinear import solve
 
 CONFIG = """\
 [domain]
@@ -214,6 +216,8 @@ def test_no_success_exit_without_outputs(config, tmp_path):
     ("study.grids=1,65,129", "TypeMismatch"),
     ("study.grids=65,129,100000000", "TypeMismatch"),
     ("domain.nx=-5", "TypeMismatch"),
+    ("domain.nx=3", "TypeMismatch"),      # the energies read four nodes
+    ("domain.nx=4", "TypeMismatch"),      # two interior nodes: see MIN_NODES
     ("domain.nx=100000000", "TypeMismatch"),
     ("domain.nx=1000000000000", "TypeMismatch"),
     ("time.m=1000000000000", "TypeMismatch"),
@@ -246,6 +250,8 @@ def test_degenerate_input_exits_one_with_record(config, tmp_path, override,
     ["physics.b=1e150", "bc.right.beta=1e160"],
     # the Robin entry 2 gamma / h of an impedance end overflows
     ["bc.right.kind=impedance", "bc.right.beta=0", "bc.right.gamma=1e307"],
+    # gamma^2, the energies' trace weight, overflows
+    ["bc.right.gamma=1.35e154"],
 ], ids=" ".join)
 def test_out_of_range_derived_scale_exits_one_with_record(config, tmp_path,
                                                           overrides):
@@ -291,6 +297,45 @@ def test_sweep_taus_are_validated_at_the_configured_order(
     assert record["kind"] == "InvalidModel"
     assert any(message in v["message"] for v in record["violations"])
     assert not os.path.exists(os.path.join(out, "tau_sweep.csv"))
+
+
+def test_sweep_tau_solves_each_default_tau_once(config, tmp_path,
+                                                monkeypatch):
+    solved = []
+
+    def counting_solve(f, model, *args):
+        solved.append(model.params.tau)
+        return solve(f, model, *args)
+
+    monkeypatch.setattr("hbwave.studies.solve", counting_solve)
+    code, out = run(config, tmp_path, "sweep-tau")
+    assert code == 0
+    # the tau = 0 row is the reference; it is not solved twice
+    assert solved == [0.0, 0.4, 0.2, 0.1, 0.05]
+    with open(os.path.join(out, "tau_sweep.csv")) as fh:
+        assert [line.split(",")[0] for line in fh.read().splitlines()] == [
+            "tau", "0.40000000000000002", "0.20000000000000001",
+            "0.10000000000000001", "0.050000000000000003", "0"]
+
+    # a default tau above taubar fails before anything is solved
+    solved.clear()
+    code, out = run(config, tmp_path, "sweep-tau", "-s", "physics.taubar=0.3")
+    assert code == 1
+    with open(os.path.join(out, "error.json")) as fh:
+        assert "tau=0.4" in json.load(fh)["message"]
+    assert solved == []
+
+
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_unusable_output_dir_exits_two_with_one_line(config, tmp_path,
+                                                     capsys, sub):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code = run_command(["solve", config, "-o", str(blocker / sub)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert blocker.read_text() == ""
 
 
 def test_validate_runs_without_scipy(config, tmp_path):
@@ -359,3 +404,62 @@ def test_validate_exits_zero_or_one_with_record(overrides):
         else:
             with open(record) as fh:
                 assert {"kind", "code", "message"} <= set(json.load(fh))
+
+
+# tiny sizes (nx <= 17, M <= 2) keep a solve at a few milliseconds
+SOLVE_CONFIG = CONFIG.replace("Nx = 33", "Nx = 9").replace("M = 4", "M = 2")
+SOLVE_FUZZ_KEYS = [key for key in FUZZ_KEYS if key.split(".")[0] in (
+    "physics", "bc", "solver", "domain", "time", "forcing")]
+SIZE_VALUES = {
+    "domain.nx": ["nan", "-1", "0", "1", "3", "4", "5", "17", "", "junk"],
+    "time.m": ["nan", "-1", "0", "1", "2", "", "junk"],
+}
+SOLVE_FUZZ_VALUES = FUZZ_VALUES + [
+    "1e-310", "1e154", "1.35e154", "1e160", "1e6", "westervelt",
+    "kuznetsov", "neumann", "dirichlet", "gaussian"]
+ERROR_CLASSES = {name: cls for name, cls in vars(errors).items()
+                 if isinstance(cls, type)
+                 and issubclass(cls, errors.HbwaveError)}
+
+
+def _fuzz_override(key):
+    if key in SIZE_VALUES:
+        return st.tuples(st.just(key), st.sampled_from(SIZE_VALUES[key]))
+    return st.tuples(st.just(key), st.sampled_from(SOLVE_FUZZ_VALUES)
+                     | st.text(max_size=4))
+
+
+# 400 examples take about 5 s
+@settings(max_examples=400, derandomize=True, deadline=None)
+@given(st.lists(st.sampled_from(SOLVE_FUZZ_KEYS).flatmap(_fuzz_override),
+                min_size=1, max_size=3))
+# the one-sided end stencils of the energies read v[..., 3]
+@example([("domain.nx", "3")])
+# the H^1-dual norm factors the two interior nodes: scipy's ?gttrf fails
+@example([("domain.nx", "4")])
+# gamma^2 of the energies' trace term overflows a Python float
+@example([("bc.right.kind", "absorbing"), ("bc.right.beta", "1"),
+          ("bc.right.gamma", "1.35e154")])
+def test_solve_exits_with_outputs_or_an_error_class(overrides):
+    """solve exits 0 with all its outputs, or with the exit code of an
+    hbwave error class and its error.json; never through the last-resort
+    handler."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "run.ini")
+        with open(config, "w") as fh:
+            fh.write(SOLVE_CONFIG)
+        out = os.path.join(tmp, "out")
+        argv = ["solve", config, "-o", out]
+        for key, value in overrides:
+            argv += ["-s", f"{key}={value}"]
+        code = run_command(argv)
+        written = set(os.listdir(out))
+        if code == 0:
+            assert written == {"solution.csv", "energy.csv", "run_info.json"}
+        else:
+            assert written == {"error.json"}
+            with open(os.path.join(out, "error.json")) as fh:
+                record = json.load(fh)
+            assert record["kind"] in ERROR_CLASSES, record
+            assert "traceback" not in record
+            assert code == ERROR_CLASSES[record["kind"]].exit_code

@@ -98,10 +98,28 @@ def test_validate_accepts_reasonable_model():
 
 
 def test_bad_grid_rejected():
-    grid = Grid(1.0, 2)
-    codes = {v.code for v in collect_violations(
-        grid, make_params(Grid(1.0, 2)), DIRICHLET, DIRICHLET)}
-    assert "BadGrid" in codes
+    # nx = 3 and 4 too: see MIN_NODES
+    for nx in (2, 3, 4):
+        grid = Grid(1.0, nx)
+        codes = {v.code for v in collect_violations(
+            grid, make_params(grid), DIRICHLET, DIRICHLET)}
+        assert "BadGrid" in codes
+
+
+@pytest.mark.parametrize("kind, beta", [(BCKind.IMPEDANCE, 0.0),
+                                        (BCKind.ABSORBING, 1.0)])
+def test_trace_weight_gamma_squared_must_be_finite(kind, beta):
+    # gamma^2 weights the high-level trace term of the energies
+    grid = Grid(1.0, 9)
+
+    def violations(gamma):
+        return [v.message for v in collect_violations(
+            grid, make_params(grid), DIRICHLET,
+            BoundaryCondition(kind, beta=beta, gamma=gamma))]
+
+    assert violations(1.3e154) == []
+    assert violations(1.35e154) == [
+        "right gamma^2 = inf is not a finite, normal number"]
 
 
 def test_highest_harmonic_frequency_must_be_finite():
