@@ -69,10 +69,12 @@ def _run_verb(verb: str, setup, out: str) -> dict:
     if verb in ("solve", "energy"):
         u = solve(setup.f, setup.model, setup.solver_kind, setup.options).u
         report = compute_energies(u, setup.model)
+        # first: its terms square u, so a non-finite u or energy fails
+        # there, in write_csv, before any file is written
+        write_energy_csv(os.path.join(out, "energy.csv"), report)
         if verb == "solve":
             write_solution_csv(os.path.join(out, "solution.csv"), u,
                                setup.model.grid)
-        write_energy_csv(os.path.join(out, "energy.csv"), report)
         extra["E_lo"] = report.lo_total
         print(f"wrote {'solution.csv and ' if verb == 'solve' else ''}"
               f"energy.csv (E_lo = {report.lo_total:.6e})")

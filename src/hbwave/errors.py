@@ -118,3 +118,8 @@ class NoPeriodicAttractor(NumericalFailure):
 
 class StepRejected(NumericalFailure):
     pass
+
+
+class NonFiniteResult(NumericalFailure):
+    """A result value is not finite, so its file is not written; details
+    `file` and `term`."""

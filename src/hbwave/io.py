@@ -22,6 +22,7 @@ import numpy as np
 from .errors import (
     ConfigError,
     ConfigSyntaxError,
+    NonFiniteResult,
     TypeMismatch,
     UnknownKey,
 )
@@ -324,10 +325,27 @@ def _atomic_write(path: str, text: str):
         raise
 
 
+def _non_finite_term(header, row) -> str | None:
+    """The term of the row's first non-finite number, or None: the row's
+    text cells, or else the column at the row's first cell."""
+    for name, cell in zip(header, row):
+        if not (cell is None or isinstance(cell, str) or np.isfinite(cell)):
+            labels = [c for c in row if isinstance(c, str)]
+            return " ".join(labels) if labels else (
+                f"{name} at {header[0]} = {_format(row[0])}")
+    return None
+
+
 def write_csv(path: str, header, rows):
-    """Write rows of cells under a mandatory header, atomically, LF-only."""
+    """Write rows of cells under a mandatory header, atomically, LF-only.
+    A non-finite number raises NonFiniteResult before anything is written."""
     lines = [",".join(header)]
     for row in rows:
+        term = _non_finite_term(header, row)
+        if term is not None:
+            name = os.path.basename(path)
+            raise NonFiniteResult(f"{name}: {term} is not finite",
+                                  file=name, term=term)
         lines.append(",".join(_format(cell) for cell in row))
     _atomic_write(path, "\n".join(lines) + "\n")
 

@@ -112,17 +112,26 @@ def linear_solver(model: ValidatedModel, M: int):
     except SingularBlock as exc:
         raise SolveFailure(f"harmonic {exc.block} is singular (zero pivot)")
 
+    def fail(m: int, what: str):
+        cond = condition_estimate(bands[m])
+        raise SolveFailure(f"harmonic {m} {what} (1-norm cond ~ {cond:.3e})",
+                           condition_estimate=cond)
+
     def solve_checked(f: HarmonicField) -> HarmonicField:
         rhs = -op.restrict(f.coeffs)
         sol = solve(rhs)
+        if not np.isfinite(sol).all():
+            # an overflow spreads through the stacked solve to the other
+            # harmonics, so each one is judged by its own solve
+            for m in range(len(bands)):
+                if not (np.isfinite(rhs[m]).all() and np.isfinite(
+                        tridiagonal_solver(bands[m])(rhs[m])).all()):
+                    fail(m, "has a non-finite right-hand side or solution")
         res, scale = _residuals(bands, sol, rhs)
         # the first harmonic over tolerance, if any; a NaN residual fails too
         m = int(np.argmin(res <= RESIDUAL_RTOL * scale))
         if not res[m] <= RESIDUAL_RTOL * scale[m]:
-            cond = condition_estimate(bands[m])
-            raise SolveFailure(
-                f"harmonic {m} residual {res[m]:.3e} exceeds tolerance "
-                f"(1-norm cond ~ {cond:.3e})", condition_estimate=cond)
+            fail(m, f"residual {res[m]:.3e} exceeds tolerance")
         sol[0] = sol[0].real
         return HarmonicField(op.extend(sol))
     return solve_checked, partial(_relative_residual, op, bands)

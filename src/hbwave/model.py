@@ -20,8 +20,9 @@ from .errors import (
 
 TWO_PI = 2.0 * np.pi
 # fewest grid nodes: the energies' one-sided end stencils read four, and
-# between two Dirichlet ends scipy's ?gttrf, which the H^1-dual norm calls on
-# the interior nodes alone, fails below order 3
+# between two Dirichlet ends the H^1-dual norm factors the interior nodes
+# alone, which scipy's ?gttrf wrapper, the solve kernel's fallback, cannot do
+# below order 3
 MIN_NODES = 5
 
 

@@ -9,11 +9,16 @@ row 0 the super-diagonal, row 1 the diagonal, row 2 the sub-diagonal, with
 the unused corners [0, 0] and [2, -1] zero.  Assembling all M+1 harmonics,
 applying them and solving with them each cost O(M nx); every solve goes
 through `tridiagonal_solver` (LAPACK ?gttrf/?gttrs), and no nx x nx matrix
-is formed.  scipy.linalg is imported inside the functions that call it:
-it is most of the package's import time, and validation needs none of it.
+is formed.  The routines are the ones in the OpenBLAS that numpy's wheel
+bundles, called through ctypes and looked up on the first solve, so
+importing the package or validating a config loads no linear-algebra
+library beyond numpy.  A numpy without them falls back to scipy's wrappers
+of the same routines (`_FallbackFactors`), imported only then.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,14 +50,130 @@ class SingularBlock(np.linalg.LinAlgError):
         self.block = block
 
 
-def _gttrf(bands: np.ndarray, *names: str):
-    """LAPACK ?gttrf of one (3, n) band array: the routines `names` for its
-    dtype, the LU arrays and gttrf's info."""
-    import scipy.linalg
-    gttrf, *funcs = scipy.linalg.get_lapack_funcs(("gttrf",) + names,
-                                                  (bands,))
-    *lu, info = gttrf(bands[2, :-1], bands[1], bands[0, 1:])
-    return funcs, lu, info
+_TYPES = {np.dtype(np.float64): "d", np.dtype(np.complex128): "z"}
+_ROUTINES = ("gttrf", "gttrs", "gtcon")
+
+
+def _pointer(a: np.ndarray):
+    """A zero-length ctypes array over a C-contiguous array's buffer: as a
+    foreign-call argument it is the buffer's address, and it keeps a
+    reference to the array."""
+    return (ctypes.c_char * 0).from_buffer(a)
+
+
+def _int64_ref(value: int):
+    return ctypes.byref(ctypes.c_int64(value))
+
+
+# LAPACK's character arguments, and the hidden length gfortran appends
+_NORM_1, _NO_TRANSPOSE = ctypes.c_char_p(b"1"), ctypes.c_char_p(b"N")
+_CHAR_LEN = ctypes.c_size_t(1)
+
+
+@functools.cache
+def _bundled_lapack():
+    """numpy's own ?gttrf/?gttrs/?gtcon as {"dgttrf": function, ...}, or
+    None when numpy's library does not export them all.
+
+    numpy's Linux wheels link their core extension against a bundled ILP64
+    OpenBLAS, loaded with numpy, whose symbols carry a `scipy_` prefix and a
+    `_64_` suffix; the extension's handle finds them.  That layout is not a
+    numpy API: a numpy built against another BLAS falls back to
+    `_FallbackFactors`.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+        lib = ctypes.CDLL(_multiarray_umath.__file__)
+        funcs = {t + name: getattr(lib, f"scipy_{t}{name}_64_")
+                 for t in _TYPES.values() for name in _ROUTINES}
+    except (ImportError, OSError, AttributeError):
+        return None
+    # no argtypes: they would check only that each argument is a pointer,
+    # which _BundledFactors builds itself, and cost 3 us a solve at n = 129
+    for func in funcs.values():
+        func.restype = None
+    return funcs
+
+
+class _BundledFactors:
+    """?gttrf factors of one band array, by numpy's bundled LAPACK.
+
+    ctypes checks nothing, so the arguments are made safe here: the LU
+    arrays are this object's own contiguous copies in the routines' dtype,
+    and each solve checks the length of its right-hand side and copies it
+    into a fresh array of that dtype.  The pointers are bound once, into the
+    LU arrays, which this object and its bound methods keep alive.
+    """
+
+    def __init__(self, lapack, dl, d, du):
+        n, self.dtype = d.size, d.dtype
+        t = _TYPES[self.dtype]
+        self._gttrs, self._gtcon = lapack[t + "gttrs"], lapack[t + "gtcon"]
+        self.n, self._iwork = n, t == "d"       # only dgtcon takes IWORK
+        self.lu = (dl, d, du, np.zeros(max(n - 2, 0), self.dtype),
+                   np.zeros(n, np.int64))
+        self._lu = [_pointer(a) for a in self.lu]
+        self._n, self._ldb = _int64_ref(n), _int64_ref(max(n, 1))
+        info = ctypes.c_int64()
+        lapack[t + "gttrf"](self._n, *self._lu, ctypes.byref(info))
+        self.info = info.value
+        # what ?gttrs and ?gtcon report is 0: their arguments are valid
+        self._info = _int64_ref(0)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """?gttrs for (n,) or (n, k) right-hand sides b."""
+        # the one copy: C-ordered (k, n) is the Fortran (n, k) LAPACK reads
+        x = np.asarray(b).T.astype(self.dtype, order="C")
+        if x.ndim not in (1, 2) or x.shape[-1] != self.n:
+            raise ValueError(f"right-hand side of shape {np.shape(b)} for "
+                             f"a system of order {self.n}")
+        nrhs = _int64_ref(x.shape[0] if x.ndim == 2 else 1)
+        self._gttrs(_NO_TRANSPOSE, self._n, nrhs, *self._lu, _pointer(x),
+                    self._ldb, self._info, _CHAR_LEN)
+        return x.T
+
+    def rcond(self, anorm: float) -> float:
+        """?gtcon reciprocal 1-norm condition estimate, given the 1-norm."""
+        rcond = ctypes.c_double()
+        work = [np.zeros(2 * self.n, self.dtype)]
+        if self._iwork:
+            work.append(np.zeros(self.n, np.int64))
+        self._gtcon(_NORM_1, self._n, *self._lu,
+                    ctypes.byref(ctypes.c_double(anorm)), ctypes.byref(rcond),
+                    *map(_pointer, work), self._info, _CHAR_LEN)
+        return rcond.value
+
+
+class _FallbackFactors:
+    """The same factors by scipy's LAPACK wrappers, for a numpy without the
+    bundled routines; scipy's f2py checks the arguments itself."""
+
+    def __init__(self, dl, d, du):
+        import scipy.linalg
+        gttrf, self._gttrs, self._gtcon = scipy.linalg.get_lapack_funcs(
+            _ROUTINES, (d,))
+        *self.lu, self.info = gttrf(dl, d, du)
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        return self._gttrs(*self.lu, b)[0]
+
+    def rcond(self, anorm: float) -> float:
+        return self._gtcon(*self.lu, anorm)[0]
+
+
+def _gttrf(bands: np.ndarray):
+    """LAPACK ?gttrf of one (3, n) real or complex band array."""
+    dtype = np.result_type(bands.dtype, np.float64)
+    if bands.ndim != 2 or bands.shape[0] != 3 or dtype not in _TYPES:
+        raise ValueError(f"need (3, n) real or complex bands, got shape "
+                         f"{bands.shape} of {bands.dtype}")
+    # ?gttrf overwrites its arguments: it factors copies
+    dl, d, du = (np.array(a, dtype)
+                 for a in (bands[2, :-1], bands[1], bands[0, 1:]))
+    lapack = _bundled_lapack()
+    if lapack is None:
+        return _FallbackFactors(dl, d, du)
+    return _BundledFactors(lapack, dl, d, du)
 
 
 def tridiagonal_solver(bands: np.ndarray):
@@ -63,17 +184,19 @@ def tridiagonal_solver(bands: np.ndarray):
     sides, or a (K, 3, nr) stack of blocks with zero corners, whose solve
     takes (K, nr) right-hand sides.  The stack is factored as one matrix of
     order K nr.  That is exact: no entry couples two blocks, and LAPACK
-    eliminates nothing across a zero sub-diagonal, so each block's solution
-    is bit-identical to its own.  A zero pivot raises SingularBlock.
+    eliminates nothing across a zero sub-diagonal, so each block's finite
+    solution is bit-identical to its own.  (A block that overflows spreads
+    NaN to its neighbours, as 0 * inf at the zero corners.)  A zero pivot
+    raises SingularBlock.  The returned solve keeps the factors alive.
     """
     flat = bands if bands.ndim == 2 else (
         bands.transpose(1, 0, 2).reshape(3, -1))
-    (gttrs,), lu, info = _gttrf(flat, "gttrs")
-    if info > 0:
-        raise SingularBlock((info - 1) // bands.shape[-1])
+    factors = _gttrf(flat)
+    if factors.info > 0:
+        raise SingularBlock((factors.info - 1) // bands.shape[-1])
     if bands.ndim == 2:
-        return lambda rhs: gttrs(*lu, rhs)[0]
-    return lambda rhs: gttrs(*lu, rhs.reshape(-1))[0].reshape(rhs.shape)
+        return factors.solve
+    return lambda rhs: factors.solve(rhs.reshape(-1)).reshape(rhs.shape)
 
 
 def condition_estimate(bands: np.ndarray) -> float:
@@ -84,9 +207,8 @@ def condition_estimate(bands: np.ndarray) -> float:
     scale = np.abs(bands).max()
     if scale > 0:
         bands = bands / scale
-    (gtcon,), lu, _ = _gttrf(bands, "gtcon")
     # column j of the matrix is bands[:, j]; the corners are zero
-    rcond, _ = gtcon(*lu, np.abs(bands).sum(axis=0).max())
+    rcond = _gttrf(bands).rcond(np.abs(bands).sum(axis=0).max())
     return 1.0 / rcond if rcond > 0 else np.inf
 
 

@@ -1,9 +1,13 @@
 """The banded -Laplacian and harmonic systems against dense references
-built here from the finite-difference stencil."""
+built here from the finite-difference stencil, and the tridiagonal kernel
+against scipy's LAPACK wrappers."""
+import gc
+
 import numpy as np
 import pytest
 import scipy.linalg
 
+from hbwave import spatial
 from hbwave.linear import assemble_harmonic_system, solve_linear_mgt
 from hbwave.model import (
     BCKind,
@@ -143,3 +147,147 @@ def test_zero_pivot_names_its_block():
     with pytest.raises(SingularBlock) as info:
         tridiagonal_solver(bands)
     assert info.value.block == 2
+
+
+# --- the kernel against scipy's wrappers of the same LAPACK routines -------
+
+def _missing_library(path):
+    raise OSError(f"{path}: cannot open shared object file")
+
+
+def _library_without_symbols(path):
+    return object()
+
+
+@pytest.fixture(params=["bundled", "no library", "no symbol"])
+def backend(request, monkeypatch):
+    """The kernel as numpy's bundled LAPACK runs it, and the scipy fallback
+    that the loader takes when it finds no library or no symbol."""
+    if request.param != "bundled":
+        monkeypatch.setattr(spatial.ctypes, "CDLL", {
+            "no library": _missing_library,
+            "no symbol": _library_without_symbols}[request.param])
+    spatial._bundled_lapack.cache_clear()
+    yield request.param
+    spatial._bundled_lapack.cache_clear()
+
+
+def test_bundled_library_is_found():
+    # numpy's wheels bundle it; without it only the fallback would run
+    spatial._bundled_lapack.cache_clear()
+    assert spatial._bundled_lapack() is not None
+
+
+def test_fallback_backend_uses_scipy(backend):
+    expected = (spatial._BundledFactors if backend == "bundled"
+                else spatial._FallbackFactors)
+    assert isinstance(spatial._gttrf(np.ones((3, 4))), expected)
+
+
+def random_bands(rng, n, dtype, shape=()):
+    bands = rng.normal(size=shape + (3, n))
+    if dtype is complex:
+        bands = bands + 1j * rng.normal(size=shape + (3, n))
+    bands[..., 1, :] += 4.0      # keeps every block well conditioned
+    bands[..., 0, 0] = 0.0
+    bands[..., 2, -1] = 0.0
+    return bands
+
+
+def scipy_factors(bands):
+    gttrf, gttrs, gtcon = scipy.linalg.get_lapack_funcs(
+        ("gttrf", "gttrs", "gtcon"), (bands,))
+    *lu, info = gttrf(bands[2, :-1], bands[1], bands[0, 1:])
+    return lu, gttrs, gtcon
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_solve_is_bit_identical_to_scipy(backend, dtype):
+    rng = np.random.default_rng(30)
+    bands = random_bands(rng, 40, dtype)
+    lu, gttrs, _ = scipy_factors(bands)
+    solve = tridiagonal_solver(bands)
+    for shape in ((40,), (40, 3)):
+        rhs = rng.normal(size=shape) + (
+            1j * rng.normal(size=shape) if dtype is complex else 0.0)
+        x = solve(rhs)
+        assert x.dtype == bands.dtype and x.shape == shape
+        np.testing.assert_array_equal(x, gttrs(*lu, rhs)[0])
+    # a real right-hand side is cast to the bands' dtype, as scipy does
+    rhs = rng.normal(size=40)
+    np.testing.assert_array_equal(solve(rhs), gttrs(*lu, rhs)[0])
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_stacked_solve_is_bit_identical_to_scipy(backend, dtype):
+    rng = np.random.default_rng(31)
+    stack = random_bands(rng, 17, dtype, shape=(9,))
+    rhs = rng.normal(size=(9, 17)) + 1j * rng.normal(size=(9, 17))
+    if dtype is float:
+        rhs = rhs.real
+    separate = [gttrs(*lu, rhs[m])[0]
+                for m, (lu, gttrs, _) in enumerate(map(scipy_factors, stack))]
+    np.testing.assert_array_equal(tridiagonal_solver(stack)(rhs), separate)
+
+
+def test_zero_pivot_names_its_block_in_either_backend(backend):
+    bands = random_bands(np.random.default_rng(32), 6, complex, shape=(5,))
+    bands[3] = 0.0
+    with pytest.raises(SingularBlock) as info:
+        tridiagonal_solver(bands)
+    assert info.value.block == 3
+
+
+def test_condition_estimate_matches_scipy(backend):
+    # 120 random matrices: the estimates agree to 1 ulp, the BLAS
+    # reductions of the two OpenBLAS builds being summed differently
+    rng = np.random.default_rng(33)
+    for k in range(120):
+        dtype = complex if k % 2 else float
+        bands = random_bands(rng, 5 + k, dtype)
+        bands[1] -= 4.0 * rng.uniform()     # some are ill conditioned
+        scaled = bands / np.abs(bands).max()
+        lu, _, gtcon = scipy_factors(scaled)
+        rcond = gtcon(*lu, np.abs(scaled).sum(axis=0).max())[0]
+        np.testing.assert_allclose(condition_estimate(bands), 1.0 / rcond,
+                                   rtol=1e-15)
+
+
+def test_singular_condition_estimate_is_inf(backend):
+    bands = random_bands(np.random.default_rng(34), 8, float)
+    bands[:, 4] = 0.0
+    bands[0, 5] = bands[2, 3] = 0.0     # row and column 4 are zero
+    assert condition_estimate(bands) == np.inf
+
+
+def test_solve_keeps_its_factors_alive():
+    # ctypes holds raw pointers into the LU arrays; the returned solve must
+    # own them, or a solve after a collection reads freed memory
+    rng = np.random.default_rng(35)
+    for dtype, shape in ((float, ()), (complex, ()), (complex, (4,))):
+        bands = random_bands(rng, 64, dtype, shape)
+        rhs = rng.normal(size=shape + (64,))
+        expected = tridiagonal_solver(bands.copy())(rhs)
+        solve = tridiagonal_solver(bands.copy())
+        del bands
+        gc.collect()
+        # reuse the freed memory, if any, with other values
+        junk = [np.full(64 * 3, np.nan) for _ in range(64)]
+        np.testing.assert_array_equal(solve(rhs), expected)
+        del junk
+
+
+@pytest.mark.parametrize("bands, rhs", [
+    (np.ones((2, 5)), np.ones(5)),          # not three bands
+    (np.ones((3, 5), dtype=np.longdouble), np.ones(5)),
+    (np.ones((3, 5)), np.ones(4)),          # a right-hand side too short
+    (np.ones((3, 5)), np.ones((6, 2))),
+    (np.ones((3, 5)), np.ones((5, 2, 2))),
+    (np.ones((3, 5)), np.float64(1.0)),
+])
+def test_bad_shapes_raise_instead_of_reaching_lapack(bands, rhs):
+    bands = bands.copy()
+    if bands.shape[0] == 3:
+        bands[1] = 4.0
+    with pytest.raises(ValueError):
+        tridiagonal_solver(bands)(rhs)

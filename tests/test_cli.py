@@ -4,6 +4,7 @@ import subprocess
 import sys
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -338,20 +339,55 @@ def test_unusable_output_dir_exits_two_with_one_line(config, tmp_path,
     assert blocker.read_text() == ""
 
 
-def test_validate_runs_without_scipy(config, tmp_path):
-    # scipy.linalg is most of the start-up time; only solves import it
+@pytest.mark.parametrize("verb", ["validate", "solve", "energy", "sweep-tau",
+                                  "deriv-check", "oracle-compare",
+                                  "converge"])
+def test_no_verb_imports_scipy(config, tmp_path, verb):
+    # importing scipy.linalg would take longer than most of these runs; the
+    # solves call the LAPACK routines that numpy bundles
     script = ("import sys\n"
               "from hbwave.cli import run_command\n"
               "assert 'scipy' not in sys.modules\n"
-              "code = run_command(['validate'] + sys.argv[1:])\n"
+              "code = run_command(sys.argv[1:])\n"
               "assert code == 0, code\n"
-              "assert 'scipy' not in sys.modules, 'validate imported scipy'\n")
+              "assert 'scipy' not in sys.modules, 'the verb imported scipy'\n")
     src = os.path.dirname(os.path.dirname(hbwave.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
-        [sys.executable, "-c", script, config, "-o", str(tmp_path / "out")],
-        env=env, capture_output=True, text=True, timeout=60)
+        [sys.executable, "-c", script, verb, config, "-o",
+         str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_overflowing_forcing_names_its_harmonic(config, tmp_path):
+    # the forcing lives in harmonic 1; an overflow there once reached the
+    # other harmonics and harmonic 0 was blamed
+    with np.errstate(all="ignore"):
+        code, out = run(config, tmp_path, "solve", "-s", "solver.kind=linear",
+                        "-s", "forcing.amplitude_1=1e308")
+    assert code == 2
+    with open(os.path.join(out, "error.json")) as fh:
+        record = json.load(fh)
+    assert record["kind"] == "SolveFailure"
+    assert record["message"].startswith(
+        "harmonic 1 has a non-finite right-hand side or solution")
+    assert 1 < record["condition_estimate"] < np.inf
+
+
+@pytest.mark.parametrize("verb", ["solve", "energy"])
+def test_non_finite_energy_fails_and_writes_no_result(config, tmp_path,
+                                                      verb):
+    # a finite forcing whose energies overflow: each term squares u ~ 1e158
+    with np.errstate(all="ignore"):
+        code, out = run(config, tmp_path, verb, "-s", "solver.kind=linear",
+                        "-s", "forcing.amplitude_1=1e160")
+    assert code == 2
+    assert os.listdir(out) == ["error.json"]
+    with open(os.path.join(out, "error.json")) as fh:
+        record = json.load(fh)
+    assert record["kind"] == "NonFiniteResult"
+    assert (record["file"], record["term"]) == ("energy.csv", "uttt_dual lo")
 
 
 def test_unexpected_error_exits_two_with_record(config, tmp_path,
@@ -422,6 +458,19 @@ ERROR_CLASSES = {name: cls for name, cls in vars(errors).items()
                  and issubclass(cls, errors.HbwaveError)}
 
 
+def assert_cells_finite(path):
+    """Every cell of a written CSV that reads as a number is finite."""
+    with open(path) as fh:
+        cells = ",".join(fh.read().splitlines()[1:]).split(",")
+    numbers = []
+    for cell in cells:
+        try:
+            numbers.append(float(cell))
+        except ValueError:      # a term name or a level
+            pass
+    assert numbers and np.isfinite(numbers).all(), path
+
+
 def _fuzz_override(key):
     if key in SIZE_VALUES:
         return st.tuples(st.just(key), st.sampled_from(SIZE_VALUES[key]))
@@ -435,15 +484,20 @@ def _fuzz_override(key):
                 min_size=1, max_size=3))
 # the one-sided end stencils of the energies read v[..., 3]
 @example([("domain.nx", "3")])
-# the H^1-dual norm factors the two interior nodes: scipy's ?gttrf fails
+# the H^1-dual norm factors the two interior nodes, which scipy's ?gttrf
+# wrapper, the kernel's fallback, cannot do
 @example([("domain.nx", "4")])
 # gamma^2 of the energies' trace term overflows a Python float
 @example([("bc.right.kind", "absorbing"), ("bc.right.beta", "1"),
           ("bc.right.gamma", "1.35e154")])
+# the overflow of harmonic 1 reached the others, and harmonic 0 was blamed
+@example([("solver.kind", "linear"), ("forcing.amplitude_1", "1e308")])
+# the solve succeeds, and the energies, which square u, overflow
+@example([("solver.kind", "linear"), ("forcing.amplitude_1", "1e160")])
 def test_solve_exits_with_outputs_or_an_error_class(overrides):
-    """solve exits 0 with all its outputs, or with the exit code of an
-    hbwave error class and its error.json; never through the last-resort
-    handler."""
+    """solve exits 0 with all its outputs, every number in them finite, or
+    with the exit code of an hbwave error class and its error.json; never
+    through the last-resort handler."""
     with tempfile.TemporaryDirectory() as tmp:
         config = os.path.join(tmp, "run.ini")
         with open(config, "w") as fh:
@@ -456,6 +510,8 @@ def test_solve_exits_with_outputs_or_an_error_class(overrides):
         written = set(os.listdir(out))
         if code == 0:
             assert written == {"solution.csv", "energy.csv", "run_info.json"}
+            for name in ("solution.csv", "energy.csv"):
+                assert_cells_finite(os.path.join(out, name))
         else:
             assert written == {"error.json"}
             with open(os.path.join(out, "error.json")) as fh:

@@ -4,10 +4,12 @@ import pytest
 from hbwave.errors import (
     ConfigError,
     ConfigSyntaxError,
+    NonFiniteResult,
     TypeMismatch,
     UnknownKey,
 )
 from hbwave.io import (
+    _format,
     apply_overrides,
     build_setup,
     parse_config,
@@ -145,11 +147,14 @@ def _field_with_special_values(M, nx, seed):
 
 
 def _reference_solution_csv(path, u, grid):
-    # reference: one write_csv row per (m, j), every cell through
-    # write_csv's own per-cell formatting
+    # reference: one row per (m, j), every cell through write_csv's own
+    # per-cell formatting (write_csv itself refuses non-finite cells)
     rows = [(m, j, grid.nodes[j], u.coeffs[m, j].real, u.coeffs[m, j].imag)
             for m in range(u.M + 1) for j in range(u.nx)]
-    write_csv(path, ("m", "node_index", "x", "re", "im"), rows)
+    lines = ["m,node_index,x,re,im"] + [",".join(_format(c) for c in row)
+                                        for row in rows]
+    with open(path, "w", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 @pytest.mark.parametrize("M, nx", [(1, 17), (8, 33)])
@@ -224,6 +229,23 @@ def test_none_serialized_as_empty_cell(tmp_path):
     path = tmp_path / "out.csv"
     write_csv(str(path), ("a", "b"), [(None, 1)])
     assert path.read_text() == "a,b\n,1\n"
+
+
+@pytest.mark.parametrize("header, rows, term", [
+    (("term_name", "level", "value"),
+     [("u_h1h1", "lo", 1.0), ("utt_l2", "me", np.inf)], "utt_l2 me"),
+    (("metric", "value"), [("discrepancy", np.nan)], "discrepancy"),
+    (("tau", "d_lo", "rate"), [(0.1, 2e-3, None), (0.05, 1e-3, -np.inf)],
+     "rate at tau = 0.050000000000000003"),
+])
+def test_non_finite_cell_fails_and_nothing_is_written(tmp_path, header, rows,
+                                                      term):
+    path = tmp_path / "out.csv"
+    with pytest.raises(NonFiniteResult) as info:
+        write_csv(str(path), header, rows)
+    assert (info.value.file, info.value.term) == ("out.csv", term)
+    assert info.value.exit_code == 2
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_seventeen_digit_round_trip(tmp_path):

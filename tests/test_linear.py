@@ -108,10 +108,10 @@ def test_singular_harmonic_raises_solve_failure():
         solve_linear_mgt(f, model)
 
 
-def test_nan_residual_fails_the_check_and_names_the_harmonic():
+def test_overflowed_solution_fails_the_check_and_names_the_harmonic():
     # built directly to skip validation, which rejects a subnormal c2: the
-    # mean-mode solution overflows and its re-substitution residual is NaN.
-    # At nx=4097 the O(nx) condition estimate returns at once.
+    # mean-mode solution overflows, which fails before the residual is
+    # compared.  At nx=4097 the O(nx) condition estimate returns at once.
     grid = Grid(1.0, 4097)
     params = PhysicalParams.create(grid, tau=0.1, taubar=0.5, b=1.0,
                                    c2=1e-310, T=2 * np.pi)
@@ -119,11 +119,34 @@ def test_nan_residual_fails_the_check_and_names_the_harmonic():
     f = HarmonicField.zeros(1, grid.nx)
     f.coeffs[0] = 1.0
     with np.errstate(all="ignore"):
-        with pytest.raises(SolveFailure, match="harmonic 0 residual") as info:
+        with pytest.raises(SolveFailure,
+                           match="harmonic 0 has a non-finite") as info:
             solve_linear_mgt(f, model)
     # A_0 = c2 (-Lap) has 1-norm condition (4 / h^2) (1 / 8) = 8.39e6
     assert info.value.condition_estimate == pytest.approx(
         0.5 / grid.h**2, rel=1e-6)
+
+
+def test_overflow_in_one_harmonic_names_that_harmonic():
+    # the forcing lives in harmonic 1 alone; its solution overflows, and the
+    # stacked solve spreads NaN to harmonics 0 and 2 through the zero
+    # corners (0 * inf), so the check solves each harmonic alone
+    model = make_model(nx=33)
+    f = HarmonicField.zeros(2, model.grid.nx)
+    f.coeffs[1] = 1e308 * np.sin(np.pi * model.grid.nodes)
+    with np.errstate(all="ignore"):
+        with pytest.raises(SolveFailure, match="harmonic 1 has a non-finite "
+                           "right-hand side or solution") as info:
+            solve_linear_mgt(f, model)
+    assert 1 < info.value.condition_estimate < np.inf
+
+
+def test_non_finite_right_hand_side_names_its_harmonic():
+    model = make_model(nx=33)
+    f = HarmonicField.zeros(3, model.grid.nx)
+    f.coeffs[2, 5] = np.nan
+    with pytest.raises(SolveFailure, match="harmonic 2 has a non-finite"):
+        solve_linear_mgt(f, model)
 
 
 def test_zero_pivot_names_its_harmonic():
