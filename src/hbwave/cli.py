@@ -44,6 +44,11 @@ from .studies import (
 VERBS = ("solve", "sweep-tau", "energy", "deriv-check", "converge",
          "oracle-compare", "validate")
 
+# the characters str.splitlines breaks at, escaped in the one stderr line
+# of a failure, whose message may quote them from the input
+_LINE_BREAKS = {ord(c): repr(c)[1:-1]
+                for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
 
 def _parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
@@ -146,9 +151,12 @@ def run_command(argv) -> int:
     out = args.output_dir
     try:
         os.makedirs(out, exist_ok=True)
-        raw = apply_overrides(parse_config(args.config), args.overrides)
-        setup = build_setup(raw, args.config)
-        extra = _run_verb(args.verb, setup, out)
+        # numpy stays quiet: a non-finite value fails the finiteness check
+        # of a solve or a result file, whose error is the one stderr line
+        with np.errstate(all="ignore"):
+            raw = apply_overrides(parse_config(args.config), args.overrides)
+            setup = build_setup(raw, args.config)
+            extra = _run_verb(args.verb, setup, out)
     except Exception as exc:
         # an error outside the taxonomy is a bug: its record keeps the
         # traceback for a bug report instead of printing it on stderr
@@ -156,7 +164,8 @@ def run_command(argv) -> int:
                    else {"traceback": traceback.format_exc()})
         if os.path.isdir(out):      # else there is nowhere to leave it
             write_error_record(out, exc, **details)
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        print(f"error: {type(exc).__name__}: {exc}".translate(_LINE_BREAKS),
+              file=sys.stderr)
         return getattr(exc, "exit_code", 2)
     write_run_info(out, args.verb, args.config, args.overrides, extra)
     return 0

@@ -80,11 +80,21 @@ def assemble_harmonic_system(model: ValidatedModel, M: int):
 
 
 def _residuals(bands: np.ndarray, x: np.ndarray, rhs: np.ndarray):
-    """Re-substitution residual ||A_m x_m - rhs_m|| per m, and its scale."""
-    res = np.linalg.norm(band_product(bands, x) - rhs, axis=-1)
-    one_norms = np.abs(bands).sum(axis=-2).max(axis=-1)
-    scale = (one_norms * np.linalg.norm(x, axis=-1)
-             + np.linalg.norm(rhs, axis=-1))
+    """Re-substitution residual ||A_m x_m - rhs_m|| per m, and its scale.
+
+    A square in the norms overflows once rhs passes about 1e154; then both
+    are taken again with rhs divided by its largest entry, and x, which is
+    about A^-1 rhs, with it.  Scaling only then keeps the common case free
+    of the extra passes and temporaries."""
+    with np.errstate(all="ignore"):
+        res = np.linalg.norm(band_product(bands, x) - rhs, axis=-1)
+        one_norms = np.abs(bands).sum(axis=-2).max(axis=-1)
+        scale = (one_norms * np.linalg.norm(x, axis=-1)
+                 + np.linalg.norm(rhs, axis=-1))
+    if np.isinf(scale).any():
+        s = np.abs(rhs).max()
+        if 1.0 < s < np.inf:        # after one division s is 1
+            return _residuals(bands, x / s, rhs / s)
     return res, scale
 
 

@@ -4,6 +4,7 @@ independent time-stepping oracle for the periodic attractor.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -202,105 +203,127 @@ class _Oracle:
     """Implicit-midpoint integrator on the reduced (non-Dirichlet) nodes.
 
     The state has one row per derivative: (u, u_t, u_tt) when tau > 0,
-    (u, u_t) when tau = 0.  Each stage eliminates the lower derivatives, so
-    its unknown is the midpoint z of the top one, with v_mid = v + h z and
-    u_mid = u + h v_mid (h = dt/2), and its linear part is one tridiagonal
-    system K z = rhs, factored once.  The nonlinear terms are taken at the
-    previous stage iterate's midpoint and iterated to STAGE_TOL.
+    (u, u_t) when tau = 0.  A step's one unknown is the stage value z, the
+    midpoint of the top derivative: v_mid = v + h z and u_mid = u + h v_mid
+    when tau > 0, u_mid = u + h z when tau = 0 (h = dt/2).  The new state is
+    twice the midpoint minus the old one.  The stage's linear part is one
+    tridiagonal system K z = rhs, factored once; the nonlinear terms are
+    taken at the previous iterate's midpoint and iterated on z to STAGE_TOL,
+    from the extrapolated start 2 w - z_prev (w the top derivative of the
+    state, z_prev the previous step's stage value), or from w on a first
+    step.  The linear kind's stage is linear: one solve.
+
+    The forcing is T-periodic and dt = T / n_steps, so the forcing at the
+    midpoint of each step of a period is tabulated once, and so are the
+    bands of the z-free linear terms, one per state row.
     """
 
     MAX_STAGE_ITER = 50
     STAGE_TOL = 1e-13
 
     def __init__(self, f: HarmonicField, model: ValidatedModel, kind: str,
-                 dt: float):
+                 n_steps: int):
         self.model = model
         self.kind = kind
-        self.dt = dt
         p = model.params
-        self.tau = p.tau
+        self.tau = tau = p.tau
+        self.dt = dt = p.T / n_steps
+        h = 0.5 * dt
         self.op = op = assemble_laplacian(model.grid, model.bc_left,
                                           model.bc_right, 0, p.omega)
-        self.nr = len(op.active)
+        self.nr = nr = len(op.active)
         # discrete Laplacian split: lap(u, u_t) = L u + d_beta * u_t
-        self.L = -op.bands.real
-        self.d_beta = d_beta = np.zeros(self.nr)
+        L = -op.bands.real
+        d_beta = np.zeros(nr)
         for pos, bc in ((0, model.bc_left), (-1, model.bc_right)):
             if not bc.is_dirichlet:
                 d_beta[pos] = -2.0 * bc.beta / model.grid.h
-        self.b = b = p.b[op.active]
-        self.c2 = c2 = p.c2[op.active]
-        self.eta = p.eta[op.active]
-        self.eta_tilde = p.eta_tilde[op.active]
-        self.f0, self.fm = f.coeffs[0, op.active].real, f.coeffs[1:, op.active]
-        self.phase_rate = 1j * np.arange(1, f.M + 1) * p.omega
+        b, c2 = p.b[op.active], p.c2[op.active]
+        self.two_eta = 2.0 * p.eta[op.active]
+        self.two_eta_tilde = 2.0 * p.eta_tilde[op.active]
 
-        # the z terms of the top equation at the stage midpoint
-        hs = 0.5 * dt
-        if self.tau > 0:
-            K = scale_rows(self.L, -(hs * hs * c2 + hs * b))
-            K[1] += self.tau / hs + 1.0 - (hs * c2 + b) * d_beta
+        # the forcing at t = (j + 1/2) dt, real: f_0 + 2 Re(e^{i m w t} f_m)
+        mwt = np.outer((np.arange(n_steps) + 0.5) * dt,
+                       np.arange(1, f.M + 1) * p.omega)
+        fm = 2.0 * op.restrict(f.coeffs[1:])
+        # f_0 added in place: the table is the one array of its size
+        self.forcing = (np.hstack([np.cos(mwt), -np.sin(mwt)])
+                        @ np.vstack([fm.real, fm.imag]))
+        self.forcing += op.restrict(f.coeffs[0].real)
+
+        # the top equation: K z = (the z-free linear terms) - rest, with the
+        # z-free terms the sum over state rows k of lin_k y_k
+        lin = np.zeros((3 if tau > 0 else 2, 3, nr))
+        lin[0] = scale_rows(L, c2)
+        if tau > 0:
+            lin[1] = scale_rows(L, h * c2 + b)
+            lin[1, 1] += c2 * d_beta
+            lin[2, 1] = tau / h
+            K = scale_rows(L, -(h * h * c2 + h * b))
+            K[1] += tau / h + 1.0 - (h * c2 + b) * d_beta
+            # the midpoint is affine in z: mid = P y + g z
+            self.P = np.array([[1.0, h, 0.0], [0.0, 1.0, 0.0], [0.0] * 3])
+            self.g = np.array([h * h, h, 1.0])
         else:
-            K = scale_rows(self.L, -(hs * c2 + b))
-            K[1] += (1.0 - b * d_beta) / hs - c2 * d_beta
+            lin[1, 1] = (1.0 - b * d_beta) / h
+            K = scale_rows(L, -(h * c2 + b))
+            K[1] += (1.0 - b * d_beta) / h - c2 * d_beta
+            self.P = np.array([[1.0, 0.0], [0.0, 0.0]])
+            self.g = np.array([h, 1.0])
+            # u_tt solves (1 + da - b d_beta) u_tt
+            #   = lap_u u + lap_v u_t - r_nl - forcing
+            self.lap_u = lin[0]
+            self.lap_v = scale_rows(L, b)
+            self.lap_v[1] += c2 * d_beta
+            self.one_bd = 1.0 - b * d_beta
+        # the rows' blocks side by side, whose zero corners keep them apart
+        self.lin_bands = lin.transpose(1, 0, 2).reshape(3, -1)
+        # y_new = 2 mid - y, so |y_new - y_new'| = dz_gain |z - z'|
+        self.dz_gain = 2.0 * np.sqrt(self.g @ self.g)
         self.solve_stage = tridiagonal_solver(K)
 
-    def _forcing(self, t: float) -> np.ndarray:
-        phases = np.exp(self.phase_rate * t)
-        return self.f0 + 2.0 * np.einsum("m,mj->j", phases, self.fm).real
-
-    def _lap(self, u, v):
-        return band_product(self.L, u) + self.d_beta * v
-
-    def _nonlinear_rest(self, u, v):
-        """(alpha - 1, r_nl) of the current state."""
+    def _rest(self, mid: np.ndarray, forcing: np.ndarray):
+        """(alpha - 1) u_tt + r_nl at the stage midpoint: the nonlinear
+        terms K leaves out; None for the linear kind, which has none."""
+        u, v = mid[0], mid[1]
         if self.kind == "westervelt":
-            return 2.0 * self.eta * u, 2.0 * self.eta * v**2
-        if self.kind == "kuznetsov":
-            grid = self.model.grid
-            gu = self.op.restrict(
-                gradient(self.op.extend(u).real, grid)).real
-            gv = self.op.restrict(
-                gradient(self.op.extend(v).real, grid)).real
-            return 2.0 * self.eta_tilde * v, 2.0 * gu * gv
-        zero = np.zeros(self.nr)
-        return zero, zero
-
-    def _rest(self, y_mid: np.ndarray, forcing: np.ndarray) -> np.ndarray:
-        """(alpha - 1) u_tt + r_nl + forcing: what K leaves out."""
-        u, v = y_mid[0], y_mid[1]
-        da, r_nl = self._nonlinear_rest(u, v)
-        # at tau = 0, w solves (1 + da - b d_beta) w = b lap v + c2 lap u - r
-        w = y_mid[2] if self.tau > 0 else (
-            (self.c2 * self._lap(u, v) + self.b * band_product(self.L, v)
-             - r_nl - forcing) / (1.0 + da - self.b * self.d_beta))
-        return da * w + r_nl + forcing
-
-    def step(self, y: np.ndarray, t: float) -> np.ndarray:
-        dt, h, b, c2 = self.dt, 0.5 * self.dt, self.b, self.c2
-        forcing = self._forcing(t + h)   # fixed within the step
-        # the top equation's linear terms free of z, fixed within the step
-        if self.tau > 0:
-            u, v, w = y
-            rhs_lin = ((self.tau / h) * w + c2 * self._lap(u + h * v, v)
-                       + b * band_product(self.L, v))
+            da, r_nl = self.two_eta * u, self.two_eta * v * v
+        elif self.kind == "kuznetsov":
+            full = np.zeros((2, self.model.grid.nx))   # Dirichlet nodes 0
+            full[:, self.op.active] = u, v
+            gu, gv = gradient(full, self.model.grid)[:, self.op.active]
+            da, r_nl = self.two_eta_tilde * v, 2.0 * gu * gv
         else:
-            u, v = y
-            rhs_lin = ((1.0 - b * self.d_beta) / h * v
-                       + c2 * band_product(self.L, u))
-        y_new = y.copy()
+            return None
+        utt = mid[2] if self.tau > 0 else (
+            (band_product(self.lap_u, u) + band_product(self.lap_v, v)
+             - r_nl - forcing) / (self.one_bd + da))
+        return da * utt + r_nl
+
+    def step(self, y: np.ndarray, j: int, z_prev: np.ndarray | None = None):
+        """One step from state y over step j of a period, whose midpoint is
+        at (j + 1/2) dt modulo T; z_prev is the previous step's stage value,
+        or None.  Returns the new state and this step's stage value."""
+        forcing = self.forcing[j]
+        # K z = rhs - rest, rhs = sum over rows k of lin_k y_k - forcing
+        r = band_product(self.lin_bands, y.reshape(-1)).reshape(y.shape)
+        rhs = sum(r) - forcing
+        m0, g = self.P @ y, self.g[:, None]
+        z = y[-1] if z_prev is None else 2.0 * y[-1] - z_prev
+        mid = m0 + g * z
         for _ in range(self.MAX_STAGE_ITER):
-            z = self.solve_stage(
-                rhs_lin - self._rest(0.5 * (y + y_new), forcing))
-            if self.tau > 0:
-                cand = np.array([u + dt * (v + h * z), v + dt * z, 2 * z - w])
-            else:
-                cand = np.array([u + dt * z, 2 * z - v])
-            delta = np.linalg.norm(cand - y_new)
-            y_new = cand
-            if delta <= self.STAGE_TOL * (np.linalg.norm(y_new) + 1.0):
-                return y_new
-        raise StepRejected(f"implicit stage did not converge at t={t:.6g}")
+            rest = self._rest(mid, forcing)
+            # without nonlinear terms the stage is linear: one solve
+            z_new = self.solve_stage(rhs if rest is None else rhs - rest)
+            dz = z_new - z
+            z, mid = z_new, m0 + g * z_new
+            y_new = 2.0 * mid - y
+            if rest is None or (
+                    self.dz_gain * math.sqrt(dz @ dz) <= self.STAGE_TOL
+                    * (math.sqrt(np.vdot(y_new, y_new)) + 1.0)):
+                return y_new, z
+        raise StepRejected(f"implicit stage did not converge in step {j} "
+                           "of the period")
 
 
 def time_stepping_oracle(f: HarmonicField, model: ValidatedModel, kind: str,
@@ -310,20 +333,17 @@ def time_stepping_oracle(f: HarmonicField, model: ValidatedModel, kind: str,
     state repeats over a period; return the last period sampled onto the
     uniform time grid plus the final periodicity gap."""
     p = model.params
-    T = p.T
-    if dt is None:
-        dt = T / 512
-    n_steps = int(round(T / dt))
-    dt = T / n_steps
-    oracle = _Oracle(f, model, kind, dt)
+    # the step is T / n_steps, the nearest to dt
+    n_steps = 512 if dt is None else int(round(p.T / dt))
+    oracle = _Oracle(f, model, kind, n_steps)
     y = np.zeros((3 if p.tau > 0 else 2, oracle.nr))
+    z = None
     y_prev = y.copy()
     gaps = []
     converged = False
     for k in range(1, max_periods + 1):
-        t0 = (k - 1) * T
         for j in range(n_steps):
-            y = oracle.step(y, t0 + j * dt)
+            y, z = oracle.step(y, j, z)
         norm = np.linalg.norm(y)
         gap = (np.linalg.norm(y - y_prev) / norm) if norm > 0 else 0.0
         gaps.append(gap)
@@ -337,10 +357,9 @@ def time_stepping_oracle(f: HarmonicField, model: ValidatedModel, kind: str,
             f"{max_periods} periods", gaps=gaps)
 
     values = np.zeros((n_steps, model.grid.nx))
-    t0 = k * T
     for j in range(n_steps):
         values[j] = oracle.op.extend(y[0]).real
-        y = oracle.step(y, t0 + j * dt)
+        y, z = oracle.step(y, j, z)
     return TimeField(values), gaps[-1]
 
 
@@ -353,8 +372,15 @@ def oracle_discrepancy(u_hb: HarmonicField, oracle_tf: TimeField,
     nt = oracle_tf.nt
     hb = to_time_samples(u_hb, nt).values
     w = model.grid.trapezoid_weights()
-    diff = float(np.sum((hb - oracle_tf.values) ** 2 * w[None, :]))
-    ref = float(np.sum(hb**2 * w[None, :]))
+    # squared and weighted in place, in one temporary of the trajectories'
+    # size: each further one adds its size to the verb's peak memory
+    sq = hb - oracle_tf.values
+    sq *= sq
+    sq *= w
+    diff = float(np.sum(sq))
+    np.multiply(hb, hb, out=sq)
+    sq *= w
+    ref = float(np.sum(sq))
     if ref == 0.0:
         return float(np.sqrt(diff))
     return float(np.sqrt(diff / ref))

@@ -1,8 +1,11 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +15,9 @@ from hypothesis import strategies as st
 import hbwave
 from hbwave import errors
 from hbwave.cli import run_command
-from hbwave.io import _SCHEMA, read_solution_csv
+from hbwave.io import (_SCHEMA, apply_overrides, build_setup, parse_config,
+                       read_solution_csv)
+from hbwave.linear import RESIDUAL_RTOL
 from hbwave.nonlinear import solve
 
 CONFIG = """\
@@ -494,10 +499,17 @@ def _fuzz_override(key):
 @example([("solver.kind", "linear"), ("forcing.amplitude_1", "1e308")])
 # the solve succeeds, and the energies, which square u, overflow
 @example([("solver.kind", "linear"), ("forcing.amplitude_1", "1e160")])
+# the squares in the re-substitution norms overflowed
+@example([("solver.kind", "linear"), ("forcing.amplitude_1", "1e200")])
+# a message that quotes a line break from the input
+@example([("physics.b", "0\r0")])
+@example([("physics.b", "0\n0")])
 def test_solve_exits_with_outputs_or_an_error_class(overrides):
-    """solve exits 0 with all its outputs, every number in them finite, or
-    with the exit code of an hbwave error class and its error.json; never
-    through the last-resort handler."""
+    """solve exits 0 with all its outputs, every number in them finite, and
+    nothing on stderr, or with the exit code of an hbwave error class, its
+    error.json and one stderr line; never through the last-resort handler.
+    A warning counts as a stderr line: pytest records the warnings that a
+    plain run prints there."""
     with tempfile.TemporaryDirectory() as tmp:
         config = os.path.join(tmp, "run.ini")
         with open(config, "w") as fh:
@@ -506,7 +518,13 @@ def test_solve_exits_with_outputs_or_an_error_class(overrides):
         argv = ["solve", config, "-o", out]
         for key, value in overrides:
             argv += ["-s", f"{key}={value}"]
-        code = run_command(argv)
+        stderr = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(stderr):
+            warnings.simplefilter("always")
+            code = run_command(argv)
+        lines = stderr.getvalue().splitlines() + [str(w) for w in caught]
+        assert len(lines) == (0 if code == 0 else 1), lines
         written = set(os.listdir(out))
         if code == 0:
             assert written == {"solution.csv", "energy.csv", "run_info.json"}
@@ -519,3 +537,18 @@ def test_solve_exits_with_outputs_or_an_error_class(overrides):
             assert record["kind"] in ERROR_CLASSES, record
             assert "traceback" not in record
             assert code == ERROR_CLASSES[record["kind"]].exit_code
+
+
+def test_huge_forcing_keeps_the_residual_check_finite(tmp_path):
+    """A right-hand side beyond about 1e154 overflowed the norms of the
+    re-substitution check, which then passed whatever the residual, and
+    the report's residual read inf / inf = nan."""
+    config = tmp_path / "run.ini"
+    config.write_text(SOLVE_CONFIG)
+    raw = apply_overrides(parse_config(str(config)), [
+        "solver.kind=linear", "forcing.amplitude_1=1e200"])
+    setup = build_setup(raw, str(config))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = solve(setup.f, setup.model, setup.solver_kind)
+    assert 0 <= report.final_residual <= RESIDUAL_RTOL

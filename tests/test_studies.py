@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from hbwave.diagnostics import compute_energies, energy_ratios
-from hbwave.errors import NoPeriodicAttractor, UnknownCase
+from hbwave.errors import NoPeriodicAttractor, StepRejected, UnknownCase
 from hbwave.linear import solve_linear_mgt
 from hbwave.model import (
     BCKind,
@@ -13,6 +13,7 @@ from hbwave.model import (
     validate_model,
 )
 from hbwave.nonlinear import FixedPointOptions, fixed_point_solve, solve
+from hbwave import studies
 from hbwave.spatial import assemble_laplacian
 from hbwave.studies import (
     _Oracle,
@@ -270,27 +271,38 @@ def test_oracle_tau_zero_path():
     assert oracle_discrepancy(u, tf, model) < 1e-3
 
 
+def dense_laplacian(model):
+    """The non-Dirichlet nodes, the dense discrete Laplacian on them, and
+    the u_t coefficient of each row: lap(u, u_t) = lap @ u + lap_ut u_t."""
+    op = assemble_laplacian(model.grid, model.bc_left, model.bc_right, 0,
+                            model.params.omega)
+    bands = op.bands.real
+    lap = -(np.diag(bands[1]) + np.diag(bands[0, 1:], 1)
+            + np.diag(bands[2, :-1], -1))
+    # a Robin endpoint's ghost node adds -2 beta / h times u_t to its row
+    lap_ut = np.zeros(len(op.active))
+    for pos, bc in ((0, model.bc_left), (-1, model.bc_right)):
+        if not bc.is_dirichlet:
+            lap_ut[pos] = -2.0 * bc.beta / model.grid.h
+    return op.active, lap, lap_ut
+
+
+def dense_forcing(model, f, active, t):
+    phases = np.exp(1j * np.arange(1, f.M + 1) * model.params.omega * t)
+    c = f.coeffs[:, active]
+    return c[0].real + 2.0 * (phases @ c[1:]).real
+
+
 def dense_midpoint_step(model, f, y, t, dt):
     """One implicit-midpoint step (I - hA)^{-1} (y + hAy + dt g), h = dt/2,
     of the linear kind's first-order system y' = A y + g(t), with A dense:
     y = (u, u_t, u_tt) when tau > 0 and (u, u_t) when tau = 0."""
     p = model.params
-    op = assemble_laplacian(model.grid, model.bc_left, model.bc_right, 0,
-                            p.omega)
-    nr = len(op.active)
-    bands = op.bands.real
-    lap = -(np.diag(bands[1]) + np.diag(bands[0, 1:], 1)
-            + np.diag(bands[2, :-1], -1))
-    # a Robin endpoint's ghost node adds -2 beta / h times u_t to its row
-    lap_ut = np.zeros(nr)
-    for pos, bc in ((0, model.bc_left), (-1, model.bc_right)):
-        if not bc.is_dirichlet:
-            lap_ut[pos] = -2.0 * bc.beta / model.grid.h
-    b, c2 = p.b[op.active], p.c2[op.active]
+    active, lap, lap_ut = dense_laplacian(model)
+    nr = len(active)
+    b, c2 = p.b[active], p.c2[active]
     eye, zero = np.eye(nr), np.zeros((nr, nr))
-    c = f.coeffs[:, op.active]
-    phases = np.exp(1j * np.arange(1, f.M + 1) * p.omega * (t + dt / 2))
-    forcing = c[0].real + 2.0 * (phases @ c[1:]).real
+    forcing = dense_forcing(model, f, active, t + dt / 2)
     # tau u_ttt + u_tt = c2 lap(u, u_t) + b lap(u_t, u_tt) - forcing
     rows = [c2[:, None] * lap, b[:, None] * lap + np.diag(c2 * lap_ut),
             np.diag(b * lap_ut) - eye]
@@ -322,11 +334,137 @@ def test_oracle_step_matches_dense_midpoint_step(tau, bc_left, bc_right):
     f = HarmonicField.zeros(3, grid.nx)
     f.coeffs[:] = rng.standard_normal((4, grid.nx))
     f.coeffs[1:] += 1j * rng.standard_normal((3, grid.nx))
-    dt = params.T / 64
-    oracle = _Oracle(f, model, "linear", dt)
+    oracle = _Oracle(f, model, "linear", 64)
     y = rng.standard_normal((3 if tau > 0 else 2, oracle.nr))
-    expected = dense_midpoint_step(model, f, y, 0.3, dt)
-    got = oracle.step(y, 0.3)
+    # step 19 of 64 starts at t = 19 dt
+    expected = dense_midpoint_step(model, f, y, 19 * oracle.dt, oracle.dt)
+    got, z = oracle.step(y, 19)
     assert got.shape == y.shape
     assert (np.linalg.norm(got - expected)
             <= 1e-12 * np.linalg.norm(expected))
+    # the linear stage takes one solve, so its start does not matter
+    guessed, _ = oracle.step(y, 19, rng.standard_normal(oracle.nr))
+    assert np.array_equal(guessed, got)
+    # z is the midpoint of the top derivative
+    assert np.allclose(z, 0.5 * (y[-1] + got[-1]), rtol=0, atol=1e-12)
+
+
+def dense_first_order_rhs(model, f, kind):
+    """F(t, y) of the first-order system y' = F(t, y) of any kind, with
+    dense Laplacians and numpy's gradient: y = (u, u_t, u_tt) when tau > 0
+    and (u, u_t) when tau = 0, on the non-Dirichlet nodes."""
+    p, grid = model.params, model.grid
+    active, lap, lap_ut = dense_laplacian(model)
+    b, c2 = p.b[active], p.c2[active]
+    eta, eta_tilde = p.eta[active], p.eta_tilde[active]
+
+    def grad(v):
+        full = np.zeros(grid.nx)
+        full[active] = v
+        return np.gradient(full, grid.h, edge_order=2)[active]
+
+    def F(t, y):
+        forcing = dense_forcing(model, f, active, t)
+        u, v = y[0], y[1]
+        # (alpha - 1) and r_nl of  ... + alpha u_tt + r_nl = ...
+        if kind == "westervelt":       # (eta u^2)_tt
+            da, r_nl = 2 * eta * u, 2 * eta * v**2
+        else:                          # (eta~ u_t^2 + |u_x|^2)_t
+            da, r_nl = 2 * eta_tilde * v, 2 * grad(u) * grad(v)
+        lap_u = lap @ u + lap_ut * v
+        if p.tau > 0:
+            w = y[2]
+            # tau u_ttt + alpha u_tt + r_nl = c2 lap(u, u_t)
+            #                                 + b lap(u_t, u_tt) - forcing
+            w_t = (c2 * lap_u + b * (lap @ v + lap_ut * w) - forcing
+                   - (1 + da) * w - r_nl) / p.tau
+            return np.array([v, w, w_t])
+        w = ((c2 * lap_u + b * (lap @ v) - r_nl - forcing)
+             / (1 + da - b * lap_ut))
+        return np.array([v, w])
+    return F
+
+
+@pytest.mark.parametrize("tau", [0.1, 0.0])
+@pytest.mark.parametrize("kind", ["westervelt", "kuznetsov"])
+@pytest.mark.parametrize("bc_left, bc_right", [
+    (DIRICHLET, ABSORBING), (NEUMANN, IMPEDANCE)])
+def test_oracle_step_solves_the_nonlinear_midpoint_equation(kind, tau,
+                                                            bc_left,
+                                                            bc_right):
+    grid = Grid(1.0, 17)
+    params = PhysicalParams.create(grid, **dict(
+        COEFFS, tau=tau, eta=1.0, eta_tilde=1.0,
+        b=smooth(grid.nodes, 0.08, 1), c2=smooth(grid.nodes, -0.06, 2)))
+    model = validate_model(grid, params, bc_left, bc_right)
+    rng = np.random.default_rng(7)
+    f = HarmonicField.zeros(3, grid.nx)
+    f.coeffs[:] = 0.1 * rng.standard_normal((4, grid.nx))
+    oracle = _Oracle(f, model, kind, 64)
+    F = dense_first_order_rhs(model, f, kind)
+    dt = oracle.dt
+    # smooth states of size 0.1, so the stage iteration contracts
+    x = grid.nodes[oracle.op.active]
+    y = 0.1 * np.array([np.cos(k * np.pi * x + rng.uniform(0, 6))
+                        for k in range(1, 4)])[:3 if tau > 0 else 2]
+    z = None
+    # a first step, then one from the extrapolated start
+    for j in (19, 20):
+        y_new, z = oracle.step(y, j, z)
+        res = y_new - y - dt * F((j + 0.5) * dt, 0.5 * (y + y_new))
+        assert np.linalg.norm(res) <= 1e-11 * np.linalg.norm(y_new)
+        y = y_new
+
+
+@pytest.mark.parametrize("kind, kw", [("linear", {}),
+                                      ("westervelt", {"eta": 1.0})])
+def test_oracle_stage_solve_count(monkeypatch, kind, kw):
+    """The linear kind's stage takes one solve a step.  The Westervelt run
+    takes 3 from its extrapolated start on every step: 9,216 solves over
+    6 periods of 512 steps, where the start from the old state took
+    12,005."""
+    counts = {"solves": 0, "steps": 0}
+    factor = studies.tridiagonal_solver
+
+    def counted_factor(bands):
+        solve_stage = factor(bands)
+
+        def counted(rhs):
+            counts["solves"] += 1
+            return solve_stage(rhs)
+        return counted
+
+    step = _Oracle.step
+
+    def counted_step(self, *args):
+        counts["steps"] += 1
+        return step(self, *args)
+
+    monkeypatch.setattr(studies, "tridiagonal_solver", counted_factor)
+    monkeypatch.setattr(_Oracle, "step", counted_step)
+    grid = Grid(1.0, 33)
+    params = PhysicalParams.create(grid, **dict(
+        COEFFS, b=smooth(grid.nodes, 0.08, 1),
+        c2=smooth(grid.nodes, -0.06, 2), **kw))
+    model = validate_model(grid, params, DIRICHLET, ABSORBING)
+    _, gap = time_stepping_oracle(drive(model), model, kind,
+                                  dt=params.T / 512, period_tol=1e-8)
+    assert gap < 1e-8
+    assert counts["steps"] == 6 * 512
+    if kind == "linear":
+        assert counts["solves"] == counts["steps"]
+    else:
+        assert counts["solves"] <= 9216
+
+
+def test_oracle_step_rejected_after_max_stage_iterations(monkeypatch):
+    model = make_model(nx=17, eta=1.0)
+    oracle = _Oracle(drive(model), model, "westervelt", 64)
+    solves = []
+    solve_stage = oracle.solve_stage
+    oracle.solve_stage = lambda rhs: solves.append(1) or solve_stage(rhs)
+    monkeypatch.setattr(_Oracle, "STAGE_TOL", -1.0)     # never met
+    y = np.full((3, oracle.nr), 1e-3)
+    with pytest.raises(StepRejected, match="step 5 of the period"):
+        oracle.step(y, 5)
+    assert len(solves) == _Oracle.MAX_STAGE_ITER
