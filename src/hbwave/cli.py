@@ -102,6 +102,7 @@ def _run_verb(verb: str, setup, out: str) -> dict:
         result = taylor_test(setup.f, setup.f, setup.model,
                              setup.solver_kind, eps, opts=setup.options)
         write_taylor_csv(os.path.join(out, "taylor.csv"), result)
+        extra["picard_iterations"] = result.metadata["picard_iterations"]
         slopes = [r["slope"] for r in result.rows if r["slope"] is not None]
         print(f"wrote taylor.csv (slopes: "
               f"{', '.join('%.3f' % s for s in slopes)})")

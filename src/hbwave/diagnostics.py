@@ -172,7 +172,23 @@ def energy_identity_residual(u: HarmonicField, rtilde: HarmonicField,
                              mult: Multipliers,
                              model: ValidatedModel) -> float:
     """Absolute value of the low-order energy identity right-hand side
-    (alpha = 1); vanishes at O(h^2) for exact periodic solutions."""
+    (alpha = 1); vanishes at O(h^2) for exact periodic solutions.
+
+    Multiply tau u_ttt + u_tt - c2 u_xx - b u_xxt + r = 0 by the test
+    function phi = taubar u_tt + sigma u_t + rho u and integrate over one
+    period and the interval.  Integrating by parts in time, where the
+    periodic orbit leaves no end terms:
+      (tau u_ttt + u_tt) phi  ->  (taubar - tau sigma) u_tt^2 - rho u_t^2.
+    Integrating by parts in space, with b and c2 depending on x:
+      -(c2 u_xx + b u_xxt) phi
+        ->  (c2 u_x + b u_xt) phi_x + (c2' u_x + b' u_xt) phi
+    plus the end terms -[(c2 u_x + b u_xt) phi], which the boundary
+    conditions turn into the sums over the absorbing and impedance ends
+    below.  In time again,
+      (c2 u_x + b u_xt) phi_x  ->  (sigma b - taubar c2) u_xt^2
+                                   + rho c2 u_x^2.
+    The integrand is the sum of these terms and r phi.
+    """
     grid, p = model.grid, model.params
     tb, tau, omega, T = p.taubar, p.tau, p.omega, p.T
     sigma, rho = mult.sigma, mult.rho
@@ -188,12 +204,11 @@ def energy_identity_residual(u: HarmonicField, rtilde: HarmonicField,
     gus = gradient(us, grid)
     gb = gradient(p.b, grid)
     gc2 = gradient(p.c2, grid)
-    div_term = gradient(gb[None, :] * ut + gc2[None, :] * us, grid)
 
     integrand = ((tb - tau * sigma) * utt**2
                  - rho * ut**2
                  + rs * test
-                 - div_term * test
+                 + (gb[None, :] * gut + gc2[None, :] * gus) * test
                  + (sigma * p.b - tb * p.c2)[None, :] * gut**2
                  + rho * p.c2[None, :] * gus**2)
 
@@ -209,13 +224,6 @@ def energy_identity_residual(u: HarmonicField, rtilde: HarmonicField,
                     + gamma * (sigma * b_e - tb * c2_e)) * ut[:, idx] ** 2
                  + rho * gamma * c2_e * us[:, idx] ** 2)
         total += float(np.sum(bterm)) * (T / nt)
-
-    # normal-derivative terms of b, c2 (vanish for constant coefficients)
-    for idx, sign in ((0, -1.0), (-1, 1.0)):
-        if (model.bcs[0 if idx == 0 else 1]).is_dirichlet:
-            continue
-        dnu = sign * (gb[idx] * ut[:, idx] + gc2[idx] * us[:, idx])
-        total += float(np.sum(dnu * test[:, idx])) * (T / nt)
     return abs(total)
 
 

@@ -79,29 +79,39 @@ def assemble_harmonic_system(model: ValidatedModel, M: int):
     return op, bands
 
 
-def _residuals(bands: np.ndarray, x: np.ndarray, rhs: np.ndarray):
-    """Re-substitution residual ||A_m x_m - rhs_m|| per m, and its scale.
+def _one_norms(bands: np.ndarray) -> np.ndarray:
+    """The 1-norm of each tridiagonal block of (..., 3, n) bands."""
+    with np.errstate(all="ignore"):
+        return np.abs(bands).sum(axis=-2).max(axis=-1)
+
+
+def _residuals(bands: np.ndarray, x: np.ndarray, rhs: np.ndarray,
+               norms: np.ndarray | None = None):
+    """Re-substitution residual ||A_m x_m - rhs_m|| per m, and its scale
+    ||A_m||_1 ||x_m|| + ||rhs_m||.  `norms`, the bands' 1-norms, is
+    computed here when not given; a solver passes the ones it took once.
 
     A square in the norms overflows once rhs passes about 1e154; then both
     are taken again with rhs divided by its largest entry, and x, which is
     about A^-1 rhs, with it.  Scaling only then keeps the common case free
     of the extra passes and temporaries."""
+    if norms is None:
+        norms = _one_norms(bands)
     with np.errstate(all="ignore"):
         res = np.linalg.norm(band_product(bands, x) - rhs, axis=-1)
-        one_norms = np.abs(bands).sum(axis=-2).max(axis=-1)
-        scale = (one_norms * np.linalg.norm(x, axis=-1)
-                 + np.linalg.norm(rhs, axis=-1))
+        scale = norms * np.linalg.norm(x, axis=-1) + np.linalg.norm(
+            rhs, axis=-1)
     if np.isinf(scale).any():
         s = np.abs(rhs).max()
         if 1.0 < s < np.inf:        # after one division s is 1
-            return _residuals(bands, x / s, rhs / s)
+            return _residuals(bands, x / s, rhs / s, norms)
     return res, scale
 
 
-def _relative_residual(op, bands, u: HarmonicField,
+def _relative_residual(op, bands, norms, u: HarmonicField,
                        rtilde: HarmonicField) -> float:
     res, scale = _residuals(bands, op.restrict(u.coeffs),
-                            -op.restrict(rtilde.coeffs))
+                            -op.restrict(rtilde.coeffs), norms)
     den = np.linalg.norm(scale)
     return float(np.linalg.norm(res) / den) if den > 0 else 0.0
 
@@ -110,7 +120,8 @@ def linear_solver(model: ValidatedModel, M: int):
     """Assemble and factor A_0..A_M once.  Return the solve f -> u of
     A_m u_m = -f_m for m = 0..M, each verified by re-substitution, and the
     relative residual (u, rtilde) -> float of A_m u_m + r_m on the same
-    bands."""
+    bands.  The bands' 1-norms, which scale every residual check, are
+    taken once here too."""
     op, bands = assemble_harmonic_system(model, M)
     # LAPACK would report an overflowed entry as a zero pivot, or not at all
     nonfinite = ~np.isfinite(bands).all(axis=(1, 2))
@@ -121,6 +132,7 @@ def linear_solver(model: ValidatedModel, M: int):
         solve = tridiagonal_solver(bands)
     except SingularBlock as exc:
         raise SolveFailure(f"harmonic {exc.block} is singular (zero pivot)")
+    norms = _one_norms(bands)
 
     def fail(m: int, what: str):
         cond = condition_estimate(bands[m])
@@ -137,14 +149,14 @@ def linear_solver(model: ValidatedModel, M: int):
                 if not (np.isfinite(rhs[m]).all() and np.isfinite(
                         tridiagonal_solver(bands[m])(rhs[m])).all()):
                     fail(m, "has a non-finite right-hand side or solution")
-        res, scale = _residuals(bands, sol, rhs)
+        res, scale = _residuals(bands, sol, rhs, norms)
         # the first harmonic over tolerance, if any; a NaN residual fails too
         m = int(np.argmin(res <= RESIDUAL_RTOL * scale))
         if not res[m] <= RESIDUAL_RTOL * scale[m]:
             fail(m, f"residual {res[m]:.3e} exceeds tolerance")
         sol[0] = sol[0].real
         return HarmonicField(op.extend(sol))
-    return solve_checked, partial(_relative_residual, op, bands)
+    return solve_checked, partial(_relative_residual, op, bands, norms)
 
 
 def solve_linear_mgt(f: HarmonicField, model: ValidatedModel) -> HarmonicField:
@@ -155,8 +167,8 @@ def solve_linear_mgt(f: HarmonicField, model: ValidatedModel) -> HarmonicField:
 def linear_residual(u: HarmonicField, rtilde: HarmonicField,
                     model: ValidatedModel) -> float:
     """Relative re-substitution residual of A_m u_m + r_m over all harmonics."""
-    return _relative_residual(*assemble_harmonic_system(model, u.M), u,
-                              rtilde)
+    return _relative_residual(*assemble_harmonic_system(model, u.M), None,
+                              u, rtilde)
 
 
 @dataclass(frozen=True)
@@ -246,12 +258,13 @@ def fixed_point(rhs, u: HarmonicField, model: ValidatedModel,
 
 
 def solve_linearized(u_base: HarmonicField, f_dir: HarmonicField,
-                     model: ValidatedModel, kind: str) -> HarmonicField:
+                     model: ValidatedModel, kind: str) -> SolveReport:
     """Derivative of the source-to-state map at u_base in the direction
-    f_dir: the fixed point of u = S(f_dir + r[2 u_base, u]), with the
-    cross-harmonic coupling applied pseudospectrally.  It converges in the
-    same small-data regime as the nonlinear solve.  For the second-order
-    linearization pass a model with tau = 0."""
+    f_dir, as the report of its solve: the fixed point u of
+    u = S(f_dir + r[2 u_base, u]), with the cross-harmonic coupling applied
+    pseudospectrally.  It converges in the same small-data regime as the
+    nonlinear solve.  For the second-order linearization pass a model with
+    tau = 0."""
     from .nonlinear import bilinear_factors, bilinear_product
 
     base2 = bilinear_factors(2.0 * u_base, kind, model)
@@ -264,4 +277,4 @@ def solve_linearized(u_base: HarmonicField, f_dir: HarmonicField,
             f"linearized solve residual {report.final_residual:.3e} > "
             f"{RESIDUAL_RTOL}", iterations=report.iterations,
             residual=report.final_residual)
-    return report.u
+    return report

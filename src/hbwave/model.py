@@ -221,10 +221,6 @@ class ValidatedModel:
     bc_right: BoundaryCondition
     M: int = 1
 
-    @property
-    def bcs(self):
-        return (self.bc_left, self.bc_right)
-
     def stability_margin(self, alpha_min: float = 1.0) -> float:
         p = self.params
         return float(np.min(p.b / p.c2) - p.taubar / alpha_min)

@@ -3,6 +3,8 @@
 Time integration uses Parseval with the one-sided convention: weight 1 for
 the mean mode and 2 for m >= 1, so that
 ||d_t^k u||^2_{L2(0,T;X)} = T * sum_m w_m (m omega)^{2k} ||u_m||_X^2.
+u0lo_norm, which the Picard loop takes twice per iteration, weights each
+harmonic once and sums once.
 """
 from __future__ import annotations
 
@@ -48,12 +50,15 @@ def l2l2_norm(u: HarmonicField, grid: Grid, omega: float, T: float) -> float:
 
 
 def u0lo_norm(u: HarmonicField, grid: Grid, omega: float, T: float) -> float:
-    """Discrete H^2(L^2) + H^1(H^1) norm (tau-independent low energy)."""
-    l2 = spatial_sq(u, grid)
-    h1 = spatial_sq(u, grid, "H1_semi")
-    sq = (sum(time_sum(l2, omega, T, k) for k in range(3))
-          + sum(time_sum(h1, omega, T, k) for k in range(2)))
-    return float(np.sqrt(sq))
+    """Discrete H^2(L^2) + H^1(H^1) norm (tau-independent low energy),
+    the sum of ||d_t^k u||^2_{L2(L2)} for k <= 2 and ||d_t^k grad u||^2
+    for k <= 1, taken as one weighted sum over harmonics:
+    T sum_m w_m [(1 + (m w)^2 + (m w)^4) ||u_m||^2
+                 + (1 + (m w)^2) ||grad u_m||^2]."""
+    mw2 = (np.arange(u.M + 1) * omega) ** 2
+    sq = ((1.0 + mw2 + mw2 * mw2) * spatial_sq(u, grid)
+          + (1.0 + mw2) * spatial_sq(u, grid, "H1_semi"))
+    return float(np.sqrt(T * np.sum(parseval_weights(u.M) * sq)))
 
 
 def u0me_norm(u: HarmonicField, grid: Grid, omega: float, T: float) -> float:

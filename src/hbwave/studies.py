@@ -173,18 +173,28 @@ def taylor_test(f: HarmonicField, f_dir: HarmonicField,
     """Remainder of the source-to-state map against its linearization.
 
     R(eps) = ||S(f + eps f_dir) - S(f) - eps u_lin|| should shrink at
-    second order; the first-order difference at first order.
+    second order; the first-order difference at first order.  Each
+    perturbed solve starts from base + eps u_lin, which is within O(eps^2)
+    of its solution, and the nonlinear solve vets that start for
+    degeneracy like any other state.  `metadata["picard_iterations"]`
+    holds the iterations of each solve: base, linearized, and one per eps.
     """
     if len(eps_list) < MIN_LEVELS:
         raise ValueError(f"need >= {MIN_LEVELS} epsilons")
     grid, p = model.grid, model.params
-    base = fixed_point_solve(f, model, kind, opts).u
-    u_lin = solve_linearized(base, f_dir, model, kind)
+    base_report = fixed_point_solve(f, model, kind, opts)
+    lin_report = solve_linearized(base_report.u, f_dir, model, kind)
+    base, u_lin = base_report.u, lin_report.u
+    iterations = {"base": base_report.iterations,
+                  "linearized": lin_report.iterations, "eps": []}
     rows = []
     for eps in eps_list:
-        u_eps = fixed_point_solve(f + eps * f_dir, model, kind, opts).u
-        remainder = u0lo_norm(u_eps - base - eps * u_lin, grid, p.omega, p.T)
-        diff = u0lo_norm(u_eps - base, grid, p.omega, p.T)
+        report = fixed_point_solve(f + eps * f_dir, model, kind, opts,
+                                   u0=base + eps * u_lin)
+        iterations["eps"].append(report.iterations)
+        remainder = u0lo_norm(report.u - base - eps * u_lin, grid, p.omega,
+                              p.T)
+        diff = u0lo_norm(report.u - base, grid, p.omega, p.T)
         rows.append({"eps": eps, "remainder": remainder, "diff": diff,
                      "slope": None})
     for i in range(1, len(rows)):
@@ -194,7 +204,8 @@ def taylor_test(f: HarmonicField, f_dir: HarmonicField,
             r1["slope"] = float(np.log(r0["remainder"] / r1["remainder"]) / dl)
         r1["diff_slope"] = (float(np.log(r0["diff"] / r1["diff"]) / dl)
                             if r0["diff"] > 0 and r1["diff"] > 0 else None)
-    return StudyResult(rows=rows)
+    return StudyResult(rows=rows,
+                       metadata={"picard_iterations": iterations})
 
 
 # --- time-stepping oracle --------------------------------------------------

@@ -115,6 +115,12 @@ def test_deriv_check_writes_taylor_csv(config, tmp_path):
     assert code == 0
     with open(os.path.join(out, "taylor.csv")) as fh:
         assert fh.readline().strip() == "eps,remainder,slope"
+    with open(os.path.join(out, "run_info.json")) as fh:
+        iterations = json.load(fh)["picard_iterations"]
+    # base, linearized, then one solve per eps
+    assert iterations["base"] >= 1 and iterations["linearized"] >= 1
+    assert len(iterations["eps"]) == 3
+    assert all(isinstance(n, int) and n >= 1 for n in iterations["eps"])
 
 
 def test_converge_verb(config, tmp_path):

@@ -19,6 +19,7 @@ from hbwave.model import (
     PhysicalParams,
     validate_model,
 )
+from hbwave.nonlinear import solve
 from hbwave.studies import manufactured_case
 
 DIRICHLET = BoundaryCondition(BCKind.DIRICHLET)
@@ -136,3 +137,36 @@ def test_ratios_undefined_for_zero_forcing():
     z = HarmonicField.zeros(3, model.grid.nx)
     assert energy_ratios(compute_energies(z, model), z, model) == {
         "ratio_lo": None, "ratio_me": None, "ratio_hi": None}
+
+
+RIGHT_ENDS = {
+    "dirichlet": DIRICHLET,
+    "absorbing": BoundaryCondition(BCKind.ABSORBING, beta=1.0),
+    "impedance": BoundaryCondition(BCKind.IMPEDANCE, gamma=1.0),
+    "neumann": BoundaryCondition(BCKind.NEUMANN),
+}
+
+
+@pytest.mark.parametrize("right", sorted(RIGHT_ENDS))
+@pytest.mark.parametrize("kind", ["linear", "westervelt", "kuznetsov"])
+def test_identity_residual_refines_at_second_order_for_varying_b_c2(kind,
+                                                                    right):
+    # b' and c2' enter the identity through the spatial integration by
+    # parts; with constant coefficients those terms vanish
+    vals = []
+    for nx in (65, 129, 257):
+        grid = Grid(1.0, nx)
+        x = grid.nodes
+        params = PhysicalParams.create(
+            grid, tau=0.1, taubar=0.3, b=1.0 + 0.05 * np.cos(np.pi * x),
+            c2=1.0 + 0.05 * np.sin(2 * np.pi * x), T=2 * np.pi,
+            eta=1.0 if kind == "westervelt" else 0.0,
+            eta_tilde=1.0 if kind == "kuznetsov" else 0.0)
+        model = validate_model(grid, params, DIRICHLET, RIGHT_ENDS[right], 8)
+        f = HarmonicField.zeros(8, nx)
+        f.coeffs[1] = 0.25 * np.exp(-((x - 0.5) / 0.125) ** 2)
+        report = solve(f, model, kind)
+        vals.append(energy_identity_residual(
+            report.u, report.rhs, choose_multipliers(model), model))
+    orders = np.log2(np.array(vals[:-1]) / np.array(vals[1:]))
+    assert (orders >= 1.9).all(), orders

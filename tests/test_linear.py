@@ -4,6 +4,8 @@ import pytest
 from hbwave.errors import NonContraction, SingularMeanMode, SolveFailure
 from hbwave.linear import (
     NONCONTRACTION_PATIENCE,
+    _one_norms,
+    _residuals,
     assemble_harmonic_system,
     kappa_squared,
     linear_residual,
@@ -20,7 +22,7 @@ from hbwave.model import (
     validate_model,
 )
 from hbwave.norms import l2l2_norm
-from hbwave.spatial import tridiagonal_solver
+from hbwave.spatial import band_product, tridiagonal_solver
 from hbwave.studies import manufactured_case
 
 DIRICHLET = BoundaryCondition(BCKind.DIRICHLET)
@@ -209,7 +211,7 @@ def test_linearized_around_zero_base_is_direct_solve():
     f_dir = HarmonicField.zeros(3, 33)
     f_dir.coeffs[1] = np.sin(np.pi * model.grid.nodes)
     base = HarmonicField.zeros(3, 33)
-    u_lin = solve_linearized(base, f_dir, model, "westervelt")
+    u_lin = solve_linearized(base, f_dir, model, "westervelt").u
     direct = solve_linear_mgt(f_dir, model)
     np.testing.assert_allclose(u_lin.coeffs, direct.coeffs, atol=1e-14)
 
@@ -223,7 +225,7 @@ def test_linearized_matches_finite_difference():
     f.coeffs[1] = 3e-3 * np.sin(np.pi * grid.nodes)
     opts = FixedPointOptions(tol=1e-14, max_iter=200)
     base = fixed_point_solve(f, model, "westervelt", opts).u
-    u_lin = solve_linearized(base, f, model, "westervelt")
+    u_lin = solve_linearized(base, f, model, "westervelt").u
     eps = 1e-5
     u_plus = fixed_point_solve(f + eps * f, model, "westervelt", opts).u
     fd = (1.0 / eps) * (u_plus - base)
@@ -238,9 +240,10 @@ def test_linearized_without_relaxation_term_differs():
     f = HarmonicField.zeros(4, grid.nx)
     f.coeffs[1] = 3e-3 * np.sin(np.pi * grid.nodes)
     base = HarmonicField.zeros(4, grid.nx)
-    with_term = solve_linearized(base, f, model, "westervelt")
+    with_term = solve_linearized(base, f, model, "westervelt").u
     without = solve_linearized(
-        base, f, model.with_params(model.params.with_tau(0.0)), "westervelt")
+        base, f, model.with_params(model.params.with_tau(0.0)),
+        "westervelt").u
     assert not np.allclose(with_term.coeffs, without.coeffs)
 
 
@@ -258,3 +261,44 @@ def test_linearized_around_non_contractive_base_raises_non_contraction():
     assert all(b >= a for a, b in
                zip(history[-NONCONTRACTION_PATIENCE - 1:-1],
                    history[-NONCONTRACTION_PATIENCE:]))
+
+
+@pytest.mark.parametrize("size", [1.0, 1e200])
+def test_residuals_with_given_one_norms_match_computed_ones(size):
+    grid = Grid(1.0, 17)
+    params = PhysicalParams.create(grid, tau=0.1, taubar=0.5, b=1.0, c2=1.0,
+                                   T=2 * np.pi)
+    model = validate_model(grid, params, DIRICHLET,
+                           BoundaryCondition(BCKind.ABSORBING, beta=1.0), 3)
+    _, bands = assemble_harmonic_system(model, 3)
+    rng = np.random.default_rng(2)
+    x = size * (rng.normal(size=(4, 16)) + 1j * rng.normal(size=(4, 16)))
+    rhs = band_product(bands, x) * (1.0 + 1e-9 * rng.normal(size=(4, 16)))
+    with np.errstate(over="ignore"):
+        overflows = np.isinf(np.linalg.norm(rhs, axis=-1)).any()
+    # 1e200 takes the rescaled path, whose scale is finite again
+    assert overflows == (size > 1e154)
+    res, scale = _residuals(bands, x, rhs)
+    given = _residuals(bands, x, rhs, _one_norms(bands))
+    np.testing.assert_array_equal(given[0], res)
+    np.testing.assert_array_equal(given[1], scale)
+    assert np.isfinite(scale).all() and (res > 0).all()
+
+
+def test_one_norms_taken_once_per_factorization(monkeypatch):
+    import hbwave.linear
+    from hbwave.nonlinear import fixed_point_solve
+
+    calls = []
+
+    def counting(bands):
+        calls.append(bands.shape)
+        return _one_norms(bands)
+
+    monkeypatch.setattr(hbwave.linear, "_one_norms", counting)
+    model = make_model(nx=33, eta=1.0)
+    f = HarmonicField.zeros(4, 33)
+    f.coeffs[1] = 3e-2 * np.sin(np.pi * model.grid.nodes)
+    report = fixed_point_solve(f, model, "westervelt")
+    assert report.iterations > 1 and report.final_residual < 1e-12
+    assert calls == [(5, 3, 31)]

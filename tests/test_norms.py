@@ -83,3 +83,15 @@ def test_vectorised_norm_matches_per_harmonic_loop(spatial):
                        for m in range(u.M + 1))
         assert time_space_norm_sq(u, grid, omega, T, k, spatial) == (
             pytest.approx(loop, rel=1e-13))
+
+
+@pytest.mark.parametrize("M, seed", [(0, 5), (1, 6), (7, 7)])
+def test_u0lo_norm_matches_its_term_by_term_definition(M, seed):
+    grid = Grid(1.0, 21)
+    u = random_field(M, 21, seed=seed)
+    omega, T = 1.7, 3.0
+    sq = (sum(time_space_norm_sq(u, grid, omega, T, k) for k in range(3))
+          + sum(time_space_norm_sq(u, grid, omega, T, k, "H1_semi")
+                for k in range(2)))
+    assert u0lo_norm(u, grid, omega, T) == pytest.approx(np.sqrt(sq),
+                                                         rel=1e-13)

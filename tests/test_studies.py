@@ -468,3 +468,25 @@ def test_oracle_step_rejected_after_max_stage_iterations(monkeypatch):
     with pytest.raises(StepRejected, match="step 5 of the period"):
         oracle.step(y, 5)
     assert len(solves) == _Oracle.MAX_STAGE_ITER
+
+
+def test_taylor_perturbed_solves_start_from_the_linearization():
+    # the deriv-check smoke inputs: 33 nodes, M = 8, Kuznetsov, absorbing
+    # right end; from zero the eps solves take 59 iterations in all
+    grid = Grid(1.0, 33)
+    x = grid.nodes
+    params = PhysicalParams.create(
+        grid, tau=0.1, taubar=0.5, b=1.0 + 0.05 * np.cos(np.pi * x),
+        c2=1.0 + 0.05 * np.sin(2 * np.pi * x), eta_tilde=1.0, T=2 * np.pi)
+    model = validate_model(grid, params, DIRICHLET,
+                           BoundaryCondition(BCKind.ABSORBING, beta=1.0), 8)
+    f = HarmonicField.zeros(8, 33)
+    f.coeffs[1] = np.sin(np.pi * x)
+    result = taylor_test(f, f, model, "kuznetsov", [1e-1, 1e-2, 1e-3])
+    iterations = result.metadata["picard_iterations"]
+    assert set(iterations) == {"base", "linearized", "eps"}
+    assert len(iterations["eps"]) == 3 and sum(iterations["eps"]) <= 40
+    slopes = [r["slope"] for r in result.rows if r["slope"] is not None]
+    assert len(slopes) == 2
+    for slope in slopes:
+        assert slope == pytest.approx(2.0, abs=0.01)
