@@ -34,6 +34,8 @@ from .io import (
 )
 from .nonlinear import solve
 from .studies import (
+    ORACLE_STEPS,
+    check_oracle_steps,
     convergence_study,
     oracle_discrepancy,
     tau_sweep,
@@ -65,6 +67,21 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+def _solve(setup, extra: dict):
+    """Solve the configured problem; its report's figures go to `extra`,
+    as run_info.json's `metrics`."""
+    report = solve(setup.f, setup.model, setup.solver_kind, setup.options)
+    metrics = {"iterations": report.iterations,
+               "final_residual": report.final_residual,
+               "alpha_min": report.degeneracy_margin,
+               "stability_margin": report.stability_margin}
+    # JSON has no infinity: the margin is -inf where alpha changes sign,
+    # which a degeneracy_floor <= 0 lets through, and is written as null
+    extra["metrics"] = {k: v if np.isfinite(v) else None
+                        for k, v in metrics.items()}
+    return report.u
+
+
 def _run_verb(verb: str, setup, out: str) -> dict:
     extra = {}
     if verb == "validate":
@@ -72,7 +89,7 @@ def _run_verb(verb: str, setup, out: str) -> dict:
         return extra
 
     if verb in ("solve", "energy"):
-        u = solve(setup.f, setup.model, setup.solver_kind, setup.options).u
+        u = _solve(setup, extra)
         report = compute_energies(u, setup.model)
         # first: its terms square u, so a non-finite u or energy fails
         # there, in write_csv, before any file is written
@@ -127,7 +144,10 @@ def _run_verb(verb: str, setup, out: str) -> dict:
         return extra
 
     if verb == "oracle-compare":
-        u = solve(setup.f, setup.model, setup.solver_kind, setup.options).u
+        # too few oracle steps fail here, before the solve and the march
+        check_oracle_steps(setup.study.get("dt_divisor", ORACLE_STEPS),
+                           setup.M)
+        u = _solve(setup, extra)
         T = setup.model.params.T
         # the oracle's own defaults hold for what the config leaves out
         given = {k: setup.study[k] for k in ("max_periods", "period_tol")

@@ -37,7 +37,7 @@ from .model import (
     validate_model,
 )
 from .linear import FixedPointOptions
-from .studies import CASE_M, MIN_LEVELS
+from .studies import CASE_M, MIN_LEVELS, check_oracle_steps
 
 _SCHEMA = {
     "domain": {"l", "nx"},
@@ -295,6 +295,11 @@ def build_setup(raw: dict, config_path: str) -> RunSetup:
             if not 0 < study[key] < np.inf:
                 raise TypeMismatch(f"[study] {key} = {st[key]!r}; need a "
                                    "finite value > 0")
+    # the oracle samples one period at its dt_divisor steps, which the
+    # comparison resolves up to harmonic M only from 2M + 2 samples on;
+    # oracle-compare checks the default count, which bounds no other verb
+    if "dt_divisor" in study:
+        check_oracle_steps(study["dt_divisor"], M)
     return RunSetup(model=model, f=f, solver_kind=solver_kind,
                     options=options, M=M, study=study)
 

@@ -21,6 +21,9 @@ and factors A_0..A_M once, before the loop; every iterate only solves, and
 the final re-substitution residual uses the same bands.  rhs is evaluated
 once per state, and may vet the state (the nonlinear solve checks alpha
 there), so its result feeds the next solve, the residual and the report.
+The spatial gradient of each state is taken once too: it gives the u0lo
+norm of the iterate, that of the update as a difference of gradients
+(the gradient is linear), and rhs, whose Kuznetsov N(u) needs grad u.
 """
 from __future__ import annotations
 
@@ -39,7 +42,8 @@ from .errors import (
 from .model import HarmonicField, ValidatedModel
 from .norms import u0lo_norm
 from .spatial import (SingularBlock, assemble_laplacian, band_product,
-                      condition_estimate, scale_rows, tridiagonal_solver)
+                      condition_estimate, gradient, scale_rows,
+                      tridiagonal_solver)
 
 RESIDUAL_RTOL = 1e-10
 NONCONTRACTION_PATIENCE = 5
@@ -74,7 +78,7 @@ def assemble_harmonic_system(model: ValidatedModel, M: int):
     # row i of A_m is scaled by c2_i + i m w b_i; the entries scale_rows
     # wraps around meet the zero corners, so no block leaks into the next
     bands = scale_rows(op.bands,
-                       p.c2[op.active] + 1j * mw[:, None] * p.b[op.active])
+                       op.restrict(p.c2) + 1j * mw[:, None] * op.restrict(p.b))
     bands[:, 1, :] += (-1j * p.tau * mw**3 - mw**2)[:, None]
     return op, bands
 
@@ -216,20 +220,24 @@ def fixed_point(rhs, u: HarmonicField, model: ValidatedModel,
     solve factored once, until the u0lo update is at most tol times the
     iterate's norm; then verify by re-substitution on the same bands.
 
-    rhs is evaluated once per state: for the start state, and for each new
-    iterate right after the ball guard and before the contraction test, so
-    a rhs that vets its state raises in that order."""
+    rhs(u, grad u) is evaluated once per state: for the start state, and
+    for each new iterate right after the ball guard and before the
+    contraction test, so a rhs that vets its state raises in that order.
+    Each state's `spatial.gradient` is taken once, here, and serves both
+    norms and rhs."""
     grid, p = model.grid, model.params
     theta = opts.relaxation
     update_norms: list[float] = []
     ratios: list[float] = []
     rising = 0
     solve, residual = linear_solver(model, u.M)
-    r = rhs(u)
+    grad = gradient(u.coeffs, grid)
+    r = rhs(u, grad)
     for it in range(1, opts.max_iter + 1):
         u_new = theta * solve(r) + (1.0 - theta) * u
-        update = u0lo_norm(u_new - u, grid, p.omega, p.T)
-        scale = u0lo_norm(u_new, grid, p.omega, p.T)
+        grad_new = gradient(u_new.coeffs, grid)
+        update = u0lo_norm(u_new - u, grid, p.omega, p.T, grad_new - grad)
+        scale = u0lo_norm(u_new, grid, p.omega, p.T, grad_new)
         update_norms.append(update)
         # the self-mapping guard mirrors the smallness requirement: leaving
         # the ball is the primary diagnosis, a degenerate alpha a consequence
@@ -237,7 +245,7 @@ def fixed_point(rhs, u: HarmonicField, model: ValidatedModel,
             raise NonContraction(
                 f"iterate left the ball of radius {opts.ball_radius}",
                 history=update_norms)
-        r = rhs(u_new)
+        r = rhs(u_new, grad_new)
         if len(update_norms) >= 2 and update_norms[-2] > 0:
             ratio = update_norms[-1] / update_norms[-2]
             ratios.append(ratio)
@@ -246,7 +254,7 @@ def fixed_point(rhs, u: HarmonicField, model: ValidatedModel,
                 raise NonContraction(
                     f"contraction ratio >= 1 for {rising} consecutive "
                     "iterations", history=update_norms)
-        u = u_new
+        u, grad = u_new, grad_new
         if update <= opts.tol * max(scale, 1e-300):
             return SolveReport(
                 u=u, iterations=it, update_norms=update_norms,
@@ -269,8 +277,8 @@ def solve_linearized(u_base: HarmonicField, f_dir: HarmonicField,
 
     base2 = bilinear_factors(2.0 * u_base, kind, model)
     report = fixed_point(
-        lambda u: f_dir + bilinear_product(
-            base2, bilinear_factors(u, kind, model), kind, model, u.M),
+        lambda u, grad: f_dir + bilinear_product(
+            base2, bilinear_factors(u, kind, model, grad), kind, model, u.M),
         HarmonicField.zeros(f_dir.M, model.grid.nx), model, LINEARIZED)
     if report.final_residual > RESIDUAL_RTOL:
         raise NonConvergedIteration(

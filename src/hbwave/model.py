@@ -202,10 +202,8 @@ def to_harmonics(v: TimeField, M: int) -> HarmonicField:
     """Order-M truncation of the discrete Fourier series of each node."""
     if v.nt < min_samples(M):
         raise UndersampledTime(f"nt={v.nt} < 2M+2={min_samples(M)}")
-    spectrum = np.fft.rfft(v.values, axis=0) / v.nt
-    coeffs = np.zeros((M + 1, v.nx), dtype=complex)
-    take = min(M + 1, spectrum.shape[0])
-    coeffs[:take] = spectrum[:take]
+    # nt >= 2M + 2 gives at least M + 2 rows; only the kept ones are scaled
+    coeffs = np.fft.rfft(v.values, axis=0)[:M + 1] / v.nt
     coeffs[0] = coeffs[0].real
     return HarmonicField(coeffs)
 

@@ -11,6 +11,10 @@ field's factors and multiplying two factor sets are separate steps, so a
 factor used twice, as in r[u, u] or the fixed base of the linearization,
 is synthesized once.  The Picard rhs synthesizes each state once: the same
 factors give alpha for the degeneracy check and N(u) for the next solve.
+Its Kuznetsov factor grad u is the gradient `linear.fixed_point` takes once
+per state for its norms.  The degeneracy check reads each node's extreme
+samples of the alpha factor, so its margins cost O(nx) beyond two passes
+over the samples.
 """
 from __future__ import annotations
 
@@ -36,18 +40,21 @@ def _check_kind(kind: str):
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
-def bilinear_factors(v: HarmonicField, kind: str,
-                     model: ValidatedModel) -> tuple:
+def bilinear_factors(v: HarmonicField, kind: str, model: ValidatedModel,
+                     grad: np.ndarray | None = None) -> tuple:
     """Time samples of what r[v, .] multiplies: v for westervelt, v_t and
-    grad v for kuznetsov, on the dealiased grid."""
+    grad v for kuznetsov, on the dealiased grid.  `grad`, the
+    `spatial.gradient` of v.coeffs, is taken here when kuznetsov needs it
+    and it is not given."""
     _check_kind(kind)
     nt = dealiased_samples(v.M)
     if kind == "westervelt":
         return (to_time_samples(v, nt).values,)
+    if grad is None:
+        grad = gradient(v.coeffs, model.grid)
     return (to_time_samples(v.time_derivative(model.params.omega),
                             nt).values,
-            to_time_samples(HarmonicField(gradient(v.coeffs, model.grid)),
-                            nt).values)
+            to_time_samples(HarmonicField(grad), nt).values)
 
 
 def bilinear_product(fv: tuple, fw: tuple, kind: str, model: ValidatedModel,
@@ -59,7 +66,10 @@ def bilinear_product(fv: tuple, fw: tuple, kind: str, model: ValidatedModel,
             p.omega, 2)
         out.coeffs *= p.eta[None, :]
     else:
-        q = p.eta_tilde[None, :] * fv[0] * fw[0] + fv[1] * fw[1]
+        # in place: one (nt, nx) temporary besides q
+        q = p.eta_tilde * fv[0]
+        q *= fw[0]
+        q += fv[1] * fw[1]
         out = to_harmonics(TimeField(q), M).time_derivative(p.omega)
     out.coeffs[0] = out.coeffs[0].real
     return out
@@ -77,16 +87,30 @@ def eval_bilinear(v: HarmonicField, w: HarmonicField, kind: str,
 def degeneracy_monitor(factors: tuple, kind: str,
                        model: ValidatedModel) -> dict:
     """Extrema of alpha = 1 + 2 coef factors[0], with coef eta (westervelt)
-    or eta_tilde (kuznetsov), and of the pointwise stability margin
-    b/c2 - taubar/alpha, from a state's `bilinear_factors`."""
+    or eta_tilde (kuznetsov), and the minimum of the pointwise stability
+    margin b/c2 - taubar/alpha, from a state's `bilinear_factors`.
+
+    Each node's alpha is extreme where its factor is: one min and one max
+    pass over time, picked by the sign of coef, give the node's alpha_lo
+    and alpha_hi, and the margin is least at alpha_lo.  Rounding is
+    monotone, so all three values equal those of the full (nt, nx) arrays
+    bit for bit wherever each node's alpha keeps one sign.  Where a node's
+    alpha changes sign (alpha_lo < 0 <= alpha_hi) and taubar > 0, the
+    margin's infimum over the node's range is -inf, which is what is
+    reported; that state is already below any positive degeneracy floor.
+    """
     p = model.params
     coef = p.eta if kind == "westervelt" else p.eta_tilde
-    a = 1.0 + 2.0 * coef[None, :] * factors[0]
+    f_min, f_max = factors[0].min(axis=0), factors[0].max(axis=0)
+    rising = coef >= 0
+    a_lo = 1.0 + 2.0 * coef * np.where(rising, f_min, f_max)
+    a_hi = 1.0 + 2.0 * coef * np.where(rising, f_max, f_min)
+    pole = (a_lo < 0) & (a_hi >= 0) & (p.taubar > 0)
     with np.errstate(divide="ignore"):
-        margin = p.b[None, :] / p.c2[None, :] - p.taubar / a
+        margin = np.where(pole, -np.inf, p.b / p.c2 - p.taubar / a_lo)
     return {
-        "alpha_min": float(a.min()),
-        "alpha_max": float(a.max()),
+        "alpha_min": float(a_lo.min()),
+        "alpha_max": float(a_hi.max()),
         "stability_margin_min": float(margin.min()),
     }
 
@@ -101,8 +125,8 @@ def fixed_point_solve(f: HarmonicField, model: ValidatedModel, kind: str,
     opts = opts or FixedPointOptions()
     monitor = {}
 
-    def rhs(u):
-        factors = bilinear_factors(u, kind, model)
+    def rhs(u, grad):
+        factors = bilinear_factors(u, kind, model, grad)
         monitor.update(degeneracy_monitor(factors, kind, model))
         if monitor["alpha_min"] < opts.degeneracy_floor:
             raise DegeneracyDetected(

@@ -3,8 +3,9 @@
 Time integration uses Parseval with the one-sided convention: weight 1 for
 the mean mode and 2 for m >= 1, so that
 ||d_t^k u||^2_{L2(0,T;X)} = T * sum_m w_m (m omega)^{2k} ||u_m||_X^2.
-u0lo_norm, which the Picard loop takes twice per iteration, weights each
-harmonic once and sums once.
+u0lo_norm weights each harmonic once and sums once.  The Picard loop takes
+it twice per iteration, for the iterate and for the update, and passes in
+the one gradient it takes per iterate.
 """
 from __future__ import annotations
 
@@ -28,6 +29,11 @@ def spatial_sq(u: HarmonicField, grid: Grid, spatial=None) -> np.ndarray:
         c = laplacian_fd(c, grid)
     if spatial in ("H1_semi", "grad_laplacian"):
         c = gradient(c, grid)
+    return _nodal_sq(c, grid)
+
+
+def _nodal_sq(c: np.ndarray, grid: Grid) -> np.ndarray:
+    """Trapezoidal ||c_m||^2_{L2} of each row of nodal values c."""
     return np.sum(grid.trapezoid_weights() * np.abs(c) ** 2, axis=-1)
 
 
@@ -49,15 +55,20 @@ def l2l2_norm(u: HarmonicField, grid: Grid, omega: float, T: float) -> float:
     return float(np.sqrt(time_space_norm_sq(u, grid, omega, T, 0)))
 
 
-def u0lo_norm(u: HarmonicField, grid: Grid, omega: float, T: float) -> float:
+def u0lo_norm(u: HarmonicField, grid: Grid, omega: float, T: float,
+              grad: np.ndarray | None = None) -> float:
     """Discrete H^2(L^2) + H^1(H^1) norm (tau-independent low energy),
     the sum of ||d_t^k u||^2_{L2(L2)} for k <= 2 and ||d_t^k grad u||^2
     for k <= 1, taken as one weighted sum over harmonics:
     T sum_m w_m [(1 + (m w)^2 + (m w)^4) ||u_m||^2
-                 + (1 + (m w)^2) ||grad u_m||^2]."""
+                 + (1 + (m w)^2) ||grad u_m||^2].
+    `grad`, the `spatial.gradient` of u.coeffs, is taken here unless
+    given."""
+    if grad is None:
+        grad = gradient(u.coeffs, grid)
     mw2 = (np.arange(u.M + 1) * omega) ** 2
     sq = ((1.0 + mw2 + mw2 * mw2) * spatial_sq(u, grid)
-          + (1.0 + mw2) * spatial_sq(u, grid, "H1_semi"))
+          + (1.0 + mw2) * _nodal_sq(grad, grid))
     return float(np.sqrt(T * np.sum(parseval_weights(u.M) * sq)))
 
 

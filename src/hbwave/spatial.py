@@ -216,23 +216,28 @@ def condition_estimate(bands: np.ndarray) -> float:
 class SpatialOperator:
     """Reduced discrete -Laplacian of harmonic m (or of each m in an array).
 
-    Dirichlet nodes are eliminated; `active` maps reduced indices to full
-    grid indices.
+    Dirichlet nodes are eliminated; the others are the contiguous run
+    `span` of grid nodes, and `active` lists their indices.
     """
 
     bands: np.ndarray           # (3, nr) or (len(m), 3, nr), see module doc
-    active: np.ndarray          # indices of non-Dirichlet nodes
+    span: slice                 # the non-Dirichlet nodes, lo:hi
     grid: Grid
     m: np.ndarray
     bc_left: BoundaryCondition
     bc_right: BoundaryCondition
 
+    @property
+    def active(self) -> np.ndarray:
+        return np.arange(self.span.start, self.span.stop)
+
     def restrict(self, v_full: np.ndarray) -> np.ndarray:
-        return np.asarray(v_full)[..., self.active]
+        """The non-Dirichlet nodes of v_full: a view, not a copy."""
+        return np.asarray(v_full)[..., self.span]
 
     def extend(self, v_reduced: np.ndarray) -> np.ndarray:
         out = np.zeros(v_reduced.shape[:-1] + (self.grid.nx,), dtype=complex)
-        out[..., self.active] = v_reduced
+        out[..., self.span] = v_reduced
         return out
 
     def apply(self, v_full: np.ndarray) -> np.ndarray:
@@ -277,8 +282,8 @@ def assemble_laplacian(grid: Grid, bc_left: BoundaryCondition,
     bands = bands[..., lo:hi]
     bands[..., 0, 0] = 0.0
     bands[..., 2, -1] = 0.0
-    return SpatialOperator(bands=bands, active=np.arange(lo, hi), grid=grid,
-                           m=m, bc_left=bc_left, bc_right=bc_right)
+    return SpatialOperator(bands=bands, span=slice(lo, hi), grid=grid, m=m,
+                           bc_left=bc_left, bc_right=bc_right)
 
 
 def gradient(v: np.ndarray, grid: Grid) -> np.ndarray:
@@ -324,6 +329,6 @@ def dual_norm_h1star(v: np.ndarray, grid: Grid, bc_left: BoundaryCondition,
     op.bands[1] += 1.0
     vr = op.restrict(np.asarray(v, dtype=complex))
     z = tridiagonal_solver(op.bands)(vr.T).T
-    w = grid.trapezoid_weights()[op.active]
+    w = op.restrict(grid.trapezoid_weights())
     val = np.sum(w * np.conj(vr) * z, axis=-1).real
     return np.sqrt(np.maximum(val, 0.0))

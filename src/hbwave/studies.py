@@ -10,7 +10,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .diagnostics import compute_energies, energy_ratios
-from .errors import NoPeriodicAttractor, StepRejected, UnknownCase
+from .errors import (NoPeriodicAttractor, StepRejected, UndersampledTime,
+                     UnknownCase)
 from .linear import solve_linearized
 from .model import (
     BCKind,
@@ -20,6 +21,7 @@ from .model import (
     PhysicalParams,
     TimeField,
     ValidatedModel,
+    min_samples,
     validate_model,
 )
 from .nonlinear import FixedPointOptions, fixed_point_solve, solve
@@ -31,6 +33,7 @@ CASE_IDS = ("linear-dirichlet", "linear-impedance", "westervelt-dirichlet",
             "kuznetsov-dirichlet")
 MIN_LEVELS = 3      # fewest grids or epsilons: two observed orders
 CASE_M = 2          # harmonics of a convergence study's cases
+ORACLE_STEPS = 512   # the oracle's steps per period when no dt is given
 
 
 @dataclass
@@ -242,16 +245,16 @@ class _Oracle:
         h = 0.5 * dt
         self.op = op = assemble_laplacian(model.grid, model.bc_left,
                                           model.bc_right, 0, p.omega)
-        self.nr = nr = len(op.active)
+        self.nr = nr = op.bands.shape[-1]
         # discrete Laplacian split: lap(u, u_t) = L u + d_beta * u_t
         L = -op.bands.real
         d_beta = np.zeros(nr)
         for pos, bc in ((0, model.bc_left), (-1, model.bc_right)):
             if not bc.is_dirichlet:
                 d_beta[pos] = -2.0 * bc.beta / model.grid.h
-        b, c2 = p.b[op.active], p.c2[op.active]
-        self.two_eta = 2.0 * p.eta[op.active]
-        self.two_eta_tilde = 2.0 * p.eta_tilde[op.active]
+        b, c2 = op.restrict(p.b), op.restrict(p.c2)
+        self.two_eta = 2.0 * op.restrict(p.eta)
+        self.two_eta_tilde = 2.0 * op.restrict(p.eta_tilde)
 
         # the forcing at t = (j + 1/2) dt, real: f_0 + 2 Re(e^{i m w t} f_m)
         mwt = np.outer((np.arange(n_steps) + 0.5) * dt,
@@ -301,8 +304,8 @@ class _Oracle:
             da, r_nl = self.two_eta * u, self.two_eta * v * v
         elif self.kind == "kuznetsov":
             full = np.zeros((2, self.model.grid.nx))   # Dirichlet nodes 0
-            full[:, self.op.active] = u, v
-            gu, gv = gradient(full, self.model.grid)[:, self.op.active]
+            full[:, self.op.span] = u, v
+            gu, gv = self.op.restrict(gradient(full, self.model.grid))
             da, r_nl = self.two_eta_tilde * v, 2.0 * gu * gv
         else:
             return None
@@ -337,6 +340,14 @@ class _Oracle:
                            "of the period")
 
 
+def check_oracle_steps(n_steps: int, M: int):
+    """Raise UndersampledTime unless the oracle's period of n_steps samples
+    resolves harmonic M, as `oracle_discrepancy` needs."""
+    if n_steps < min_samples(M):
+        raise UndersampledTime(f"oracle steps per period: nt={n_steps} < "
+                               f"2M+2={min_samples(M)}")
+
+
 def time_stepping_oracle(f: HarmonicField, model: ValidatedModel, kind: str,
                          dt: float | None = None, max_periods: int = 200,
                          period_tol: float = 1e-8):
@@ -345,7 +356,7 @@ def time_stepping_oracle(f: HarmonicField, model: ValidatedModel, kind: str,
     uniform time grid plus the final periodicity gap."""
     p = model.params
     # the step is T / n_steps, the nearest to dt
-    n_steps = 512 if dt is None else int(round(p.T / dt))
+    n_steps = ORACLE_STEPS if dt is None else int(round(p.T / dt))
     oracle = _Oracle(f, model, kind, n_steps)
     y = np.zeros((3 if p.tau > 0 else 2, oracle.nr))
     z = None

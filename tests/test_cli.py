@@ -18,6 +18,7 @@ from hbwave.cli import run_command
 from hbwave.io import (_SCHEMA, apply_overrides, build_setup, parse_config,
                        read_solution_csv)
 from hbwave.linear import RESIDUAL_RTOL
+from hbwave.model import dealiased_samples, to_time_samples
 from hbwave.nonlinear import solve
 
 CONFIG = """\
@@ -138,6 +139,110 @@ def test_oracle_compare_verb(config, tmp_path):
     with open(os.path.join(out, "oracle.csv")) as fh:
         rows = dict(line.strip().split(",") for line in fh.readlines()[1:])
     assert float(rows["discrepancy"]) < 1e-2
+
+
+# the oracle-march layout: Westervelt, absorbing right end, M = 8
+ORACLE_MARCH = ("-s", "time.m=8", "-s", "bc.right.kind=absorbing",
+                "-s", "bc.right.beta=1.0", "-s", "study.period_tol=0.05")
+
+
+def test_dt_divisor_below_2m_plus_2_fails_validation(config, tmp_path,
+                                                     monkeypatch):
+    import hbwave.cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("an undersampled oracle run started")
+
+    monkeypatch.setattr(hbwave.cli, "solve", must_not_run)
+    monkeypatch.setattr(hbwave.cli, "time_stepping_oracle", must_not_run)
+    for verb in ("validate", "oracle-compare"):
+        out = str(tmp_path / verb)
+        code = run_command([verb, config, "-o", out, *ORACLE_MARCH,
+                            "-s", "study.dt_divisor=16"])
+        assert code == 1
+        assert os.listdir(out) == ["error.json"]
+        with open(os.path.join(out, "error.json")) as fh:
+            record = json.load(fh)
+        assert record["kind"] == "UndersampledTime"
+        assert "2M+2=18" in record["message"]
+    code = run_command(["validate", config, "-o", str(tmp_path / "ok"),
+                        *ORACLE_MARCH, "-s", "study.dt_divisor=18"])
+    assert code == 0
+
+
+def test_default_oracle_steps_below_2m_plus_2_fail_before_the_solve(
+        config, tmp_path, monkeypatch):
+    # without dt_divisor the oracle takes ORACLE_STEPS = 512 steps, too few
+    # for M = 256; that M is valid for every other verb
+    import hbwave.cli
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("an undersampled oracle run started")
+
+    monkeypatch.setattr(hbwave.cli, "solve", must_not_run)
+    monkeypatch.setattr(hbwave.cli, "time_stepping_oracle", must_not_run)
+    code = run_command(["validate", config, "-o", str(tmp_path / "ok"),
+                        "-s", "time.m=256"])
+    assert code == 0
+    out = str(tmp_path / "oracle")
+    code = run_command(["oracle-compare", config, "-o", out,
+                        "-s", "time.m=256"])
+    assert code == 1
+    assert os.listdir(out) == ["error.json"]
+    with open(os.path.join(out, "error.json")) as fh:
+        record = json.load(fh)
+    assert record["kind"] == "UndersampledTime"
+    assert "nt=512 < 2M+2=514" in record["message"]
+
+
+# amplitude 5.0 exits 0 with alpha_min about 0.25 and a negative stability
+# margin: a run outside the paper's hypotheses
+AMPLITUDE_5 = ("-s", "domain.nx=129", "-s", "time.m=16",
+               "-s", "forcing.amplitude_1=5.0")
+
+
+@pytest.mark.parametrize("verb", ["solve", "energy", "oracle-compare"])
+def test_run_info_records_the_solve_metrics(config, tmp_path, verb):
+    extra = AMPLITUDE_5 + (("-s", "study.dt_divisor=64",
+                            "-s", "study.period_tol=1e-3")
+                           if verb == "oracle-compare" else ())
+    code, out = run(config, tmp_path, verb, *extra)
+    assert code == 0
+    with open(os.path.join(out, "run_info.json")) as fh:
+        metrics = json.load(fh)["metrics"]
+    setup = build_setup(apply_overrides(parse_config(config),
+                                        list(extra[1::2])), config)
+    report = solve(setup.f, setup.model, setup.solver_kind, setup.options)
+    # alpha and the margin of the last state, on its full sample arrays
+    p = setup.model.params
+    u = to_time_samples(report.u, dealiased_samples(report.u.M)).values
+    alpha = 1.0 + 2.0 * p.eta[None, :] * u
+    margin = p.b[None, :] / p.c2[None, :] - p.taubar / alpha
+    assert metrics == {"iterations": report.iterations,
+                       "final_residual": report.final_residual,
+                       "alpha_min": float(alpha.min()),
+                       "stability_margin": float(margin.min())}
+    assert metrics["iterations"] == 27
+    assert metrics["final_residual"] <= RESIDUAL_RTOL
+    assert metrics["alpha_min"] == pytest.approx(0.251, abs=1e-3)
+    assert metrics["stability_margin"] == pytest.approx(-0.993, abs=1e-3)
+
+
+def test_run_info_writes_an_infinite_margin_as_null(config, tmp_path):
+    # at amplitude 7.0 alpha changes sign at some node, which a negative
+    # degeneracy floor lets through: the margin is -inf, not valid JSON
+    def no_constant(name):
+        raise AssertionError(f"run_info.json holds {name}")
+
+    code, out = run(config, tmp_path, "solve", "-s", "time.m=8",
+                    "-s", "forcing.amplitude_1=7.0",
+                    "-s", "solver.degeneracy_floor=-1")
+    assert code == 0
+    with open(os.path.join(out, "run_info.json")) as fh:
+        metrics = json.load(fh, parse_constant=no_constant)["metrics"]
+    assert metrics["alpha_min"] < 0
+    assert metrics["stability_margin"] is None
+    assert metrics["final_residual"] <= RESIDUAL_RTOL
 
 
 def test_validation_failure_exits_one_with_record(config, tmp_path):

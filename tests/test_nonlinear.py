@@ -251,3 +251,131 @@ def test_options_validation():
         FixedPointOptions(max_iter=0)
     with pytest.raises(ValueError):
         FixedPointOptions(relaxation=1.5)
+
+
+def full_array_monitor(factors, kind, model):
+    """degeneracy_monitor's definition on the full (nt, nx) sample arrays."""
+    p = model.params
+    coef = p.eta if kind == "westervelt" else p.eta_tilde
+    a = 1.0 + 2.0 * coef[None, :] * factors[0]
+    with np.errstate(divide="ignore"):
+        margin = p.b[None, :] / p.c2[None, :] - p.taubar / a
+    return {"alpha_min": float(a.min()), "alpha_max": float(a.max()),
+            "stability_margin_min": float(margin.min())}
+
+
+def mixed_sign_model(taubar, seed=7):
+    """A 33-node model whose eta and eta_tilde change sign across the nodes
+    (one node has coef 0, node 5 has |coef| = 1.5), with varying b, c2."""
+    rng = np.random.default_rng(seed)
+    x = np.linspace(0.0, 1.0, 33)
+    coef = rng.uniform(-2.0, 2.0, 33)
+    coef[3], coef[5] = 0.0, -1.5
+    return make_model(nx=33, tau=0.0, taubar=taubar,
+                      b=1.0 + 0.05 * np.cos(np.pi * x),
+                      c2=1.0 + 0.05 * np.sin(2 * np.pi * x),
+                      eta=coef, eta_tilde=-coef), coef
+
+
+@pytest.mark.parametrize("kind", ["westervelt", "kuznetsov"])
+@pytest.mark.parametrize("taubar", [0.0, 0.5])
+def test_degeneracy_monitor_equals_its_full_array_definition(kind, taubar):
+    model, coef = mixed_sign_model(taubar)
+    if kind == "kuznetsov":
+        coef = -coef
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        # |2 coef f| <= 0.8 keeps alpha in [0.2, 1.8] at every node ...
+        f = rng.uniform(-0.2, 0.2, (40, 33))
+        # ... but node 5, whose alpha = 1 - 3 u, u in [1, 2], is all negative
+        f[:, 5] = -np.sign(coef[5]) * rng.uniform(1.0, 2.0, 40)
+        factors = (f,) if kind == "westervelt" else (f, f[::-1])
+        mon = degeneracy_monitor(factors, kind, model)
+        assert mon == full_array_monitor(factors, kind, model)
+        assert mon["alpha_min"] < -1.0
+
+
+@pytest.mark.parametrize("taubar", [0.0, 0.5])
+def test_degeneracy_monitor_where_alpha_changes_sign(taubar):
+    # node 5's alpha = 1 - 3 u spans [-0.5, 0.5]: the margin's infimum over
+    # that range is -inf when taubar > 0, whatever the samples are, and
+    # b/c2 when taubar = 0, as on the full arrays
+    model, coef = mixed_sign_model(taubar)
+    rng = np.random.default_rng(3)
+    f = rng.uniform(-0.2, 0.2, (40, 33))
+    f[:, 5] = np.linspace(0.5, 0.2, 40) * -np.sign(coef[5])
+    mon = degeneracy_monitor((f,), "westervelt", model)
+    full = full_array_monitor((f,), "westervelt", model)
+    assert mon["alpha_min"] == full["alpha_min"] < 0 < full["alpha_max"]
+    assert mon["alpha_max"] == full["alpha_max"]
+    if taubar > 0:
+        assert np.isfinite(full["stability_margin_min"])
+        assert mon["stability_margin_min"] == -np.inf
+    else:
+        assert mon["stability_margin_min"] == full["stability_margin_min"]
+
+
+@pytest.fixture
+def gradient_calls(monkeypatch):
+    """Every call of spatial.gradient, through each module that binds it."""
+    import sys
+
+    from hbwave import spatial
+
+    original, calls = spatial.gradient, []
+
+    def counting(v, grid):
+        calls.append(np.shape(v))
+        return original(v, grid)
+
+    for name, module in list(sys.modules.items()):
+        if (name.split(".")[0] == "hbwave"
+                and getattr(module, "gradient", None) is original):
+            monkeypatch.setattr(module, "gradient", counting)
+    return calls
+
+
+def test_picard_takes_one_gradient_per_state(gradient_calls):
+    # the gradient serves both u0lo norms and the Kuznetsov N(u): one call
+    # per iterate, plus one for the start state
+    from hbwave.linear import solve_linearized
+
+    model = make_model(nx=33)
+    f = monochromatic(model, 0.5)
+    cold = fixed_point_solve(f, model, "kuznetsov")
+    assert cold.iterations > 5
+    assert len(gradient_calls) == cold.iterations + 1
+    gradient_calls.clear()
+    warm = fixed_point_solve(1.01 * f, model, "kuznetsov", u0=cold.u)
+    assert warm.iterations > 1
+    assert len(gradient_calls) == warm.iterations + 1
+    gradient_calls.clear()
+    # the linearized solve's base factors take one more
+    lin = solve_linearized(cold.u, f, model, "kuznetsov")
+    assert lin.iterations > 5
+    assert len(gradient_calls) == lin.iterations + 2
+
+
+@pytest.mark.parametrize("kind", ["westervelt", "kuznetsov"])
+def test_picard_update_norm_is_the_norm_of_the_update(kind):
+    # fixed_point measures each update from the difference of the gradients
+    # it took, whose rounding is that of the iterates' gradients: the u0lo
+    # norm of the update to within 1e-15 of the iterate's, four orders of
+    # magnitude below the stopping tolerance
+    from hbwave.linear import fixed_point
+
+    model = make_model(nx=33)
+    f = monochromatic(model, 0.5 if kind == "kuznetsov" else 0.05)
+    states = []
+
+    def rhs(u, grad):
+        states.append(u)
+        return f + eval_bilinear(u, u, kind, model)
+
+    start = HarmonicField.zeros(f.M, model.grid.nx)
+    report = fixed_point(rhs, start, model, FixedPointOptions())
+    assert report.iterations > 3
+    p = model.params
+    for update, a, b in zip(report.update_norms, states, states[1:]):
+        assert abs(update - u0lo_norm(b - a, model.grid, p.omega, p.T)) \
+            <= 1e-15 * u0lo_norm(b, model.grid, p.omega, p.T)

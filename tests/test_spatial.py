@@ -94,6 +94,32 @@ def test_restrict_extend_round_trip():
     np.testing.assert_array_equal(back[1:-1], full[1:-1])
 
 
+ENDPOINTS = (DIRICHLET, NEUMANN,
+             BoundaryCondition(BCKind.IMPEDANCE, gamma=2.0),
+             BoundaryCondition(BCKind.ABSORBING, beta=1.0))
+
+
+@pytest.mark.parametrize("left", ENDPOINTS)
+@pytest.mark.parametrize("right", ENDPOINTS)
+def test_restrict_extend_by_slice_equal_the_fancy_index_forms(left, right):
+    grid = Grid(1.0, 9)
+    op = assemble_laplacian(grid, left, right, m=np.arange(3), omega=1.0)
+    # a Dirichlet endpoint's node is eliminated
+    active = np.arange(int(left.is_dirichlet), 9 - int(right.is_dirichlet))
+    np.testing.assert_array_equal(op.active, active)
+    rng = np.random.default_rng(0)
+    full = rng.normal(size=(3, 9)) + 1j * rng.normal(size=(3, 9))
+    reduced = op.restrict(full)
+    np.testing.assert_array_equal(reduced, full[..., active])
+    fancy = np.zeros_like(full)
+    fancy[..., active] = reduced
+    extended = op.extend(reduced)
+    assert extended.dtype == fancy.dtype
+    np.testing.assert_array_equal(extended, fancy)
+    np.testing.assert_array_equal(op.restrict(full[0].real),
+                                  full[0].real[active])
+
+
 def test_dual_norm_on_operator_eigenvector():
     grid = Grid(1.0, 65)
     v = np.sin(np.pi * grid.nodes).astype(complex)
