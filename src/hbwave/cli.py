@@ -154,8 +154,10 @@ def _run_verb(verb: str, setup, out: str) -> dict:
                  if k in setup.study}
         if "dt_divisor" in setup.study:
             given["dt"] = T / setup.study["dt_divisor"]
-        tf, gap = time_stepping_oracle(setup.f, setup.model,
-                                       setup.solver_kind, **given)
+        tf, gap, counts = time_stepping_oracle(setup.f, setup.model,
+                                               setup.solver_kind, **given)
+        extra["metrics"].update(
+            {f"oracle_{k}": v for k, v in counts.items()})
         dt = T / tf.nt      # the step the oracle took: one sample per step
         d = oracle_discrepancy(u, tf, setup.model)
         write_oracle_csv(os.path.join(out, "oracle.csv"),

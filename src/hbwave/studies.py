@@ -22,6 +22,7 @@ from .model import (
     TimeField,
     ValidatedModel,
     min_samples,
+    to_time_samples,
     validate_model,
 )
 from .nonlinear import FixedPointOptions, fixed_point_solve, solve
@@ -222,10 +223,19 @@ class _Oracle:
     when tau > 0, u_mid = u + h z when tau = 0 (h = dt/2).  The new state is
     twice the midpoint minus the old one.  The stage's linear part is one
     tridiagonal system K z = rhs, factored once; the nonlinear terms are
-    taken at the previous iterate's midpoint and iterated on z to STAGE_TOL,
-    from the extrapolated start 2 w - z_prev (w the top derivative of the
-    state, z_prev the previous step's stage value), or from w on a first
-    step.  The linear kind's stage is linear: one solve.
+    taken at the previous iterate's midpoint, and z is iterated on that map.
+    The linear kind's stage is linear: one solve.
+
+    A stage starts from 3 z_1 - 3 z_2 + z_3, the quadratic through the
+    last three steps' stage values (latest first), off by O(dt^3) on the
+    uniform step; with fewer, from 2 w - z_1 (w the state's top
+    derivative), or from w.  With s_k = dz_gain |dz_k| the k-th update's
+    move of the new state, an iterate is accepted once s_k <= STAGE_TOL
+    (|y_new| + 1), or once theta / (1 - theta) s_k, its error estimate for a
+    contraction theta < 1, is at most STAGE_SAFETY times that (Hairer &
+    Wanner, Solving ODEs II, IV.8).  theta is the largest ratio
+    s_k / s_(k-1) the oracle has met: a step's own first ratio can fall
+    well below the map's contraction.
 
     The forcing is T-periodic and dt = T / n_steps, so the forcing at the
     midpoint of each step of a period is tabulated once, and so are the
@@ -234,6 +244,7 @@ class _Oracle:
 
     MAX_STAGE_ITER = 50
     STAGE_TOL = 1e-13
+    STAGE_SAFETY = 0.1      # share of STAGE_TOL left to theta's estimate
 
     def __init__(self, f: HarmonicField, model: ValidatedModel, kind: str,
                  n_steps: int):
@@ -295,6 +306,8 @@ class _Oracle:
         # y_new = 2 mid - y, so |y_new - y_new'| = dz_gain |z - z'|
         self.dz_gain = 2.0 * np.sqrt(self.g @ self.g)
         self.solve_stage = tridiagonal_solver(K)
+        self.stage_solves = 0   # over the oracle's life
+        self.theta = 0.0
 
     def _rest(self, mid: np.ndarray, forcing: np.ndarray):
         """(alpha - 1) u_tt + r_nl at the stage midpoint: the nonlinear
@@ -314,28 +327,42 @@ class _Oracle:
              - r_nl - forcing) / (self.one_bd + da))
         return da * utt + r_nl
 
-    def step(self, y: np.ndarray, j: int, z_prev: np.ndarray | None = None):
+    def step(self, y: np.ndarray, j: int, zs: tuple = ()):
         """One step from state y over step j of a period, whose midpoint is
-        at (j + 1/2) dt modulo T; z_prev is the previous step's stage value,
-        or None.  Returns the new state and this step's stage value."""
+        at (j + 1/2) dt modulo T; zs holds the previous steps' stage values,
+        latest first, of which the first three are used.  Returns the new
+        state and this step's stage value."""
         forcing = self.forcing[j]
         # K z = rhs - rest, rhs = sum over rows k of lin_k y_k - forcing
         r = band_product(self.lin_bands, y.reshape(-1)).reshape(y.shape)
         rhs = sum(r) - forcing
         m0, g = self.P @ y, self.g[:, None]
-        z = y[-1] if z_prev is None else 2.0 * y[-1] - z_prev
+        if len(zs) >= 3:
+            z = 3.0 * (zs[0] - zs[1]) + zs[2]
+        else:
+            z = 2.0 * y[-1] - zs[0] if zs else y[-1]
         mid = m0 + g * z
+        s_prev = 0.0        # no ratio before the second update
         for _ in range(self.MAX_STAGE_ITER):
             rest = self._rest(mid, forcing)
             # without nonlinear terms the stage is linear: one solve
             z_new = self.solve_stage(rhs if rest is None else rhs - rest)
+            self.stage_solves += 1
             dz = z_new - z
             z, mid = z_new, m0 + g * z_new
             y_new = 2.0 * mid - y
-            if rest is None or (
-                    self.dz_gain * math.sqrt(dz @ dz) <= self.STAGE_TOL
-                    * (math.sqrt(np.vdot(y_new, y_new)) + 1.0)):
+            if rest is None:
                 return y_new, z
+            s = self.dz_gain * math.sqrt(dz @ dz)
+            tol = self.STAGE_TOL * (math.sqrt(np.vdot(y_new, y_new)) + 1.0)
+            if s <= tol:
+                return y_new, z
+            if s_prev > 0.0:
+                theta = self.theta = max(self.theta, s / s_prev)
+                if theta < 1.0 and (theta * s <= (1.0 - theta)
+                                    * self.STAGE_SAFETY * tol):
+                    return y_new, z
+            s_prev = s
         raise StepRejected(f"implicit stage did not converge in step {j} "
                            "of the period")
 
@@ -352,45 +379,41 @@ def time_stepping_oracle(f: HarmonicField, model: ValidatedModel, kind: str,
                          dt: float | None = None, max_periods: int = 200,
                          period_tol: float = 1e-8):
     """Integrate the damped initial-value problem from zero data until the
-    state repeats over a period; return the last period sampled onto the
-    uniform time grid plus the final periodicity gap."""
+    state repeats over a period.  Returns u at the start of each step of
+    the last period marched, written in place as each period is marched,
+    that period's gap |y_end - y_start| / |y_end|, and the march's counts
+    (periods, steps, stage solves)."""
     p = model.params
     # the step is T / n_steps, the nearest to dt
     n_steps = ORACLE_STEPS if dt is None else int(round(p.T / dt))
     oracle = _Oracle(f, model, kind, n_steps)
     y = np.zeros((3 if p.tau > 0 else 2, oracle.nr))
-    z = None
-    y_prev = y.copy()
-    gaps = []
-    converged = False
-    for k in range(1, max_periods + 1):
-        for j in range(n_steps):
-            y, z = oracle.step(y, j, z)
-        norm = np.linalg.norm(y)
-        gap = (np.linalg.norm(y - y_prev) / norm) if norm > 0 else 0.0
-        gaps.append(gap)
-        y_prev = y.copy()
-        if gap < period_tol:
-            converged = True
-            break
-    if not converged:
-        raise NoPeriodicAttractor(
-            f"periodicity gap {gaps[-1]:.3e} > {period_tol} after "
-            f"{max_periods} periods", gaps=gaps)
-
+    zs = ()
     values = np.zeros((n_steps, model.grid.nx))
-    for j in range(n_steps):
-        values[j] = oracle.op.extend(y[0]).real
-        y, z = oracle.step(y, j, z)
-    return TimeField(values), gaps[-1]
+    u = values[:, oracle.op.span]       # a view: Dirichlet nodes stay 0
+    gaps = []
+    for k in range(1, max_periods + 1):
+        y_start = y         # steps return new arrays: y is never written
+        for j in range(n_steps):
+            u[j] = y[0]
+            y, z = oracle.step(y, j, zs)
+            zs = (z, *zs[:2])
+        norm = np.linalg.norm(y)
+        gap = (np.linalg.norm(y - y_start) / norm) if norm > 0 else 0.0
+        gaps.append(gap)
+        if gap < period_tol:
+            counts = {"periods": k, "steps": k * n_steps,
+                      "stage_solves": oracle.stage_solves}
+            return TimeField(values), gap, counts
+    raise NoPeriodicAttractor(
+        f"periodicity gap {gaps[-1]:.3e} > {period_tol} after "
+        f"{max_periods} periods", gaps=gaps)
 
 
 def oracle_discrepancy(u_hb: HarmonicField, oracle_tf: TimeField,
                        model: ValidatedModel) -> float:
     """Relative L2(L2) distance between a harmonic-balance solution and an
     oracle trajectory sampled on its own time grid."""
-    from .model import to_time_samples
-
     nt = oracle_tf.nt
     hb = to_time_samples(u_hb, nt).values
     w = model.grid.trapezoid_weights()

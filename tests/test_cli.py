@@ -218,10 +218,17 @@ def test_run_info_records_the_solve_metrics(config, tmp_path, verb):
     u = to_time_samples(report.u, dealiased_samples(report.u.M)).values
     alpha = 1.0 + 2.0 * p.eta[None, :] * u
     margin = p.b[None, :] / p.c2[None, :] - p.taubar / alpha
+    # oracle-compare adds the march's counts; the solve's entries stay
+    march = {k: metrics.pop(k) for k in ("oracle_periods", "oracle_steps",
+                                         "oracle_stage_solves")
+             if verb == "oracle-compare"}
     assert metrics == {"iterations": report.iterations,
                        "final_residual": report.final_residual,
                        "alpha_min": float(alpha.min()),
                        "stability_margin": float(margin.min())}
+    if march:
+        assert march["oracle_steps"] == 64 * march["oracle_periods"]
+        assert march["oracle_stage_solves"] >= march["oracle_steps"]
     assert metrics["iterations"] == 27
     assert metrics["final_residual"] <= RESIDUAL_RTOL
     assert metrics["alpha_min"] == pytest.approx(0.251, abs=1e-3)

@@ -14,7 +14,7 @@ from hbwave.model import (
 )
 from hbwave.nonlinear import FixedPointOptions, fixed_point_solve, solve
 from hbwave import studies
-from hbwave.spatial import assemble_laplacian
+from hbwave.spatial import assemble_laplacian, band_product
 from hbwave.studies import (
     _Oracle,
     convergence_study,
@@ -163,8 +163,8 @@ def test_taylor_second_order_remainder_and_first_order_difference():
 def test_oracle_zero_forcing_stays_zero():
     model = make_model(nx=17)
     f = HarmonicField.zeros(2, 17)
-    tf, gap = time_stepping_oracle(f, model, "linear", dt=model.params.T / 64,
-                                   max_periods=3)
+    tf, gap, _ = time_stepping_oracle(f, model, "linear",
+                                      dt=model.params.T / 64, max_periods=3)
     assert gap == 0.0
     assert np.all(tf.values == 0.0)
 
@@ -173,9 +173,9 @@ def test_oracle_matches_harmonic_balance_linear():
     model = make_model(nx=33)
     f = drive(model, M=2)
     u = solve_linear_mgt(f, model)
-    tf, gap = time_stepping_oracle(f, model, "linear",
-                                   dt=model.params.T / 256,
-                                   max_periods=60, period_tol=1e-8)
+    tf, gap, _ = time_stepping_oracle(f, model, "linear",
+                                      dt=model.params.T / 256,
+                                      max_periods=60, period_tol=1e-8)
     assert gap < 1e-8
     assert oracle_discrepancy(u, tf, model) < 1e-3
 
@@ -186,9 +186,9 @@ def test_oracle_discrepancy_improves_with_smaller_dt():
     u = solve_linear_mgt(f, model)
     d = []
     for div in (64, 128):
-        tf, _ = time_stepping_oracle(f, model, "linear",
-                                     dt=model.params.T / div,
-                                     max_periods=60, period_tol=1e-8)
+        tf, _, _ = time_stepping_oracle(f, model, "linear",
+                                        dt=model.params.T / div,
+                                        max_periods=60, period_tol=1e-8)
         d.append(oracle_discrepancy(u, tf, model))
     assert d[1] < d[0]
 
@@ -232,8 +232,8 @@ def test_oracle_cross_check_matrix(kind, bc_left, bc_right, heterogeneous,
     model = validate_model(grid, params, bc_left, bc_right)
     f = drive(model)
     u = solve(f, model, kind).u
-    tf, gap = time_stepping_oracle(f, model, kind, dt=model.params.T / 512,
-                                   period_tol=1e-8)
+    tf, gap, _ = time_stepping_oracle(f, model, kind, dt=model.params.T / 512,
+                                      period_tol=1e-8)
     assert gap < 1e-8
     assert oracle_discrepancy(u, tf, model) < 1e-3
 
@@ -242,9 +242,9 @@ def test_oracle_second_harmonic_agreement_westervelt():
     model = make_model(eta=1.0)
     f = drive(model, amp=6e-3)
     u = fixed_point_solve(f, model, "westervelt").u
-    tf, _ = time_stepping_oracle(f, model, "westervelt",
-                                 dt=model.params.T / 256,
-                                 max_periods=60, period_tol=1e-9)
+    tf, _, _ = time_stepping_oracle(f, model, "westervelt",
+                                    dt=model.params.T / 256,
+                                    max_periods=60, period_tol=1e-9)
     from hbwave.model import to_harmonics
     u_or = to_harmonics(tf, u.M)
     a_hb = np.max(np.abs(u.coeffs[2]))
@@ -265,9 +265,9 @@ def test_oracle_tau_zero_path():
     model = make_model(tau=0.0)
     f = drive(model, M=2)
     u = solve_linear_mgt(f, model)
-    tf, gap = time_stepping_oracle(f, model, "linear",
-                                   dt=model.params.T / 256,
-                                   max_periods=60, period_tol=1e-8)
+    tf, gap, _ = time_stepping_oracle(f, model, "linear",
+                                      dt=model.params.T / 256,
+                                      max_periods=60, period_tol=1e-8)
     assert oracle_discrepancy(u, tf, model) < 1e-3
 
 
@@ -343,7 +343,7 @@ def test_oracle_step_matches_dense_midpoint_step(tau, bc_left, bc_right):
     assert (np.linalg.norm(got - expected)
             <= 1e-12 * np.linalg.norm(expected))
     # the linear stage takes one solve, so its start does not matter
-    guessed, _ = oracle.step(y, 19, rng.standard_normal(oracle.nr))
+    guessed, _ = oracle.step(y, 19, (rng.standard_normal(oracle.nr),))
     assert np.array_equal(guessed, got)
     # z is the midpoint of the top derivative
     assert np.allclose(z, 0.5 * (y[-1] + got[-1]), rtol=0, atol=1e-12)
@@ -407,26 +407,32 @@ def test_oracle_step_solves_the_nonlinear_midpoint_equation(kind, tau,
     x = grid.nodes[oracle.op.active]
     y = 0.1 * np.array([np.cos(k * np.pi * x + rng.uniform(0, 6))
                         for k in range(1, 4)])[:3 if tau > 0 else 2]
-    z = None
-    # a first step, then one from the extrapolated start
-    for j in (19, 20):
-        y_new, z = oracle.step(y, j, z)
+    zs = ()
+    # a first step, then from the linear and the quadratic starts
+    for j in range(19, 24):
+        y_new, z = oracle.step(y, j, zs)
         res = y_new - y - dt * F((j + 0.5) * dt, 0.5 * (y + y_new))
         assert np.linalg.norm(res) <= 1e-11 * np.linalg.norm(y_new)
-        y = y_new
+        y, zs = y_new, (z, *zs[:2])
 
 
 @pytest.mark.parametrize("kind, kw", [("linear", {}),
                                       ("westervelt", {"eta": 1.0})])
 def test_oracle_stage_solve_count(monkeypatch, kind, kw):
-    """The linear kind's stage takes one solve a step.  The Westervelt run
-    takes 3 from its extrapolated start on every step: 9,216 solves over
-    6 periods of 512 steps, where the start from the old state took
-    12,005."""
-    counts = {"solves": 0, "steps": 0}
+    """The linear kind's stage takes one solve a step.  The march stops
+    after the period whose gap it reports: 5 periods of 512 steps here,
+    where marching a sixth period only to sample it made 6.  The Westervelt
+    run takes 2 solves a step from its quadratic start with the
+    contraction-based stop, 5,120 in all, where 3 a step from the linear
+    start made 9,216 over 6 periods and the start from the old state
+    12,005.  The first steps, whose start is cruder, may take a few more.
+    The stage is factored once, and the counts the march returns are the
+    ones counted here."""
+    counts = {"factors": 0, "solves": 0, "steps": 0}
     factor = studies.tridiagonal_solver
 
     def counted_factor(bands):
+        counts["factors"] += 1
         solve_stage = factor(bands)
 
         def counted(rhs):
@@ -447,14 +453,93 @@ def test_oracle_stage_solve_count(monkeypatch, kind, kw):
         COEFFS, b=smooth(grid.nodes, 0.08, 1),
         c2=smooth(grid.nodes, -0.06, 2), **kw))
     model = validate_model(grid, params, DIRICHLET, ABSORBING)
-    _, gap = time_stepping_oracle(drive(model), model, kind,
-                                  dt=params.T / 512, period_tol=1e-8)
+    _, gap, march = time_stepping_oracle(drive(model), model, kind,
+                                         dt=params.T / 512, period_tol=1e-8)
     assert gap < 1e-8
-    assert counts["steps"] == 6 * 512
+    assert counts["factors"] == 1
+    assert counts["steps"] == 5 * 512
+    assert march == {"periods": 5, "steps": counts["steps"],
+                     "stage_solves": counts["solves"]}
     if kind == "linear":
         assert counts["solves"] == counts["steps"]
     else:
-        assert counts["solves"] <= 9216
+        assert counts["solves"] <= 2 * counts["steps"] + 16
+
+
+def recorded_steps(monkeypatch):
+    """Patch _Oracle.step to record (oracle, y, j, y_new, z) per step."""
+    steps = []
+    step = _Oracle.step
+
+    def recorded(self, y, j, zs=()):
+        y_new, z = step(self, y, j, zs)
+        steps.append((self, y, j, y_new, z))
+        return y_new, z
+    monkeypatch.setattr(_Oracle, "step", recorded)
+    return steps
+
+
+def stage_fixed_point(oracle, y, j, z, solves=10):
+    """The stage's fixed point, by iterating _Oracle.step's stage map
+    from z: K z = sum over rows k of lin_k y_k - forcing - rest(mid(z))."""
+    forcing = oracle.forcing[j]
+    r = band_product(oracle.lin_bands, y.reshape(-1)).reshape(y.shape)
+    rhs = r.sum(axis=0) - forcing
+    for _ in range(solves):
+        mid = oracle.P @ y + oracle.g[:, None] * z
+        z = oracle.solve_stage(rhs - oracle._rest(mid, forcing))
+    return z
+
+
+@pytest.mark.parametrize("amp", [6e-3, 0.3])
+@pytest.mark.parametrize("tau", [0.1, 0.0])
+@pytest.mark.parametrize("kind", ["westervelt", "kuznetsov"])
+def test_oracle_stage_values_are_within_tolerance_of_the_fixed_point(
+        monkeypatch, kind, tau, amp):
+    """Every stage value the march accepts moves the new state by at most
+    STAGE_TOL (|y_new| + 1) from its stage's fixed point: here by at most
+    0.11 of that.  With theta the step's own last ratio, Kuznetsov at
+    tau = 0 and amplitude 6e-3 misses by 1.4x.  With STAGE_SAFETY = 1, two
+    cases miss, by up to 1.5x; with both, six of the eight, by up to
+    3.8x."""
+    grid = Grid(1.0, 33)
+    params = PhysicalParams.create(grid, **dict(
+        COEFFS, tau=tau, eta=1.0, eta_tilde=1.0,
+        b=smooth(grid.nodes, 0.08, 1), c2=smooth(grid.nodes, -0.06, 2)))
+    model = validate_model(grid, params, DIRICHLET, ABSORBING)
+    steps = recorded_steps(monkeypatch)
+    # two periods from zero data: the first one's gap is 1, the second's less
+    time_stepping_oracle(drive(model, amp), model, kind, dt=params.T / 64,
+                         max_periods=2, period_tol=1.0)
+    assert len(steps) == 2 * 64
+    for oracle, y, j, y_new, z in steps:
+        error = oracle.dz_gain * np.linalg.norm(
+            z - stage_fixed_point(oracle, y, j, z))
+        assert error <= oracle.STAGE_TOL * (np.linalg.norm(y_new) + 1.0)
+
+
+@pytest.mark.parametrize("kind, kw", [("linear", {}),
+                                      ("westervelt", {"eta": 1.0})])
+def test_oracle_samples_the_period_whose_gap_it_reports(monkeypatch, kind,
+                                                        kw):
+    model = make_model(nx=17, **kw)
+    steps = recorded_steps(monkeypatch)
+    tf, gap, counts = time_stepping_oracle(drive(model, M=2), model, kind,
+                                           dt=model.params.T / 64,
+                                           period_tol=1e-6)
+    periods = counts["periods"]
+    assert periods > 1
+    assert counts["steps"] == len(steps) == periods * 64
+    last = steps[-64:]
+    assert [j for _, _, j, _, _ in last] == list(range(64))
+    # row j: u at the start of step j, Dirichlet nodes 0
+    active = last[0][0].op.active
+    expected = np.zeros((64, model.grid.nx))
+    expected[:, active] = [y[0] for _, y, _, _, _ in last]
+    assert np.array_equal(tf.values, expected)
+    y_start, y_end = last[0][1], last[-1][3]
+    assert gap == np.linalg.norm(y_end - y_start) / np.linalg.norm(y_end)
+    assert gap < 1e-6
 
 
 def test_oracle_step_rejected_after_max_stage_iterations(monkeypatch):
