@@ -180,11 +180,24 @@ def min_samples(M: int) -> int:
     return 2 * M + 2
 
 
+def _is_smooth(n: int) -> bool:
+    """n has no prime factor above 5."""
+    for f in (2, 3, 5):
+        while n % f == 0:
+            n //= f
+    return n == 1
+
+
 def dealiased_samples(M: int) -> int:
-    """Smallest power of two >= 4M+2 (exact for quadratic products)."""
-    n = 1
-    while n < 4 * M + 2:
-        n *= 2
+    """Smallest 2,3,5-smooth length >= 3M+1 and >= min_samples(M).
+
+    A product of two order-M fields has harmonics up to 2M; on nt samples
+    harmonic k <= 2M aliases to nt - k, which lies above M once nt > 3M,
+    so its order-M truncation is exact (Orszag's 3/2 rule).
+    """
+    n = max(3 * M + 1, min_samples(M))
+    while not _is_smooth(n):
+        n += 1
     return n
 
 
@@ -192,18 +205,15 @@ def to_time_samples(u: HarmonicField, nt: int) -> TimeField:
     """Synthesize real time samples at t_k = k T / Nt."""
     if nt < min_samples(u.M):
         raise UndersampledTime(f"nt={nt} < 2M+2={min_samples(u.M)}")
-    spectrum = np.zeros((nt // 2 + 1, u.nx), dtype=complex)
-    spectrum[: u.M + 1] = u.coeffs * nt
-    values = np.fft.irfft(spectrum, n=nt, axis=0)
-    return TimeField(values)
+    # irfft zero-pads the M+1 coefficients to nt//2+1
+    return TimeField(np.fft.irfft(u.coeffs, n=nt, axis=0, norm="forward"))
 
 
 def to_harmonics(v: TimeField, M: int) -> HarmonicField:
     """Order-M truncation of the discrete Fourier series of each node."""
     if v.nt < min_samples(M):
         raise UndersampledTime(f"nt={v.nt} < 2M+2={min_samples(M)}")
-    # nt >= 2M + 2 gives at least M + 2 rows; only the kept ones are scaled
-    coeffs = np.fft.rfft(v.values, axis=0)[:M + 1] / v.nt
+    coeffs = np.fft.rfft(v.values, axis=0, norm="forward")[:M + 1]
     coeffs[0] = coeffs[0].real
     return HarmonicField(coeffs)
 

@@ -6,15 +6,15 @@ Both model nonlinearities share the bilinear structure
     westervelt:  r[v, w] = eta (v w)_tt
     kuznetsov:   r[v, w] = (eta_tilde v_t w_t + grad v . grad w)_t
 with N(u) = r[u, u].  Products are formed nodally on a dealiased time grid
-(Nt >= 4M+2), so truncation back to order M is exact.  Synthesizing a
-field's factors and multiplying two factor sets are separate steps, so a
-factor used twice, as in r[u, u] or the fixed base of the linearization,
-is synthesized once.  The Picard rhs synthesizes each state once: the same
-factors give alpha for the degeneracy check and N(u) for the next solve.
-Its Kuznetsov factor grad u is the gradient `linear.fixed_point` takes once
-per state for its norms.  The degeneracy check reads each node's extreme
-samples of the alpha factor, so its margins cost O(nx) beyond two passes
-over the samples.
+(`model.dealiased_samples`: Nt >= 3M+1), so truncation back to order M is
+exact.  Synthesizing a field's factors and multiplying two factor sets are
+separate steps, so a factor used twice, as in r[u, u] or the fixed base of
+the linearization, is synthesized once.  The Picard rhs synthesizes each
+state once: the same factors give alpha for the degeneracy check and N(u)
+for the next solve.  Its Kuznetsov factor grad u is the gradient
+`linear.fixed_point` takes once per state for its norms.  The degeneracy
+check reads each node's extreme samples of the alpha factor, so its
+margins cost O(nx) beyond two passes over the samples.
 """
 from __future__ import annotations
 
@@ -89,6 +89,9 @@ def degeneracy_monitor(factors: tuple, kind: str,
     """Extrema of alpha = 1 + 2 coef factors[0], with coef eta (westervelt)
     or eta_tilde (kuznetsov), and the minimum of the pointwise stability
     margin b/c2 - taubar/alpha, from a state's `bilinear_factors`.
+    These are extrema over the `dealiased_samples(M)` time samples, not
+    over continuous t, so alpha_min may sit slightly above the true
+    minimum.
 
     Each node's alpha is extreme where its factor is: one min and one max
     pass over time, picked by the sign of coef, give the node's alpha_lo

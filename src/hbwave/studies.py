@@ -415,17 +415,18 @@ def oracle_discrepancy(u_hb: HarmonicField, oracle_tf: TimeField,
     """Relative L2(L2) distance between a harmonic-balance solution and an
     oracle trajectory sampled on its own time grid."""
     nt = oracle_tf.nt
-    hb = to_time_samples(u_hb, nt).values
     w = model.grid.trapezoid_weights()
-    # squared and weighted in place, in one temporary of the trajectories'
-    # size: each further one adds its size to the verb's peak memory
-    sq = hb - oracle_tf.values
+    # the reference's sum of squares over the samples by Parseval (exact,
+    # as nt > 2M), so the difference is squared and weighted in place with
+    # no temporary of the trajectories' size: each adds to peak memory
+    c = u_hb.coeffs
+    power = c[0].real**2 + 2.0 * np.sum(np.abs(c[1:])**2, axis=0)
+    ref = float(nt * (w @ power))
+    sq = to_time_samples(u_hb, nt).values
+    sq -= oracle_tf.values
     sq *= sq
     sq *= w
     diff = float(np.sum(sq))
-    np.multiply(hb, hb, out=sq)
-    sq *= w
-    ref = float(np.sum(sq))
     if ref == 0.0:
         return float(np.sqrt(diff))
     return float(np.sqrt(diff / ref))

@@ -16,6 +16,8 @@ from hbwave.model import (
     to_time_samples,
     validate_model,
 )
+from hbwave.nonlinear import bilinear_factors, bilinear_product
+from hbwave.spatial import gradient
 
 DIRICHLET = BoundaryCondition(BCKind.DIRICHLET)
 
@@ -70,11 +72,47 @@ def test_undersampling_rejected():
         to_harmonics(TimeField(np.zeros((9, 5))), 4)
 
 
-def test_dealiased_samples_power_of_two():
-    for M in (1, 2, 3, 8, 17):
-        n = dealiased_samples(M)
-        assert n >= 4 * M + 2
-        assert n & (n - 1) == 0
+def _smooth(n):
+    for f in (2, 3, 5):
+        while n % f == 0:
+            n //= f
+    return n == 1
+
+
+@pytest.mark.parametrize("M", [1, 2, 3, 8, 16, 17, 32])
+def test_dealiased_samples_smooth_and_alias_free(M):
+    n = dealiased_samples(M)
+    least = max(3 * M + 1, min_samples(M))
+    assert n >= least
+    assert _smooth(n)
+    assert not any(_smooth(k) for k in range(least, n))
+
+    # r[v, w] on n samples equals r[v, w] on an alias-free 4M+2 grid
+    rng = np.random.default_rng(M)
+    grid = Grid(1.0, 9)
+    model = validate_model(grid, make_params(grid, eta=0.7, eta_tilde=1.3),
+                           DIRICHLET, DIRICHLET, M)
+    omega = model.params.omega
+    v, w = (HarmonicField(rng.normal(size=(M + 1, grid.nx))
+                          + 1j * rng.normal(size=(M + 1, grid.nx)))
+            for _ in range(2))
+    n_ref = 4 * M + 2
+    for kind in ("westervelt", "kuznetsov"):
+        fv = bilinear_factors(v, kind, model)
+        assert fv[0].shape[0] == n
+        out = bilinear_product(fv, bilinear_factors(w, kind, model), kind,
+                               model, M)
+
+        def ref_factors(u):
+            if kind == "westervelt":
+                return (to_time_samples(u, n_ref).values,)
+            grad = HarmonicField(gradient(u.coeffs, grid))
+            return (to_time_samples(u.time_derivative(omega), n_ref).values,
+                    to_time_samples(grad, n_ref).values)
+
+        ref = bilinear_product(ref_factors(v), ref_factors(w), kind, model, M)
+        err = np.linalg.norm(out.coeffs - ref.coeffs)
+        assert err <= 1e-13 * np.linalg.norm(ref.coeffs)
 
 
 def test_time_derivative_factors():

@@ -10,6 +10,8 @@ from hbwave.model import (
     Grid,
     HarmonicField,
     PhysicalParams,
+    TimeField,
+    to_time_samples,
     validate_model,
 )
 from hbwave.nonlinear import FixedPointOptions, fixed_point_solve, solve
@@ -191,6 +193,24 @@ def test_oracle_discrepancy_improves_with_smaller_dt():
                                         max_periods=60, period_tol=1e-8)
         d.append(oracle_discrepancy(u, tf, model))
     assert d[1] < d[0]
+
+
+def test_oracle_discrepancy_is_a_relative_sample_norm():
+    # the reference norm comes from the harmonics (Parseval); it must
+    # equal the weighted sum of squares over the samples
+    model = make_model(nx=17)
+    rng = np.random.default_rng(5)
+    M, nt = 3, 8
+    u = HarmonicField(rng.normal(size=(M + 1, 17))
+                      + 1j * rng.normal(size=(M + 1, 17)))
+    hb = to_time_samples(u, nt).values
+    other = rng.normal(size=hb.shape)
+    w = model.grid.trapezoid_weights()
+    expected = np.sqrt(np.sum((hb - other)**2 * w) / np.sum(hb**2 * w))
+    assert oracle_discrepancy(u, TimeField(other), model) == pytest.approx(
+        expected, rel=1e-14)
+    assert oracle_discrepancy(u, TimeField(np.zeros_like(hb)),
+                              model) == pytest.approx(1.0, rel=1e-14)
 
 
 ABSORBING = BoundaryCondition(BCKind.ABSORBING, beta=1.0)
