@@ -144,25 +144,21 @@ def _run_verb(verb: str, setup, out: str) -> dict:
         return extra
 
     if verb == "oracle-compare":
+        n_steps = setup.study.get("dt_divisor", ORACLE_STEPS)
         # too few oracle steps fail here, before the solve and the march
-        check_oracle_steps(setup.study.get("dt_divisor", ORACLE_STEPS),
-                           setup.M)
+        check_oracle_steps(n_steps, setup.M)
         u = _solve(setup, extra)
-        T = setup.model.params.T
         # the oracle's own defaults hold for what the config leaves out
         given = {k: setup.study[k] for k in ("max_periods", "period_tol")
                  if k in setup.study}
-        if "dt_divisor" in setup.study:
-            given["dt"] = T / setup.study["dt_divisor"]
-        tf, gap, counts = time_stepping_oracle(setup.f, setup.model,
-                                               setup.solver_kind, **given)
+        samples, gap, counts = time_stepping_oracle(
+            setup.f, setup.model, setup.solver_kind, n_steps, **given)
         extra["metrics"].update(
             {f"oracle_{k}": v for k, v in counts.items()})
-        dt = T / tf.nt      # the step the oracle took: one sample per step
-        d = oracle_discrepancy(u, tf, setup.model)
+        d = oracle_discrepancy(u, samples, setup.model)
         write_oracle_csv(os.path.join(out, "oracle.csv"),
                          {"discrepancy": d, "periodicity_gap": gap,
-                          "dt": dt})
+                          "dt": setup.model.params.T / n_steps})
         print(f"wrote oracle.csv (discrepancy = {d:.6e})")
         return extra
 

@@ -194,10 +194,10 @@ def energy_identity_residual(u: HarmonicField, rtilde: HarmonicField,
     sigma, rho = mult.sigma, mult.rho
     nt = dealiased_samples(u.M)
 
-    us = to_time_samples(u, nt).values
-    ut = to_time_samples(u.time_derivative(omega, 1), nt).values
-    utt = to_time_samples(u.time_derivative(omega, 2), nt).values
-    rs = to_time_samples(rtilde, nt).values
+    us = to_time_samples(u, nt)
+    ut = to_time_samples(u.time_derivative(omega, 1), nt)
+    utt = to_time_samples(u.time_derivative(omega, 2), nt)
+    rs = to_time_samples(rtilde, nt)
     test = tb * utt + sigma * ut + rho * us
 
     gut = gradient(ut, grid)

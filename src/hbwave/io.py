@@ -24,6 +24,7 @@ from .errors import (
     ConfigSyntaxError,
     NonFiniteResult,
     TypeMismatch,
+    UnknownCase,
     UnknownKey,
 )
 from .model import (
@@ -37,7 +38,7 @@ from .model import (
     validate_model,
 )
 from .linear import FixedPointOptions
-from .studies import CASE_M, MIN_LEVELS, check_oracle_steps
+from .studies import CASE_IDS, CASE_M, MIN_LEVELS, check_oracle_steps
 
 _SCHEMA = {
     "domain": {"l", "nx"},
@@ -267,6 +268,9 @@ def build_setup(raw: dict, config_path: str) -> RunSetup:
     st = raw.get("study", {})
     if "case" in st:
         study["case"] = st["case"].strip()
+        if study["case"] not in CASE_IDS:
+            raise UnknownCase(f"[study] case = {study['case']!r}; known: "
+                              f"{CASE_IDS}")
     for key, convert, need in (("grids", int, MIN_LEVELS), ("taus", float, 1),
                                ("eps", float, MIN_LEVELS)):
         if key not in st:

@@ -49,32 +49,24 @@ RESIDUAL_RTOL = 1e-10
 NONCONTRACTION_PATIENCE = 5
 
 
-def kappa_squared(m: int, tau: float, omega: float, b_const: float,
-                  c2_const: float) -> complex:
-    """Helmholtz wavenumber squared of harmonic m for constant coefficients.
-
-    Dividing A_m by (c2 + i m w b) gives -Lap - kappa_m^2 with
-    kappa_m^2 = (m^2 w^2 + i tau m^3 w^3) / (c2 + i m w b).
-    """
-    mw = m * omega
-    return (mw**2 + 1j * tau * mw**3) / (c2_const + 1j * mw * b_const)
-
-
 def assemble_harmonic_system(model: ValidatedModel, M: int):
     """Bands of A_0..A_M and the -Lap_m operator they scale.
 
     Returns (op, bands): `op` restricts and extends nodal vectors, `bands`
     has shape (M+1, 3, nr) in LAPACK (1, 1) storage with bands[m] = A_m.
     """
+    # A_0 = c2 (-Lap_0) is singular when neither end anchors the mean: no
+    # Dirichlet node and no Robin term gamma
+    if all(not bc.is_dirichlet and bc.gamma == 0.0
+           for bc in (model.bc_left, model.bc_right)):
+        raise SingularMeanMode(
+            "mean-mode operator is singular: no impedance or Dirichlet "
+            "endpoint")
     p = model.params
     m = np.arange(M + 1)
     mw = m * p.omega
     op = assemble_laplacian(model.grid, model.bc_left, model.bc_right, m,
                             p.omega)
-    if op.is_singular():
-        raise SingularMeanMode(
-            "mean-mode operator is singular: no impedance or Dirichlet "
-            "endpoint")
     # row i of A_m is scaled by c2_i + i m w b_i; the entries scale_rows
     # wraps around meet the zero corners, so no block leaks into the next
     bands = scale_rows(op.bands,

@@ -2,8 +2,10 @@
 
 Fields that are T-periodic in time are stored one-sided in harmonic space:
 u(t, x) = u_0(x) + sum_{m=1..M} 2 Re(u_m(x) exp(i m omega t)),
-so reality of time samples is structural.  Spatially everything lives on a
-uniform grid over the interval (0, L).
+so reality of time samples is structural.  Time samples over one period are
+plain real (nt, nx) arrays: `to_time_samples` returns one and
+`to_harmonics` takes one.  Spatially everything lives on a uniform grid
+over the interval (0, L).
 """
 from __future__ import annotations
 
@@ -153,27 +155,6 @@ class HarmonicField:
         factor = (1j * m * omega) ** order
         return HarmonicField(self.coeffs * factor[:, None])
 
-    def amplitude(self) -> float:
-        return float(np.max(np.abs(self.coeffs))) if self.coeffs.size else 0.0
-
-
-@dataclass
-class TimeField:
-    """Real samples on a uniform time grid over one period, (Nt, nx)."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-
-    @property
-    def nt(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def nx(self) -> int:
-        return self.values.shape[1]
-
 
 def min_samples(M: int) -> int:
     """Minimum time samples for a lossless round trip at order M."""
@@ -201,19 +182,21 @@ def dealiased_samples(M: int) -> int:
     return n
 
 
-def to_time_samples(u: HarmonicField, nt: int) -> TimeField:
-    """Synthesize real time samples at t_k = k T / Nt."""
+def to_time_samples(u: HarmonicField, nt: int) -> np.ndarray:
+    """Real (nt, nx) samples of u at t_k = k T / nt."""
     if nt < min_samples(u.M):
         raise UndersampledTime(f"nt={nt} < 2M+2={min_samples(u.M)}")
     # irfft zero-pads the M+1 coefficients to nt//2+1
-    return TimeField(np.fft.irfft(u.coeffs, n=nt, axis=0, norm="forward"))
+    return np.fft.irfft(u.coeffs, n=nt, axis=0, norm="forward")
 
 
-def to_harmonics(v: TimeField, M: int) -> HarmonicField:
-    """Order-M truncation of the discrete Fourier series of each node."""
-    if v.nt < min_samples(M):
-        raise UndersampledTime(f"nt={v.nt} < 2M+2={min_samples(M)}")
-    coeffs = np.fft.rfft(v.values, axis=0, norm="forward")[:M + 1]
+def to_harmonics(v: np.ndarray, M: int) -> HarmonicField:
+    """Order-M truncation of the discrete Fourier series of each node of
+    the real (nt, nx) samples v."""
+    nt = len(v)
+    if nt < min_samples(M):
+        raise UndersampledTime(f"nt={nt} < 2M+2={min_samples(M)}")
+    coeffs = np.fft.rfft(v, axis=0, norm="forward")[:M + 1]
     coeffs[0] = coeffs[0].real
     return HarmonicField(coeffs)
 
@@ -229,9 +212,10 @@ class ValidatedModel:
     bc_right: BoundaryCondition
     M: int = 1
 
-    def stability_margin(self, alpha_min: float = 1.0) -> float:
+    def stability_margin(self) -> float:
+        """min(b/c2) - taubar, the margin at alpha = 1."""
         p = self.params
-        return float(np.min(p.b / p.c2) - p.taubar / alpha_min)
+        return float(np.min(p.b / p.c2) - p.taubar)
 
     def with_params(self, params: PhysicalParams) -> "ValidatedModel":
         return validate_model(self.grid, params, self.bc_left, self.bc_right,

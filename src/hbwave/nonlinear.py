@@ -24,7 +24,6 @@ from .errors import DegeneracyDetected
 from .linear import FixedPointOptions, SolveReport, fixed_point, linear_solver
 from .model import (
     HarmonicField,
-    TimeField,
     ValidatedModel,
     dealiased_samples,
     to_harmonics,
@@ -49,12 +48,11 @@ def bilinear_factors(v: HarmonicField, kind: str, model: ValidatedModel,
     _check_kind(kind)
     nt = dealiased_samples(v.M)
     if kind == "westervelt":
-        return (to_time_samples(v, nt).values,)
+        return (to_time_samples(v, nt),)
     if grad is None:
         grad = gradient(v.coeffs, model.grid)
-    return (to_time_samples(v.time_derivative(model.params.omega),
-                            nt).values,
-            to_time_samples(HarmonicField(grad), nt).values)
+    return (to_time_samples(v.time_derivative(model.params.omega), nt),
+            to_time_samples(HarmonicField(grad), nt))
 
 
 def bilinear_product(fv: tuple, fw: tuple, kind: str, model: ValidatedModel,
@@ -62,17 +60,14 @@ def bilinear_product(fv: tuple, fw: tuple, kind: str, model: ValidatedModel,
     """Order-M truncation of r[v, w] from the factors of v and of w."""
     p = model.params
     if kind == "westervelt":
-        out = to_harmonics(TimeField(fv[0] * fw[0]), M).time_derivative(
-            p.omega, 2)
+        out = to_harmonics(fv[0] * fw[0], M).time_derivative(p.omega, 2)
         out.coeffs *= p.eta[None, :]
-    else:
-        # in place: one (nt, nx) temporary besides q
-        q = p.eta_tilde * fv[0]
-        q *= fw[0]
-        q += fv[1] * fw[1]
-        out = to_harmonics(TimeField(q), M).time_derivative(p.omega)
-    out.coeffs[0] = out.coeffs[0].real
-    return out
+        return out
+    # in place: one (nt, nx) temporary besides q
+    q = p.eta_tilde * fv[0]
+    q *= fw[0]
+    q += fv[1] * fw[1]
+    return to_harmonics(q, M).time_derivative(p.omega)
 
 
 def eval_bilinear(v: HarmonicField, w: HarmonicField, kind: str,

@@ -223,9 +223,6 @@ class SpatialOperator:
     bands: np.ndarray           # (3, nr) or (len(m), 3, nr), see module doc
     span: slice                 # the non-Dirichlet nodes, lo:hi
     grid: Grid
-    m: np.ndarray
-    bc_left: BoundaryCondition
-    bc_right: BoundaryCondition
 
     @property
     def active(self) -> np.ndarray:
@@ -243,12 +240,6 @@ class SpatialOperator:
     def apply(self, v_full: np.ndarray) -> np.ndarray:
         """Apply to full-grid vectors; Dirichlet nodes read as zero."""
         return self.extend(band_product(self.bands, self.restrict(v_full)))
-
-    def is_singular(self) -> bool:
-        # the only singular configuration is the pure-Neumann mean mode
-        return bool(np.any(self.m == 0)) and all(
-            not bc.is_dirichlet and bc.gamma == 0.0
-            for bc in (self.bc_left, self.bc_right))
 
 
 def assemble_laplacian(grid: Grid, bc_left: BoundaryCondition,
@@ -282,8 +273,7 @@ def assemble_laplacian(grid: Grid, bc_left: BoundaryCondition,
     bands = bands[..., lo:hi]
     bands[..., 0, 0] = 0.0
     bands[..., 2, -1] = 0.0
-    return SpatialOperator(bands=bands, span=slice(lo, hi), grid=grid, m=m,
-                           bc_left=bc_left, bc_right=bc_right)
+    return SpatialOperator(bands=bands, span=slice(lo, hi), grid=grid)
 
 
 def gradient(v: np.ndarray, grid: Grid) -> np.ndarray:

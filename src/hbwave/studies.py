@@ -19,7 +19,6 @@ from .model import (
     Grid,
     HarmonicField,
     PhysicalParams,
-    TimeField,
     ValidatedModel,
     min_samples,
     to_time_samples,
@@ -34,7 +33,7 @@ CASE_IDS = ("linear-dirichlet", "linear-impedance", "westervelt-dirichlet",
             "kuznetsov-dirichlet")
 MIN_LEVELS = 3      # fewest grids or epsilons: two observed orders
 CASE_M = 2          # harmonics of a convergence study's cases
-ORACLE_STEPS = 512   # the oracle's steps per period when no dt is given
+ORACLE_STEPS = 512   # the oracle's default steps per period
 
 
 @dataclass
@@ -45,7 +44,6 @@ class StudyResult:
 
 @dataclass
 class ManufacturedCase:
-    case_id: str
     u_star: HarmonicField
     f: HarmonicField
     bc_left: BoundaryCondition
@@ -96,8 +94,8 @@ def manufactured_case(case_id: str, params: PhysicalParams, grid: Grid,
         kind = "kuznetsov"
     else:
         kind = "linear"
-    return ManufacturedCase(case_id=case_id, u_star=u_star, f=f,
-                            bc_left=bc_left, bc_right=bc_right, kind=kind)
+    return ManufacturedCase(u_star=u_star, f=f, bc_left=bc_left,
+                            bc_right=bc_right, kind=kind)
 
 
 def convergence_study(case_id: str, coeffs: dict, L: float, nx_list,
@@ -376,18 +374,18 @@ def check_oracle_steps(n_steps: int, M: int):
 
 
 def time_stepping_oracle(f: HarmonicField, model: ValidatedModel, kind: str,
-                         dt: float | None = None, max_periods: int = 200,
+                         n_steps: int = ORACLE_STEPS, max_periods: int = 200,
                          period_tol: float = 1e-8):
-    """Integrate the damped initial-value problem from zero data until the
-    state repeats over a period.  Returns u at the start of each step of
-    the last period marched, written in place as each period is marched,
-    that period's gap |y_end - y_start| / |y_end|, and the march's counts
-    (periods, steps, stage solves)."""
-    p = model.params
-    # the step is T / n_steps, the nearest to dt
-    n_steps = ORACLE_STEPS if dt is None else int(round(p.T / dt))
+    """Integrate the damped initial-value problem from zero data, at
+    n_steps steps of T / n_steps a period, until the state repeats over a
+    period.  Returns the (n_steps, nx) samples of u at the start of each
+    step of the last period marched, written in place as each period is
+    marched, that period's gap |y_end - y_start| / |y_end|, and the
+    march's counts (periods, steps, stage solves).  Too few steps to
+    resolve harmonic f.M raise UndersampledTime before the first step."""
+    check_oracle_steps(n_steps, f.M)
     oracle = _Oracle(f, model, kind, n_steps)
-    y = np.zeros((3 if p.tau > 0 else 2, oracle.nr))
+    y = np.zeros((3 if oracle.tau > 0 else 2, oracle.nr))
     zs = ()
     values = np.zeros((n_steps, model.grid.nx))
     u = values[:, oracle.op.span]       # a view: Dirichlet nodes stay 0
@@ -404,17 +402,17 @@ def time_stepping_oracle(f: HarmonicField, model: ValidatedModel, kind: str,
         if gap < period_tol:
             counts = {"periods": k, "steps": k * n_steps,
                       "stage_solves": oracle.stage_solves}
-            return TimeField(values), gap, counts
+            return values, gap, counts
     raise NoPeriodicAttractor(
         f"periodicity gap {gaps[-1]:.3e} > {period_tol} after "
         f"{max_periods} periods", gaps=gaps)
 
 
-def oracle_discrepancy(u_hb: HarmonicField, oracle_tf: TimeField,
+def oracle_discrepancy(u_hb: HarmonicField, samples: np.ndarray,
                        model: ValidatedModel) -> float:
-    """Relative L2(L2) distance between a harmonic-balance solution and an
-    oracle trajectory sampled on its own time grid."""
-    nt = oracle_tf.nt
+    """Relative L2(L2) distance between a harmonic-balance solution and the
+    (nt, nx) samples of an oracle trajectory on its own time grid."""
+    nt = len(samples)
     w = model.grid.trapezoid_weights()
     # the reference's sum of squares over the samples by Parseval (exact,
     # as nt > 2M), so the difference is squared and weighted in place with
@@ -422,8 +420,8 @@ def oracle_discrepancy(u_hb: HarmonicField, oracle_tf: TimeField,
     c = u_hb.coeffs
     power = c[0].real**2 + 2.0 * np.sum(np.abs(c[1:])**2, axis=0)
     ref = float(nt * (w @ power))
-    sq = to_time_samples(u_hb, nt).values
-    sq -= oracle_tf.values
+    sq = to_time_samples(u_hb, nt)
+    sq -= samples
     sq *= sq
     sq *= w
     diff = float(np.sum(sq))

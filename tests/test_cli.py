@@ -215,7 +215,7 @@ def test_run_info_records_the_solve_metrics(config, tmp_path, verb):
     report = solve(setup.f, setup.model, setup.solver_kind, setup.options)
     # alpha and the margin of the last state, on its full sample arrays
     p = setup.model.params
-    u = to_time_samples(report.u, dealiased_samples(report.u.M)).values
+    u = to_time_samples(report.u, dealiased_samples(report.u.M))
     alpha = 1.0 + 2.0 * p.eta[None, :] * u
     margin = p.b[None, :] / p.c2[None, :] - p.taubar / alpha
     # oracle-compare adds the march's counts; the solve's entries stay
@@ -247,7 +247,7 @@ def test_alpha_min_is_sampled_close_to_the_continuous_minimum(config,
     eta = build_setup(apply_overrides(parse_config(config),
                                       list(AMPLITUDE_5[1::2])),
                       config).model.params.eta
-    fine = 1.0 + 2.0 * eta[None, :] * to_time_samples(u, 4096).values
+    fine = 1.0 + 2.0 * eta[None, :] * to_time_samples(u, 4096)
     assert alpha_min == pytest.approx(fine.min(), abs=2e-4)
     assert alpha_min > 2 * FixedPointOptions().degeneracy_floor
 
@@ -362,6 +362,7 @@ def test_no_success_exit_without_outputs(config, tmp_path):
     ("domain.nx=100000000", "TypeMismatch"),
     ("domain.nx=1000000000000", "TypeMismatch"),
     ("time.m=1000000000000", "TypeMismatch"),
+    ("study.case=bogus", "UnknownCase"),
 ])
 def test_degenerate_input_exits_one_with_record(config, tmp_path, override,
                                                 kind):

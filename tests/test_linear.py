@@ -7,7 +7,6 @@ from hbwave.linear import (
     _one_norms,
     _residuals,
     assemble_harmonic_system,
-    kappa_squared,
     linear_residual,
     solve_linear_mgt,
     solve_linearized,
@@ -35,18 +34,6 @@ def make_model(nx=65, **kw):
     defaults.update(kw)
     params = PhysicalParams.create(grid, **defaults)
     return validate_model(grid, params, DIRICHLET, DIRICHLET)
-
-
-def test_kappa_squared_unit_example():
-    # m = w = tau = b = c2 = 1: (1 + i)/(1 + i) = 1
-    assert kappa_squared(1, 1.0, 1.0, 1.0, 1.0) == pytest.approx(1.0 + 0j)
-
-
-def test_kappa_squared_damping_sign():
-    # Im(kappa^2) < 0 exactly when b > tau c^2
-    assert kappa_squared(3, 0.1, 1.3, 1.0, 2.0).imag < 0      # b > tau c2
-    assert kappa_squared(3, 0.5, 0.2, 1.0, 2.0).imag > 0      # b < tau c2
-    assert kappa_squared(2, 0.5, 0.5 * 2.0, 1.0, 2.0).imag == pytest.approx(0.0)
 
 
 def test_zero_forcing_gives_zero_solution():
@@ -81,10 +68,20 @@ def test_mean_mode_without_anchor_raises():
     grid = Grid(1.0, 17)
     params = PhysicalParams.create(grid, tau=0.1, taubar=0.5, b=1.0, c2=1.0,
                                    T=2 * np.pi)
-    with pytest.raises(SingularMeanMode):
-        assemble_harmonic_system(type("M", (), {
-            "params": params, "grid": grid, "bc_left": NEUMANN,
-            "bc_right": NEUMANN})(), 0)
+
+    def system(left, right):
+        # validation rejects these endpoint pairs; the check stands alone
+        return assemble_harmonic_system(type("M", (), {
+            "params": params, "grid": grid, "bc_left": left,
+            "bc_right": right})(), 0)
+
+    # beta does not anchor the mean mode: its Robin term is i m omega beta
+    for right in (NEUMANN, BoundaryCondition(BCKind.ABSORBING, beta=1.0)):
+        with pytest.raises(SingularMeanMode):
+            system(NEUMANN, right)
+    for right in (DIRICHLET, BoundaryCondition(BCKind.IMPEDANCE, gamma=1.0)):
+        _, bands = system(NEUMANN, right)
+        tridiagonal_solver(bands)       # raises on a zero pivot
 
 
 def test_harmonic_system_diagonal_shift():

@@ -253,6 +253,23 @@ def test_options_validation():
         FixedPointOptions(relaxation=1.5)
 
 
+def test_relaxation_keeps_a_large_drive_above_the_degeneracy_floor():
+    # Westervelt at amplitude 6.0, nx=129, M=16: the plain Picard iterate
+    # dips below the default floor 0.1, the relaxed one stays above it
+    model = validate_model(Grid(1.0, 129), make_model(nx=129).params,
+                           DIRICHLET, DIRICHLET, 16)
+    f = monochromatic(model, 6.0, M=16)
+    with pytest.raises(DegeneracyDetected) as exc:
+        fixed_point_solve(f, model, "westervelt",
+                          FixedPointOptions(relaxation=1.0))
+    assert exc.value.alpha_min == pytest.approx(0.0915, abs=1e-4)
+    report = fixed_point_solve(f, model, "westervelt",
+                               FixedPointOptions(relaxation=0.7))
+    assert report.iterations == 52
+    assert report.degeneracy_margin == pytest.approx(0.1033, abs=1e-4)
+    assert report.final_residual <= 1e-14
+
+
 def full_array_monitor(factors, kind, model):
     """degeneracy_monitor's definition on the full (nt, nx) sample arrays."""
     p = model.params

@@ -29,7 +29,7 @@ def test_l2l2_matches_brute_force_time_quadrature():
     T = 2 * np.pi
     omega = 1.0
     nt = 256
-    samples = to_time_samples(u, nt).values
+    samples = to_time_samples(u, nt)
     brute = np.sqrt(sum(l2_norm(samples[k], grid) ** 2 for k in range(nt))
                     * T / nt)
     assert l2l2_norm(u, grid, omega, T) == pytest.approx(brute, rel=1e-12)

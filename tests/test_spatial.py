@@ -75,14 +75,6 @@ def test_robin_row_consistent_with_boundary_condition():
     np.testing.assert_allclose(applied.real, k**2 * v.real, atol=5e-3)
 
 
-def test_mean_mode_singular_without_anchor():
-    grid = Grid(1.0, 17)
-    op = assemble_laplacian(grid, NEUMANN, NEUMANN, m=0, omega=1.0)
-    assert op.is_singular()
-    anchored = assemble_laplacian(grid, NEUMANN, DIRICHLET, m=0, omega=1.0)
-    assert not anchored.is_singular()
-
-
 def test_restrict_extend_round_trip():
     grid = Grid(1.0, 17)
     op = assemble_laplacian(grid, DIRICHLET, DIRICHLET, m=1, omega=1.0)

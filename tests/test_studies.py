@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from hbwave.diagnostics import compute_energies, energy_ratios
-from hbwave.errors import NoPeriodicAttractor, StepRejected, UnknownCase
+from hbwave.errors import (NoPeriodicAttractor, StepRejected,
+                           UndersampledTime, UnknownCase)
 from hbwave.linear import solve_linear_mgt
 from hbwave.model import (
     BCKind,
@@ -10,7 +11,6 @@ from hbwave.model import (
     Grid,
     HarmonicField,
     PhysicalParams,
-    TimeField,
     to_time_samples,
     validate_model,
 )
@@ -165,21 +165,20 @@ def test_taylor_second_order_remainder_and_first_order_difference():
 def test_oracle_zero_forcing_stays_zero():
     model = make_model(nx=17)
     f = HarmonicField.zeros(2, 17)
-    tf, gap, _ = time_stepping_oracle(f, model, "linear",
-                                      dt=model.params.T / 64, max_periods=3)
+    samples, gap, _ = time_stepping_oracle(f, model, "linear", n_steps=64,
+                                           max_periods=3)
     assert gap == 0.0
-    assert np.all(tf.values == 0.0)
+    assert np.all(samples == 0.0)
 
 
 def test_oracle_matches_harmonic_balance_linear():
     model = make_model(nx=33)
     f = drive(model, M=2)
     u = solve_linear_mgt(f, model)
-    tf, gap, _ = time_stepping_oracle(f, model, "linear",
-                                      dt=model.params.T / 256,
-                                      max_periods=60, period_tol=1e-8)
+    samples, gap, _ = time_stepping_oracle(f, model, "linear", n_steps=256,
+                                           max_periods=60, period_tol=1e-8)
     assert gap < 1e-8
-    assert oracle_discrepancy(u, tf, model) < 1e-3
+    assert oracle_discrepancy(u, samples, model) < 1e-3
 
 
 def test_oracle_discrepancy_improves_with_smaller_dt():
@@ -188,10 +187,10 @@ def test_oracle_discrepancy_improves_with_smaller_dt():
     u = solve_linear_mgt(f, model)
     d = []
     for div in (64, 128):
-        tf, _, _ = time_stepping_oracle(f, model, "linear",
-                                        dt=model.params.T / div,
-                                        max_periods=60, period_tol=1e-8)
-        d.append(oracle_discrepancy(u, tf, model))
+        samples, _, _ = time_stepping_oracle(f, model, "linear",
+                                             n_steps=div, max_periods=60,
+                                             period_tol=1e-8)
+        d.append(oracle_discrepancy(u, samples, model))
     assert d[1] < d[0]
 
 
@@ -203,13 +202,13 @@ def test_oracle_discrepancy_is_a_relative_sample_norm():
     M, nt = 3, 8
     u = HarmonicField(rng.normal(size=(M + 1, 17))
                       + 1j * rng.normal(size=(M + 1, 17)))
-    hb = to_time_samples(u, nt).values
+    hb = to_time_samples(u, nt)
     other = rng.normal(size=hb.shape)
     w = model.grid.trapezoid_weights()
     expected = np.sqrt(np.sum((hb - other)**2 * w) / np.sum(hb**2 * w))
-    assert oracle_discrepancy(u, TimeField(other), model) == pytest.approx(
+    assert oracle_discrepancy(u, other, model) == pytest.approx(
         expected, rel=1e-14)
-    assert oracle_discrepancy(u, TimeField(np.zeros_like(hb)),
+    assert oracle_discrepancy(u, np.zeros_like(hb),
                               model) == pytest.approx(1.0, rel=1e-14)
 
 
@@ -252,21 +251,20 @@ def test_oracle_cross_check_matrix(kind, bc_left, bc_right, heterogeneous,
     model = validate_model(grid, params, bc_left, bc_right)
     f = drive(model)
     u = solve(f, model, kind).u
-    tf, gap, _ = time_stepping_oracle(f, model, kind, dt=model.params.T / 512,
-                                      period_tol=1e-8)
+    samples, gap, _ = time_stepping_oracle(f, model, kind, n_steps=512,
+                                           period_tol=1e-8)
     assert gap < 1e-8
-    assert oracle_discrepancy(u, tf, model) < 1e-3
+    assert oracle_discrepancy(u, samples, model) < 1e-3
 
 
 def test_oracle_second_harmonic_agreement_westervelt():
     model = make_model(eta=1.0)
     f = drive(model, amp=6e-3)
     u = fixed_point_solve(f, model, "westervelt").u
-    tf, _, _ = time_stepping_oracle(f, model, "westervelt",
-                                    dt=model.params.T / 256,
-                                    max_periods=60, period_tol=1e-9)
+    samples, _, _ = time_stepping_oracle(f, model, "westervelt", n_steps=256,
+                                         max_periods=60, period_tol=1e-9)
     from hbwave.model import to_harmonics
-    u_or = to_harmonics(tf, u.M)
+    u_or = to_harmonics(samples, u.M)
     a_hb = np.max(np.abs(u.coeffs[2]))
     a_or = np.max(np.abs(u_or.coeffs[2]))
     assert a_or == pytest.approx(a_hb, rel=1e-2)
@@ -276,8 +274,8 @@ def test_oracle_reports_missing_attractor():
     model = make_model(nx=17)
     f = drive(model, M=2)
     with pytest.raises(NoPeriodicAttractor) as exc:
-        time_stepping_oracle(f, model, "linear", dt=model.params.T / 64,
-                             max_periods=2, period_tol=1e-14)
+        time_stepping_oracle(f, model, "linear", n_steps=64, max_periods=2,
+                             period_tol=1e-14)
     assert len(exc.value.gaps) == 2
 
 
@@ -285,10 +283,9 @@ def test_oracle_tau_zero_path():
     model = make_model(tau=0.0)
     f = drive(model, M=2)
     u = solve_linear_mgt(f, model)
-    tf, gap, _ = time_stepping_oracle(f, model, "linear",
-                                      dt=model.params.T / 256,
-                                      max_periods=60, period_tol=1e-8)
-    assert oracle_discrepancy(u, tf, model) < 1e-3
+    samples, gap, _ = time_stepping_oracle(f, model, "linear", n_steps=256,
+                                           max_periods=60, period_tol=1e-8)
+    assert oracle_discrepancy(u, samples, model) < 1e-3
 
 
 def dense_laplacian(model):
@@ -474,7 +471,7 @@ def test_oracle_stage_solve_count(monkeypatch, kind, kw):
         c2=smooth(grid.nodes, -0.06, 2), **kw))
     model = validate_model(grid, params, DIRICHLET, ABSORBING)
     _, gap, march = time_stepping_oracle(drive(model), model, kind,
-                                         dt=params.T / 512, period_tol=1e-8)
+                                         n_steps=512, period_tol=1e-8)
     assert gap < 1e-8
     assert counts["factors"] == 1
     assert counts["steps"] == 5 * 512
@@ -497,6 +494,17 @@ def recorded_steps(monkeypatch):
         return y_new, z
     monkeypatch.setattr(_Oracle, "step", recorded)
     return steps
+
+
+@pytest.mark.parametrize("n_steps", [0, 2 * 4 + 1])
+def test_oracle_checks_its_step_count_before_marching(monkeypatch, n_steps):
+    # M = 4 needs 2M + 2 = 10 samples a period; 0 steps would divide by 0
+    model = make_model(nx=17)
+    steps = recorded_steps(monkeypatch)
+    with pytest.raises(UndersampledTime):
+        time_stepping_oracle(drive(model, M=4), model, "linear",
+                             n_steps=n_steps)
+    assert steps == []
 
 
 def stage_fixed_point(oracle, y, j, z, solves=10):
@@ -529,7 +537,7 @@ def test_oracle_stage_values_are_within_tolerance_of_the_fixed_point(
     model = validate_model(grid, params, DIRICHLET, ABSORBING)
     steps = recorded_steps(monkeypatch)
     # two periods from zero data: the first one's gap is 1, the second's less
-    time_stepping_oracle(drive(model, amp), model, kind, dt=params.T / 64,
+    time_stepping_oracle(drive(model, amp), model, kind, n_steps=64,
                          max_periods=2, period_tol=1.0)
     assert len(steps) == 2 * 64
     for oracle, y, j, y_new, z in steps:
@@ -544,9 +552,8 @@ def test_oracle_samples_the_period_whose_gap_it_reports(monkeypatch, kind,
                                                         kw):
     model = make_model(nx=17, **kw)
     steps = recorded_steps(monkeypatch)
-    tf, gap, counts = time_stepping_oracle(drive(model, M=2), model, kind,
-                                           dt=model.params.T / 64,
-                                           period_tol=1e-6)
+    samples, gap, counts = time_stepping_oracle(
+        drive(model, M=2), model, kind, n_steps=64, period_tol=1e-6)
     periods = counts["periods"]
     assert periods > 1
     assert counts["steps"] == len(steps) == periods * 64
@@ -556,7 +563,7 @@ def test_oracle_samples_the_period_whose_gap_it_reports(monkeypatch, kind,
     active = last[0][0].op.active
     expected = np.zeros((64, model.grid.nx))
     expected[:, active] = [y[0] for _, y, _, _, _ in last]
-    assert np.array_equal(tf.values, expected)
+    assert np.array_equal(samples, expected)
     y_start, y_end = last[0][1], last[-1][3]
     assert gap == np.linalg.norm(y_end - y_start) / np.linalg.norm(y_end)
     assert gap < 1e-6
