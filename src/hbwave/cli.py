@@ -73,7 +73,7 @@ def _solve(setup, extra: dict):
     report = solve(setup.f, setup.model, setup.solver_kind, setup.options)
     metrics = {"iterations": report.iterations,
                "final_residual": report.final_residual,
-               "alpha_min": report.degeneracy_margin,
+               "alpha_min": report.alpha_min,
                "stability_margin": report.stability_margin}
     # JSON has no infinity: the margin is -inf where alpha changes sign,
     # which a degeneracy_floor <= 0 lets through, and is written as null
@@ -115,9 +115,11 @@ def _run_verb(verb: str, setup, out: str) -> dict:
         if setup.solver_kind == "linear":
             raise ConfigError(
                 "deriv-check needs [solver] kind = westervelt or kuznetsov")
-        eps = setup.study.get("eps", [1e-1, 1e-2, 1e-3])
+        # taylor_test's own default eps hold when the config sets none
+        given = ({"eps_list": setup.study["eps"]} if "eps" in setup.study
+                 else {})
         result = taylor_test(setup.f, setup.f, setup.model,
-                             setup.solver_kind, eps, opts=setup.options)
+                             setup.solver_kind, opts=setup.options, **given)
         write_taylor_csv(os.path.join(out, "taylor.csv"), result)
         extra["picard_iterations"] = result.metadata["picard_iterations"]
         slopes = [r["slope"] for r in result.rows if r["slope"] is not None]
@@ -146,7 +148,7 @@ def _run_verb(verb: str, setup, out: str) -> dict:
     if verb == "oracle-compare":
         n_steps = setup.study.get("dt_divisor", ORACLE_STEPS)
         # too few oracle steps fail here, before the solve and the march
-        check_oracle_steps(n_steps, setup.M)
+        check_oracle_steps(n_steps, setup.model.M)
         u = _solve(setup, extra)
         # the oracle's own defaults hold for what the config leaves out
         given = {k: setup.study[k] for k in ("max_periods", "period_tol")

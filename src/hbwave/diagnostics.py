@@ -14,9 +14,9 @@ import numpy as np
 from .errors import StabilityViolation
 from .model import (
     BCKind,
-    HarmonicField,
     ValidatedModel,
     dealiased_samples,
+    time_derivative,
     to_time_samples,
 )
 from .norms import spatial_sq, time_space_norm_sq, time_sum
@@ -46,10 +46,10 @@ def _trace_norm_sq(coeffs: np.ndarray, model: ValidatedModel, t_order: int,
                 for idx, bc in endpoints), 0.0)
 
 
-def _dual_time_norm_sq(u: HarmonicField, model: ValidatedModel,
+def _dual_time_norm_sq(u: np.ndarray, model: ValidatedModel,
                        t_order: int) -> float:
     p = model.params
-    d = dual_norm_h1star(u.coeffs, model.grid, model.bc_left, model.bc_right)
+    d = dual_norm_h1star(u, model.grid, model.bc_left, model.bc_right)
     return time_sum(d**2, p.omega, p.T, t_order)
 
 
@@ -91,7 +91,7 @@ class EnergyReport:
         yield "total", "hi", self.hi_total
 
 
-def compute_energies(u: HarmonicField, model: ValidatedModel) -> EnergyReport:
+def compute_energies(u: np.ndarray, model: ValidatedModel) -> EnergyReport:
     """Low/medium/high energy functionals of a periodic harmonic field."""
     grid, p = model.grid, model.params
     tb, tau, omega, T = p.taubar, p.tau, p.omega, p.T
@@ -110,21 +110,20 @@ def compute_energies(u: HarmonicField, model: ValidatedModel) -> EnergyReport:
         "uttt_dual": uttt_dual,
         "utt_l2": tb * vol(2),
         "u_h1h1": vol(0) + vol(1) + vol(0, "H1_semi") + vol(1, "H1_semi"),
-        "utt_trace_absorbing": tb * _trace_norm_sq(u.coeffs, model, 2,
-                                                   gamma_a),
+        "utt_trace_absorbing": tb * _trace_norm_sq(u, model, 2, gamma_a),
         "u_h1_trace_gamma": sum(
-            _trace_norm_sq(u.coeffs, model, k, gamma, 1) for k in (0, 1)),
+            _trace_norm_sq(u, model, k, gamma, 1) for k in (0, 1)),
     }
     me = {
         "uttt_l2": tb * tau**2 * vol(3),
         "utt_h1": tb * (vol(2) + vol(2, "H1_semi")),
         "lap_u_h1l2": vol(0, "laplacian") + vol(1, "laplacian"),
-        "uttt_trace_absorbing": tb * tau * _trace_norm_sq(u.coeffs, model, 3,
+        "uttt_trace_absorbing": tb * tau * _trace_norm_sq(u, model, 3,
                                                           gamma_a),
         "u_h2_trace_gamma": sum(
-            _trace_norm_sq(u.coeffs, model, k, gamma, 1) for k in (0, 1, 2)),
+            _trace_norm_sq(u, model, k, gamma, 1) for k in (0, 1, 2)),
     }
-    lap_coeffs = laplacian_fd(u.coeffs, grid)
+    lap_coeffs = laplacian_fd(u, grid)
     hi = {
         "uttt_dual": uttt_dual,
         "lap_utt_l2": tb * vol(2, "laplacian"),
@@ -168,7 +167,7 @@ def choose_multipliers(model: ValidatedModel,
     return Multipliers(sigma=sigma, rho=rho)
 
 
-def energy_identity_residual(u: HarmonicField, rtilde: HarmonicField,
+def energy_identity_residual(u: np.ndarray, rtilde: np.ndarray,
                              mult: Multipliers,
                              model: ValidatedModel) -> float:
     """Absolute value of the low-order energy identity right-hand side
@@ -192,11 +191,11 @@ def energy_identity_residual(u: HarmonicField, rtilde: HarmonicField,
     grid, p = model.grid, model.params
     tb, tau, omega, T = p.taubar, p.tau, p.omega, p.T
     sigma, rho = mult.sigma, mult.rho
-    nt = dealiased_samples(u.M)
+    nt = dealiased_samples(len(u) - 1)
 
     us = to_time_samples(u, nt)
-    ut = to_time_samples(u.time_derivative(omega, 1), nt)
-    utt = to_time_samples(u.time_derivative(omega, 2), nt)
+    ut = to_time_samples(time_derivative(u, omega, 1), nt)
+    utt = to_time_samples(time_derivative(u, omega, 2), nt)
     rs = to_time_samples(rtilde, nt)
     test = tb * utt + sigma * ut + rho * us
 
@@ -227,14 +226,14 @@ def energy_identity_residual(u: HarmonicField, rtilde: HarmonicField,
     return abs(total)
 
 
-def estimate_rhs_lo(rtilde: HarmonicField, model: ValidatedModel) -> float:
+def estimate_rhs_lo(rtilde: np.ndarray, model: ValidatedModel) -> float:
     """taubar ||r||^2_{L2(L2)} + ||r||^2_{L2(H1*)}."""
     grid, p = model.grid, model.params
     return (p.taubar * time_space_norm_sq(rtilde, grid, p.omega, p.T, 0)
             + _dual_time_norm_sq(rtilde, model, 0))
 
 
-def estimate_rhs_me(energy: EnergyReport, rtilde: HarmonicField,
+def estimate_rhs_me(energy: EnergyReport, rtilde: np.ndarray,
                     model: ValidatedModel) -> float:
     """E_lo + taubar^2 ||d_t r||^2 + ||r||^2.
 
@@ -248,17 +247,17 @@ def estimate_rhs_me(energy: EnergyReport, rtilde: HarmonicField,
             + time_space_norm_sq(rtilde, grid, p.omega, p.T, 0))
 
 
-def estimate_rhs_hi(energy: EnergyReport, rtilde: HarmonicField,
+def estimate_rhs_hi(energy: EnergyReport, rtilde: np.ndarray,
                     model: ValidatedModel) -> float:
     """E_me + taubar ||lap r||^2 + ||lap r||^2_{L2(H1*)}."""
     grid, p = model.grid, model.params
-    lap_r = HarmonicField(laplacian_fd(rtilde.coeffs, grid))
+    lap_r = laplacian_fd(rtilde, grid)
     return (energy.me_total
             + p.taubar * time_space_norm_sq(lap_r, grid, p.omega, p.T, 0)
             + _dual_time_norm_sq(lap_r, model, 0))
 
 
-def energy_ratios(energy: EnergyReport, rtilde: HarmonicField,
+def energy_ratios(energy: EnergyReport, rtilde: np.ndarray,
                   model: ValidatedModel) -> dict:
     """Energy-to-data ratios of one solved state at the three levels, whose
     boundedness uniformly in tau the paper proves: E_lo, E_me_bar and

@@ -32,7 +32,6 @@ from .model import (
     BCKind,
     BoundaryCondition,
     Grid,
-    HarmonicField,
     PhysicalParams,
     ValidatedModel,
     validate_model,
@@ -72,10 +71,9 @@ class RunSetup:
     """Everything a command needs: validated model, forcing, options."""
 
     model: ValidatedModel
-    f: HarmonicField
+    f: np.ndarray
     solver_kind: str
     options: FixedPointOptions
-    M: int
     study: dict = field(default_factory=dict)
 
 
@@ -92,7 +90,9 @@ def parse_config(path: str) -> dict:
             cp.read_file(fh, source=path)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
-    except configparser.MissingSectionHeaderError as exc:
+    except (configparser.MissingSectionHeaderError,
+            configparser.DuplicateSectionError,
+            configparser.DuplicateOptionError) as exc:
         raise ConfigSyntaxError(str(exc), line=exc.lineno)
     except configparser.ParsingError as exc:
         line = exc.errors[0][0] if exc.errors else None
@@ -230,7 +230,7 @@ def build_setup(raw: dict, config_path: str) -> RunSetup:
             f"[forcing] profile = {profile_name!r}; expected one of "
             f"{sorted(PROFILES)}")
     profile = PROFILES[profile_name](grid.nodes, L)
-    f = HarmonicField.zeros(M, nx)
+    f = np.zeros((M + 1, nx), complex)
     for key, value in forc.items():
         if not key.startswith("amplitude_"):
             continue
@@ -244,7 +244,7 @@ def build_setup(raw: dict, config_path: str) -> RunSetup:
         amp = _as_float("forcing", key, value)
         if not np.isfinite(amp):
             raise TypeMismatch(f"[forcing] {key} = {value!r} is not finite")
-        f.coeffs[m] = amp * profile if m == 0 else 0.5 * amp * profile
+        f[m] = amp * profile if m == 0 else 0.5 * amp * profile
 
     sol = raw.get("solver", {})
     solver_kind = sol.get("kind", "linear").strip().lower()
@@ -305,7 +305,7 @@ def build_setup(raw: dict, config_path: str) -> RunSetup:
     if "dt_divisor" in study:
         check_oracle_steps(study["dt_divisor"], M)
     return RunSetup(model=model, f=f, solver_kind=solver_kind,
-                    options=options, M=M, study=study)
+                    options=options, study=study)
 
 
 # --- serialization ---------------------------------------------------------
@@ -362,23 +362,23 @@ def write_csv(path: str, header, rows):
 SOLUTION_HEADER = ("m", "node_index", "x", "re", "im")
 
 
-def write_solution_csv(path: str, u: HarmonicField, grid: Grid):
+def write_solution_csv(path: str, u: np.ndarray, grid: Grid):
     """One row per (m, j), harmonic-major, in the format of write_csv.
 
     Each harmonic block is formatted by one `%` over a flat tuple, so the
     cost is linear in the (M + 1) nx rows; m and j are exact integers in
     float64 and print the same through %d.
     """
-    x, j = grid.nodes, np.arange(u.nx)
-    row_format = "%d,%d,%.17g,%.17g,%.17g\n" * u.nx
+    x, j = grid.nodes, np.arange(grid.nx)
+    row_format = "%d,%d,%.17g,%.17g,%.17g\n" * grid.nx
     blocks = [",".join(SOLUTION_HEADER) + "\n"]
-    for m, c in enumerate(u.coeffs):
-        cells = np.column_stack((np.full(u.nx, m), j, x, c.real, c.imag))
+    for m, c in enumerate(u):
+        cells = np.column_stack((np.full(grid.nx, m), j, x, c.real, c.imag))
         blocks.append(row_format % tuple(cells.ravel().tolist()))
     _atomic_write(path, "".join(blocks))
 
 
-def read_solution_csv(path: str) -> HarmonicField:
+def read_solution_csv(path: str) -> np.ndarray:
     """Inverse of write_solution_csv (17-digit round trip is bit exact).
 
     Every (m, node_index) of the (M + 1) x nx field must appear exactly
@@ -403,9 +403,9 @@ def read_solution_csv(path: str) -> HarmonicField:
             or np.unique(m * nx + j).size != len(rows)):
         raise ConfigError(f"{path}: the rows do not hold each (m, "
                           f"node_index) of a {M + 1} x {nx} field once")
-    u = HarmonicField.zeros(M, nx)
-    u.coeffs.real[m, j] = rows["re"]
-    u.coeffs.imag[m, j] = rows["im"]
+    u = np.zeros((M + 1, nx), complex)
+    u.real[m, j] = rows["re"]
+    u.imag[m, j] = rows["im"]
     return u
 
 

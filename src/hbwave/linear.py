@@ -39,7 +39,7 @@ from .errors import (
     SingularMeanMode,
     SolveFailure,
 )
-from .model import HarmonicField, ValidatedModel
+from .model import ValidatedModel
 from .norms import u0lo_norm
 from .spatial import (SingularBlock, assemble_laplacian, band_product,
                       condition_estimate, gradient, scale_rows,
@@ -104,10 +104,10 @@ def _residuals(bands: np.ndarray, x: np.ndarray, rhs: np.ndarray,
     return res, scale
 
 
-def _relative_residual(op, bands, norms, u: HarmonicField,
-                       rtilde: HarmonicField) -> float:
-    res, scale = _residuals(bands, op.restrict(u.coeffs),
-                            -op.restrict(rtilde.coeffs), norms)
+def _relative_residual(op, bands, norms, u: np.ndarray,
+                       rtilde: np.ndarray) -> float:
+    res, scale = _residuals(bands, op.restrict(u), -op.restrict(rtilde),
+                            norms)
     den = np.linalg.norm(scale)
     return float(np.linalg.norm(res) / den) if den > 0 else 0.0
 
@@ -135,8 +135,8 @@ def linear_solver(model: ValidatedModel, M: int):
         raise SolveFailure(f"harmonic {m} {what} (1-norm cond ~ {cond:.3e})",
                            condition_estimate=cond)
 
-    def solve_checked(f: HarmonicField) -> HarmonicField:
-        rhs = -op.restrict(f.coeffs)
+    def solve_checked(f: np.ndarray) -> np.ndarray:
+        rhs = -op.restrict(f)
         sol = solve(rhs)
         if not np.isfinite(sol).all():
             # an overflow spreads through the stacked solve to the other
@@ -151,20 +151,20 @@ def linear_solver(model: ValidatedModel, M: int):
         if not res[m] <= RESIDUAL_RTOL * scale[m]:
             fail(m, f"residual {res[m]:.3e} exceeds tolerance")
         sol[0] = sol[0].real
-        return HarmonicField(op.extend(sol))
+        return op.extend(sol)
     return solve_checked, partial(_relative_residual, op, bands, norms)
 
 
-def solve_linear_mgt(f: HarmonicField, model: ValidatedModel) -> HarmonicField:
+def solve_linear_mgt(f: np.ndarray, model: ValidatedModel) -> np.ndarray:
     """Solve A_m u_m = -f_m for m = 0..M; verify each by re-substitution."""
-    return linear_solver(model, f.M)[0](f)
+    return linear_solver(model, len(f) - 1)[0](f)
 
 
-def linear_residual(u: HarmonicField, rtilde: HarmonicField,
+def linear_residual(u: np.ndarray, rtilde: np.ndarray,
                     model: ValidatedModel) -> float:
     """Relative re-substitution residual of A_m u_m + r_m over all harmonics."""
-    return _relative_residual(*assemble_harmonic_system(model, u.M), None,
-                              u, rtilde)
+    return _relative_residual(*assemble_harmonic_system(model, len(u) - 1),
+                              None, u, rtilde)
 
 
 @dataclass(frozen=True)
@@ -196,17 +196,17 @@ LINEARIZED = FixedPointOptions(tol=1e-12, max_iter=200)
 
 @dataclass
 class SolveReport:
-    u: HarmonicField
+    u: np.ndarray
     iterations: int
     update_norms: list = field(default_factory=list)
     contraction_ratios: list = field(default_factory=list)
     final_residual: float = 0.0
-    degeneracy_margin: float = 0.0
+    alpha_min: float = 0.0
     stability_margin: float = 0.0
-    rhs: HarmonicField | None = None     # rhs(u), the full inhomogeneity
+    rhs: np.ndarray | None = None     # rhs(u), the full inhomogeneity
 
 
-def fixed_point(rhs, u: HarmonicField, model: ValidatedModel,
+def fixed_point(rhs, u: np.ndarray, model: ValidatedModel,
                 opts: FixedPointOptions) -> SolveReport:
     """Iterate u <- theta S(rhs(u)) + (1 - theta) u from u, with S the linear
     solve factored once, until the u0lo update is at most tol times the
@@ -222,12 +222,12 @@ def fixed_point(rhs, u: HarmonicField, model: ValidatedModel,
     update_norms: list[float] = []
     ratios: list[float] = []
     rising = 0
-    solve, residual = linear_solver(model, u.M)
-    grad = gradient(u.coeffs, grid)
+    solve, residual = linear_solver(model, len(u) - 1)
+    grad = gradient(u, grid)
     r = rhs(u, grad)
     for it in range(1, opts.max_iter + 1):
         u_new = theta * solve(r) + (1.0 - theta) * u
-        grad_new = gradient(u_new.coeffs, grid)
+        grad_new = gradient(u_new, grid)
         update = u0lo_norm(u_new - u, grid, p.omega, p.T, grad_new - grad)
         scale = u0lo_norm(u_new, grid, p.omega, p.T, grad_new)
         update_norms.append(update)
@@ -257,7 +257,7 @@ def fixed_point(rhs, u: HarmonicField, model: ValidatedModel,
         history=update_norms)
 
 
-def solve_linearized(u_base: HarmonicField, f_dir: HarmonicField,
+def solve_linearized(u_base: np.ndarray, f_dir: np.ndarray,
                      model: ValidatedModel, kind: str) -> SolveReport:
     """Derivative of the source-to-state map at u_base in the direction
     f_dir, as the report of its solve: the fixed point u of
@@ -270,8 +270,9 @@ def solve_linearized(u_base: HarmonicField, f_dir: HarmonicField,
     base2 = bilinear_factors(2.0 * u_base, kind, model)
     report = fixed_point(
         lambda u, grad: f_dir + bilinear_product(
-            base2, bilinear_factors(u, kind, model, grad), kind, model, u.M),
-        HarmonicField.zeros(f_dir.M, model.grid.nx), model, LINEARIZED)
+            base2, bilinear_factors(u, kind, model, grad), kind, model,
+            len(u) - 1),
+        np.zeros(f_dir.shape, complex), model, LINEARIZED)
     if report.final_residual > RESIDUAL_RTOL:
         raise NonConvergedIteration(
             f"linearized solve residual {report.final_residual:.3e} > "

@@ -2,9 +2,11 @@
 
 Fields that are T-periodic in time are stored one-sided in harmonic space:
 u(t, x) = u_0(x) + sum_{m=1..M} 2 Re(u_m(x) exp(i m omega t)),
-so reality of time samples is structural.  Time samples over one period are
-plain real (nt, nx) arrays: `to_time_samples` returns one and
-`to_harmonics` takes one.  Spatially everything lives on a uniform grid
+so reality of time samples is structural.  A harmonic field is a plain
+complex (M+1, nx) array of u_0..u_M, with M = len(u) - 1, and time samples
+over one period are plain real (nt, nx) arrays: `to_time_samples` maps the
+first to the second, `to_harmonics` back, and `time_derivative` scales
+u_m by (i m omega)^k.  Spatially everything lives on a uniform grid
 over the interval (0, L).
 """
 from __future__ import annotations
@@ -113,47 +115,10 @@ class PhysicalParams:
                               eta_tilde=self.eta_tilde, T=self.T)
 
 
-@dataclass
-class HarmonicField:
-    """One-sided harmonic coefficients, shape (M+1, nx) complex."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.ndim != 2:
-            raise ValueError("coeffs must be (M+1, nx)")
-
-    @property
-    def M(self) -> int:
-        return self.coeffs.shape[0] - 1
-
-    @property
-    def nx(self) -> int:
-        return self.coeffs.shape[1]
-
-    @staticmethod
-    def zeros(M: int, nx: int) -> "HarmonicField":
-        return HarmonicField(np.zeros((M + 1, nx), dtype=complex))
-
-    def copy(self) -> "HarmonicField":
-        return HarmonicField(self.coeffs.copy())
-
-    def __add__(self, other):
-        return HarmonicField(self.coeffs + other.coeffs)
-
-    def __sub__(self, other):
-        return HarmonicField(self.coeffs - other.coeffs)
-
-    def __mul__(self, s):
-        return HarmonicField(self.coeffs * s)
-
-    __rmul__ = __mul__
-
-    def time_derivative(self, omega: float, order: int = 1) -> "HarmonicField":
-        m = np.arange(self.M + 1)
-        factor = (1j * m * omega) ** order
-        return HarmonicField(self.coeffs * factor[:, None])
+def time_derivative(u: np.ndarray, omega: float, order: int = 1) -> np.ndarray:
+    """d_t^order of the harmonic field u: u_m times (i m omega)^order."""
+    m = np.arange(len(u))
+    return u * ((1j * m * omega) ** order)[:, None]
 
 
 def min_samples(M: int) -> int:
@@ -182,15 +147,16 @@ def dealiased_samples(M: int) -> int:
     return n
 
 
-def to_time_samples(u: HarmonicField, nt: int) -> np.ndarray:
-    """Real (nt, nx) samples of u at t_k = k T / nt."""
-    if nt < min_samples(u.M):
-        raise UndersampledTime(f"nt={nt} < 2M+2={min_samples(u.M)}")
+def to_time_samples(u: np.ndarray, nt: int) -> np.ndarray:
+    """Real (nt, nx) samples of the harmonic field u at t_k = k T / nt."""
+    M = len(u) - 1
+    if nt < min_samples(M):
+        raise UndersampledTime(f"nt={nt} < 2M+2={min_samples(M)}")
     # irfft zero-pads the M+1 coefficients to nt//2+1
-    return np.fft.irfft(u.coeffs, n=nt, axis=0, norm="forward")
+    return np.fft.irfft(u, n=nt, axis=0, norm="forward")
 
 
-def to_harmonics(v: np.ndarray, M: int) -> HarmonicField:
+def to_harmonics(v: np.ndarray, M: int) -> np.ndarray:
     """Order-M truncation of the discrete Fourier series of each node of
     the real (nt, nx) samples v."""
     nt = len(v)
@@ -198,7 +164,7 @@ def to_harmonics(v: np.ndarray, M: int) -> HarmonicField:
         raise UndersampledTime(f"nt={nt} < 2M+2={min_samples(M)}")
     coeffs = np.fft.rfft(v, axis=0, norm="forward")[:M + 1]
     coeffs[0] = coeffs[0].real
-    return HarmonicField(coeffs)
+    return coeffs
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,9 @@ import numpy as np
 from .errors import DegeneracyDetected
 from .linear import FixedPointOptions, SolveReport, fixed_point, linear_solver
 from .model import (
-    HarmonicField,
     ValidatedModel,
     dealiased_samples,
+    time_derivative,
     to_harmonics,
     to_time_samples,
 )
@@ -39,44 +39,44 @@ def _check_kind(kind: str):
         raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
 
 
-def bilinear_factors(v: HarmonicField, kind: str, model: ValidatedModel,
+def bilinear_factors(v: np.ndarray, kind: str, model: ValidatedModel,
                      grad: np.ndarray | None = None) -> tuple:
     """Time samples of what r[v, .] multiplies: v for westervelt, v_t and
     grad v for kuznetsov, on the dealiased grid.  `grad`, the
-    `spatial.gradient` of v.coeffs, is taken here when kuznetsov needs it
-    and it is not given."""
+    `spatial.gradient` of v, is taken here when kuznetsov needs it and it
+    is not given."""
     _check_kind(kind)
-    nt = dealiased_samples(v.M)
+    nt = dealiased_samples(len(v) - 1)
     if kind == "westervelt":
         return (to_time_samples(v, nt),)
     if grad is None:
-        grad = gradient(v.coeffs, model.grid)
-    return (to_time_samples(v.time_derivative(model.params.omega), nt),
-            to_time_samples(HarmonicField(grad), nt))
+        grad = gradient(v, model.grid)
+    return (to_time_samples(time_derivative(v, model.params.omega), nt),
+            to_time_samples(grad, nt))
 
 
 def bilinear_product(fv: tuple, fw: tuple, kind: str, model: ValidatedModel,
-                     M: int) -> HarmonicField:
+                     M: int) -> np.ndarray:
     """Order-M truncation of r[v, w] from the factors of v and of w."""
     p = model.params
     if kind == "westervelt":
-        out = to_harmonics(fv[0] * fw[0], M).time_derivative(p.omega, 2)
-        out.coeffs *= p.eta[None, :]
+        out = time_derivative(to_harmonics(fv[0] * fw[0], M), p.omega, 2)
+        out *= p.eta
         return out
     # in place: one (nt, nx) temporary besides q
     q = p.eta_tilde * fv[0]
     q *= fw[0]
     q += fv[1] * fw[1]
-    return to_harmonics(q, M).time_derivative(p.omega)
+    return time_derivative(to_harmonics(q, M), p.omega)
 
 
-def eval_bilinear(v: HarmonicField, w: HarmonicField, kind: str,
-                  model: ValidatedModel) -> HarmonicField:
+def eval_bilinear(v: np.ndarray, w: np.ndarray, kind: str,
+                  model: ValidatedModel) -> np.ndarray:
     """Order-M truncation of the shared bilinear form r[v, w]; r[u, u]
     synthesizes u once."""
     fv = bilinear_factors(v, kind, model)
     fw = fv if w is v else bilinear_factors(w, kind, model)
-    return bilinear_product(fv, fw, kind, model, v.M)
+    return bilinear_product(fv, fw, kind, model, len(v) - 1)
 
 
 def degeneracy_monitor(factors: tuple, kind: str,
@@ -113,9 +113,9 @@ def degeneracy_monitor(factors: tuple, kind: str,
     }
 
 
-def fixed_point_solve(f: HarmonicField, model: ValidatedModel, kind: str,
+def fixed_point_solve(f: np.ndarray, model: ValidatedModel, kind: str,
                       opts: FixedPointOptions | None = None,
-                      u0: HarmonicField | None = None) -> SolveReport:
+                      u0: np.ndarray | None = None) -> SolveReport:
     """Iterate u <- solve_linear(f + N(u)) with relaxation until the update
     is small, then verify by full re-substitution into the discrete PDE.
     Every state, u0 included, must keep alpha above the degeneracy floor."""
@@ -130,25 +130,25 @@ def fixed_point_solve(f: HarmonicField, model: ValidatedModel, kind: str,
             raise DegeneracyDetected(
                 f"alpha dropped to {monitor['alpha_min']:.4g} below floor "
                 f"{opts.degeneracy_floor}", alpha_min=monitor["alpha_min"])
-        return f + bilinear_product(factors, factors, kind, model, u.M)
+        return f + bilinear_product(factors, factors, kind, model, len(u) - 1)
 
     if u0 is None:
-        u0 = HarmonicField.zeros(f.M, model.grid.nx)
+        u0 = np.zeros(f.shape, complex)
     report = fixed_point(rhs, u0, model, opts)
-    report.degeneracy_margin = monitor["alpha_min"]
+    report.alpha_min = monitor["alpha_min"]
     report.stability_margin = monitor["stability_margin_min"]
     return report
 
 
-def solve(f: HarmonicField, model: ValidatedModel, kind: str,
+def solve(f: np.ndarray, model: ValidatedModel, kind: str,
           opts: FixedPointOptions | None = None) -> SolveReport:
     """Periodic solution for the forcing f and its SolveReport: one
     decoupled per-harmonic solve for kind "linear" (alpha = 1), the Picard
     iteration for a nonlinear kind."""
     if kind != "linear":
         return fixed_point_solve(f, model, kind, opts)
-    solve_f, residual = linear_solver(model, f.M)
+    solve_f, residual = linear_solver(model, len(f) - 1)
     u = solve_f(f)
     return SolveReport(u=u, iterations=1, final_residual=residual(u, f),
-                       degeneracy_margin=1.0,
+                       alpha_min=1.0,
                        stability_margin=model.stability_margin(), rhs=f)

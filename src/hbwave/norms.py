@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Grid, HarmonicField
+from .model import Grid
 from .spatial import gradient, laplacian_fd
 
 
@@ -21,15 +21,14 @@ def parseval_weights(M: int) -> np.ndarray:
     return w
 
 
-def spatial_sq(u: HarmonicField, grid: Grid, spatial=None) -> np.ndarray:
+def spatial_sq(u: np.ndarray, grid: Grid, spatial=None) -> np.ndarray:
     """||X u_m||^2 for every harmonic m, shape (M+1,); X as in
     time_space_norm_sq."""
-    c = u.coeffs
     if spatial in ("laplacian", "grad_laplacian"):
-        c = laplacian_fd(c, grid)
+        u = laplacian_fd(u, grid)
     if spatial in ("H1_semi", "grad_laplacian"):
-        c = gradient(c, grid)
-    return _nodal_sq(c, grid)
+        u = gradient(u, grid)
+    return _nodal_sq(u, grid)
 
 
 def _nodal_sq(c: np.ndarray, grid: Grid) -> np.ndarray:
@@ -44,35 +43,34 @@ def time_sum(sq: np.ndarray, omega: float, T: float, t_order: int) -> float:
                             * (m * omega) ** (2 * t_order) * sq))
 
 
-def time_space_norm_sq(u: HarmonicField, grid: Grid, omega: float, T: float,
+def time_space_norm_sq(u: np.ndarray, grid: Grid, omega: float, T: float,
                        t_order: int = 0, spatial=None) -> float:
     """||d_t^k u||^2_{L2(0,T;X)} where X is given by `spatial`: None (L2),
     "H1_semi", "laplacian" or "grad_laplacian"."""
     return time_sum(spatial_sq(u, grid, spatial), omega, T, t_order)
 
 
-def l2l2_norm(u: HarmonicField, grid: Grid, omega: float, T: float) -> float:
+def l2l2_norm(u: np.ndarray, grid: Grid, omega: float, T: float) -> float:
     return float(np.sqrt(time_space_norm_sq(u, grid, omega, T, 0)))
 
 
-def u0lo_norm(u: HarmonicField, grid: Grid, omega: float, T: float,
+def u0lo_norm(u: np.ndarray, grid: Grid, omega: float, T: float,
               grad: np.ndarray | None = None) -> float:
     """Discrete H^2(L^2) + H^1(H^1) norm (tau-independent low energy),
     the sum of ||d_t^k u||^2_{L2(L2)} for k <= 2 and ||d_t^k grad u||^2
     for k <= 1, taken as one weighted sum over harmonics:
     T sum_m w_m [(1 + (m w)^2 + (m w)^4) ||u_m||^2
                  + (1 + (m w)^2) ||grad u_m||^2].
-    `grad`, the `spatial.gradient` of u.coeffs, is taken here unless
-    given."""
+    `grad`, the `spatial.gradient` of u, is taken here unless given."""
     if grad is None:
-        grad = gradient(u.coeffs, grid)
-    mw2 = (np.arange(u.M + 1) * omega) ** 2
+        grad = gradient(u, grid)
+    mw2 = (np.arange(len(u)) * omega) ** 2
     sq = ((1.0 + mw2 + mw2 * mw2) * spatial_sq(u, grid)
           + (1.0 + mw2) * _nodal_sq(grad, grid))
-    return float(np.sqrt(T * np.sum(parseval_weights(u.M) * sq)))
+    return float(np.sqrt(T * np.sum(parseval_weights(len(u) - 1) * sq)))
 
 
-def u0me_norm(u: HarmonicField, grid: Grid, omega: float, T: float) -> float:
+def u0me_norm(u: np.ndarray, grid: Grid, omega: float, T: float) -> float:
     """Discrete H^2(H^1) + H^1(L^2 with Laplacian) norm (medium level)."""
     l2_h1 = spatial_sq(u, grid) + spatial_sq(u, grid, "H1_semi")
     lap = spatial_sq(u, grid, "laplacian")

@@ -17,7 +17,6 @@ from .model import (
     BCKind,
     BoundaryCondition,
     Grid,
-    HarmonicField,
     PhysicalParams,
     ValidatedModel,
     min_samples,
@@ -44,8 +43,8 @@ class StudyResult:
 
 @dataclass
 class ManufacturedCase:
-    u_star: HarmonicField
-    f: HarmonicField
+    u_star: np.ndarray
+    f: np.ndarray
     bc_left: BoundaryCondition
     bc_right: BoundaryCondition
     kind: str                 # "linear", "westervelt" or "kuznetsov"
@@ -73,24 +72,24 @@ def manufactured_case(case_id: str, params: PhysicalParams, grid: Grid,
         bc_right = BoundaryCondition(BCKind.DIRICHLET)
     phi = np.sin(k * x)
 
-    u_star = HarmonicField.zeros(M, grid.nx)
-    u_star.coeffs[1] = 0.5 * A * phi
+    u_star = np.zeros((M + 1, grid.nx), complex)
+    u_star[1] = 0.5 * A * phi
 
     # f = -(tau u_ttt + u_tt - c^2 Lap u - b Lap u_t + N(u));  Lap u = -k^2 u
-    f = HarmonicField.zeros(M, grid.nx)
+    f = np.zeros((M + 1, grid.nx), complex)
     lin = ((-1j * params.tau * omega**3 - omega**2)
            + (params.c2 + 1j * omega * params.b) * k**2)
-    f.coeffs[1] = -lin * u_star.coeffs[1]
+    f[1] = -lin * u_star[1]
 
     if case_id == "westervelt-dirichlet":
         # eta (u^2)_tt = -2 eta A^2 w^2 phi^2 cos(2wt)
-        f.coeffs[2] = params.eta * A**2 * omega**2 * phi**2
+        f[2] = params.eta * A**2 * omega**2 * phi**2
         kind = "westervelt"
     elif case_id == "kuznetsov-dirichlet":
         # (eta~ u_t^2 + |grad u|^2)_t = -2 w d(x) sin(2wt)
         dphi = k * np.cos(k * x)
         d = 0.5 * A**2 * (dphi**2 - params.eta_tilde * omega**2 * phi**2)
-        f.coeffs[2] = -1j * omega * d
+        f[2] = -1j * omega * d
         kind = "kuznetsov"
     else:
         kind = "linear"
@@ -135,7 +134,7 @@ def convergence_study(case_id: str, coeffs: dict, L: float, nx_list,
                        metadata={"pass": ok, "orders_l2l2": orders})
 
 
-def tau_sweep(f: HarmonicField, model: ValidatedModel,
+def tau_sweep(f: np.ndarray, model: ValidatedModel,
               taus=(0.4, 0.2, 0.1, 0.05, 0.0), kind: str = "linear",
               opts: FixedPointOptions | None = None) -> StudyResult:
     """Distance to the tau = 0 solution in the tau-independent discrete
@@ -169,8 +168,9 @@ def tau_sweep(f: HarmonicField, model: ValidatedModel,
     return StudyResult(rows=rows)
 
 
-def taylor_test(f: HarmonicField, f_dir: HarmonicField,
-                model: ValidatedModel, kind: str, eps_list,
+def taylor_test(f: np.ndarray, f_dir: np.ndarray,
+                model: ValidatedModel, kind: str,
+                eps_list=(1e-1, 1e-2, 1e-3),
                 opts: FixedPointOptions | None = None) -> StudyResult:
     """Remainder of the source-to-state map against its linearization.
 
@@ -244,7 +244,7 @@ class _Oracle:
     STAGE_TOL = 1e-13
     STAGE_SAFETY = 0.1      # share of STAGE_TOL left to theta's estimate
 
-    def __init__(self, f: HarmonicField, model: ValidatedModel, kind: str,
+    def __init__(self, f: np.ndarray, model: ValidatedModel, kind: str,
                  n_steps: int):
         self.model = model
         self.kind = kind
@@ -267,12 +267,12 @@ class _Oracle:
 
         # the forcing at t = (j + 1/2) dt, real: f_0 + 2 Re(e^{i m w t} f_m)
         mwt = np.outer((np.arange(n_steps) + 0.5) * dt,
-                       np.arange(1, f.M + 1) * p.omega)
-        fm = 2.0 * op.restrict(f.coeffs[1:])
+                       np.arange(1, len(f)) * p.omega)
+        fm = 2.0 * op.restrict(f[1:])
         # f_0 added in place: the table is the one array of its size
         self.forcing = (np.hstack([np.cos(mwt), -np.sin(mwt)])
                         @ np.vstack([fm.real, fm.imag]))
-        self.forcing += op.restrict(f.coeffs[0].real)
+        self.forcing += op.restrict(f[0].real)
 
         # the top equation: K z = (the z-free linear terms) - rest, with the
         # z-free terms the sum over state rows k of lin_k y_k
@@ -373,7 +373,7 @@ def check_oracle_steps(n_steps: int, M: int):
                                f"2M+2={min_samples(M)}")
 
 
-def time_stepping_oracle(f: HarmonicField, model: ValidatedModel, kind: str,
+def time_stepping_oracle(f: np.ndarray, model: ValidatedModel, kind: str,
                          n_steps: int = ORACLE_STEPS, max_periods: int = 200,
                          period_tol: float = 1e-8):
     """Integrate the damped initial-value problem from zero data, at
@@ -382,8 +382,9 @@ def time_stepping_oracle(f: HarmonicField, model: ValidatedModel, kind: str,
     step of the last period marched, written in place as each period is
     marched, that period's gap |y_end - y_start| / |y_end|, and the
     march's counts (periods, steps, stage solves).  Too few steps to
-    resolve harmonic f.M raise UndersampledTime before the first step."""
-    check_oracle_steps(n_steps, f.M)
+    resolve harmonic M = len(f) - 1 raise UndersampledTime before the
+    first step."""
+    check_oracle_steps(n_steps, len(f) - 1)
     oracle = _Oracle(f, model, kind, n_steps)
     y = np.zeros((3 if oracle.tau > 0 else 2, oracle.nr))
     zs = ()
@@ -408,7 +409,7 @@ def time_stepping_oracle(f: HarmonicField, model: ValidatedModel, kind: str,
         f"{max_periods} periods", gaps=gaps)
 
 
-def oracle_discrepancy(u_hb: HarmonicField, samples: np.ndarray,
+def oracle_discrepancy(u_hb: np.ndarray, samples: np.ndarray,
                        model: ValidatedModel) -> float:
     """Relative L2(L2) distance between a harmonic-balance solution and the
     (nt, nx) samples of an oracle trajectory on its own time grid."""
@@ -417,8 +418,7 @@ def oracle_discrepancy(u_hb: HarmonicField, samples: np.ndarray,
     # the reference's sum of squares over the samples by Parseval (exact,
     # as nt > 2M), so the difference is squared and weighted in place with
     # no temporary of the trajectories' size: each adds to peak memory
-    c = u_hb.coeffs
-    power = c[0].real**2 + 2.0 * np.sum(np.abs(c[1:])**2, axis=0)
+    power = u_hb[0].real**2 + 2.0 * np.sum(np.abs(u_hb[1:])**2, axis=0)
     ref = float(nt * (w @ power))
     sq = to_time_samples(u_hb, nt)
     sq -= samples

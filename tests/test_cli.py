@@ -74,7 +74,7 @@ def test_solve_writes_solution_and_energy(config, tmp_path):
     code, out = run(config, tmp_path, "solve")
     assert code == 0
     u = read_solution_csv(os.path.join(out, "solution.csv"))
-    assert u.M == 4
+    assert len(u) - 1 == 4
     assert os.path.exists(os.path.join(out, "energy.csv"))
     assert os.path.exists(os.path.join(out, "run_info.json"))
 
@@ -215,7 +215,7 @@ def test_run_info_records_the_solve_metrics(config, tmp_path, verb):
     report = solve(setup.f, setup.model, setup.solver_kind, setup.options)
     # alpha and the margin of the last state, on its full sample arrays
     p = setup.model.params
-    u = to_time_samples(report.u, dealiased_samples(report.u.M))
+    u = to_time_samples(report.u, dealiased_samples(setup.model.M))
     alpha = 1.0 + 2.0 * p.eta[None, :] * u
     margin = p.b[None, :] / p.c2[None, :] - p.taubar / alpha
     # oracle-compare adds the march's counts; the solve's entries stay
@@ -281,10 +281,15 @@ def test_validation_failure_exits_one_with_record(config, tmp_path):
                for v in record["violations"])
 
 
-def test_syntax_error_record_names_its_line(config, tmp_path):
+@pytest.mark.parametrize("line, text", [
+    (3, "this line is junk"),
+    (4, "Nx = 65"),             # a repeated key
+    (4, "[domain]"),            # a repeated section
+])
+def test_syntax_error_record_names_its_line(config, tmp_path, line, text):
     with open(config) as fh:
         lines = fh.read().splitlines()
-    lines[2] = "this line is junk"
+    lines[line - 1] = text
     with open(config, "w") as fh:
         fh.write("\n".join(lines) + "\n")
     out = str(tmp_path / "out")
@@ -292,8 +297,10 @@ def test_syntax_error_record_names_its_line(config, tmp_path):
     assert code == 1
     with open(os.path.join(out, "error.json")) as fh:
         record = json.load(fh)
+    assert record["kind"] == "ConfigSyntaxError"
     assert record["code"] == "SyntaxError"
-    assert record["line"] == 3
+    assert record["line"] == line
+    assert "traceback" not in record
 
 
 def test_unknown_key_exits_one(config, tmp_path):

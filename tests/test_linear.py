@@ -15,7 +15,6 @@ from hbwave.model import (
     BCKind,
     BoundaryCondition,
     Grid,
-    HarmonicField,
     PhysicalParams,
     ValidatedModel,
     validate_model,
@@ -38,9 +37,9 @@ def make_model(nx=65, **kw):
 
 def test_zero_forcing_gives_zero_solution():
     model = make_model(nx=17)
-    f = HarmonicField.zeros(3, 17)
+    f = np.zeros((4, 17), complex)
     u = solve_linear_mgt(f, model)
-    assert np.all(u.coeffs == 0)
+    assert np.all(u == 0)
 
 
 def test_manufactured_linear_solution_recovered():
@@ -57,9 +56,9 @@ def test_manufactured_linear_solution_recovered():
 
 def test_residual_of_computed_solution_is_tiny():
     model = make_model()
-    f = HarmonicField.zeros(4, 65)
-    f.coeffs[1] = np.sin(np.pi * model.grid.nodes)
-    f.coeffs[3] = 0.3j * np.sin(2 * np.pi * model.grid.nodes)
+    f = np.zeros((5, 65), complex)
+    f[1] = np.sin(np.pi * model.grid.nodes)
+    f[3] = 0.3j * np.sin(2 * np.pi * model.grid.nodes)
     u = solve_linear_mgt(f, model)
     assert linear_residual(u, f, model) < 1e-12
 
@@ -101,8 +100,8 @@ def test_singular_harmonic_raises_solve_failure():
                                    T=2 * np.pi)
     # built directly to skip validation: with c2 = 0 the system A_0 is zero
     model = ValidatedModel(grid, params, DIRICHLET, DIRICHLET)
-    f = HarmonicField.zeros(1, 9)
-    f.coeffs[0] = 1.0
+    f = np.zeros((2, 9), complex)
+    f[0] = 1.0
     with pytest.raises(SolveFailure):
         solve_linear_mgt(f, model)
 
@@ -115,8 +114,8 @@ def test_overflowed_solution_fails_the_check_and_names_the_harmonic():
     params = PhysicalParams.create(grid, tau=0.1, taubar=0.5, b=1.0,
                                    c2=1e-310, T=2 * np.pi)
     model = ValidatedModel(grid, params, DIRICHLET, DIRICHLET)
-    f = HarmonicField.zeros(1, grid.nx)
-    f.coeffs[0] = 1.0
+    f = np.zeros((2, grid.nx), complex)
+    f[0] = 1.0
     with np.errstate(all="ignore"):
         with pytest.raises(SolveFailure,
                            match="harmonic 0 has a non-finite") as info:
@@ -131,8 +130,8 @@ def test_overflow_in_one_harmonic_names_that_harmonic():
     # stacked solve spreads NaN to harmonics 0 and 2 through the zero
     # corners (0 * inf), so the check solves each harmonic alone
     model = make_model(nx=33)
-    f = HarmonicField.zeros(2, model.grid.nx)
-    f.coeffs[1] = 1e308 * np.sin(np.pi * model.grid.nodes)
+    f = np.zeros((3, model.grid.nx), complex)
+    f[1] = 1e308 * np.sin(np.pi * model.grid.nodes)
     with np.errstate(all="ignore"):
         with pytest.raises(SolveFailure, match="harmonic 1 has a non-finite "
                            "right-hand side or solution") as info:
@@ -142,8 +141,8 @@ def test_overflow_in_one_harmonic_names_that_harmonic():
 
 def test_non_finite_right_hand_side_names_its_harmonic():
     model = make_model(nx=33)
-    f = HarmonicField.zeros(3, model.grid.nx)
-    f.coeffs[2, 5] = np.nan
+    f = np.zeros((4, model.grid.nx), complex)
+    f[2, 5] = np.nan
     with pytest.raises(SolveFailure, match="harmonic 2 has a non-finite"):
         solve_linear_mgt(f, model)
 
@@ -155,8 +154,8 @@ def test_zero_pivot_names_its_harmonic():
     params = PhysicalParams.create(grid, tau=0.0, taubar=0.5, b=0.0,
                                    c2=0.125, T=2 * np.pi)
     model = ValidatedModel(grid, params, DIRICHLET, DIRICHLET)
-    f = HarmonicField.zeros(2, 3)
-    f.coeffs[:, 1] = 1.0
+    f = np.zeros((3, 3), complex)
+    f[:, 1] = 1.0
     with pytest.raises(SolveFailure, match="harmonic 1 is singular"):
         solve_linear_mgt(f, model)
 
@@ -168,8 +167,8 @@ def test_overflowed_coefficients_name_their_harmonic():
     params = PhysicalParams.create(grid, tau=0.1, taubar=0.5, b=1e307,
                                    c2=1.0, T=2 * np.pi)
     model = ValidatedModel(grid, params, DIRICHLET, DIRICHLET)
-    f = HarmonicField.zeros(2, 33)
-    f.coeffs[1] = np.sin(np.pi * model.grid.nodes)
+    f = np.zeros((3, 33), complex)
+    f[1] = np.sin(np.pi * model.grid.nodes)
     with np.errstate(all="ignore"):
         with pytest.raises(SolveFailure,
                            match="harmonic 1 has non-finite coefficients"):
@@ -194,8 +193,8 @@ def test_fixed_point_factors_the_harmonic_stack_once(monkeypatch):
     monkeypatch.setattr(hbwave.linear, "assemble_harmonic_system",
                         counting_assembly)
     model = make_model(nx=33, eta=1.0)
-    f = HarmonicField.zeros(4, 33)
-    f.coeffs[1] = 3e-2 * np.sin(np.pi * model.grid.nodes)
+    f = np.zeros((5, 33), complex)
+    f[1] = 3e-2 * np.sin(np.pi * model.grid.nodes)
     report = fixed_point_solve(f, model, "westervelt")
     assert report.iterations > 1
     assert calls == [(5, 3, 31)]
@@ -205,12 +204,12 @@ def test_fixed_point_factors_the_harmonic_stack_once(monkeypatch):
 
 def test_linearized_around_zero_base_is_direct_solve():
     model = make_model(nx=33)
-    f_dir = HarmonicField.zeros(3, 33)
-    f_dir.coeffs[1] = np.sin(np.pi * model.grid.nodes)
-    base = HarmonicField.zeros(3, 33)
+    f_dir = np.zeros((4, 33), complex)
+    f_dir[1] = np.sin(np.pi * model.grid.nodes)
+    base = np.zeros((4, 33), complex)
     u_lin = solve_linearized(base, f_dir, model, "westervelt").u
     direct = solve_linear_mgt(f_dir, model)
-    np.testing.assert_allclose(u_lin.coeffs, direct.coeffs, atol=1e-14)
+    np.testing.assert_allclose(u_lin, direct, atol=1e-14)
 
 
 def test_linearized_matches_finite_difference():
@@ -218,8 +217,8 @@ def test_linearized_matches_finite_difference():
     from hbwave.nonlinear import fixed_point_solve, FixedPointOptions
 
     grid = model.grid
-    f = HarmonicField.zeros(4, grid.nx)
-    f.coeffs[1] = 3e-3 * np.sin(np.pi * grid.nodes)
+    f = np.zeros((5, grid.nx), complex)
+    f[1] = 3e-3 * np.sin(np.pi * grid.nodes)
     opts = FixedPointOptions(tol=1e-14, max_iter=200)
     base = fixed_point_solve(f, model, "westervelt", opts).u
     u_lin = solve_linearized(base, f, model, "westervelt").u
@@ -234,23 +233,23 @@ def test_linearized_matches_finite_difference():
 def test_linearized_without_relaxation_term_differs():
     model = make_model(eta=1.0)
     grid = model.grid
-    f = HarmonicField.zeros(4, grid.nx)
-    f.coeffs[1] = 3e-3 * np.sin(np.pi * grid.nodes)
-    base = HarmonicField.zeros(4, grid.nx)
+    f = np.zeros((5, grid.nx), complex)
+    f[1] = 3e-3 * np.sin(np.pi * grid.nodes)
+    base = np.zeros((5, grid.nx), complex)
     with_term = solve_linearized(base, f, model, "westervelt").u
     without = solve_linearized(
         base, f, model.with_params(model.params.with_tau(0.0)),
         "westervelt").u
-    assert not np.allclose(with_term.coeffs, without.coeffs)
+    assert not np.allclose(with_term, without)
 
 
 def test_linearized_around_non_contractive_base_raises_non_contraction():
     model = make_model(nx=33, eta=1.0)
     phi = np.sin(np.pi * model.grid.nodes)
-    base = HarmonicField.zeros(4, 33)
-    base.coeffs[1] = 3.0 * phi
-    f_dir = HarmonicField.zeros(4, 33)
-    f_dir.coeffs[1] = phi
+    base = np.zeros((5, 33), complex)
+    base[1] = 3.0 * phi
+    f_dir = np.zeros((5, 33), complex)
+    f_dir[1] = phi
     with pytest.raises(NonContraction) as info:
         solve_linearized(base, f_dir, model, "westervelt")
     history = info.value.history
@@ -294,8 +293,8 @@ def test_one_norms_taken_once_per_factorization(monkeypatch):
 
     monkeypatch.setattr(hbwave.linear, "_one_norms", counting)
     model = make_model(nx=33, eta=1.0)
-    f = HarmonicField.zeros(4, 33)
-    f.coeffs[1] = 3e-2 * np.sin(np.pi * model.grid.nodes)
+    f = np.zeros((5, 33), complex)
+    f[1] = 3e-2 * np.sin(np.pi * model.grid.nodes)
     report = fixed_point_solve(f, model, "westervelt")
     assert report.iterations > 1 and report.final_residual < 1e-12
     assert calls == [(5, 3, 31)]

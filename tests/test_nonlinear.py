@@ -7,7 +7,6 @@ from hbwave.model import (
     BCKind,
     BoundaryCondition,
     Grid,
-    HarmonicField,
     PhysicalParams,
     to_time_samples,
     validate_model,
@@ -35,8 +34,8 @@ def make_model(nx=65, **kw):
 
 
 def monochromatic(model, a, M=4):
-    u = HarmonicField.zeros(M, model.grid.nx)
-    u.coeffs[1] = 0.5 * a * np.sin(np.pi * model.grid.nodes)
+    u = np.zeros((M + 1, model.grid.nx), complex)
+    u[1] = 0.5 * a * np.sin(np.pi * model.grid.nodes)
     return u
 
 
@@ -48,20 +47,20 @@ def test_westervelt_monochromatic_is_pure_second_harmonic():
     omega = model.params.omega
     phi = np.sin(np.pi * model.grid.nodes)
     expected = -model.params.eta * a**2 * omega**2 * phi**2
-    np.testing.assert_allclose(out.coeffs[2].real, expected, atol=1e-12)
-    np.testing.assert_allclose(out.coeffs[2].imag, 0.0, atol=1e-12)
+    np.testing.assert_allclose(out[2].real, expected, atol=1e-12)
+    np.testing.assert_allclose(out[2].imag, 0.0, atol=1e-12)
     for m in (0, 1, 3, 4):
-        assert np.max(np.abs(out.coeffs[m])) < 1e-12
+        assert np.max(np.abs(out[m])) < 1e-12
 
 
 def test_kuznetsov_monochromatic_is_pure_second_harmonic():
     model = make_model()
     u = monochromatic(model, 0.01)
     out = eval_bilinear(u, u, "kuznetsov", model)
-    assert np.max(np.abs(out.coeffs[0])) < 1e-14
-    assert np.max(np.abs(out.coeffs[1])) < 1e-14
-    assert np.max(np.abs(out.coeffs[2])) > 0
-    assert np.max(np.abs(out.coeffs[3])) < 1e-14
+    assert np.max(np.abs(out[0])) < 1e-14
+    assert np.max(np.abs(out[1])) < 1e-14
+    assert np.max(np.abs(out[2])) > 0
+    assert np.max(np.abs(out[3])) < 1e-14
 
 
 def test_bilinear_is_symmetric_and_bilinear():
@@ -70,15 +69,14 @@ def test_bilinear_is_symmetric_and_bilinear():
     def rand_field():
         c = rng.normal(size=(4, 17)) + 1j * rng.normal(size=(4, 17))
         c[0] = c[0].real
-        return HarmonicField(c)
+        return c
     v, w = rand_field(), rand_field()
     for kind in ("westervelt", "kuznetsov"):
         rvw = eval_bilinear(v, w, kind, model)
         rwv = eval_bilinear(w, v, kind, model)
-        np.testing.assert_allclose(rvw.coeffs, rwv.coeffs, atol=1e-10)
+        np.testing.assert_allclose(rvw, rwv, atol=1e-10)
         scaled = eval_bilinear(2.5 * v, w, kind, model)
-        np.testing.assert_allclose(scaled.coeffs, 2.5 * rvw.coeffs,
-                                   atol=1e-10)
+        np.testing.assert_allclose(scaled, 2.5 * rvw, atol=1e-10)
 
 
 @pytest.mark.parametrize("kind, factors", [("westervelt", 1),
@@ -89,9 +87,8 @@ def test_bilinear_of_a_field_with_itself_synthesizes_it_once(
 
     model = make_model(nx=17)
     rng = np.random.default_rng(6)
-    c = rng.normal(size=(4, 17)) + 1j * rng.normal(size=(4, 17))
-    c[0] = c[0].real
-    u = HarmonicField(c)
+    u = rng.normal(size=(4, 17)) + 1j * rng.normal(size=(4, 17))
+    u[0] = u[0].real
     synthesized = []
 
     def counting(v, nt):
@@ -103,12 +100,12 @@ def test_bilinear_of_a_field_with_itself_synthesizes_it_once(
     assert len(synthesized) == factors
     copied = eval_bilinear(u, u.copy(), kind, model)
     assert len(synthesized) == 3 * factors
-    np.testing.assert_array_equal(same.coeffs, copied.coeffs)
+    np.testing.assert_array_equal(same, copied)
 
 
 def test_alpha_and_monitor_for_zero_state():
     model = make_model()
-    u = HarmonicField.zeros(3, model.grid.nx)
+    u = np.zeros((4, model.grid.nx), complex)
     mon = degeneracy_monitor(bilinear_factors(u, "westervelt", model),
                              "westervelt", model)
     assert mon["alpha_min"] == pytest.approx(1.0)
@@ -128,10 +125,10 @@ def test_alpha_bounds_for_bounded_state():
 
 def test_zero_forcing_converges_immediately():
     model = make_model()
-    f = HarmonicField.zeros(3, model.grid.nx)
+    f = np.zeros((4, model.grid.nx), complex)
     report = fixed_point_solve(f, model, "westervelt")
     assert report.iterations == 1
-    assert np.all(report.u.coeffs == 0)
+    assert np.all(report.u == 0)
 
 
 def test_small_drive_contracts_fast():
@@ -141,7 +138,7 @@ def test_small_drive_contracts_fast():
     assert report.final_residual < 1e-10
     assert all(r < 0.1 for r in report.contraction_ratios)
     assert len(report.contraction_ratios) == report.iterations - 1
-    assert report.degeneracy_margin > 0.99
+    assert report.alpha_min > 0.99
 
 
 def test_initial_guess_independence():
@@ -161,7 +158,7 @@ def test_initial_guess_independence():
 def test_blowup_reported_never_silent():
     model = make_model()
     f = monochromatic(model, 6e-3)
-    big = HarmonicField(f.coeffs * 1e6)
+    big = f * 1e6
     with pytest.raises((NonContraction, DegeneracyDetected)):
         fixed_point_solve(big, model, "westervelt")
 
@@ -169,7 +166,7 @@ def test_blowup_reported_never_silent():
 def test_ball_guard_raises_noncontraction():
     model = make_model()
     f = monochromatic(model, 6e-3)
-    big = HarmonicField(f.coeffs * 1e6)
+    big = f * 1e6
     opts = FixedPointOptions(ball_radius=1.0)
     with pytest.raises(NonContraction):
         fixed_point_solve(big, model, "westervelt", opts)
@@ -202,7 +199,7 @@ def test_report_rhs_is_the_inhomogeneity_of_the_solution(kind):
     f = monochromatic(model, 6e-3)
     report = solve(f, model, kind)
     expected = f + eval_bilinear(report.u, report.u, kind, model)
-    np.testing.assert_array_equal(report.rhs.coeffs, expected.coeffs)
+    np.testing.assert_array_equal(report.rhs, expected)
     assert report.final_residual == linear_residual(report.u, report.rhs,
                                                     model)
 
@@ -211,12 +208,12 @@ def test_linear_kind_reports_one_solve():
     model = make_model(nx=33)
     f = monochromatic(model, 6e-3)
     report = solve(f, model, "linear")
-    np.testing.assert_array_equal(report.u.coeffs,
-                                  solve_linear_mgt(f, model).coeffs)
+    np.testing.assert_array_equal(report.u,
+                                  solve_linear_mgt(f, model))
     assert report.rhs is f
     assert report.iterations == 1
     assert report.final_residual == linear_residual(report.u, f, model)
-    assert report.degeneracy_margin == 1.0
+    assert report.alpha_min == 1.0
     assert report.stability_margin == model.stability_margin()
 
 
@@ -225,8 +222,8 @@ def test_degenerate_start_state_raises():
     # u0 itself has alpha = 1 - 0.92 sin(pi x), below the 0.1 floor
     model = make_model(nx=33)
     f = monochromatic(model, 6e-3)
-    u0 = HarmonicField.zeros(f.M, model.grid.nx)
-    u0.coeffs[0] = -0.46 * np.sin(np.pi * model.grid.nodes)
+    u0 = np.zeros_like(f)
+    u0[0] = -0.46 * np.sin(np.pi * model.grid.nodes)
     with pytest.raises(DegeneracyDetected) as info:
         fixed_point_solve(f, model, "westervelt", u0=u0)
     assert info.value.alpha_min == pytest.approx(0.08)
@@ -266,7 +263,7 @@ def test_relaxation_keeps_a_large_drive_above_the_degeneracy_floor():
     report = fixed_point_solve(f, model, "westervelt",
                                FixedPointOptions(relaxation=0.7))
     assert report.iterations == 52
-    assert report.degeneracy_margin == pytest.approx(0.1033, abs=1e-4)
+    assert report.alpha_min == pytest.approx(0.1033, abs=1e-4)
     assert report.final_residual <= 1e-14
 
 
@@ -389,7 +386,7 @@ def test_picard_update_norm_is_the_norm_of_the_update(kind):
         states.append(u)
         return f + eval_bilinear(u, u, kind, model)
 
-    start = HarmonicField.zeros(f.M, model.grid.nx)
+    start = np.zeros_like(f)
     report = fixed_point(rhs, start, model, FixedPointOptions())
     assert report.iterations > 3
     p = model.params
