@@ -1,6 +1,6 @@
 """Discrete spatial operators: the negative Laplacian with per-harmonic
-Robin/Dirichlet boundary rows, finite-difference norms, the discrete
-H^1-dual norm, and the package's one linear-solve kernel.
+Robin/Dirichlet boundary rows, finite-difference derivatives, the
+discrete H^1-dual norm, and the package's one linear-solve kernel.
 
 Robin rows use ghost-node elimination of the central stencil, so the
 operator stays tridiagonal (complex for m >= 1 with an absorbing
@@ -54,11 +54,10 @@ _TYPES = {np.dtype(np.float64): "d", np.dtype(np.complex128): "z"}
 _ROUTINES = ("gttrf", "gttrs", "gtcon")
 
 
-def _pointer(a: np.ndarray):
-    """A zero-length ctypes array over a C-contiguous array's buffer: as a
-    foreign-call argument it is the buffer's address, and it keeps a
-    reference to the array."""
-    return (ctypes.c_char * 0).from_buffer(a)
+# A zero-length ctypes array over a C-contiguous array's buffer: as a
+# foreign-call argument it is the buffer's address, and it keeps a reference
+# to the array.  The array type is built once, here.
+_pointer = (ctypes.c_char * 0).from_buffer
 
 
 def _int64_ref(value: int):
@@ -114,6 +113,7 @@ class _BundledFactors:
                    np.zeros(n, np.int64))
         self._lu = [_pointer(a) for a in self.lu]
         self._n, self._ldb = _int64_ref(n), _int64_ref(max(n, 1))
+        self._one = _int64_ref(1)       # the NRHS of a vector's solve
         info = ctypes.c_int64()
         lapack[t + "gttrf"](self._n, *self._lu, ctypes.byref(info))
         self.info = info.value
@@ -127,7 +127,7 @@ class _BundledFactors:
         if x.ndim not in (1, 2) or x.shape[-1] != self.n:
             raise ValueError(f"right-hand side of shape {np.shape(b)} for "
                              f"a system of order {self.n}")
-        nrhs = _int64_ref(x.shape[0] if x.ndim == 2 else 1)
+        nrhs = self._one if x.ndim == 1 else _int64_ref(x.shape[0])
         self._gttrs(_NO_TRANSPOSE, self._n, nrhs, *self._lu, _pointer(x),
                     self._ldb, self._info, _CHAR_LEN)
         return x.T
@@ -237,10 +237,6 @@ class SpatialOperator:
         out[..., self.span] = v_reduced
         return out
 
-    def apply(self, v_full: np.ndarray) -> np.ndarray:
-        """Apply to full-grid vectors; Dirichlet nodes read as zero."""
-        return self.extend(band_product(self.bands, self.restrict(v_full)))
-
 
 def assemble_laplacian(grid: Grid, bc_left: BoundaryCondition,
                        bc_right: BoundaryCondition, m,
@@ -298,12 +294,6 @@ def laplacian_fd(v: np.ndarray, grid: Grid) -> np.ndarray:
     g[..., -1] = (2 * v[..., -1] - 5 * v[..., -2] + 4 * v[..., -3]
                   - v[..., -4]) / h**2
     return g
-
-
-def l2_norm(v: np.ndarray, grid: Grid) -> float:
-    """Trapezoidal-rule L2(0, L) norm."""
-    w = grid.trapezoid_weights()
-    return float(np.sqrt(np.sum(w * np.abs(v) ** 2).real))
 
 
 def dual_norm_h1star(v: np.ndarray, grid: Grid, bc_left: BoundaryCondition,

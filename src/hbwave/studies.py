@@ -33,6 +33,7 @@ CASE_IDS = ("linear-dirichlet", "linear-impedance", "westervelt-dirichlet",
 MIN_LEVELS = 3      # fewest grids or epsilons: two observed orders
 CASE_M = 2          # harmonics of a convergence study's cases
 ORACLE_STEPS = 512   # the oracle's default steps per period
+DAMPED_STEPS = 2     # the march's first steps, taken as _Oracle.damped_step
 
 
 @dataclass
@@ -216,19 +217,28 @@ class _Oracle:
     """Implicit-midpoint integrator on the reduced (non-Dirichlet) nodes.
 
     The state has one row per derivative: (u, u_t, u_tt) when tau > 0,
-    (u, u_t) when tau = 0.  A step's one unknown is the stage value z, the
-    midpoint of the top derivative: v_mid = v + h z and u_mid = u + h v_mid
-    when tau > 0, u_mid = u + h z when tau = 0 (h = dt/2).  The new state is
-    twice the midpoint minus the old one.  The stage's linear part is one
-    tridiagonal system K z = rhs, factored once; the nonlinear terms are
-    taken at the previous iterate's midpoint, and z is iterated on that map.
-    The linear kind's stage is linear: one solve.
+    (u, u_t) when tau = 0.  With h = dt/2 and y' = F(t, y), a step's stage
+    is the backward-Euler half-step mid = y + h F(t_mid, mid), and the new
+    state is twice the midpoint minus the old one.  The stage's one unknown
+    is z, the midpoint of the top derivative: v_mid = v + h z and
+    u_mid = u + h v_mid when tau > 0, u_mid = u + h z when tau = 0.  Its
+    linear part is one tridiagonal system K z = rhs, factored once; the
+    nonlinear terms are taken at the previous iterate's midpoint, and z is
+    iterated on that map.  The linear kind's stage is linear: one solve.
+
+    `damped_step` takes a step as two backward-Euler half-steps instead:
+    the same stage, whose new state is the midpoint itself, first with the
+    forcing at the step's midpoint and then with the forcing at its end.
+    Midpoint's amplification factor tends to -1 for stiff modes; backward
+    Euler's tends to 0, so a few such steps at the start of a march damp
+    the stiff transient that zero data excite (Rannacher, Numer. Math. 43
+    (1984) 309-327).
 
     A stage starts from 3 z_1 - 3 z_2 + z_3, the quadratic through the
     last three steps' stage values (latest first), off by O(dt^3) on the
     uniform step; with fewer, from 2 w - z_1 (w the state's top
-    derivative), or from w.  With s_k = dz_gain |dz_k| the k-th update's
-    move of the new state, an iterate is accepted once s_k <= STAGE_TOL
+    derivative), or from w.  With s_k = gain |dz_k| the k-th update's move
+    of the new state, an iterate is accepted once s_k <= STAGE_TOL
     (|y_new| + 1), or once theta / (1 - theta) s_k, its error estimate for a
     contraction theta < 1, is at most STAGE_SAFETY times that (Hairer &
     Wanner, Solving ODEs II, IV.8).  theta is the largest ratio
@@ -246,13 +256,11 @@ class _Oracle:
 
     def __init__(self, f: np.ndarray, model: ValidatedModel, kind: str,
                  n_steps: int):
-        self.model = model
-        self.kind = kind
-        p = model.params
+        grid, p = model.grid, model.params
         self.tau = tau = p.tau
         self.dt = dt = p.T / n_steps
         h = 0.5 * dt
-        self.op = op = assemble_laplacian(model.grid, model.bc_left,
+        self.op = op = assemble_laplacian(grid, model.bc_left,
                                           model.bc_right, 0, p.omega)
         self.nr = nr = op.bands.shape[-1]
         # discrete Laplacian split: lap(u, u_t) = L u + d_beta * u_t
@@ -260,19 +268,29 @@ class _Oracle:
         d_beta = np.zeros(nr)
         for pos, bc in ((0, model.bc_left), (-1, model.bc_right)):
             if not bc.is_dirichlet:
-                d_beta[pos] = -2.0 * bc.beta / model.grid.h
+                d_beta[pos] = -2.0 * bc.beta / grid.h
         b, c2 = op.restrict(p.b), op.restrict(p.c2)
-        self.two_eta = 2.0 * op.restrict(p.eta)
-        self.two_eta_tilde = 2.0 * op.restrict(p.eta_tilde)
+        # the kind's nonlinear terms (alpha - 1, r_nl) at (u, u_t), chosen
+        # once; None for the linear kind, which has none
+        self._nonlinear = None
+        if kind == "westervelt":            # (eta u^2)_tt
+            two_eta = 2.0 * op.restrict(p.eta)
+            self._nonlinear = lambda u, v: (two_eta * u, two_eta * v * v)
+        elif kind == "kuznetsov":           # (eta~ u_t^2 + |u_x|^2)_t
+            two_eta_tilde = 2.0 * op.restrict(p.eta_tilde)
 
-        # the forcing at t = (j + 1/2) dt, real: f_0 + 2 Re(e^{i m w t} f_m)
-        mwt = np.outer((np.arange(n_steps) + 0.5) * dt,
-                       np.arange(1, len(f)) * p.omega)
+            def kuznetsov(u, v):
+                full = np.zeros((2, grid.nx))   # Dirichlet nodes 0
+                full[:, op.span] = u, v
+                gu, gv = op.restrict(gradient(full, grid))
+                return two_eta_tilde * v, 2.0 * gu * gv
+            self._nonlinear = kuznetsov
+
+        self._mw = np.arange(1, len(f)) * p.omega
         fm = 2.0 * op.restrict(f[1:])
-        # f_0 added in place: the table is the one array of its size
-        self.forcing = (np.hstack([np.cos(mwt), -np.sin(mwt)])
-                        @ np.vstack([fm.real, fm.imag]))
-        self.forcing += op.restrict(f[0].real)
+        self._fm = np.vstack([fm.real, fm.imag])
+        self._f0 = op.restrict(f[0].real)
+        self.forcing = self.forcing_at((np.arange(n_steps) + 0.5) * dt)
 
         # the top equation: K z = (the z-free linear terms) - rest, with the
         # z-free terms the sum over state rows k of lin_k y_k
@@ -301,25 +319,27 @@ class _Oracle:
             self.one_bd = 1.0 - b * d_beta
         # the rows' blocks side by side, whose zero corners keep them apart
         self.lin_bands = lin.transpose(1, 0, 2).reshape(3, -1)
-        # y_new = 2 mid - y, so |y_new - y_new'| = dz_gain |z - z'|
+        # y_new = 2 mid - y, so |y_new - y_new'| = dz_gain |z - z'|; a
+        # half-step's new state is mid, which moves half as far
         self.dz_gain = 2.0 * np.sqrt(self.g @ self.g)
         self.solve_stage = tridiagonal_solver(K)
         self.stage_solves = 0   # over the oracle's life
         self.theta = 0.0
 
-    def _rest(self, mid: np.ndarray, forcing: np.ndarray):
+    def forcing_at(self, t) -> np.ndarray:
+        """The real forcing f_0 + 2 Re(e^{i m w t} f_m) at each time in t,
+        one row each."""
+        mwt = np.outer(t, self._mw)
+        out = np.hstack([np.cos(mwt), -np.sin(mwt)]) @ self._fm
+        # f_0 added in place: the step table is the one array of its size
+        out += self._f0
+        return out
+
+    def _rest(self, mid: np.ndarray, forcing: np.ndarray) -> np.ndarray:
         """(alpha - 1) u_tt + r_nl at the stage midpoint: the nonlinear
-        terms K leaves out; None for the linear kind, which has none."""
+        terms K leaves out, for the nonlinear kinds."""
         u, v = mid[0], mid[1]
-        if self.kind == "westervelt":
-            da, r_nl = self.two_eta * u, self.two_eta * v * v
-        elif self.kind == "kuznetsov":
-            full = np.zeros((2, self.model.grid.nx))   # Dirichlet nodes 0
-            full[:, self.op.span] = u, v
-            gu, gv = self.op.restrict(gradient(full, self.model.grid))
-            da, r_nl = self.two_eta_tilde * v, 2.0 * gu * gv
-        else:
-            return None
+        da, r_nl = self._nonlinear(u, v)
         utt = mid[2] if self.tau > 0 else (
             (band_product(self.lap_u, u) + band_product(self.lap_v, v)
              - r_nl - forcing) / (self.one_bd + da))
@@ -330,28 +350,47 @@ class _Oracle:
         at (j + 1/2) dt modulo T; zs holds the previous steps' stage values,
         latest first, of which the first three are used.  Returns the new
         state and this step's stage value."""
-        forcing = self.forcing[j]
+        return self._stage(y, j, self.forcing[j], zs, True)
+
+    def damped_step(self, y: np.ndarray, j: int, zs: tuple = ()):
+        """Step j of a period from state y as two backward-Euler half-steps
+        of dt/2, whose F takes the forcing at (j + 1/2) dt and at (j + 1) dt.
+        Returns the new state and the second half-step's stage value, its
+        top derivative."""
+        y_half, z = self._stage(y, j, self.forcing[j], zs, False)
+        return self._stage(y_half, j, self.forcing_at([(j + 1) * self.dt])[0],
+                           (z, *zs[:2]), False)
+
+    def _stage(self, y, j, forcing, zs, midpoint):
+        """Solve the stage mid = y + h F(mid), F taking the given forcing
+        row, from zs's start.  Returns the new state, 2 mid - y for a
+        midpoint step and mid for a half-step, and the stage value."""
         # K z = rhs - rest, rhs = sum over rows k of lin_k y_k - forcing
         r = band_product(self.lin_bands, y.reshape(-1)).reshape(y.shape)
-        rhs = sum(r) - forcing
+        rhs = r[0] + r[1]
+        if len(r) == 3:         # the u_tt row, when tau > 0
+            rhs += r[2]
+        rhs -= forcing
         m0, g = self.P @ y, self.g[:, None]
+        if self._nonlinear is None:     # a linear stage: one solve
+            z = self.solve_stage(rhs)
+            self.stage_solves += 1
+            mid = m0 + g * z
+            return (2.0 * mid - y if midpoint else mid), z
         if len(zs) >= 3:
             z = 3.0 * (zs[0] - zs[1]) + zs[2]
         else:
             z = 2.0 * y[-1] - zs[0] if zs else y[-1]
         mid = m0 + g * z
+        gain = self.dz_gain if midpoint else 0.5 * self.dz_gain
         s_prev = 0.0        # no ratio before the second update
         for _ in range(self.MAX_STAGE_ITER):
-            rest = self._rest(mid, forcing)
-            # without nonlinear terms the stage is linear: one solve
-            z_new = self.solve_stage(rhs if rest is None else rhs - rest)
+            z_new = self.solve_stage(rhs - self._rest(mid, forcing))
             self.stage_solves += 1
             dz = z_new - z
             z, mid = z_new, m0 + g * z_new
-            y_new = 2.0 * mid - y
-            if rest is None:
-                return y_new, z
-            s = self.dz_gain * math.sqrt(dz @ dz)
+            y_new = 2.0 * mid - y if midpoint else mid
+            s = gain * math.sqrt(dz @ dz)
             tol = self.STAGE_TOL * (math.sqrt(np.vdot(y_new, y_new)) + 1.0)
             if s <= tol:
                 return y_new, z
@@ -378,10 +417,14 @@ def time_stepping_oracle(f: np.ndarray, model: ValidatedModel, kind: str,
                          period_tol: float = 1e-8):
     """Integrate the damped initial-value problem from zero data, at
     n_steps steps of T / n_steps a period, until the state repeats over a
-    period.  Returns the (n_steps, nx) samples of u at the start of each
-    step of the last period marched, written in place as each period is
-    marched, that period's gap |y_end - y_start| / |y_end|, and the
-    march's counts (periods, steps, stage solves).  Too few steps to
+    period.  The first DAMPED_STEPS steps are each two backward-Euler
+    half-steps (`_Oracle.damped_step`), which damp the stiff modes the
+    zero start excites; every later step is an implicit-midpoint step, so
+    the attractor is the midpoint scheme's.  Returns the (n_steps, nx)
+    samples of u at the start of each step of the last period marched,
+    written in place as each period is marched, that period's gap
+    |y_end - y_start| / |y_end|, and the march's counts (periods, steps,
+    stage solves), a damped step counting as one step.  Too few steps to
     resolve harmonic M = len(f) - 1 raise UndersampledTime before the
     first step."""
     check_oracle_steps(n_steps, len(f) - 1)
@@ -395,7 +438,9 @@ def time_stepping_oracle(f: np.ndarray, model: ValidatedModel, kind: str,
         y_start = y         # steps return new arrays: y is never written
         for j in range(n_steps):
             u[j] = y[0]
-            y, z = oracle.step(y, j, zs)
+            step = (oracle.damped_step if k == 1 and j < DAMPED_STEPS
+                    else oracle.step)
+            y, z = step(y, j, zs)
             zs = (z, *zs[:2])
         norm = np.linalg.norm(y)
         gap = (np.linalg.norm(y - y_start) / norm) if norm > 0 else 0.0

@@ -141,6 +141,23 @@ def test_oracle_compare_verb(config, tmp_path):
     assert float(rows["discrepancy"]) < 1e-2
 
 
+def test_oracle_compare_reaches_the_attractor_at_64_steps_a_period(
+        config, tmp_path):
+    # the oracle-march layout at nx = 129 and the default period_tol 1e-8:
+    # the march's damped start lets it stop after 29 periods, where a march
+    # of midpoint steps only exits 2 (NoPeriodicAttractor) after 200, with
+    # a gap of 1.0e-7
+    code, out = run(config, tmp_path, "oracle-compare",
+                    "-s", "domain.nx=129", "-s", "time.m=8",
+                    "-s", "bc.right.kind=absorbing", "-s", "bc.right.beta=1.0",
+                    "-s", "study.dt_divisor=64")
+    assert code == 0
+    with open(os.path.join(out, "oracle.csv")) as fh:
+        rows = dict(line.strip().split(",") for line in fh.readlines()[1:])
+    assert float(rows["periodicity_gap"]) < 1e-8
+    assert float(rows["discrepancy"]) < 1e-3
+
+
 # the oracle-march layout: Westervelt, absorbing right end, M = 8
 ORACLE_MARCH = ("-s", "time.m=8", "-s", "bc.right.kind=absorbing",
                 "-s", "bc.right.beta=1.0", "-s", "study.period_tol=0.05")
@@ -506,6 +523,19 @@ def test_no_verb_imports_scipy(config, tmp_path, verb):
          str(tmp_path / "out")],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_python_dash_m_hbwave_runs_without_a_warning(config, tmp_path):
+    # `python -m hbwave.cli` warns that runpy found hbwave.cli already
+    # imported, by the package; `python -m hbwave` runs hbwave.__main__
+    src = os.path.dirname(os.path.dirname(hbwave.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-m", "hbwave", "validate", config, "-o",
+         str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
 
 
 def test_overflowing_forcing_names_its_harmonic(config, tmp_path):

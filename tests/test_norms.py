@@ -9,7 +9,12 @@ from hbwave.norms import (
     u0lo_norm,
     u0me_norm,
 )
-from hbwave.spatial import l2_norm
+
+
+def l2_norm(v, grid):
+    """Trapezoidal-rule L2(0, L) norm."""
+    w = grid.trapezoid_weights()
+    return float(np.sqrt(np.sum(w * np.abs(v) ** 2).real))
 
 
 def random_field(M, nx, seed=0):

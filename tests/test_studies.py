@@ -382,7 +382,9 @@ def dense_first_order_rhs(model, f, kind):
         forcing = dense_forcing(model, f, active, t)
         u, v = y[0], y[1]
         # (alpha - 1) and r_nl of  ... + alpha u_tt + r_nl = ...
-        if kind == "westervelt":       # (eta u^2)_tt
+        if kind == "linear":
+            da, r_nl = 0.0, 0.0
+        elif kind == "westervelt":     # (eta u^2)_tt
             da, r_nl = 2 * eta * u, 2 * eta * v**2
         else:                          # (eta~ u_t^2 + |u_x|^2)_t
             da, r_nl = 2 * eta_tilde * v, 2 * grad(u) * grad(v)
@@ -431,18 +433,74 @@ def test_oracle_step_solves_the_nonlinear_midpoint_equation(kind, tau,
         y, zs = y_new, (z, *zs[:2])
 
 
-@pytest.mark.parametrize("kind, kw", [("linear", {}),
-                                      ("westervelt", {"eta": 1.0})])
-def test_oracle_stage_solve_count(monkeypatch, kind, kw):
-    """The linear kind's stage takes one solve a step.  The march stops
-    after the period whose gap it reports: 5 periods of 512 steps here,
-    where marching a sixth period only to sample it made 6.  The Westervelt
-    run takes 2 solves a step from its quadratic start with the
-    contraction-based stop, 5,120 in all, where 3 a step from the linear
+@pytest.mark.parametrize("tau", [0.1, 0.0])
+@pytest.mark.parametrize("kind", ["linear", "westervelt", "kuznetsov"])
+@pytest.mark.parametrize("bc_left, bc_right", [
+    (DIRICHLET, ABSORBING), (NEUMANN, IMPEDANCE)])
+def test_oracle_damped_step_is_two_backward_euler_half_steps(kind, tau,
+                                                             bc_left,
+                                                             bc_right):
+    """A damped step j takes y to y_h = y + h F((j + 1/2) dt, y_h), then
+    y_h to y_new = y_h + h F((j + 1) dt, y_new), with h = dt/2: from the
+    march's zero start, and from a smooth state."""
+    grid = Grid(1.0, 17)
+    params = PhysicalParams.create(grid, **dict(
+        COEFFS, tau=tau, eta=1.0, eta_tilde=1.0,
+        b=smooth(grid.nodes, 0.08, 1), c2=smooth(grid.nodes, -0.06, 2)))
+    model = validate_model(grid, params, bc_left, bc_right)
+    rng = np.random.default_rng(11)
+    f = np.zeros((4, grid.nx), complex)
+    f[:] = 0.1 * rng.standard_normal((4, grid.nx))
+    f[1:] += 0.1j * rng.standard_normal((3, grid.nx))
+    oracle = _Oracle(f, model, kind, 64)
+    F = dense_first_order_rhs(model, f, kind)
+    h = 0.5 * oracle.dt
+    half_steps = []
+    stage = oracle._stage
+
+    def recorded(y, *args):
+        y_new, z = stage(y, *args)
+        half_steps.append((y, y_new, z))
+        return y_new, z
+    oracle._stage = recorded
+    x = grid.nodes[oracle.op.active]
+    state = 0.1 * np.array([np.cos(k * np.pi * x + rng.uniform(0, 6))
+                            for k in range(1, 4)])[:3 if tau > 0 else 2]
+    # the march's two damped steps from zero data, then one from a state
+    y, zs = np.zeros_like(state), ()
+    for j in (0, 1, 19):
+        if j == 19:
+            y = state
+        half_steps.clear()
+        y_new, z = oracle.damped_step(y, j, zs)
+        (y0, y_h, z_h), (y_h0, y_end, z_end) = half_steps
+        assert y0 is y and y_h0 is y_h and y_end is y_new and z_end is z
+        for t, start, end in (((j + 0.5) * oracle.dt, y, y_h),
+                              ((j + 1) * oracle.dt, y_h, y_new)):
+            res = end - start - h * F(t, end)
+            assert np.linalg.norm(res) <= 1e-11 * np.linalg.norm(end)
+        # a half-step's stage value is its new state's top derivative
+        assert np.array_equal(z_h, y_h[-1]) and np.array_equal(z, y_new[-1])
+        y, zs = y_new, (z, *zs[:2])
+
+
+@pytest.mark.parametrize("kind, kw, n_steps, periods, solves_a_step", [
+    pytest.param("linear", {}, 512, 5, 1, id="linear-512"),
+    pytest.param("westervelt", {"eta": 1.0}, 512, 5, 2, id="westervelt-512"),
+    pytest.param("westervelt", {"eta": 1.0}, 64, 10, 3, id="westervelt-64")])
+def test_oracle_stage_solve_count(monkeypatch, kind, kw, n_steps, periods,
+                                  solves_a_step):
+    """The linear kind's stage takes one solve, and a damped step two.  The
+    march stops after the period whose gap it reports: 5 periods of 512
+    steps here, and 10 periods of 64 steps, where a march of midpoint steps
+    only took 28: it carries the stiff modes that the zero start excites
+    with a factor near -1 a step.  The Westervelt run at 512 steps
+    takes 2 solves a step from its quadratic start with the
+    contraction-based stop, 5,124 in all, where 3 a step from the linear
     start made 9,216 over 6 periods and the start from the old state
     12,005.  The first steps, whose start is cruder, may take a few more.
-    The stage is factored once, and the counts the march returns are the
-    ones counted here."""
+    The stage is factored once, the damped steps included, and the counts
+    the march returns are the ones counted here."""
     counts = {"factors": 0, "solves": 0, "steps": 0}
     factor = studies.tridiagonal_solver
 
@@ -455,42 +513,77 @@ def test_oracle_stage_solve_count(monkeypatch, kind, kw):
             return solve_stage(rhs)
         return counted
 
-    step = _Oracle.step
-
-    def counted_step(self, *args):
-        counts["steps"] += 1
-        return step(self, *args)
+    def counted(step):
+        def counted_step(self, *args):
+            counts["steps"] += 1
+            return step(self, *args)
+        return counted_step
 
     monkeypatch.setattr(studies, "tridiagonal_solver", counted_factor)
-    monkeypatch.setattr(_Oracle, "step", counted_step)
+    for name in ("step", "damped_step"):
+        monkeypatch.setattr(_Oracle, name, counted(getattr(_Oracle, name)))
     grid = Grid(1.0, 33)
     params = PhysicalParams.create(grid, **dict(
         COEFFS, b=smooth(grid.nodes, 0.08, 1),
         c2=smooth(grid.nodes, -0.06, 2), **kw))
     model = validate_model(grid, params, DIRICHLET, ABSORBING)
     _, gap, march = time_stepping_oracle(drive(model), model, kind,
-                                         n_steps=512, period_tol=1e-8)
+                                         n_steps=n_steps, period_tol=1e-8)
     assert gap < 1e-8
     assert counts["factors"] == 1
-    assert counts["steps"] == 5 * 512
-    assert march == {"periods": 5, "steps": counts["steps"],
+    assert counts["steps"] == periods * n_steps
+    assert march == {"periods": periods, "steps": counts["steps"],
                      "stage_solves": counts["solves"]}
     if kind == "linear":
-        assert counts["solves"] == counts["steps"]
+        assert counts["solves"] == counts["steps"] + studies.DAMPED_STEPS
     else:
-        assert counts["solves"] <= 2 * counts["steps"] + 16
+        assert counts["solves"] <= solves_a_step * counts["steps"] + 16
+
+
+def test_oracle_damped_start_keeps_the_midpoint_attractor():
+    """Only the transient is damped: at period_tol 1e-11, the last period
+    agrees to 1e-11 with that of a march of midpoint steps only, which
+    takes more periods (14 against 9 here)."""
+    grid = Grid(1.0, 33)
+    params = PhysicalParams.create(grid, **dict(
+        COEFFS, eta=1.0, b=smooth(grid.nodes, 0.08, 1),
+        c2=smooth(grid.nodes, -0.06, 2)))
+    model = validate_model(grid, params, DIRICHLET, ABSORBING)
+    f, n_steps, tol = drive(model), 128, 1e-11
+    samples, _, counts = time_stepping_oracle(f, model, "westervelt",
+                                              n_steps=n_steps, period_tol=tol)
+    oracle = _Oracle(f, model, "westervelt", n_steps)
+    y, zs = np.zeros((3, oracle.nr)), ()
+    for periods in range(1, 200):
+        y_start, last = y, []
+        for j in range(n_steps):
+            last.append(y[0])
+            y, z = oracle.step(y, j, zs)
+            zs = (z, *zs[:2])
+        if np.linalg.norm(y - y_start) < tol * np.linalg.norm(y):
+            break
+    assert counts["periods"] < periods
+    expected = np.zeros_like(samples)
+    expected[:, oracle.op.span] = last
+    assert (np.linalg.norm(samples - expected)
+            <= tol * np.linalg.norm(expected))
 
 
 def recorded_steps(monkeypatch):
-    """Patch _Oracle.step to record (oracle, y, j, y_new, z) per step."""
+    """Patch _Oracle.step and _Oracle.damped_step to record
+    (method name, oracle, y, j, y_new, z) per step."""
     steps = []
-    step = _Oracle.step
 
-    def recorded(self, y, j, zs=()):
-        y_new, z = step(self, y, j, zs)
-        steps.append((self, y, j, y_new, z))
-        return y_new, z
-    monkeypatch.setattr(_Oracle, "step", recorded)
+    def recorded(name):
+        step = getattr(_Oracle, name)
+
+        def recorded_step(self, y, j, zs=()):
+            y_new, z = step(self, y, j, zs)
+            steps.append((name, self, y, j, y_new, z))
+            return y_new, z
+        return recorded_step
+    for name in ("step", "damped_step"):
+        monkeypatch.setattr(_Oracle, name, recorded(name))
     return steps
 
 
@@ -505,10 +598,9 @@ def test_oracle_checks_its_step_count_before_marching(monkeypatch, n_steps):
     assert steps == []
 
 
-def stage_fixed_point(oracle, y, j, z, solves=10):
-    """The stage's fixed point, by iterating _Oracle.step's stage map
-    from z: K z = sum over rows k of lin_k y_k - forcing - rest(mid(z))."""
-    forcing = oracle.forcing[j]
+def stage_fixed_point(oracle, y, forcing, z, solves=10):
+    """The stage's fixed point, by iterating _Oracle._stage's map from z:
+    K z = sum over rows k of lin_k y_k - forcing - rest(mid(z))."""
     r = band_product(oracle.lin_bands, y.reshape(-1)).reshape(y.shape)
     rhs = r.sum(axis=0) - forcing
     for _ in range(solves):
@@ -522,25 +614,37 @@ def stage_fixed_point(oracle, y, j, z, solves=10):
 @pytest.mark.parametrize("kind", ["westervelt", "kuznetsov"])
 def test_oracle_stage_values_are_within_tolerance_of_the_fixed_point(
         monkeypatch, kind, tau, amp):
-    """Every stage value the march accepts moves the new state by at most
-    STAGE_TOL (|y_new| + 1) from its stage's fixed point: here by at most
-    0.11 of that.  With theta the step's own last ratio, Kuznetsov at
-    tau = 0 and amplitude 6e-3 misses by 1.4x.  With STAGE_SAFETY = 1, two
-    cases miss, by up to 1.5x; with both, six of the eight, by up to
-    3.8x."""
+    """Every stage value the march accepts, the damped steps' half-steps
+    included, moves the new state by at most STAGE_TOL (|y_new| + 1) from
+    its stage's fixed point: here by at most 0.11 of that.  With theta the
+    step's own last ratio, Kuznetsov at tau = 0 and amplitude 6e-3 misses
+    by 1.4x.  With STAGE_SAFETY = 1, two cases miss, by up to 1.5x; with
+    both, six of the eight, by up to 3.8x."""
     grid = Grid(1.0, 33)
     params = PhysicalParams.create(grid, **dict(
         COEFFS, tau=tau, eta=1.0, eta_tilde=1.0,
         b=smooth(grid.nodes, 0.08, 1), c2=smooth(grid.nodes, -0.06, 2)))
     model = validate_model(grid, params, DIRICHLET, ABSORBING)
-    steps = recorded_steps(monkeypatch)
+    stages = []
+    stage = _Oracle._stage
+
+    def recorded(self, y, j, forcing, zs, midpoint):
+        y_new, z = stage(self, y, j, forcing, zs, midpoint)
+        stages.append((self, y, forcing, midpoint, y_new, z))
+        return y_new, z
+    monkeypatch.setattr(_Oracle, "_stage", recorded)
     # two periods from zero data: the first one's gap is 1, the second's less
     time_stepping_oracle(drive(model, amp), model, kind, n_steps=64,
                          max_periods=2, period_tol=1.0)
-    assert len(steps) == 2 * 64
-    for oracle, y, j, y_new, z in steps:
-        error = oracle.dz_gain * np.linalg.norm(
-            z - stage_fixed_point(oracle, y, j, z))
+    # a damped step is two half-steps
+    assert len(stages) == 2 * 64 + studies.DAMPED_STEPS
+    half_steps = [s for s in stages if not s[3]]
+    assert len(half_steps) == 2 * studies.DAMPED_STEPS
+    for oracle, y, forcing, midpoint, y_new, z in stages:
+        # a half-step's new state is mid, which moves half as far as 2 mid - y
+        gain = oracle.dz_gain if midpoint else 0.5 * oracle.dz_gain
+        error = gain * np.linalg.norm(
+            z - stage_fixed_point(oracle, y, forcing, z))
         assert error <= oracle.STAGE_TOL * (np.linalg.norm(y_new) + 1.0)
 
 
@@ -555,14 +659,18 @@ def test_oracle_samples_the_period_whose_gap_it_reports(monkeypatch, kind,
     periods = counts["periods"]
     assert periods > 1
     assert counts["steps"] == len(steps) == periods * 64
+    # the march's first steps are damped, and every later one is midpoint
+    damped = studies.DAMPED_STEPS
+    assert ([name for name, *_ in steps]
+            == ["damped_step"] * damped + ["step"] * (len(steps) - damped))
     last = steps[-64:]
-    assert [j for _, _, j, _, _ in last] == list(range(64))
+    assert [j for _, _, _, j, _, _ in last] == list(range(64))
     # row j: u at the start of step j, Dirichlet nodes 0
-    active = last[0][0].op.active
+    active = last[0][1].op.active
     expected = np.zeros((64, model.grid.nx))
-    expected[:, active] = [y[0] for _, y, _, _, _ in last]
+    expected[:, active] = [y[0] for _, _, y, _, _, _ in last]
     assert np.array_equal(samples, expected)
-    y_start, y_end = last[0][1], last[-1][3]
+    y_start, y_end = last[0][2], last[-1][4]
     assert gap == np.linalg.norm(y_end - y_start) / np.linalg.norm(y_end)
     assert gap < 1e-6
 
