@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import traceback
 
 import numpy as np
 
@@ -180,9 +179,12 @@ def run_command(argv) -> int:
             extra = _run_verb(args.verb, setup, out)
     except Exception as exc:
         # an error outside the taxonomy is a bug: its record keeps the
-        # traceback for a bug report instead of printing it on stderr
-        details = ({} if isinstance(exc, HbwaveError)
-                   else {"traceback": traceback.format_exc()})
+        # traceback for a bug report instead of printing it on stderr;
+        # traceback is imported only here, as it loads several modules
+        details = {}
+        if not isinstance(exc, HbwaveError):
+            import traceback
+            details["traceback"] = traceback.format_exc()
         if os.path.isdir(out):      # else there is nowhere to leave it
             write_error_record(out, exc, **details)
         print(f"error: {type(exc).__name__}: {exc}".translate(_LINE_BREAKS),

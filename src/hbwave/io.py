@@ -365,16 +365,18 @@ SOLUTION_HEADER = ("m", "node_index", "x", "re", "im")
 def write_solution_csv(path: str, u: np.ndarray, grid: Grid):
     """One row per (m, j), harmonic-major, in the format of write_csv.
 
-    Each harmonic block is formatted by one `%` over a flat tuple, so the
-    cost is linear in the (M + 1) nx rows; m and j are exact integers in
-    float64 and print the same through %d.
+    Each node's `node_index,x,` is formatted once, into that node's row
+    format for every harmonic.  A harmonic's block format joins them after
+    its own `m,`, and one `%` over a flat tuple fills in re and im, so the
+    cost is linear in the (M + 1) nx rows.
     """
-    x, j = grid.nodes, np.arange(grid.nx)
-    row_format = "%d,%d,%.17g,%.17g,%.17g\n" * grid.nx
+    rows = ["%d,%.17g,%%.17g,%%.17g\n" % node
+            for node in enumerate(grid.nodes.tolist())]
     blocks = [",".join(SOLUTION_HEADER) + "\n"]
     for m, c in enumerate(u):
-        cells = np.column_stack((np.full(grid.nx, m), j, x, c.real, c.imag))
-        blocks.append(row_format % tuple(cells.ravel().tolist()))
+        start = "%d," % m
+        cells = np.column_stack((c.real, c.imag)).ravel().tolist()
+        blocks.append((start + start.join(rows)) % tuple(cells))
     _atomic_write(path, "".join(blocks))
 
 

@@ -100,8 +100,10 @@ class _BundledFactors:
     ctypes checks nothing, so the arguments are made safe here: the LU
     arrays are this object's own contiguous copies in the routines' dtype,
     and each solve checks the length of its right-hand side and copies it
-    into a fresh array of that dtype.  The pointers are bound once, into the
-    LU arrays, which this object and its bound methods keep alive.
+    into a fresh array of that dtype; the buffer of an in-place solve is
+    checked once, by `tridiagonal_solver`, which binds it.  The pointers are
+    bound once, into the LU arrays, which this object, its bound methods
+    and its in-place solves keep alive.
     """
 
     def __init__(self, lapack, dl, d, du):
@@ -132,6 +134,14 @@ class _BundledFactors:
                     self._ldb, self._info, _CHAR_LEN)
         return x.T
 
+    def in_place(self, x: np.ndarray):
+        """The ?gttrs solve that overwrites x with its solution: x is a
+        C-contiguous (n,) array of this dtype, checked by the caller.  Its
+        arguments are built here, once, so a solve is the foreign call."""
+        return functools.partial(self._gttrs, _NO_TRANSPOSE, self._n,
+                                 self._one, *self._lu, _pointer(x),
+                                 self._ldb, self._info, _CHAR_LEN)
+
     def rcond(self, anorm: float) -> float:
         """?gtcon reciprocal 1-norm condition estimate, given the 1-norm."""
         rcond = ctypes.c_double()
@@ -157,6 +167,10 @@ class _FallbackFactors:
     def solve(self, b: np.ndarray) -> np.ndarray:
         return self._gttrs(*self.lu, b)[0]
 
+    def in_place(self, x: np.ndarray):
+        # f2py writes a contiguous b of the routine's dtype in place
+        return functools.partial(self._gttrs, *self.lu, x, overwrite_b=1)
+
     def rcond(self, anorm: float) -> float:
         return self._gtcon(*self.lu, anorm)[0]
 
@@ -176,7 +190,7 @@ def _gttrf(bands: np.ndarray):
     return _BundledFactors(lapack, dl, d, du)
 
 
-def tridiagonal_solver(bands: np.ndarray):
+def tridiagonal_solver(bands: np.ndarray, buffer: np.ndarray | None = None):
     """Factor real or complex tridiagonal bands once (?gttrf) and return the
     function that solves with them (?gttrs).
 
@@ -188,12 +202,32 @@ def tridiagonal_solver(bands: np.ndarray):
     solution is bit-identical to its own.  (A block that overflows spreads
     NaN to its neighbours, as 0 * inf at the zero corners.)  A zero pivot
     raises SingularBlock.  The returned solve keeps the factors alive.
+
+    With a `buffer`, the caller's writable C-contiguous array of shape (n,),
+    or (K, nr) for a stack, in the bands' dtype (complex for complex bands,
+    else float64), the solve takes no argument: it overwrites the
+    right-hand side the caller wrote into `buffer` with the solution, which
+    is bit-identical to the other solve's.  The buffer is checked here,
+    before the factorization, and bound once, so a solve copies nothing:
+    it is the foreign call alone.
     """
     flat = bands if bands.ndim == 2 else (
         bands.transpose(1, 0, 2).reshape(3, -1))
+    if buffer is not None:
+        shape = bands.shape[-1:] if bands.ndim == 2 else bands.shape[::2]
+        dtype = np.result_type(bands.dtype, np.float64)
+        if not (isinstance(buffer, np.ndarray) and buffer.shape == shape
+                and buffer.dtype == dtype and buffer.flags.c_contiguous
+                and buffer.flags.writeable):
+            raise ValueError(
+                f"need a writable C-contiguous buffer of shape {shape} and "
+                f"dtype {dtype}, got a {type(buffer).__name__} of shape "
+                f"{np.shape(buffer)}, dtype {getattr(buffer, 'dtype', None)}")
     factors = _gttrf(flat)
     if factors.info > 0:
         raise SingularBlock((factors.info - 1) // bands.shape[-1])
+    if buffer is not None:
+        return factors.in_place(buffer.reshape(-1))
     if bands.ndim == 2:
         return factors.solve
     return lambda rhs: factors.solve(rhs.reshape(-1)).reshape(rhs.shape)

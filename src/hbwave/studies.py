@@ -8,6 +8,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .diagnostics import compute_energies, energy_ratios
 from .errors import (NoPeriodicAttractor, StepRejected, UndersampledTime,
@@ -33,7 +34,9 @@ CASE_IDS = ("linear-dirichlet", "linear-impedance", "westervelt-dirichlet",
 MIN_LEVELS = 3      # fewest grids or epsilons: two observed orders
 CASE_M = 2          # harmonics of a convergence study's cases
 ORACLE_STEPS = 512   # the oracle's default steps per period
-DAMPED_STEPS = 2     # the march's first steps, taken as _Oracle.damped_step
+DAMPED_STEPS = 2     # each level's first steps, taken as _Oracle.damped_step
+WARMUP_PERIODS = 2   # periods of the coarse warm-up level
+WARMUP_COARSENING = 4    # its steps per period: n_steps // 4
 
 
 @dataclass
@@ -222,9 +225,11 @@ class _Oracle:
     state is twice the midpoint minus the old one.  The stage's one unknown
     is z, the midpoint of the top derivative: v_mid = v + h z and
     u_mid = u + h v_mid when tau > 0, u_mid = u + h z when tau = 0.  Its
-    linear part is one tridiagonal system K z = rhs, factored once; the
-    nonlinear terms are taken at the previous iterate's midpoint, and z is
-    iterated on that map.  The linear kind's stage is linear: one solve.
+    linear part is one tridiagonal system K z = rhs, factored once and
+    solved in place: `solve_stage()` overwrites `stage_rhs`, the buffer
+    it is bound to, with z.  The nonlinear terms are taken at the previous
+    iterate's midpoint, and z is iterated on that map.  The linear kind's
+    stage is linear: one solve.
 
     `damped_step` takes a step as two backward-Euler half-steps instead:
     the same stage, whose new state is the midpoint itself, first with the
@@ -247,7 +252,10 @@ class _Oracle:
 
     The forcing is T-periodic and dt = T / n_steps, so the forcing at the
     midpoint of each step of a period is tabulated once, and so are the
-    bands of the z-free linear terms, one per state row.
+    coefficients of the z-free linear terms, which one `einsum` takes
+    over windows of the padded state (`z_free_terms`).  Each level of a
+    march is its own _Oracle; `op`, the m = 0 operator, is passed in when
+    another level has assembled it.
     """
 
     MAX_STAGE_ITER = 50
@@ -255,13 +263,15 @@ class _Oracle:
     STAGE_SAFETY = 0.1      # share of STAGE_TOL left to theta's estimate
 
     def __init__(self, f: np.ndarray, model: ValidatedModel, kind: str,
-                 n_steps: int):
+                 n_steps: int, op=None):
         grid, p = model.grid, model.params
         self.tau = tau = p.tau
         self.dt = dt = p.T / n_steps
         h = 0.5 * dt
-        self.op = op = assemble_laplacian(grid, model.bc_left,
-                                          model.bc_right, 0, p.omega)
+        if op is None:
+            op = assemble_laplacian(grid, model.bc_left, model.bc_right, 0,
+                                    p.omega)
+        self.op = op
         self.nr = nr = op.bands.shape[-1]
         # discrete Laplacian split: lap(u, u_t) = L u + d_beta * u_t
         L = -op.bands.real
@@ -317,12 +327,25 @@ class _Oracle:
             self.lap_v = scale_rows(L, b)
             self.lap_v[1] += c2 * d_beta
             self.one_bd = 1.0 - b * d_beta
-        # the rows' blocks side by side, whose zero corners keep them apart
-        self.lin_bands = lin.transpose(1, 0, 2).reshape(3, -1)
+        # the z-free terms at node i are the dot product of the state's
+        # columns i - 1, i, i + 1, a window of the transposed state padded
+        # with a zero column at each end, with those columns' coefficients
+        rows = len(lin)
+        self._padded = np.zeros((nr + 2, rows))
+        self._windows = as_strided(self._padded, (nr, 3 * rows),
+                                   (rows * self._padded.itemsize,
+                                    self._padded.itemsize), writeable=False)
+        coef = np.zeros((nr, 3, rows))
+        coef[1:, 0] = lin[:, 2, :-1].T
+        coef[:, 1] = lin[:, 1].T
+        coef[:-1, 2] = lin[:, 0, 1:].T
+        self._coef = coef.reshape(nr, -1)
         # y_new = 2 mid - y, so |y_new - y_new'| = dz_gain |z - z'|; a
         # half-step's new state is mid, which moves half as far
         self.dz_gain = 2.0 * np.sqrt(self.g @ self.g)
-        self.solve_stage = tridiagonal_solver(K)
+        # the stage solve works in place: K z = stage_rhs, z in stage_rhs
+        self.stage_rhs = np.zeros(nr)
+        self.solve_stage = tridiagonal_solver(K, self.stage_rhs)
         self.stage_solves = 0   # over the oracle's life
         self.theta = 0.0
 
@@ -361,20 +384,26 @@ class _Oracle:
         return self._stage(y_half, j, self.forcing_at([(j + 1) * self.dt])[0],
                            (z, *zs[:2]), False)
 
+    def z_free_terms(self, y: np.ndarray) -> np.ndarray:
+        """The sum over state rows k of lin_k y_k, the stage's linear terms
+        that do not hold z, as a fresh array."""
+        self._padded[1:-1] = y.T
+        return np.einsum("ij,ij->i", self._windows, self._coef)
+
     def _stage(self, y, j, forcing, zs, midpoint):
         """Solve the stage mid = y + h F(mid), F taking the given forcing
         row, from zs's start.  Returns the new state, 2 mid - y for a
         midpoint step and mid for a half-step, and the stage value."""
-        # K z = rhs - rest, rhs = sum over rows k of lin_k y_k - forcing
-        r = band_product(self.lin_bands, y.reshape(-1)).reshape(y.shape)
-        rhs = r[0] + r[1]
-        if len(r) == 3:         # the u_tt row, when tau > 0
-            rhs += r[2]
+        # K z = rhs - rest, rhs = the z-free linear terms - forcing
+        rhs = self.z_free_terms(y)
         rhs -= forcing
         m0, g = self.P @ y, self.g[:, None]
+        buf = self.stage_rhs
         if self._nonlinear is None:     # a linear stage: one solve
-            z = self.solve_stage(rhs)
+            buf[:] = rhs
+            self.solve_stage()
             self.stage_solves += 1
+            z = buf.copy()
             mid = m0 + g * z
             return (2.0 * mid - y if midpoint else mid), z
         if len(zs) >= 3:
@@ -385,12 +414,14 @@ class _Oracle:
         gain = self.dz_gain if midpoint else 0.5 * self.dz_gain
         s_prev = 0.0        # no ratio before the second update
         for _ in range(self.MAX_STAGE_ITER):
-            z_new = self.solve_stage(rhs - self._rest(mid, forcing))
+            np.subtract(rhs, self._rest(mid, forcing), out=buf)
+            self.solve_stage()
             self.stage_solves += 1
-            dz = z_new - z
-            z, mid = z_new, m0 + g * z_new
+            dz = buf - z
+            z = buf.copy()
+            mid = m0 + g * z
             y_new = 2.0 * mid - y if midpoint else mid
-            s = gain * math.sqrt(dz @ dz)
+            s = gain * math.sqrt(dz.dot(dz))
             tol = self.STAGE_TOL * (math.sqrt(np.vdot(y_new, y_new)) + 1.0)
             if s <= tol:
                 return y_new, z
@@ -417,41 +448,74 @@ def time_stepping_oracle(f: np.ndarray, model: ValidatedModel, kind: str,
                          period_tol: float = 1e-8):
     """Integrate the damped initial-value problem from zero data, at
     n_steps steps of T / n_steps a period, until the state repeats over a
-    period.  The first DAMPED_STEPS steps are each two backward-Euler
-    half-steps (`_Oracle.damped_step`), which damp the stiff modes the
-    zero start excites; every later step is an implicit-midpoint step, so
-    the attractor is the midpoint scheme's.  Returns the (n_steps, nx)
-    samples of u at the start of each step of the last period marched,
-    written in place as each period is marched, that period's gap
-    |y_end - y_start| / |y_end|, and the march's counts (periods, steps,
-    stage solves), a damped step counting as one step.  Too few steps to
-    resolve harmonic M = len(f) - 1 raise UndersampledTime before the
-    first step."""
-    check_oracle_steps(n_steps, len(f) - 1)
+    period, and sample its last period.
+
+    A warm-up level comes first: WARMUP_PERIODS periods from rest at
+    n_steps // WARMUP_COARSENING steps a period, when that many steps still
+    resolve harmonic M = len(f) - 1 (at least 2M + 2).  The two levels'
+    periodic orbits differ by O(dt^2), while the transient from rest
+    shrinks by the same factor a period at either step, so the march at
+    n_steps starts from the warm-up's final state, near its own orbit, and
+    needs fewer of its costlier periods.  Each level is its own `_Oracle`,
+    on one assembled operator, and is marched by `_march`: its first
+    DAMPED_STEPS steps are damped, every later one is an implicit-midpoint
+    step, so the attractor is the midpoint scheme's at n_steps.
+
+    Returns the (n_steps, nx) samples of u at the start of each step of the
+    last period marched, that period's gap |y_end - y_start| / |y_end|,
+    and the counts: periods at n_steps, and the steps and stage solves of
+    the whole run, the warm-up's included, a damped step counting as one
+    step.  period_tol, max_periods and NoPeriodicAttractor's gaps are the
+    n_steps level's.  Too few steps to resolve harmonic M raise
+    UndersampledTime before the first step."""
+    M = len(f) - 1
+    check_oracle_steps(n_steps, M)
     oracle = _Oracle(f, model, kind, n_steps)
     y = np.zeros((3 if oracle.tau > 0 else 2, oracle.nr))
-    zs = ()
     values = np.zeros((n_steps, model.grid.nx))
     u = values[:, oracle.op.span]       # a view: Dirichlet nodes stay 0
+    steps = solves = 0
+    n_warmup = n_steps // WARMUP_COARSENING
+    if n_warmup >= min_samples(M):
+        warmup = _Oracle(f, model, kind, n_warmup, oracle.op)
+        # it samples into rows the march at n_steps overwrites; a gap
+        # below 0 is never met, so it marches all its periods
+        y, _ = _march(warmup, y, u[:n_warmup], WARMUP_PERIODS, 0.0)
+        steps, solves = WARMUP_PERIODS * n_warmup, warmup.stage_solves
+    y, gaps = _march(oracle, y, u, max_periods, period_tol)
+    if not gaps[-1] < period_tol:
+        raise NoPeriodicAttractor(
+            f"periodicity gap {gaps[-1]:.3e} > {period_tol} after "
+            f"{max_periods} periods", gaps=gaps)
+    counts = {"periods": len(gaps), "steps": steps + len(gaps) * n_steps,
+              "stage_solves": solves + oracle.stage_solves}
+    return values, gaps[-1], counts
+
+
+def _march(oracle: _Oracle, y: np.ndarray, u: np.ndarray, max_periods: int,
+           period_tol: float):
+    """March `oracle` from state y, its first DAMPED_STEPS steps damped,
+    for up to max_periods periods, stopping after the first whose gap
+    |y_end - y_start| / |y_end| is below period_tol.  Writes u at the start
+    of step j of each period into u[j].  Returns the final state and the
+    gaps of the periods marched."""
+    n_steps = len(u)
+    zs = ()
     gaps = []
-    for k in range(1, max_periods + 1):
+    for k in range(max_periods):
         y_start = y         # steps return new arrays: y is never written
         for j in range(n_steps):
             u[j] = y[0]
-            step = (oracle.damped_step if k == 1 and j < DAMPED_STEPS
+            step = (oracle.damped_step if k == 0 and j < DAMPED_STEPS
                     else oracle.step)
             y, z = step(y, j, zs)
             zs = (z, *zs[:2])
         norm = np.linalg.norm(y)
-        gap = (np.linalg.norm(y - y_start) / norm) if norm > 0 else 0.0
-        gaps.append(gap)
-        if gap < period_tol:
-            counts = {"periods": k, "steps": k * n_steps,
-                      "stage_solves": oracle.stage_solves}
-            return values, gap, counts
-    raise NoPeriodicAttractor(
-        f"periodicity gap {gaps[-1]:.3e} > {period_tol} after "
-        f"{max_periods} periods", gaps=gaps)
+        gaps.append((np.linalg.norm(y - y_start) / norm) if norm > 0
+                    else 0.0)
+        if gaps[-1] < period_tol:
+            break
+    return y, gaps
 
 
 def oracle_discrepancy(u_hb: np.ndarray, samples: np.ndarray,

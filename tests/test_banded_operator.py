@@ -260,18 +260,24 @@ def test_singular_condition_estimate_is_inf(backend):
 
 def test_solve_keeps_its_factors_alive():
     # ctypes holds raw pointers into the LU arrays; the returned solve must
-    # own them, or a solve after a collection reads freed memory
+    # own them, or a solve after a collection reads freed memory, and so
+    # must the in-place solve, whose arguments are bound once
     rng = np.random.default_rng(35)
     for dtype, shape in ((float, ()), (complex, ()), (complex, (4,))):
         bands = random_bands(rng, 64, dtype, shape)
         rhs = rng.normal(size=shape + (64,))
         expected = tridiagonal_solver(bands.copy())(rhs)
         solve = tridiagonal_solver(bands.copy())
+        buffer = np.empty(rhs.shape, bands.dtype)
+        solve_in_place = tridiagonal_solver(bands.copy(), buffer)
         del bands
         gc.collect()
         # reuse the freed memory, if any, with other values
         junk = [np.full(64 * 3, np.nan) for _ in range(64)]
         np.testing.assert_array_equal(solve(rhs), expected)
+        buffer[...] = rhs
+        solve_in_place()
+        np.testing.assert_array_equal(buffer, expected)
         del junk
 
 
@@ -289,3 +295,63 @@ def test_bad_shapes_raise_instead_of_reaching_lapack(bands, rhs):
         bands[1] = 4.0
     with pytest.raises(ValueError):
         tridiagonal_solver(bands)(rhs)
+
+
+# --- the in-place solve ------------------------------------------------------
+
+@pytest.fixture(params=["bundled", "fallback"])
+def factors_class(request, monkeypatch):
+    """The factors class that runs the in-place solve: numpy's bundled
+    LAPACK, or scipy's wrappers when the loader finds nothing."""
+    if request.param == "fallback":
+        monkeypatch.setattr(spatial, "_bundled_lapack", lambda: None)
+        return spatial._FallbackFactors
+    return spatial._BundledFactors
+
+
+@pytest.mark.parametrize("shape", [(), (6,)], ids=["block", "stack"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_in_place_solve_is_bit_identical(factors_class, dtype, shape):
+    rng = np.random.default_rng(36)
+    bands = random_bands(rng, 23, dtype, shape)
+    assert isinstance(spatial._gttrf(bands.reshape(-1, 3, 23)[0]),
+                      factors_class)
+    buffer = np.empty(shape + (23,), bands.dtype)
+    solve = tridiagonal_solver(bands, buffer)
+    for _ in range(3):      # one binding serves every solve
+        rhs = rng.normal(size=buffer.shape) + (
+            1j * rng.normal(size=buffer.shape) if dtype is complex else 0.0)
+        buffer[...] = rhs
+        solve()
+        np.testing.assert_array_equal(buffer, tridiagonal_solver(bands)(rhs))
+
+
+def read_only(a):
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("bands, buffer", [
+    (np.ones((3, 5)), np.zeros(4)),             # too short
+    (np.ones((3, 5)), np.zeros(6)),             # too long
+    (np.ones((3, 5)), np.zeros((5, 1))),
+    (np.ones((3, 5)), np.zeros(5, complex)),    # not the bands' dtype
+    (np.ones((3, 5)), np.zeros(5, np.float32)),
+    (np.ones((3, 5), complex), np.zeros(5)),
+    (np.ones((3, 5)), np.zeros(10)[::2]),       # not contiguous
+    (np.ones((3, 5)), read_only(np.zeros(5))),
+    (np.ones((3, 5)), [0.0] * 5),               # not an array
+    (np.ones((2, 3, 5)), np.zeros(10)),         # a stack's flat buffer
+], ids=["short", "long", "2-d", "complex", "float32", "real-for-complex",
+        "strided", "read-only", "list", "stack-flat"])
+def test_bad_buffer_raises_before_any_foreign_call(monkeypatch, bands,
+                                                    buffer):
+    bands = bands.copy()
+    bands[..., 1, :] = 4.0
+    calls = []
+    lapack = spatial._bundled_lapack()
+    monkeypatch.setattr(spatial, "_bundled_lapack", lambda: {
+        name: lambda *args, name=name: calls.append(name) for name in lapack})
+    with pytest.raises(ValueError, match="buffer"):
+        tridiagonal_solver(bands, buffer)
+    assert calls == []

@@ -525,6 +525,23 @@ def test_no_verb_imports_scipy(config, tmp_path, verb):
     assert proc.returncode == 0, proc.stderr
 
 
+def test_validate_does_not_import_traceback(config, tmp_path):
+    # only the record of an error outside the taxonomy formats a traceback,
+    # so the module is imported on that path alone
+    script = ("import sys\n"
+              "import hbwave.cli\n"
+              "code = hbwave.cli.run_command(sys.argv[1:])\n"
+              "assert code == 0, code\n"
+              "assert 'traceback' not in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(hbwave.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "validate", config, "-o",
+         str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_python_dash_m_hbwave_runs_without_a_warning(config, tmp_path):
     # `python -m hbwave.cli` warns that runpy found hbwave.cli already
     # imported, by the package; `python -m hbwave` runs hbwave.__main__

@@ -15,7 +15,7 @@ from hbwave.model import (
 )
 from hbwave.nonlinear import FixedPointOptions, fixed_point_solve, solve
 from hbwave import studies
-from hbwave.spatial import assemble_laplacian, band_product
+from hbwave.spatial import assemble_laplacian
 from hbwave.studies import (
     _Oracle,
     convergence_study,
@@ -485,37 +485,45 @@ def test_oracle_damped_step_is_two_backward_euler_half_steps(kind, tau,
 
 
 @pytest.mark.parametrize("kind, kw, n_steps, periods, solves_a_step", [
-    pytest.param("linear", {}, 512, 5, 1, id="linear-512"),
-    pytest.param("westervelt", {"eta": 1.0}, 512, 5, 2, id="westervelt-512"),
-    pytest.param("westervelt", {"eta": 1.0}, 64, 10, 3, id="westervelt-64")])
+    pytest.param("linear", {}, 512, 3, (1, 1), id="linear-512"),
+    pytest.param("westervelt", {"eta": 1.0}, 512, 3, (2, 3),
+                 id="westervelt-512"),
+    pytest.param("westervelt", {"eta": 1.0}, 64, 10, (3, 4),
+                 id="westervelt-64")])
 def test_oracle_stage_solve_count(monkeypatch, kind, kw, n_steps, periods,
                                   solves_a_step):
-    """The linear kind's stage takes one solve, and a damped step two.  The
-    march stops after the period whose gap it reports: 5 periods of 512
-    steps here, and 10 periods of 64 steps, where a march of midpoint steps
-    only took 28: it carries the stiff modes that the zero start excites
-    with a factor near -1 a step.  The Westervelt run at 512 steps
-    takes 2 solves a step from its quadratic start with the
-    contraction-based stop, 5,124 in all, where 3 a step from the linear
-    start made 9,216 over 6 periods and the start from the old state
-    12,005.  The first steps, whose start is cruder, may take a few more.
-    The stage is factored once, the damped steps included, and the counts
-    the march returns are the ones counted here."""
-    counts = {"factors": 0, "solves": 0, "steps": 0}
+    """The linear kind's stage takes one solve, and a damped step two.  A
+    warm-up level of WARMUP_PERIODS periods at n_steps // 4 steps comes
+    first, and the march stops after the period whose gap it reports: 3
+    periods of 512 steps here, where the march without the warm-up took 5,
+    and 10 periods of 64 steps, where a march of midpoint steps only took
+    28: it carries the stiff modes that the zero start excites with a
+    factor near -1 a step.  The Westervelt run at 512 steps takes 2 solves
+    a step from its quadratic start with the contraction-based stop, where
+    3 a step from the linear start made 9,216 over 6 periods and the start
+    from the old state 12,005; its warm-up at 128 steps takes 3.  The
+    first steps of each level, whose start is cruder, may take a few more.
+    Each level's stage is factored once, the damped steps included, and
+    the counts the march returns are the ones counted here, the warm-up's
+    included."""
+    solves = []         # per factorization, in the order they are made
+    steps = {}          # per level, by its steps per period
     factor = studies.tridiagonal_solver
 
-    def counted_factor(bands):
-        counts["factors"] += 1
-        solve_stage = factor(bands)
+    def counted_factor(bands, buffer):
+        solve_stage = factor(bands, buffer)
+        level = len(solves)
+        solves.append(0)
 
-        def counted(rhs):
-            counts["solves"] += 1
-            return solve_stage(rhs)
+        def counted():
+            solves[level] += 1
+            solve_stage()
         return counted
 
     def counted(step):
         def counted_step(self, *args):
-            counts["steps"] += 1
+            level = len(self.forcing)
+            steps[level] = steps.get(level, 0) + 1
             return step(self, *args)
         return counted_step
 
@@ -530,20 +538,47 @@ def test_oracle_stage_solve_count(monkeypatch, kind, kw, n_steps, periods,
     _, gap, march = time_stepping_oracle(drive(model), model, kind,
                                          n_steps=n_steps, period_tol=1e-8)
     assert gap < 1e-8
-    assert counts["factors"] == 1
-    assert counts["steps"] == periods * n_steps
-    assert march == {"periods": periods, "steps": counts["steps"],
-                     "stage_solves": counts["solves"]}
-    if kind == "linear":
-        assert counts["solves"] == counts["steps"] + studies.DAMPED_STEPS
-    else:
-        assert counts["solves"] <= solves_a_step * counts["steps"] + 16
+    # the level at n_steps is built first; M = 4 needs 10 steps a period
+    warmup = n_steps // studies.WARMUP_COARSENING
+    assert len(solves) == 2
+    assert steps == {n_steps: periods * n_steps,
+                     warmup: studies.WARMUP_PERIODS * warmup}
+    assert march == {"periods": periods, "steps": sum(steps.values()),
+                     "stage_solves": sum(solves)}
+    for level_solves, level_steps, a_step in zip(
+            solves, (steps[n_steps], steps[warmup]), solves_a_step):
+        if kind == "linear":
+            assert level_solves == level_steps + studies.DAMPED_STEPS
+        else:
+            assert level_solves <= a_step * level_steps + 16
+
+
+def test_oracle_warms_up_only_where_the_coarse_level_resolves_m(
+        monkeypatch):
+    """The warm-up level takes n_steps // 4 steps a period, and only when
+    they resolve harmonic M = 8: at least 2M + 2 = 18."""
+    built = []
+    init = _Oracle.__init__
+
+    def recorded(self, f, model, kind, n_steps, *args):
+        built.append(n_steps)
+        init(self, f, model, kind, n_steps, *args)
+    monkeypatch.setattr(_Oracle, "__init__", recorded)
+    model = make_model(nx=9, eta=1.0)
+    for n_steps, levels in ((512, [512, 128]), (72, [72, 18]), (71, [71]),
+                            (64, [64])):
+        built.clear()
+        time_stepping_oracle(drive(model, M=8), model, "westervelt",
+                             n_steps=n_steps, max_periods=1, period_tol=2.0)
+        assert built == levels
 
 
 def test_oracle_damped_start_keeps_the_midpoint_attractor():
-    """Only the transient is damped: at period_tol 1e-11, the last period
-    agrees to 1e-11 with that of a march of midpoint steps only, which
-    takes more periods (14 against 9 here)."""
+    """Only the transient is damped, and the warm-up only shortens it: at
+    period_tol 1e-11, the last period agrees to 1e-11 with those of a
+    march of midpoint steps only, which takes more periods (14 against 9
+    here), and of the damped march at n_steps from rest, which takes 9
+    periods where the warm-up leaves 8 (1,152 steps against 1,088)."""
     grid = Grid(1.0, 33)
     params = PhysicalParams.create(grid, **dict(
         COEFFS, eta=1.0, b=smooth(grid.nodes, 0.08, 1),
@@ -563,10 +598,18 @@ def test_oracle_damped_start_keeps_the_midpoint_attractor():
         if np.linalg.norm(y - y_start) < tol * np.linalg.norm(y):
             break
     assert counts["periods"] < periods
-    expected = np.zeros_like(samples)
-    expected[:, oracle.op.span] = last
-    assert (np.linalg.norm(samples - expected)
-            <= tol * np.linalg.norm(expected))
+    midpoint_only = np.zeros_like(samples)
+    midpoint_only[:, oracle.op.span] = last
+    # the damped march at n_steps alone, from rest
+    alone = np.zeros_like(samples)
+    _, gaps = studies._march(_Oracle(f, model, "westervelt", n_steps),
+                             np.zeros((3, oracle.nr)),
+                             alone[:, oracle.op.span], 200, tol)
+    assert gaps[-1] < tol
+    assert counts["steps"] < len(gaps) * n_steps
+    for expected in (midpoint_only, alone):
+        assert (np.linalg.norm(samples - expected)
+                <= tol * np.linalg.norm(expected))
 
 
 def recorded_steps(monkeypatch):
@@ -600,12 +643,14 @@ def test_oracle_checks_its_step_count_before_marching(monkeypatch, n_steps):
 
 def stage_fixed_point(oracle, y, forcing, z, solves=10):
     """The stage's fixed point, by iterating _Oracle._stage's map from z:
-    K z = sum over rows k of lin_k y_k - forcing - rest(mid(z))."""
-    r = band_product(oracle.lin_bands, y.reshape(-1)).reshape(y.shape)
-    rhs = r.sum(axis=0) - forcing
+    K z = sum over rows k of lin_k y_k - forcing - rest(mid(z)), solved in
+    place in the oracle's stage_rhs."""
+    rhs = oracle.z_free_terms(y) - forcing
     for _ in range(solves):
         mid = oracle.P @ y + oracle.g[:, None] * z
-        z = oracle.solve_stage(rhs - oracle._rest(mid, forcing))
+        oracle.stage_rhs[:] = rhs - oracle._rest(mid, forcing)
+        oracle.solve_stage()
+        z = oracle.stage_rhs.copy()
     return z
 
 
@@ -615,11 +660,11 @@ def stage_fixed_point(oracle, y, forcing, z, solves=10):
 def test_oracle_stage_values_are_within_tolerance_of_the_fixed_point(
         monkeypatch, kind, tau, amp):
     """Every stage value the march accepts, the damped steps' half-steps
-    included, moves the new state by at most STAGE_TOL (|y_new| + 1) from
-    its stage's fixed point: here by at most 0.11 of that.  With theta the
-    step's own last ratio, Kuznetsov at tau = 0 and amplitude 6e-3 misses
-    by 1.4x.  With STAGE_SAFETY = 1, two cases miss, by up to 1.5x; with
-    both, six of the eight, by up to 3.8x."""
+    and the warm-up level's stages included, moves the new state by at
+    most STAGE_TOL (|y_new| + 1) from its stage's fixed point: here by at
+    most 0.13 of that.  With theta the step's own last ratio, Kuznetsov at
+    tau = 0 and amplitude 6e-3 misses by 1.3x.  With STAGE_SAFETY = 1, that
+    case misses by 1.3x too; with both, five of the eight, by up to 3.2x."""
     grid = Grid(1.0, 33)
     params = PhysicalParams.create(grid, **dict(
         COEFFS, tau=tau, eta=1.0, eta_tilde=1.0,
@@ -633,13 +678,16 @@ def test_oracle_stage_values_are_within_tolerance_of_the_fixed_point(
         stages.append((self, y, forcing, midpoint, y_new, z))
         return y_new, z
     monkeypatch.setattr(_Oracle, "_stage", recorded)
-    # two periods from zero data: the first one's gap is 1, the second's less
-    time_stepping_oracle(drive(model, amp), model, kind, n_steps=64,
-                         max_periods=2, period_tol=1.0)
-    # a damped step is two half-steps
-    assert len(stages) == 2 * 64 + studies.DAMPED_STEPS
+    # the warm-up's two periods from zero data at 16 steps, then up to two
+    # at 64 steps from its final state
+    _, _, counts = time_stepping_oracle(drive(model, amp), model, kind,
+                                        n_steps=64, max_periods=2,
+                                        period_tol=1.0)
+    assert len({oracle for oracle, *_ in stages}) == 2
+    # a damped step is two half-steps, and each level takes DAMPED_STEPS
+    assert len(stages) == counts["steps"] + 2 * studies.DAMPED_STEPS
     half_steps = [s for s in stages if not s[3]]
-    assert len(half_steps) == 2 * studies.DAMPED_STEPS
+    assert len(half_steps) == 2 * 2 * studies.DAMPED_STEPS
     for oracle, y, forcing, midpoint, y_new, z in stages:
         # a half-step's new state is mid, which moves half as far as 2 mid - y
         gain = oracle.dz_gain if midpoint else 0.5 * oracle.dz_gain
@@ -658,11 +706,17 @@ def test_oracle_samples_the_period_whose_gap_it_reports(monkeypatch, kind,
         drive(model, M=2), model, kind, n_steps=64, period_tol=1e-6)
     periods = counts["periods"]
     assert periods > 1
-    assert counts["steps"] == len(steps) == periods * 64
-    # the march's first steps are damped, and every later one is midpoint
+    # the warm-up level's periods of 16 steps come first
+    warmup = studies.WARMUP_PERIODS * 16
+    assert counts["steps"] == len(steps) == warmup + periods * 64
+    assert [len(oracle.forcing) for _, oracle, *_ in steps] == (
+        [16] * warmup + [64] * (periods * 64))
+    # each level's first steps are damped, and every later one is midpoint
     damped = studies.DAMPED_STEPS
-    assert ([name for name, *_ in steps]
-            == ["damped_step"] * damped + ["step"] * (len(steps) - damped))
+    names = ["damped_step"] * damped
+    assert [name for name, *_ in steps] == (
+        names + ["step"] * (warmup - damped)
+        + names + ["step"] * (periods * 64 - damped))
     last = steps[-64:]
     assert [j for _, _, _, j, _, _ in last] == list(range(64))
     # row j: u at the start of step j, Dirichlet nodes 0
@@ -680,7 +734,7 @@ def test_oracle_step_rejected_after_max_stage_iterations(monkeypatch):
     oracle = _Oracle(drive(model), model, "westervelt", 64)
     solves = []
     solve_stage = oracle.solve_stage
-    oracle.solve_stage = lambda rhs: solves.append(1) or solve_stage(rhs)
+    oracle.solve_stage = lambda: solves.append(1) or solve_stage()
     monkeypatch.setattr(_Oracle, "STAGE_TOL", -1.0)     # never met
     y = np.full((3, oracle.nr), 1e-3)
     with pytest.raises(StepRejected, match="step 5 of the period"):
