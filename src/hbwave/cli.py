@@ -66,18 +66,25 @@ def _parser() -> argparse.ArgumentParser:
     return p
 
 
+def _json_number(v):
+    """v, or None where it is not finite: JSON has no infinity."""
+    return v if np.isfinite(v) else None
+
+
 def _solve(setup, extra: dict):
     """Solve the configured problem; its report's figures go to `extra`,
     as run_info.json's `metrics`."""
     report = solve(setup.f, setup.model, setup.solver_kind, setup.options)
-    metrics = {"iterations": report.iterations,
-               "final_residual": report.final_residual,
-               "alpha_min": report.alpha_min,
-               "stability_margin": report.stability_margin}
-    # JSON has no infinity: the margin is -inf where alpha changes sign,
-    # which a degeneracy_floor <= 0 lets through, and is written as null
-    extra["metrics"] = {k: v if np.isfinite(v) else None
-                        for k, v in metrics.items()}
+    # the margin is -inf where alpha changes sign, which a
+    # degeneracy_floor <= 0 lets through, and is written as null
+    extra["metrics"] = {
+        "iterations": report.iterations,
+        "final_residual": _json_number(report.final_residual),
+        "alpha_min": _json_number(report.alpha_min),
+        "stability_margin": _json_number(report.stability_margin),
+        "update_norms": [_json_number(v) for v in report.update_norms],
+        "contraction_ratios": [_json_number(v)
+                               for v in report.contraction_ratios]}
     return report.u
 
 

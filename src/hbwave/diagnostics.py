@@ -7,13 +7,12 @@ boundary "integrals" on the 1-D interval are endpoint sums.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .errors import StabilityViolation
 from .model import (
     BCKind,
+    Frozen,
     ValidatedModel,
     dealiased_samples,
     time_derivative,
@@ -53,13 +52,14 @@ def _dual_time_norm_sq(u: np.ndarray, model: ValidatedModel,
     return time_sum(d**2, p.omega, p.T, t_order)
 
 
-@dataclass
 class EnergyReport:
     """Named summands and totals of the three energy levels."""
 
-    lo: dict = field(default_factory=dict)
-    me: dict = field(default_factory=dict)
-    hi: dict = field(default_factory=dict)
+    def __init__(self, lo: dict | None = None, me: dict | None = None,
+                 hi: dict | None = None):
+        self.lo = {} if lo is None else lo
+        self.me = {} if me is None else me
+        self.hi = {} if hi is None else hi
 
     @property
     def lo_total(self) -> float:
@@ -136,10 +136,9 @@ def compute_energies(u: np.ndarray, model: ValidatedModel) -> EnergyReport:
     return EnergyReport(lo=lo, me=me, hi=hi)
 
 
-@dataclass(frozen=True)
-class Multipliers:
-    sigma: float
-    rho: float
+class Multipliers(Frozen):
+    def __init__(self, sigma: float, rho: float):
+        vars(self).update(sigma=sigma, rho=rho)
 
 
 def choose_multipliers(model: ValidatedModel,

@@ -5,7 +5,6 @@ configuration or validation error and 2 for a numerical failure, and the
 keyword details a raise site passes are the fields error.json records
 after `kind`, `code` and `message`.
 """
-from dataclasses import asdict, dataclass
 
 
 class HbwaveError(Exception):
@@ -48,22 +47,16 @@ class TypeMismatch(ConfigError):
     pass
 
 
-@dataclass(frozen=True)
-class Violation:
-    """A single validation failure (code + human-readable message)."""
-
-    code: str
-    message: str
-
-
 class InvalidModel(HbwaveError):
-    """Raised by model validation; carries the full violation list."""
+    """Raised by model validation; carries the full list of
+    `model.Violation`s."""
 
     def __init__(self, violations):
         violations = list(violations)
         super().__init__(
             "; ".join(f"{v.code}: {v.message}" for v in violations),
-            violations=[asdict(v) for v in violations])
+            violations=[{"code": v.code, "message": v.message}
+                        for v in violations])
         # the attribute keeps the Violation objects, the record their fields
         self.violations = violations
 

@@ -15,7 +15,6 @@ import json
 import os
 import tempfile
 import time
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -66,15 +65,16 @@ SOLVER_KINDS = ("linear", "westervelt", "kuznetsov")
 MAX_UNKNOWNS = 10**6
 
 
-@dataclass
 class RunSetup:
     """Everything a command needs: validated model, forcing, options."""
 
-    model: ValidatedModel
-    f: np.ndarray
-    solver_kind: str
-    options: FixedPointOptions
-    study: dict = field(default_factory=dict)
+    def __init__(self, model: ValidatedModel, f: np.ndarray, solver_kind: str,
+                 options: FixedPointOptions, study: dict | None = None):
+        self.model = model
+        self.f = f
+        self.solver_kind = solver_kind
+        self.options = options
+        self.study = {} if study is None else study
 
 
 def _in_schema(section: str, key: str) -> bool:

@@ -27,7 +27,6 @@ norm of the iterate, that of the update as a difference of gradients
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
@@ -39,7 +38,7 @@ from .errors import (
     SingularMeanMode,
     SolveFailure,
 )
-from .model import ValidatedModel
+from .model import Frozen, ValidatedModel
 from .norms import u0lo_norm
 from .spatial import (SingularBlock, assemble_laplacian, band_product,
                       condition_estimate, gradient, scale_rows,
@@ -167,26 +166,24 @@ def linear_residual(u: np.ndarray, rtilde: np.ndarray,
                               None, u, rtilde)
 
 
-@dataclass(frozen=True)
-class FixedPointOptions:
-    tol: float = 1e-11
-    max_iter: int = 100
-    relaxation: float = 1.0
-    degeneracy_floor: float = 0.1
-    ball_radius: float | None = None
-
-    def __post_init__(self):
-        if not 0.0 < self.tol < np.inf:
+class FixedPointOptions(Frozen):
+    def __init__(self, tol: float = 1e-11, max_iter: int = 100,
+                 relaxation: float = 1.0, degeneracy_floor: float = 0.1,
+                 ball_radius: float | None = None):
+        if not 0.0 < tol < np.inf:
             raise ValueError("tol must be finite and > 0")
-        if self.max_iter < 1:
+        if max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if not 0.0 < self.relaxation <= 1.0:
+        if not 0.0 < relaxation <= 1.0:
             raise ValueError("relaxation must be in (0, 1]")
         # a NaN floor or radius would silently switch its guard off
-        if not np.isfinite(self.degeneracy_floor):
+        if not np.isfinite(degeneracy_floor):
             raise ValueError("degeneracy_floor must be finite")
-        if not (self.ball_radius is None or 0.0 < self.ball_radius < np.inf):
+        if not (ball_radius is None or 0.0 < ball_radius < np.inf):
             raise ValueError("ball_radius must be finite and > 0")
+        vars(self).update(tol=tol, max_iter=max_iter, relaxation=relaxation,
+                          degeneracy_floor=degeneracy_floor,
+                          ball_radius=ball_radius)
 
 
 # the linearized solve's stopping rule, not user options; a base of
@@ -194,16 +191,22 @@ class FixedPointOptions:
 LINEARIZED = FixedPointOptions(tol=1e-12, max_iter=200)
 
 
-@dataclass
 class SolveReport:
-    u: np.ndarray
-    iterations: int
-    update_norms: list = field(default_factory=list)
-    contraction_ratios: list = field(default_factory=list)
-    final_residual: float = 0.0
-    alpha_min: float = 0.0
-    stability_margin: float = 0.0
-    rhs: np.ndarray | None = None     # rhs(u), the full inhomogeneity
+    def __init__(self, u: np.ndarray, iterations: int,
+                 update_norms: list | None = None,
+                 contraction_ratios: list | None = None,
+                 final_residual: float = 0.0, alpha_min: float = 0.0,
+                 stability_margin: float = 0.0,
+                 rhs: np.ndarray | None = None):
+        self.u = u
+        self.iterations = iterations
+        self.update_norms = [] if update_norms is None else update_norms
+        self.contraction_ratios = ([] if contraction_ratios is None
+                                   else contraction_ratios)
+        self.final_residual = final_residual
+        self.alpha_min = alpha_min
+        self.stability_margin = stability_margin
+        self.rhs = rhs      # rhs(u), the full inhomogeneity
 
 
 def fixed_point(rhs, u: np.ndarray, model: ValidatedModel,

@@ -12,15 +12,10 @@ over the interval (0, L).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    InvalidModel,
-    UndersampledTime,
-    Violation,
-)
+from .errors import InvalidModel, UndersampledTime
 
 TWO_PI = 2.0 * np.pi
 # fewest grid nodes: the energies' one-sided end stencils read four, and
@@ -30,6 +25,30 @@ TWO_PI = 2.0 * np.pi
 MIN_NODES = 5
 
 
+class Frozen:
+    """Base of the read-only value classes: `__init__` stores the fields
+    with `vars(self).update`, after which they cannot be set or deleted,
+    and the repr lists them by value.  Unlike a dataclass, defining a
+    subclass generates no code."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is read-only")
+
+    def __repr__(self):
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+
+class Violation(Frozen):
+    """A single validation failure (code + human-readable message)."""
+
+    def __init__(self, code: str, message: str):
+        vars(self).update(code=code, message=message)
+
+
 class BCKind(enum.Enum):
     ABSORBING = "absorbing"
     IMPEDANCE = "impedance"
@@ -37,13 +56,11 @@ class BCKind(enum.Enum):
     DIRICHLET = "dirichlet"
 
 
-@dataclass(frozen=True)
-class BoundaryCondition:
+class BoundaryCondition(Frozen):
     """Endpoint condition d_nu u + beta u_t + gamma u = 0 (or u = 0)."""
 
-    kind: BCKind
-    beta: float = 0.0
-    gamma: float = 0.0
+    def __init__(self, kind: BCKind, beta: float = 0.0, gamma: float = 0.0):
+        vars(self).update(kind=kind, beta=beta, gamma=gamma)
 
     def robin_coefficient(self, m: int, omega: float) -> complex:
         """Harmonic-m Robin coefficient i m omega beta + gamma."""
@@ -54,12 +71,11 @@ class BoundaryCondition:
         return self.kind is BCKind.DIRICHLET
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(Frozen):
     """Uniform nodes on [0, L]."""
 
-    L: float
-    nx: int
+    def __init__(self, L: float, nx: int):
+        vars(self).update(L=L, nx=nx)
 
     @property
     def h(self) -> float:
@@ -75,8 +91,7 @@ class Grid:
         return w
 
 
-@dataclass(frozen=True)
-class PhysicalParams:
+class PhysicalParams(Frozen):
     """Coefficients of the third-order-in-time wave equation.
 
     tau is the relaxation time, taubar an upper bound used in the energy
@@ -85,13 +100,11 @@ class PhysicalParams:
     omega is always derived from T.
     """
 
-    tau: float
-    taubar: float
-    b: np.ndarray
-    c2: np.ndarray
-    eta: np.ndarray
-    eta_tilde: np.ndarray
-    T: float
+    def __init__(self, tau: float, taubar: float, b: np.ndarray,
+                 c2: np.ndarray, eta: np.ndarray, eta_tilde: np.ndarray,
+                 T: float):
+        vars(self).update(tau=tau, taubar=taubar, b=b, c2=c2, eta=eta,
+                          eta_tilde=eta_tilde, T=T)
 
     @property
     def omega(self) -> float:
@@ -167,16 +180,15 @@ def to_harmonics(v: np.ndarray, M: int) -> np.ndarray:
     return coeffs
 
 
-@dataclass(frozen=True)
-class ValidatedModel:
+class ValidatedModel(Frozen):
     """Grid, coefficients and endpoint conditions with invariants verified
     up to harmonic M."""
 
-    grid: Grid
-    params: PhysicalParams
-    bc_left: BoundaryCondition
-    bc_right: BoundaryCondition
-    M: int = 1
+    def __init__(self, grid: Grid, params: PhysicalParams,
+                 bc_left: BoundaryCondition, bc_right: BoundaryCondition,
+                 M: int = 1):
+        vars(self).update(grid=grid, params=params, bc_left=bc_left,
+                          bc_right=bc_right, M=M)
 
     def stability_margin(self) -> float:
         """min(b/c2) - taubar, the margin at alpha = 1."""
@@ -233,6 +245,12 @@ def collect_violations(grid, params, bc_left, bc_right, M: int = 1):
                  if not np.all(np.isfinite(value))]
     violations = [Violation("NonFiniteValue", f"{name} must be finite")
                   for name in nonfinite]
+    # alpha = 1 + 2 eta u (or 2 eta_tilde u_t); zero coefficients are legal
+    with np.errstate(over="ignore"):
+        violations.extend(
+            Violation("NonFiniteValue", f"2*max|{name}| must be finite")
+            for name in ("eta", "eta_tilde") if name not in nonfinite
+            and not np.all(np.isfinite(2.0 * values[name])))
     if grid.nx < MIN_NODES:
         violations.append(Violation("BadGrid", f"nx={grid.nx} < {MIN_NODES}"))
     if grid.L <= 0:

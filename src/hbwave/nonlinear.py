@@ -126,7 +126,8 @@ def fixed_point_solve(f: np.ndarray, model: ValidatedModel, kind: str,
     def rhs(u, grad):
         factors = bilinear_factors(u, kind, model, grad)
         monitor.update(degeneracy_monitor(factors, kind, model))
-        if monitor["alpha_min"] < opts.degeneracy_floor:
+        # a NaN alpha_min is below any floor
+        if not monitor["alpha_min"] >= opts.degeneracy_floor:
             raise DegeneracyDetected(
                 f"alpha dropped to {monitor['alpha_min']:.4g} below floor "
                 f"{opts.degeneracy_floor}", alpha_min=monitor["alpha_min"])

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import ctypes
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -246,7 +245,6 @@ def condition_estimate(bands: np.ndarray) -> float:
     return 1.0 / rcond if rcond > 0 else np.inf
 
 
-@dataclass
 class SpatialOperator:
     """Reduced discrete -Laplacian of harmonic m (or of each m in an array).
 
@@ -254,9 +252,10 @@ class SpatialOperator:
     `span` of grid nodes, and `active` lists their indices.
     """
 
-    bands: np.ndarray           # (3, nr) or (len(m), 3, nr), see module doc
-    span: slice                 # the non-Dirichlet nodes, lo:hi
-    grid: Grid
+    def __init__(self, bands: np.ndarray, span: slice, grid: Grid):
+        self.bands = bands      # (3, nr) or (len(m), 3, nr), see module doc
+        self.span = span        # the non-Dirichlet nodes, lo:hi
+        self.grid = grid
 
     @property
     def active(self) -> np.ndarray:

@@ -5,7 +5,6 @@ independent time-stepping oracle for the periodic attractor.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -39,19 +38,21 @@ WARMUP_PERIODS = 2   # periods of the coarse warm-up level
 WARMUP_COARSENING = 4    # its steps per period: n_steps // 4
 
 
-@dataclass
 class StudyResult:
-    rows: list = field(default_factory=list)
-    metadata: dict = field(default_factory=dict)
+    def __init__(self, rows: list | None = None, metadata: dict | None = None):
+        self.rows = [] if rows is None else rows
+        self.metadata = {} if metadata is None else metadata
 
 
-@dataclass
 class ManufacturedCase:
-    u_star: np.ndarray
-    f: np.ndarray
-    bc_left: BoundaryCondition
-    bc_right: BoundaryCondition
-    kind: str                 # "linear", "westervelt" or "kuznetsov"
+    def __init__(self, u_star: np.ndarray, f: np.ndarray,
+                 bc_left: BoundaryCondition, bc_right: BoundaryCondition,
+                 kind: str):
+        self.u_star = u_star
+        self.f = f
+        self.bc_left = bc_left
+        self.bc_right = bc_right
+        self.kind = kind      # "linear", "westervelt" or "kuznetsov"
 
 
 def manufactured_case(case_id: str, params: PhysicalParams, grid: Grid,

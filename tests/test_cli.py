@@ -13,11 +13,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hbwave
-from hbwave import errors
+from hbwave import cli, errors
 from hbwave.cli import run_command
 from hbwave.io import (_SCHEMA, apply_overrides, build_setup, parse_config,
                        read_solution_csv)
-from hbwave.linear import RESIDUAL_RTOL, FixedPointOptions
+from hbwave.linear import RESIDUAL_RTOL, FixedPointOptions, SolveReport
 from hbwave.model import dealiased_samples, to_time_samples
 from hbwave.nonlinear import solve
 
@@ -242,7 +242,11 @@ def test_run_info_records_the_solve_metrics(config, tmp_path, verb):
     assert metrics == {"iterations": report.iterations,
                        "final_residual": report.final_residual,
                        "alpha_min": float(alpha.min()),
-                       "stability_margin": float(margin.min())}
+                       "stability_margin": float(margin.min()),
+                       "update_norms": report.update_norms,
+                       "contraction_ratios": report.contraction_ratios}
+    assert len(metrics["update_norms"]) == metrics["iterations"]
+    assert len(metrics["contraction_ratios"]) == metrics["iterations"] - 1
     if march:
         assert march["oracle_steps"] == 64 * march["oracle_periods"]
         assert march["oracle_stage_solves"] >= march["oracle_steps"]
@@ -284,6 +288,25 @@ def test_run_info_writes_an_infinite_margin_as_null(config, tmp_path):
     assert metrics["alpha_min"] < 0
     assert metrics["stability_margin"] is None
     assert metrics["final_residual"] <= RESIDUAL_RTOL
+
+
+def test_run_info_writes_non_finite_update_norms_as_null(config, tmp_path,
+                                                         monkeypatch):
+    # no run that exits 0 is known to reach one, so a stand-in solve does
+    def stand_in(f, model, kind, opts):
+        return SolveReport(np.zeros_like(f), 3, [1.0, np.inf, 0.5],
+                           [np.inf, np.nan], alpha_min=1.0)
+
+    def no_constant(name):
+        raise AssertionError(f"run_info.json holds {name}")
+
+    monkeypatch.setattr(cli, "solve", stand_in)
+    code, out = run(config, tmp_path, "solve")
+    assert code == 0
+    with open(os.path.join(out, "run_info.json")) as fh:
+        metrics = json.load(fh, parse_constant=no_constant)["metrics"]
+    assert metrics["update_norms"] == [1.0, None, 0.5]
+    assert metrics["contraction_ratios"] == [None, None]
 
 
 def test_validation_failure_exits_one_with_record(config, tmp_path):
@@ -345,6 +368,27 @@ def test_blowup_without_ball_reports_degeneracy(config, tmp_path):
     with open(os.path.join(out, "error.json")) as fh:
         record = json.load(fh)
     assert record["kind"] in ("NonContraction", "DegeneracyDetected")
+
+
+@pytest.mark.parametrize("overrides", [
+    ["physics.eta=1e308"],
+    ["solver.kind=kuznetsov", "physics.eta_tilde=1e308"],
+])
+@pytest.mark.parametrize("verb", ["validate", "solve"])
+def test_overflowing_nonlinearity_coefficient_fails_validation(
+        config, tmp_path, verb, overrides):
+    # a finite coefficient whose double overflows would make
+    # alpha = 1 + 2 eta u NaN at the zero start state
+    out = str(tmp_path / "out")
+    code = run_command([verb, config, "-o", out,
+                        *(a for o in overrides for a in ("-s", o))])
+    assert code == 1
+    with open(os.path.join(out, "error.json")) as fh:
+        record = json.load(fh)
+    assert record["kind"] == "InvalidModel"
+    name = overrides[-1].split(".")[1].split("=")[0]
+    assert record["violations"] == [
+        {"code": "NonFiniteValue", "message": f"2*max|{name}| must be finite"}]
 
 
 def test_no_success_exit_without_outputs(config, tmp_path):

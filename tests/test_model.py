@@ -1,12 +1,23 @@
+import dataclasses
+import importlib
+import os
+import pkgutil
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import hbwave
+from hbwave.diagnostics import Multipliers
 from hbwave.errors import InvalidModel, UndersampledTime
+from hbwave.linear import FixedPointOptions
 from hbwave.model import (
     BCKind,
     BoundaryCondition,
     Grid,
     PhysicalParams,
+    Violation,
     collect_violations,
     dealiased_samples,
     min_samples,
@@ -222,3 +233,63 @@ def test_absorbing_requires_positive_beta():
 def test_robin_coefficient():
     bc = BoundaryCondition(BCKind.ABSORBING, beta=2.0, gamma=0.5)
     assert bc.robin_coefficient(3, 1.5) == pytest.approx(1j * 9.0 + 0.5)
+
+
+def test_no_hbwave_class_is_a_dataclass():
+    # a dataclass generates and compiles its methods in every process
+    modules = [importlib.import_module(f"hbwave.{info.name}")
+               for info in pkgutil.iter_modules(hbwave.__path__)
+               if info.name != "__main__"]
+    classes = [cls for module in modules for cls in vars(module).values()
+               if isinstance(cls, type) and cls.__module__ == module.__name__]
+    assert len(classes) > 13
+    assert [cls.__name__ for cls in classes
+            if dataclasses.is_dataclass(cls)] == []
+
+
+def test_import_hbwave_loads_neither_dataclasses_nor_copy():
+    script = ("import sys\n"
+              "import hbwave\n"
+              "assert 'dataclasses' not in sys.modules\n"
+              "assert 'copy' not in sys.modules\n")
+    src = os.path.dirname(os.path.dirname(hbwave.__file__))
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def _value_objects():
+    grid = Grid(1.0, 9)
+    params = make_params(grid)
+    return [(DIRICHLET, "beta"), (grid, "nx"), (params, "tau"),
+            (validate_model(grid, params, DIRICHLET, DIRICHLET), "M"),
+            (Violation("BadGrid", "nx too small"), "code"),
+            (FixedPointOptions(), "tol"), (Multipliers(1.0, 0.5), "sigma")]
+
+
+@pytest.mark.parametrize("obj, name", _value_objects(),
+                         ids=lambda v: v if isinstance(v, str)
+                         else type(v).__name__)
+def test_value_objects_are_read_only(obj, name):
+    before = getattr(obj, name)
+    with pytest.raises(AttributeError):
+        setattr(obj, name, 2)
+    with pytest.raises(AttributeError):
+        delattr(obj, name)
+    with pytest.raises(AttributeError):
+        obj.unknown = 2
+    assert getattr(obj, name) is before
+    assert not hasattr(obj, "unknown")
+
+
+def test_grid_and_boundary_reprs_are_their_values():
+    # the benchmark's tracer tells assemblies apart by these reprs
+    assert repr(Grid(1.0, 33)) == repr(Grid(L=1.0, nx=33))
+    assert repr(Grid(1.0, 33)) != repr(Grid(1.0, 65))
+    absorbing = BoundaryCondition(BCKind.ABSORBING, beta=1.0)
+    assert repr(absorbing) == repr(BoundaryCondition(BCKind.ABSORBING, 1.0,
+                                                     0.0))
+    assert repr(absorbing) != repr(BoundaryCondition(BCKind.ABSORBING, 2.0))
+    assert repr(absorbing) != repr(BoundaryCondition(BCKind.IMPEDANCE,
+                                                     gamma=1.0))

@@ -8,6 +8,7 @@ from hbwave.model import (
     BoundaryCondition,
     Grid,
     PhysicalParams,
+    ValidatedModel,
     to_time_samples,
     validate_model,
 )
@@ -227,6 +228,20 @@ def test_degenerate_start_state_raises():
     with pytest.raises(DegeneracyDetected) as info:
         fixed_point_solve(f, model, "westervelt", u0=u0)
     assert info.value.alpha_min == pytest.approx(0.08)
+
+
+@pytest.mark.parametrize("kind", ["westervelt", "kuznetsov"])
+def test_nan_alpha_is_below_the_degeneracy_floor(kind):
+    # 2 eta overflows, so alpha at the zero start state is inf * 0 = NaN;
+    # validation rejects such a model, built here without it
+    grid = Grid(1.0, 33)
+    params = PhysicalParams.create(grid, tau=0.1, taubar=0.5, b=1.0, c2=1.0,
+                                   eta=1e308, eta_tilde=1e308, T=2 * np.pi)
+    model = ValidatedModel(grid, params, DIRICHLET, DIRICHLET, 4)
+    f = monochromatic(model, 6e-3)
+    with np.errstate(all="ignore"), pytest.raises(DegeneracyDetected) as info:
+        fixed_point_solve(f, model, kind)
+    assert np.isnan(info.value.alpha_min)
 
 
 def test_self_mapping_at_small_data():

@@ -220,34 +220,47 @@ def smooth(x, a, k):
     return 1.0 + a * np.cos(k * np.pi * x)
 
 
-@pytest.mark.parametrize("kind, bc_left, bc_right, heterogeneous, kw", [
-    pytest.param("linear", DIRICHLET, ABSORBING, False, {},
+# the matrix's nodes; a nodal nonlinearity coefficient needs a drive of
+# amplitude 1.0 to show in the discrepancy: at 6e-3, eta or eta_tilde
+# reversed across the nodes in bilinear_product still reads below 4e-5
+X = np.linspace(0.0, 1.0, 33)
+
+
+@pytest.mark.parametrize("kind, bc_left, bc_right, heterogeneous, kw, amp", [
+    pytest.param("linear", DIRICHLET, ABSORBING, False, {}, 6e-3,
                  id="linear-dirichlet-absorbing"),
-    pytest.param("linear", DIRICHLET, IMPEDANCE, False, {},
+    pytest.param("linear", DIRICHLET, IMPEDANCE, False, {}, 6e-3,
                  id="linear-dirichlet-impedance"),
-    pytest.param("linear", NEUMANN, IMPEDANCE, False, {},
+    pytest.param("linear", NEUMANN, IMPEDANCE, False, {}, 6e-3,
                  id="linear-neumann-impedance"),
-    pytest.param("linear", DIRICHLET, DIRICHLET, True, {},
+    pytest.param("linear", DIRICHLET, DIRICHLET, True, {}, 6e-3,
                  id="linear-heterogeneous"),
     pytest.param("westervelt", DIRICHLET, ABSORBING, True, {"eta": 1.0},
-                 id="westervelt-heterogeneous-absorbing"),
+                 6e-3, id="westervelt-heterogeneous-absorbing"),
     pytest.param("kuznetsov", DIRICHLET, DIRICHLET, False,
-                 {"eta_tilde": 1.0}, id="kuznetsov-dirichlet-dirichlet"),
+                 {"eta_tilde": 1.0}, 6e-3,
+                 id="kuznetsov-dirichlet-dirichlet"),
     pytest.param("kuznetsov", DIRICHLET, ABSORBING, False,
-                 {"eta_tilde": 1.0}, id="kuznetsov-dirichlet-absorbing"),
+                 {"eta_tilde": 1.0}, 6e-3,
+                 id="kuznetsov-dirichlet-absorbing"),
     pytest.param("westervelt", DIRICHLET, DIRICHLET, False,
-                 {"eta": 1.0, "tau": 0.0}, id="westervelt-tau0"),
+                 {"eta": 1.0, "tau": 0.0}, 6e-3, id="westervelt-tau0"),
+    pytest.param("westervelt", DIRICHLET, ABSORBING, True,
+                 {"eta": 1.0 + 0.5 * X}, 1.0, id="westervelt-nodal-eta"),
+    pytest.param("kuznetsov", DIRICHLET, ABSORBING, True,
+                 {"eta_tilde": 0.8 + 0.6 * X**2}, 1.0,
+                 id="kuznetsov-nodal-eta-tilde"),
 ])
 def test_oracle_cross_check_matrix(kind, bc_left, bc_right, heterogeneous,
-                                   kw):
-    grid = Grid(1.0, 33)
+                                   kw, amp):
+    grid = Grid(1.0, len(X))
     coeffs = dict(COEFFS, **kw)
     if heterogeneous:
         coeffs["b"] = smooth(grid.nodes, 0.08, 1)
         coeffs["c2"] = smooth(grid.nodes, -0.06, 2)
     params = PhysicalParams.create(grid, **coeffs)
     model = validate_model(grid, params, bc_left, bc_right)
-    f = drive(model)
+    f = drive(model, amp)
     u = solve(f, model, kind).u
     samples, gap, _ = time_stepping_oracle(f, model, kind, n_steps=512,
                                            period_tol=1e-8)
