@@ -240,16 +240,19 @@ class _Oracle:
     the stiff transient that zero data excite (Rannacher, Numer. Math. 43
     (1984) 309-327).
 
-    A stage starts from 3 z_1 - 3 z_2 + z_3, the quadratic through the
-    last three steps' stage values (latest first), off by O(dt^3) on the
-    uniform step; with fewer, from 2 w - z_1 (w the state's top
+    A stage starts from 5 z_1 - 10 z_2 + 10 z_3 - 5 z_4 + z_5, the quartic
+    through the last five steps' stage values (latest first), off by
+    O(dt^5) on the uniform step; with three or four, from the quadratic
+    3 z_1 - 3 z_2 + z_3; with fewer, from 2 w - z_1 (w the state's top
     derivative), or from w.  With s_k = gain |dz_k| the k-th update's move
     of the new state, an iterate is accepted once s_k <= STAGE_TOL
     (|y_new| + 1), or once theta / (1 - theta) s_k, its error estimate for a
-    contraction theta < 1, is at most STAGE_SAFETY times that (Hairer &
+    contraction 0 < theta < 1, is at most STAGE_SAFETY times that (Hairer &
     Wanner, Solving ODEs II, IV.8).  theta is the largest ratio
-    s_k / s_(k-1) the oracle has met: a step's own first ratio can fall
-    well below the map's contraction.
+    s_k / s_(k-1) the oracle has met, on earlier steps and this one's: a
+    step's own first ratio can fall well below the map's contraction.  So
+    the first update, which has no ratio of its own, is tested against the
+    theta of earlier steps, and from the quartic start it mostly passes.
 
     The forcing is T-periodic and dt = T / n_steps, so the forcing at the
     midpoint of each step of a period is tabulated once, and so are the
@@ -343,7 +346,7 @@ class _Oracle:
         self._coef = coef.reshape(nr, -1)
         # y_new = 2 mid - y, so |y_new - y_new'| = dz_gain |z - z'|; a
         # half-step's new state is mid, which moves half as far
-        self.dz_gain = 2.0 * np.sqrt(self.g @ self.g)
+        self.dz_gain = 2.0 * math.sqrt(self.g @ self.g)
         # the stage solve works in place: K z = stage_rhs, z in stage_rhs
         self.stage_rhs = np.zeros(nr)
         self.solve_stage = tridiagonal_solver(K, self.stage_rhs)
@@ -372,7 +375,7 @@ class _Oracle:
     def step(self, y: np.ndarray, j: int, zs: tuple = ()):
         """One step from state y over step j of a period, whose midpoint is
         at (j + 1/2) dt modulo T; zs holds the previous steps' stage values,
-        latest first, of which the first three are used.  Returns the new
+        latest first, of which the first five are used.  Returns the new
         state and this step's stage value."""
         return self._stage(y, j, self.forcing[j], zs, True)
 
@@ -383,7 +386,7 @@ class _Oracle:
         top derivative."""
         y_half, z = self._stage(y, j, self.forcing[j], zs, False)
         return self._stage(y_half, j, self.forcing_at([(j + 1) * self.dt])[0],
-                           (z, *zs[:2]), False)
+                           (z, *zs[:4]), False)
 
     def z_free_terms(self, y: np.ndarray) -> np.ndarray:
         """The sum over state rows k of lin_k y_k, the stage's linear terms
@@ -407,13 +410,15 @@ class _Oracle:
             z = buf.copy()
             mid = m0 + g * z
             return (2.0 * mid - y if midpoint else mid), z
-        if len(zs) >= 3:
+        if len(zs) >= 5:
+            z = 5.0 * (zs[0] - zs[3]) + 10.0 * (zs[2] - zs[1]) + zs[4]
+        elif len(zs) >= 3:
             z = 3.0 * (zs[0] - zs[1]) + zs[2]
         else:
             z = 2.0 * y[-1] - zs[0] if zs else y[-1]
         mid = m0 + g * z
         gain = self.dz_gain if midpoint else 0.5 * self.dz_gain
-        s_prev = 0.0        # no ratio before the second update
+        s_prev = 0.0        # the step's own first ratio comes at update 2
         for _ in range(self.MAX_STAGE_ITER):
             np.subtract(rhs, self._rest(mid, forcing), out=buf)
             self.solve_stage()
@@ -427,10 +432,11 @@ class _Oracle:
             if s <= tol:
                 return y_new, z
             if s_prev > 0.0:
-                theta = self.theta = max(self.theta, s / s_prev)
-                if theta < 1.0 and (theta * s <= (1.0 - theta)
-                                    * self.STAGE_SAFETY * tol):
-                    return y_new, z
+                self.theta = max(self.theta, s / s_prev)
+            theta = self.theta
+            if 0.0 < theta < 1.0 and (theta * s <= (1.0 - theta)
+                                      * self.STAGE_SAFETY * tol):
+                return y_new, z
             s_prev = s
         raise StepRejected(f"implicit stage did not converge in step {j} "
                            "of the period")
@@ -464,11 +470,12 @@ def time_stepping_oracle(f: np.ndarray, model: ValidatedModel, kind: str,
 
     Returns the (n_steps, nx) samples of u at the start of each step of the
     last period marched, that period's gap |y_end - y_start| / |y_end|,
-    and the counts: periods at n_steps, and the steps and stage solves of
-    the whole run, the warm-up's included, a damped step counting as one
-    step.  period_tol, max_periods and NoPeriodicAttractor's gaps are the
-    n_steps level's.  Too few steps to resolve harmonic M raise
-    UndersampledTime before the first step."""
+    and the counts: periods at n_steps, the steps and stage solves of the
+    whole run, the warm-up's included, a damped step counting as one step,
+    and stage_contraction, the n_steps level's final theta (0 for the
+    linear kind, whose stage takes one solve).  period_tol, max_periods
+    and NoPeriodicAttractor's gaps are the n_steps level's.  Too few steps
+    to resolve harmonic M raise UndersampledTime before the first step."""
     M = len(f) - 1
     check_oracle_steps(n_steps, M)
     oracle = _Oracle(f, model, kind, n_steps)
@@ -489,7 +496,8 @@ def time_stepping_oracle(f: np.ndarray, model: ValidatedModel, kind: str,
             f"periodicity gap {gaps[-1]:.3e} > {period_tol} after "
             f"{max_periods} periods", gaps=gaps)
     counts = {"periods": len(gaps), "steps": steps + len(gaps) * n_steps,
-              "stage_solves": solves + oracle.stage_solves}
+              "stage_solves": solves + oracle.stage_solves,
+              "stage_contraction": oracle.theta}
     return values, gaps[-1], counts
 
 
@@ -510,7 +518,7 @@ def _march(oracle: _Oracle, y: np.ndarray, u: np.ndarray, max_periods: int,
             step = (oracle.damped_step if k == 0 and j < DAMPED_STEPS
                     else oracle.step)
             y, z = step(y, j, zs)
-            zs = (z, *zs[:2])
+            zs = (z, *zs[:4])
         norm = np.linalg.norm(y)
         gaps.append((np.linalg.norm(y - y_start) / norm) if norm > 0
                     else 0.0)

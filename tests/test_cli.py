@@ -20,6 +20,7 @@ from hbwave.io import (_SCHEMA, apply_overrides, build_setup, parse_config,
 from hbwave.linear import RESIDUAL_RTOL, FixedPointOptions, SolveReport
 from hbwave.model import dealiased_samples, to_time_samples
 from hbwave.nonlinear import solve
+from hbwave.studies import time_stepping_oracle
 
 CONFIG = """\
 [domain]
@@ -235,9 +236,11 @@ def test_run_info_records_the_solve_metrics(config, tmp_path, verb):
     u = to_time_samples(report.u, dealiased_samples(setup.model.M))
     alpha = 1.0 + 2.0 * p.eta[None, :] * u
     margin = p.b[None, :] / p.c2[None, :] - p.taubar / alpha
-    # oracle-compare adds the march's counts; the solve's entries stay
+    # oracle-compare adds the march's counts and its stage contraction;
+    # the solve's entries stay
     march = {k: metrics.pop(k) for k in ("oracle_periods", "oracle_steps",
-                                         "oracle_stage_solves")
+                                         "oracle_stage_solves",
+                                         "oracle_stage_contraction")
              if verb == "oracle-compare"}
     assert metrics == {"iterations": report.iterations,
                        "final_residual": report.final_residual,
@@ -248,8 +251,13 @@ def test_run_info_records_the_solve_metrics(config, tmp_path, verb):
     assert len(metrics["update_norms"]) == metrics["iterations"]
     assert len(metrics["contraction_ratios"]) == metrics["iterations"] - 1
     if march:
+        _, _, counts = time_stepping_oracle(setup.f, setup.model,
+                                            setup.solver_kind, 64,
+                                            period_tol=1e-3)
+        assert march == {f"oracle_{k}": v for k, v in counts.items()}
         assert march["oracle_steps"] == 64 * march["oracle_periods"]
         assert march["oracle_stage_solves"] >= march["oracle_steps"]
+        assert 0.0 < march["oracle_stage_contraction"] < 1.0
     assert metrics["iterations"] == 27
     assert metrics["final_residual"] <= RESIDUAL_RTOL
     assert metrics["alpha_min"] == pytest.approx(0.251, abs=1e-3)

@@ -438,12 +438,13 @@ def test_oracle_step_solves_the_nonlinear_midpoint_equation(kind, tau,
     y = 0.1 * np.array([np.cos(k * np.pi * x + rng.uniform(0, 6))
                         for k in range(1, 4)])[:3 if tau > 0 else 2]
     zs = ()
-    # a first step, then from the linear and the quadratic starts
-    for j in range(19, 24):
+    # a first step, then from the linear, the quadratic and the quartic
+    # starts
+    for j in range(19, 26):
         y_new, z = oracle.step(y, j, zs)
         res = y_new - y - dt * F((j + 0.5) * dt, 0.5 * (y + y_new))
         assert np.linalg.norm(res) <= 1e-11 * np.linalg.norm(y_new)
-        y, zs = y_new, (z, *zs[:2])
+        y, zs = y_new, (z, *zs[:4])
 
 
 @pytest.mark.parametrize("tau", [0.1, 0.0])
@@ -494,14 +495,16 @@ def test_oracle_damped_step_is_two_backward_euler_half_steps(kind, tau,
             assert np.linalg.norm(res) <= 1e-11 * np.linalg.norm(end)
         # a half-step's stage value is its new state's top derivative
         assert np.array_equal(z_h, y_h[-1]) and np.array_equal(z, y_new[-1])
-        y, zs = y_new, (z, *zs[:2])
+        y, zs = y_new, (z, *zs[:4])
 
 
 @pytest.mark.parametrize("kind, kw, n_steps, periods, solves_a_step", [
     pytest.param("linear", {}, 512, 3, (1, 1), id="linear-512"),
-    pytest.param("westervelt", {"eta": 1.0}, 512, 3, (2, 3),
+    pytest.param("westervelt", {"eta": 1.0}, 512, 3, (1.1, 2.5),
                  id="westervelt-512"),
-    pytest.param("westervelt", {"eta": 1.0}, 64, 10, (3, 4),
+    pytest.param("kuznetsov", {"eta_tilde": 1.0}, 512, 3, (1.1, 2.5),
+                 id="kuznetsov-512"),
+    pytest.param("westervelt", {"eta": 1.0}, 64, 10, (2.5, 4),
                  id="westervelt-64")])
 def test_oracle_stage_solve_count(monkeypatch, kind, kw, n_steps, periods,
                                   solves_a_step):
@@ -511,16 +514,22 @@ def test_oracle_stage_solve_count(monkeypatch, kind, kw, n_steps, periods,
     periods of 512 steps here, where the march without the warm-up took 5,
     and 10 periods of 64 steps, where a march of midpoint steps only took
     28: it carries the stiff modes that the zero start excites with a
-    factor near -1 a step.  The Westervelt run at 512 steps takes 2 solves
-    a step from its quadratic start with the contraction-based stop, where
-    3 a step from the linear start made 9,216 over 6 periods and the start
-    from the old state 12,005; its warm-up at 128 steps takes 3.  The
-    first steps of each level, whose start is cruder, may take a few more.
-    Each level's stage is factored once, the damped steps included, and
-    the counts the march returns are the ones counted here, the warm-up's
-    included."""
+    factor near -1 a step.  The nonlinear runs at 512 steps take about
+    1.05 solves a step (Westervelt 1,588 over 1,536 steps, Kuznetsov
+    1,642): the quartic start is close enough that the first update mostly
+    passes the stop on the running theta.  The quadratic start took 2 a
+    step with that stop or without it (3,079 and 3,083), and so did the
+    quartic start with the stop from the second update only (3,081 and
+    3,085).  Their warm-ups at 128 steps take about 2.2 (564 and 580
+    solves), and the run at 64 steps 2.3 (1,468 over 640 steps; 1,927 from
+    the quadratic start).  The first steps of
+    each level, whose start is cruder, may take a few more.  Each level's
+    stage is factored once, the damped steps included, and the counts the
+    march returns are the ones counted here, the warm-up's included, with
+    the theta of the level at n_steps after its last step."""
     solves = []         # per factorization, in the order they are made
     steps = {}          # per level, by its steps per period
+    thetas = {}         # per level, after its last step
     factor = studies.tridiagonal_solver
 
     def counted_factor(bands, buffer):
@@ -537,7 +546,9 @@ def test_oracle_stage_solve_count(monkeypatch, kind, kw, n_steps, periods,
         def counted_step(self, *args):
             level = len(self.forcing)
             steps[level] = steps.get(level, 0) + 1
-            return step(self, *args)
+            out = step(self, *args)
+            thetas[level] = self.theta
+            return out
         return counted_step
 
     monkeypatch.setattr(studies, "tridiagonal_solver", counted_factor)
@@ -557,13 +568,70 @@ def test_oracle_stage_solve_count(monkeypatch, kind, kw, n_steps, periods,
     assert steps == {n_steps: periods * n_steps,
                      warmup: studies.WARMUP_PERIODS * warmup}
     assert march == {"periods": periods, "steps": sum(steps.values()),
-                     "stage_solves": sum(solves)}
+                     "stage_solves": sum(solves),
+                     "stage_contraction": thetas[n_steps]}
     for level_solves, level_steps, a_step in zip(
             solves, (steps[n_steps], steps[warmup]), solves_a_step):
         if kind == "linear":
             assert level_solves == level_steps + studies.DAMPED_STEPS
         else:
             assert level_solves <= a_step * level_steps + 16
+    # the linear stage has no ratio; the nonlinear ones contract fast
+    if kind == "linear":
+        assert march["stage_contraction"] == 0.0
+    else:
+        assert 0.0 < march["stage_contraction"] < 1e-3
+
+
+@pytest.mark.parametrize("tau", [0.1, 0.0])
+@pytest.mark.parametrize("kind", ["westervelt", "kuznetsov"])
+def test_oracle_stage_start_is_the_quartic_through_five_values(
+        monkeypatch, kind, tau):
+    """Along the converged orbit, the stage starts from the quartic through
+    the last five stage values, off by O(dt^5): the start's move of the new
+    state from the accepted stage value falls 32x per halving of dt, where
+    the quadratic through the last three falls 8x (order 3).  At 128 and
+    256 steps both stay well above STAGE_TOL (|y_new| + 1), which the
+    accepted value is within of the fixed point: the quartic's is 2.5e4
+    and 800 times that, the quadratic's 1e7 and 1.3e6 times."""
+    grid = Grid(1.0, 33)
+    params = PhysicalParams.create(grid, **dict(
+        COEFFS, tau=tau, eta=1.0, eta_tilde=1.0,
+        b=smooth(grid.nodes, 0.08, 1), c2=smooth(grid.nodes, -0.06, 2)))
+    model = validate_model(grid, params, DIRICHLET, ABSORBING)
+    starts, stages = [], []
+    rest, stage = _Oracle._rest, _Oracle._stage
+
+    def recorded_rest(self, mid, forcing):
+        starts.append(mid[-1].copy())   # the midpoint's top row is z
+        return rest(self, mid, forcing)
+
+    def recorded_stage(self, y, j, forcing, zs, midpoint):
+        first = len(starts)
+        y_new, z = stage(self, y, j, forcing, zs, midpoint)
+        stages.append((self, zs, starts[first], z, y_new))
+        return y_new, z
+    monkeypatch.setattr(_Oracle, "_rest", recorded_rest)
+    monkeypatch.setattr(_Oracle, "_stage", recorded_stage)
+    errors = []     # per step count: (quartic, quadratic) over STAGE_TOL
+    for n_steps in (128, 256):
+        stages.clear()
+        time_stepping_oracle(drive(model), model, kind, n_steps=n_steps,
+                             period_tol=1e-8)
+        worst = np.zeros(2)
+        for oracle, zs, start, z, y_new in stages[-n_steps:]:
+            assert len(zs) == 5
+            quadratic = 3.0 * (zs[0] - zs[1]) + zs[2]
+            tol = oracle.STAGE_TOL * (np.linalg.norm(y_new) + 1.0)
+            worst = np.maximum(worst, [
+                oracle.dz_gain * np.linalg.norm(guess - z) / tol
+                for guess in (start, quadratic)])
+        errors.append(worst)
+    coarse, fine = errors
+    assert np.all(fine > 100.0)
+    quartic_order, quadratic_order = np.log2(coarse / fine)
+    assert quartic_order >= 4.5
+    assert 2.5 <= quadratic_order <= 3.5
 
 
 def test_oracle_warms_up_only_where_the_coarse_level_resolves_m(
@@ -607,7 +675,7 @@ def test_oracle_damped_start_keeps_the_midpoint_attractor():
         for j in range(n_steps):
             last.append(y[0])
             y, z = oracle.step(y, j, zs)
-            zs = (z, *zs[:2])
+            zs = (z, *zs[:4])
         if np.linalg.norm(y - y_start) < tol * np.linalg.norm(y):
             break
     assert counts["periods"] < periods
@@ -667,7 +735,7 @@ def stage_fixed_point(oracle, y, forcing, z, solves=10):
     return z
 
 
-@pytest.mark.parametrize("amp", [6e-3, 0.3])
+@pytest.mark.parametrize("amp", [6e-3, 0.3, 1.0])
 @pytest.mark.parametrize("tau", [0.1, 0.0])
 @pytest.mark.parametrize("kind", ["westervelt", "kuznetsov"])
 def test_oracle_stage_values_are_within_tolerance_of_the_fixed_point(
@@ -675,9 +743,11 @@ def test_oracle_stage_values_are_within_tolerance_of_the_fixed_point(
     """Every stage value the march accepts, the damped steps' half-steps
     and the warm-up level's stages included, moves the new state by at
     most STAGE_TOL (|y_new| + 1) from its stage's fixed point: here by at
-    most 0.13 of that.  With theta the step's own last ratio, Kuznetsov at
-    tau = 0 and amplitude 6e-3 misses by 1.3x.  With STAGE_SAFETY = 1, that
-    case misses by 1.3x too; with both, five of the eight, by up to 3.2x."""
+    most 0.13 of that at amplitudes 6e-3 and 0.3, and by up to 0.3 at 1.0,
+    where the stage contracts more slowly.  From the quadratic start, with
+    theta the step's own last ratio, Kuznetsov at tau = 0 and amplitude
+    6e-3 missed by 1.3x, and so did it with STAGE_SAFETY = 1.  From the
+    quartic start, STAGE_SAFETY = 1 comes within 0.99 of the bound."""
     grid = Grid(1.0, 33)
     params = PhysicalParams.create(grid, **dict(
         COEFFS, tau=tau, eta=1.0, eta_tilde=1.0,
