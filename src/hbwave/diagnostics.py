@@ -96,8 +96,10 @@ def compute_energies(u: np.ndarray, model: ValidatedModel) -> EnergyReport:
     grid, p = model.grid, model.params
     tb, tau, omega, T = p.taubar, p.tau, p.omega, p.T
 
-    sq = {key: spatial_sq(u, grid, key)
-          for key in (None, "H1_semi", "laplacian", "grad_laplacian")}
+    lap_coeffs = laplacian_fd(u, grid)
+    sq = {None: spatial_sq(u, grid), "H1_semi": spatial_sq(u, grid, "H1_semi"),
+          "laplacian": spatial_sq(lap_coeffs, grid),
+          "grad_laplacian": spatial_sq(lap_coeffs, grid, "H1_semi")}
 
     def vol(k, spatial=None):
         return time_sum(sq[spatial], omega, T, k)
@@ -123,7 +125,6 @@ def compute_energies(u: np.ndarray, model: ValidatedModel) -> EnergyReport:
         "u_h2_trace_gamma": sum(
             _trace_norm_sq(u, model, k, gamma, 1) for k in (0, 1, 2)),
     }
-    lap_coeffs = laplacian_fd(u, grid)
     hi = {
         "uttt_dual": uttt_dual,
         "lap_utt_l2": tb * vol(2, "laplacian"),

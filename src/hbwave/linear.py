@@ -56,8 +56,7 @@ def assemble_harmonic_system(model: ValidatedModel, M: int):
     """
     # A_0 = c2 (-Lap_0) is singular when neither end anchors the mean: no
     # Dirichlet node and no Robin term gamma
-    if all(not bc.is_dirichlet and bc.gamma == 0.0
-           for bc in (model.bc_left, model.bc_right)):
+    if not (model.bc_left.anchors_mean or model.bc_right.anchors_mean):
         raise SingularMeanMode(
             "mean-mode operator is singular: no impedance or Dirichlet "
             "endpoint")

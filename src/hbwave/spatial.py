@@ -249,13 +249,18 @@ class SpatialOperator:
     """Reduced discrete -Laplacian of harmonic m (or of each m in an array).
 
     Dirichlet nodes are eliminated; the others are the contiguous run
-    `span` of grid nodes, and `active` lists their indices.
+    `span` of grid nodes, and `active` lists their indices.  `d_beta` is
+    the Robin u_t diagonal, 2 beta / h at a Robin end and 0 elsewhere: in
+    time, -Lap u = (the m = 0 operator) u + d_beta u_t, and harmonic m's
+    diagonal is the m = 0 one plus i m omega d_beta.
     """
 
-    def __init__(self, bands: np.ndarray, span: slice, grid: Grid):
+    def __init__(self, bands: np.ndarray, span: slice, grid: Grid,
+                 d_beta: np.ndarray):
         self.bands = bands      # (3, nr) or (len(m), 3, nr), see module doc
         self.span = span        # the non-Dirichlet nodes, lo:hi
         self.grid = grid
+        self.d_beta = d_beta    # (nr,)
 
     @property
     def active(self) -> np.ndarray:
@@ -284,25 +289,19 @@ def assemble_laplacian(grid: Grid, bc_left: BoundaryCondition,
     inv_h2 = 1.0 / h**2
     bands = np.empty(m.shape + (3, nx), dtype=complex)
     bands[...] = np.array([[-inv_h2], [2.0 * inv_h2], [-inv_h2]])
-
-    lo, hi = 0, nx
-    if bc_left.is_dirichlet:
-        lo = 1
-    else:
-        q = bc_left.robin_coefficient(m, omega)
-        bands[..., 1, 0] = (2.0 + 2.0 * h * q) * inv_h2
-        bands[..., 0, 1] = -2.0 * inv_h2
-    if bc_right.is_dirichlet:
-        hi = nx - 1
-    else:
-        q = bc_right.robin_coefficient(m, omega)
-        bands[..., 1, -1] = (2.0 + 2.0 * h * q) * inv_h2
-        bands[..., 2, -2] = -2.0 * inv_h2
-
-    bands = bands[..., lo:hi]
-    bands[..., 0, 0] = 0.0
-    bands[..., 2, -1] = 0.0
-    return SpatialOperator(bands=bands, span=slice(lo, hi), grid=grid)
+    d_beta = np.zeros(nx)
+    # a Robin end's ghost node doubles its neighbour's entry, which lies in
+    # band `band` of column `col`; a Dirichlet end's node is eliminated
+    for bc, node, band, col in ((bc_left, 0, 0, 1), (bc_right, -1, 2, -2)):
+        if not bc.is_dirichlet:
+            q = bc.robin_coefficient(m, omega)
+            bands[..., 1, node] = (2.0 + 2.0 * h * q) * inv_h2
+            bands[..., band, col] = -2.0 * inv_h2
+            d_beta[node] = 2.0 * bc.beta / h
+    span = slice(int(bc_left.is_dirichlet), nx - int(bc_right.is_dirichlet))
+    bands = bands[..., span]
+    bands[..., 0, 0] = bands[..., 2, -1] = 0.0
+    return SpatialOperator(bands, span, grid, d_beta[span])
 
 
 def gradient(v: np.ndarray, grid: Grid) -> np.ndarray:

@@ -23,7 +23,7 @@ from .model import (
     to_time_samples,
     validate_model,
 )
-from .nonlinear import FixedPointOptions, fixed_point_solve, solve
+from .nonlinear import KINDS, FixedPointOptions, fixed_point_solve, solve
 from .norms import l2l2_norm, u0lo_norm, u0me_norm
 from .spatial import (assemble_laplacian, band_product, gradient,
                       scale_rows, tridiagonal_solver)
@@ -226,9 +226,11 @@ class _Oracle:
     state is twice the midpoint minus the old one.  The stage's one unknown
     is z, the midpoint of the top derivative: v_mid = v + h z and
     u_mid = u + h v_mid when tau > 0, u_mid = u + h z when tau = 0.  Its
-    linear part is one tridiagonal system K z = rhs, factored once and
-    solved in place: `solve_stage()` overwrites `stage_rhs`, the buffer
-    it is bound to, with z.  The nonlinear terms are taken at the previous
+    linear part expands harmonic balance's operator polynomial
+    A_m = sum_k (i m omega)^k B_k, B_k acting on d_t^k u up to the top
+    order n (3, or 2 when tau = 0), into one tridiagonal system K z = rhs,
+    factored once and solved in place: `solve_stage()` overwrites
+    `stage_rhs`, the buffer it is bound to, with z.  The nonlinear terms are taken at the previous
     iterate's midpoint, and z is iterated on that map.  The linear kind's
     stage is linear: one solve.
 
@@ -258,8 +260,7 @@ class _Oracle:
     midpoint of each step of a period is tabulated once, and so are the
     coefficients of the z-free linear terms, which one `einsum` takes
     over windows of the padded state (`z_free_terms`).  Each level of a
-    march is its own _Oracle; `op`, the m = 0 operator, is passed in when
-    another level has assembled it.
+    march is its own _Oracle, with its own m = 0 operator `op`.
     """
 
     MAX_STAGE_ITER = 50
@@ -267,22 +268,16 @@ class _Oracle:
     STAGE_SAFETY = 0.1      # share of STAGE_TOL left to theta's estimate
 
     def __init__(self, f: np.ndarray, model: ValidatedModel, kind: str,
-                 n_steps: int, op=None):
+                 n_steps: int):
         grid, p = model.grid, model.params
+        if kind not in ("linear", *KINDS):
+            raise ValueError(f"unknown kind {kind!r}")
         self.tau = tau = p.tau
         self.dt = dt = p.T / n_steps
         h = 0.5 * dt
-        if op is None:
-            op = assemble_laplacian(grid, model.bc_left, model.bc_right, 0,
-                                    p.omega)
-        self.op = op
+        self.op = op = assemble_laplacian(grid, model.bc_left, model.bc_right,
+                                          0, p.omega)
         self.nr = nr = op.bands.shape[-1]
-        # discrete Laplacian split: lap(u, u_t) = L u + d_beta * u_t
-        L = -op.bands.real
-        d_beta = np.zeros(nr)
-        for pos, bc in ((0, model.bc_left), (-1, model.bc_right)):
-            if not bc.is_dirichlet:
-                d_beta[pos] = -2.0 * bc.beta / grid.h
         b, c2 = op.restrict(p.b), op.restrict(p.c2)
         # the kind's nonlinear terms (alpha - 1, r_nl) at (u, u_t), chosen
         # once; None for the linear kind, which has none
@@ -306,40 +301,44 @@ class _Oracle:
         self._f0 = op.restrict(f[0].real)
         self.forcing = self.forcing_at((np.arange(n_steps) + 0.5) * dt)
 
-        # the top equation: K z = (the z-free linear terms) - rest, with the
-        # z-free terms the sum over state rows k of lin_k y_k
-        lin = np.zeros((3 if tau > 0 else 2, 3, nr))
-        lin[0] = scale_rows(L, c2)
-        if tau > 0:
-            lin[1] = scale_rows(L, h * c2 + b)
-            lin[1, 1] += c2 * d_beta
-            lin[2, 1] = tau / h
-            K = scale_rows(L, -(h * h * c2 + h * b))
-            K[1] += tau / h + 1.0 - (h * c2 + b) * d_beta
-            # the midpoint is affine in z: mid = P y + g z
-            self.P = np.array([[1.0, h, 0.0], [0.0, 1.0, 0.0], [0.0] * 3])
-            self.g = np.array([h * h, h, 1.0])
-        else:
-            lin[1, 1] = (1.0 - b * d_beta) / h
-            K = scale_rows(L, -(h * c2 + b))
-            K[1] += (1.0 - b * d_beta) / h - c2 * d_beta
-            self.P = np.array([[1.0, 0.0], [0.0, 0.0]])
-            self.g = np.array([h, 1.0])
-            # u_tt solves (1 + da - b d_beta) u_tt
-            #   = lap_u u + lap_v u_t - r_nl - forcing
-            self.lap_u = lin[0]
-            self.lap_v = scale_rows(L, b)
-            self.lap_v[1] += c2 * d_beta
-            self.one_bd = 1.0 - b * d_beta
+        # harmonic balance's A_m is sum_k (i m omega)^k B_k, with B_0 =
+        # c2 (-Lap_0), B_1 = b (-Lap_0) + c2 D, B_2 = 1 + b D and B_3 = tau,
+        # D = op.d_beta; here B_k acts on d_t^k u.  coeffs[k] = (s, e, a)
+        # with B_k = s (-Lap_0) + e D + a: a sum of B_k scales -Lap_0 once,
+        # by the summed s, rather than rounding each B_k's bands
+        coeffs = ((c2, 0.0, 0.0), (b, c2, 0.0), (0.0, b, 1.0), (0.0, 0.0, tau))
+        n = 3 if tau > 0 else 2     # the top order, and the state's rows
+        top = coeffs[n][2] + coeffs[n][1] * op.d_beta   # B_n, a diagonal
+
+        def bands(w, diag=0.0):
+            """sum_k w_k B_k over k < n, plus the diagonal diag."""
+            s, e, a = (sum(wk * c[i] for wk, c in zip(w, coeffs))
+                       for i in range(3))
+            out = scale_rows(op.bands.real, s)
+            out[1] += (diag + a) + e * op.d_beta
+            return out
+        # the midpoint is affine in z, mid = P y + g z: P_kj = h^(j - k) for
+        # k <= j < n - 1 and g_k = h^(n - 1 - k), which depend only on the
+        # distance to the top row, so n = 2 takes n = 3's last two rows
+        P = np.array([[1.0, h, 0.0], [0.0, 1.0, 0.0], [0.0] * 3])
+        self.P, self.g = P[3 - n:, 3 - n:], np.array([h * h, h, 1.0])[3 - n:]
+        # the top equation, B_n (z - y_(n-1)) / h + sum_k B_k mid_k + rest
+        # = -forcing, is K z = (the z-free linear terms) - rest - forcing,
+        # with K = sum_k g_k B_k + B_n / h and the z-free terms the sum over
+        # state rows j of lin_j y_j, lin_j = -sum_k P_kj B_k (+ B_n / h)
+        K = bands(self.g, top / h)
+        lin = np.array([-bands(self.P[:, j]) for j in range(n)])
+        lin[-1, 1] += top / h
+        # _rest's tau = 0 elimination of u_tt reads B_0, B_1 and B_n = B_2
+        self.B = [bands(np.eye(n)[k]) for k in (0, 1)] + [top]
         # the z-free terms at node i are the dot product of the state's
         # columns i - 1, i, i + 1, a window of the transposed state padded
         # with a zero column at each end, with those columns' coefficients
-        rows = len(lin)
-        self._padded = np.zeros((nr + 2, rows))
-        self._windows = as_strided(self._padded, (nr, 3 * rows),
-                                   (rows * self._padded.itemsize,
+        self._padded = np.zeros((nr + 2, n))
+        self._windows = as_strided(self._padded, (nr, 3 * n),
+                                   (n * self._padded.itemsize,
                                     self._padded.itemsize), writeable=False)
-        coef = np.zeros((nr, 3, rows))
+        coef = np.zeros((nr, 3, n))
         coef[1:, 0] = lin[:, 2, :-1].T
         coef[:, 1] = lin[:, 1].T
         coef[:-1, 2] = lin[:, 0, 1:].T
@@ -367,9 +366,10 @@ class _Oracle:
         terms K leaves out, for the nonlinear kinds."""
         u, v = mid[0], mid[1]
         da, r_nl = self._nonlinear(u, v)
+        B = self.B
         utt = mid[2] if self.tau > 0 else (
-            (band_product(self.lap_u, u) + band_product(self.lap_v, v)
-             - r_nl - forcing) / (self.one_bd + da))
+            -(band_product(B[0], u) + band_product(B[1], v) + r_nl + forcing)
+            / (B[2] + da))
         return da * utt + r_nl
 
     def step(self, y: np.ndarray, j: int, zs: tuple = ()):
@@ -464,7 +464,7 @@ def time_stepping_oracle(f: np.ndarray, model: ValidatedModel, kind: str,
     shrinks by the same factor a period at either step, so the march at
     n_steps starts from the warm-up's final state, near its own orbit, and
     needs fewer of its costlier periods.  Each level is its own `_Oracle`,
-    on one assembled operator, and is marched by `_march`: its first
+    and is marched by `_march`: its first
     DAMPED_STEPS steps are damped, every later one is an implicit-midpoint
     step, so the attractor is the midpoint scheme's at n_steps.
 
@@ -475,17 +475,20 @@ def time_stepping_oracle(f: np.ndarray, model: ValidatedModel, kind: str,
     and stage_contraction, the n_steps level's final theta (0 for the
     linear kind, whose stage takes one solve).  period_tol, max_periods
     and NoPeriodicAttractor's gaps are the n_steps level's.  Too few steps
-    to resolve harmonic M raise UndersampledTime before the first step."""
+    to resolve harmonic M raise UndersampledTime, and an unknown kind or
+    max_periods < 1 ValueError, before the first step."""
     M = len(f) - 1
     check_oracle_steps(n_steps, M)
+    if max_periods < 1:
+        raise ValueError(f"max_periods must be at least 1, got {max_periods}")
     oracle = _Oracle(f, model, kind, n_steps)
-    y = np.zeros((3 if oracle.tau > 0 else 2, oracle.nr))
+    y = np.zeros((len(oracle.g), oracle.nr))
     values = np.zeros((n_steps, model.grid.nx))
     u = values[:, oracle.op.span]       # a view: Dirichlet nodes stay 0
     steps = solves = 0
     n_warmup = n_steps // WARMUP_COARSENING
     if n_warmup >= min_samples(M):
-        warmup = _Oracle(f, model, kind, n_warmup, oracle.op)
+        warmup = _Oracle(f, model, kind, n_warmup)
         # it samples into rows the march at n_steps overwrites; a gap
         # below 0 is never met, so it marches all its periods
         y, _ = _march(warmup, y, u[:n_warmup], WARMUP_PERIODS, 0.0)

@@ -115,6 +115,20 @@ def test_restrict_extend_by_slice_equal_the_fancy_index_forms(left, right):
     np.testing.assert_array_equal(extended, fancy)
     np.testing.assert_array_equal(op.restrict(full[0].real),
                                   full[0].real[active])
+    # the Robin u_t diagonal: 2 beta / h at a Robin end, else 0, which
+    # harmonic m's diagonal carries as i m omega d_beta
+    omega = 1.7
+    ops = assemble_laplacian(grid, left, right, m=np.arange(4), omega=omega)
+    d_beta = np.zeros(9)
+    for node, bc in ((0, left), (-1, right)):
+        if not bc.is_dirichlet:
+            d_beta[node] = 2.0 * bc.beta / grid.h
+    np.testing.assert_array_equal(ops.d_beta, d_beta[active])
+    mean = assemble_laplacian(grid, left, right, m=0, omega=omega)
+    np.testing.assert_allclose(
+        ops.bands[:, 1],
+        mean.bands[1] + 1j * np.arange(4)[:, None] * omega * ops.d_beta,
+        rtol=1e-15, atol=0)
 
 
 def test_dual_norm_on_operator_eigenvector():

@@ -290,6 +290,24 @@ def test_oracle_reports_missing_attractor():
     assert len(exc.value.gaps) == 2
 
 
+@pytest.mark.parametrize("kind, max_periods, message", [
+    ("westerveltt", 200, "unknown kind"),
+    ("westervelt", 0, "max_periods must be"),
+    ("linear", -1, "max_periods must be"),
+], ids=["misspelled-kind", "no-periods", "negative-periods"])
+def test_oracle_rejects_bad_input_before_the_first_step(monkeypatch, kind,
+                                                        max_periods, message):
+    # before the check, a misspelled kind marched as the linear kind and a
+    # max_periods of 0 ended in an IndexError after marching nothing
+    def stage(*args):
+        raise AssertionError("the oracle took a step")
+    monkeypatch.setattr(_Oracle, "_stage", stage)
+    model = make_model(nx=17, eta=1.0)
+    with pytest.raises(ValueError, match=message):
+        time_stepping_oracle(drive(model, M=2), model, kind, n_steps=64,
+                             max_periods=max_periods)
+
+
 def test_oracle_tau_zero_path():
     model = make_model(tau=0.0)
     f = drive(model, M=2)
