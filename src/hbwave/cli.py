@@ -23,13 +23,9 @@ from .io import (
     build_setup,
     parse_config,
     write_csv,
-    write_energy_csv,
     write_error_record,
-    write_oracle_csv,
     write_run_info,
     write_solution_csv,
-    write_tau_sweep_csv,
-    write_taylor_csv,
 )
 from .nonlinear import solve
 from .studies import (
@@ -99,7 +95,8 @@ def _run_verb(verb: str, setup, out: str) -> dict:
         report = compute_energies(u, setup.model)
         # first: its terms square u, so a non-finite u or energy fails
         # there, in write_csv, before any file is written
-        write_energy_csv(os.path.join(out, "energy.csv"), report)
+        write_csv(os.path.join(out, "energy.csv"),
+                  ("term_name", "level", "value"), report.rows())
         if verb == "solve":
             write_solution_csv(os.path.join(out, "solution.csv"), u,
                                setup.model.grid)
@@ -113,7 +110,10 @@ def _run_verb(verb: str, setup, out: str) -> dict:
         given = {"taus": setup.study["taus"]} if "taus" in setup.study else {}
         result = tau_sweep(setup.f, setup.model, kind=setup.solver_kind,
                            opts=setup.options, **given)
-        write_tau_sweep_csv(os.path.join(out, "tau_sweep.csv"), result)
+        header = ("tau", "d_lo", "d_me", "rate", "E_lo_ratio", "ratio_me",
+                  "ratio_hi")
+        write_csv(os.path.join(out, "tau_sweep.csv"), header,
+                  ([r[key] for key in header] for r in result.rows))
         print(f"wrote tau_sweep.csv ({len(result.rows)} rows)")
         return extra
 
@@ -126,7 +126,10 @@ def _run_verb(verb: str, setup, out: str) -> dict:
                  else {})
         result = taylor_test(setup.f, setup.f, setup.model,
                              setup.solver_kind, opts=setup.options, **given)
-        write_taylor_csv(os.path.join(out, "taylor.csv"), result)
+        write_csv(os.path.join(out, "taylor.csv"),
+                  ("eps", "remainder", "slope"),
+                  [(r["eps"], r["remainder"], r["slope"])
+                   for r in result.rows])
         extra["picard_iterations"] = result.metadata["picard_iterations"]
         slopes = [r["slope"] for r in result.rows if r["slope"] is not None]
         print(f"wrote taylor.csv (slopes: "
@@ -134,13 +137,9 @@ def _run_verb(verb: str, setup, out: str) -> dict:
         return extra
 
     if verb == "converge":
-        case = setup.study.get("case", "linear-dirichlet")
-        grids = setup.study.get("grids", [65, 129, 257])
-        p = setup.model.params
-        coeffs = {k: float(np.asarray(getattr(p, k)).reshape(-1)[0])
-                  for k in ("tau", "taubar", "b", "c2", "eta", "eta_tilde")}
-        coeffs["T"] = p.T
-        result = convergence_study(case, coeffs, setup.model.grid.L, grids)
+        # the configured model's manufactured solution; [forcing] is unused
+        result = convergence_study(setup.model, setup.solver_kind,
+                                   setup.options)
         header = ("nx", "h", "err_l2l2", "err_u0lo", "order_l2l2",
                   "order_u0lo")
         rows = [(r["nx"], r["h"], r["err_l2l2"], r["err_u0lo"],
@@ -164,9 +163,9 @@ def _run_verb(verb: str, setup, out: str) -> dict:
         extra["metrics"].update(
             {f"oracle_{k}": v for k, v in counts.items()})
         d = oracle_discrepancy(u, samples, setup.model)
-        write_oracle_csv(os.path.join(out, "oracle.csv"),
-                         {"discrepancy": d, "periodicity_gap": gap,
-                          "dt": setup.model.params.T / n_steps})
+        write_csv(os.path.join(out, "oracle.csv"), ("metric", "value"),
+                  sorted({"discrepancy": d, "periodicity_gap": gap,
+                          "dt": setup.model.params.T / n_steps}.items()))
         print(f"wrote oracle.csv (discrepancy = {d:.6e})")
         return extra
 

@@ -69,20 +69,12 @@ class UndersampledTime(HbwaveError):
     pass
 
 
-class UnknownCase(HbwaveError):
-    pass
-
-
 # --- numerical failures: the solve left the theory -------------------------
 
 class NumericalFailure(HbwaveError):
     """Base for the failures that exit 2; nothing raises it directly."""
 
     exit_code = 2
-
-
-class SingularMeanMode(NumericalFailure):
-    pass
 
 
 class SolveFailure(NumericalFailure):

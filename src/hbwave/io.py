@@ -23,7 +23,6 @@ from .errors import (
     ConfigSyntaxError,
     NonFiniteResult,
     TypeMismatch,
-    UnknownCase,
     UnknownKey,
 )
 from .model import (
@@ -36,7 +35,7 @@ from .model import (
     validate_model,
 )
 from .linear import FixedPointOptions
-from .studies import CASE_IDS, CASE_M, MIN_LEVELS, check_oracle_steps
+from .studies import MIN_LEVELS, check_oracle_steps
 
 _SCHEMA = {
     "domain": {"l", "nx"},
@@ -47,8 +46,7 @@ _SCHEMA = {
     "forcing": {"profile"},          # plus amplitude_<m> keys
     "solver": {"kind", "tol", "max_iter", "relaxation", "degeneracy_floor",
                "ball_radius"},
-    "study": {"case", "grids", "taus", "eps", "dt_divisor", "max_periods",
-              "period_tol"},
+    "study": {"taus", "eps", "dt_divisor", "max_periods", "period_tol"},
 }
 
 PROFILES = {
@@ -185,15 +183,6 @@ def _boundary(raw: dict, section: str) -> BoundaryCondition:
     return BoundaryCondition(kind=kind, beta=beta, gamma=gamma)
 
 
-def _check_size(what: str, nx: int, M: int):
-    # checked before anything of size nx or (M + 1) nx is allocated
-    if nx < MIN_NODES:
-        raise TypeMismatch(f"{what} = {nx}; need >= {MIN_NODES}")
-    if (M + 1) * nx > MAX_UNKNOWNS:
-        raise TypeMismatch(f"{what} = {nx}: (M + 1) * nx = {(M + 1) * nx} "
-                           f"unknowns per field exceed {MAX_UNKNOWNS}")
-
-
 def build_setup(raw: dict, config_path: str) -> RunSetup:
     """Turn a parsed config into a validated model, forcing and options."""
     config_dir = os.path.dirname(os.path.abspath(config_path))
@@ -205,7 +194,13 @@ def build_setup(raw: dict, config_path: str) -> RunSetup:
     M = _as_int("time", "m", tim.get("m", "8"))
     if M < 1:
         raise TypeMismatch(f"[time] m = {M}; need >= 1")
-    _check_size("[domain] nx", nx, M)
+    # checked before anything of size nx or (M + 1) nx is allocated
+    if nx < MIN_NODES:
+        raise TypeMismatch(f"[domain] nx = {nx}; need >= {MIN_NODES}")
+    if (M + 1) * nx > MAX_UNKNOWNS:
+        raise TypeMismatch(f"[domain] nx = {nx}: (M + 1) * nx = "
+                           f"{(M + 1) * nx} unknowns per field exceed "
+                           f"{MAX_UNKNOWNS}")
     grid = Grid(L=L, nx=nx)
 
     phys = raw["physics"]
@@ -266,18 +261,12 @@ def build_setup(raw: dict, config_path: str) -> RunSetup:
 
     study = {}
     st = raw.get("study", {})
-    if "case" in st:
-        study["case"] = st["case"].strip()
-        if study["case"] not in CASE_IDS:
-            raise UnknownCase(f"[study] case = {study['case']!r}; known: "
-                              f"{CASE_IDS}")
-    for key, convert, need in (("grids", int, MIN_LEVELS), ("taus", float, 1),
-                               ("eps", float, MIN_LEVELS)):
+    for key, need in (("taus", 1), ("eps", MIN_LEVELS)):
         if key not in st:
             continue
         try:
-            study[key] = [convert(p)
-                          for p in st[key].replace(",", " ").split()]
+            study[key] = [float(v)
+                          for v in st[key].replace(",", " ").split()]
         except ValueError:
             raise TypeMismatch(f"[study] {key} = {st[key]!r} is not a "
                                "numeric list")
@@ -288,8 +277,6 @@ def build_setup(raw: dict, config_path: str) -> RunSetup:
         if key != "taus" and not all(0 < v < np.inf for v in study[key]):
             raise TypeMismatch(f"[study] {key} = {st[key]!r}; need finite "
                                "values > 0")
-    for g in study.get("grids", ()):
-        _check_size("[study] grids level", g, CASE_M)
     for tau in study.get("taus", ()):
         model.with_params(params.with_tau(tau))
     for key, convert in (("dt_divisor", _as_int), ("max_periods", _as_int),
@@ -409,28 +396,6 @@ def read_solution_csv(path: str) -> np.ndarray:
     u.real[m, j] = rows["re"]
     u.imag[m, j] = rows["im"]
     return u
-
-
-def write_energy_csv(path: str, report):
-    write_csv(path, ("term_name", "level", "value"), report.rows())
-
-
-TAU_SWEEP_HEADER = ("tau", "d_lo", "d_me", "rate", "E_lo_ratio", "ratio_me",
-                    "ratio_hi")
-
-
-def write_tau_sweep_csv(path: str, result):
-    write_csv(path, TAU_SWEEP_HEADER,
-              ([r[key] for key in TAU_SWEEP_HEADER] for r in result.rows))
-
-
-def write_taylor_csv(path: str, result):
-    rows = [(r["eps"], r["remainder"], r["slope"]) for r in result.rows]
-    write_csv(path, ("eps", "remainder", "slope"), rows)
-
-
-def write_oracle_csv(path: str, metrics: dict):
-    write_csv(path, ("metric", "value"), sorted(metrics.items()))
 
 
 def write_error_record(output_dir: str, exc, **extra) -> str:

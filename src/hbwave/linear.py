@@ -35,7 +35,6 @@ from .errors import (
     MaxIterExceeded,
     NonContraction,
     NonConvergedIteration,
-    SingularMeanMode,
     SolveFailure,
 )
 from .model import Frozen, ValidatedModel
@@ -54,12 +53,8 @@ def assemble_harmonic_system(model: ValidatedModel, M: int):
     Returns (op, bands): `op` restricts and extends nodal vectors, `bands`
     has shape (M+1, 3, nr) in LAPACK (1, 1) storage with bands[m] = A_m.
     """
-    # A_0 = c2 (-Lap_0) is singular when neither end anchors the mean: no
-    # Dirichlet node and no Robin term gamma
-    if not (model.bc_left.anchors_mean or model.bc_right.anchors_mean):
-        raise SingularMeanMode(
-            "mean-mode operator is singular: no impedance or Dirichlet "
-            "endpoint")
+    # A_0 = c2 (-Lap_0) is nonsingular: validation asks for a Dirichlet
+    # end or an impedance end, whose gamma > 0 anchors the mean
     p = model.params
     m = np.arange(M + 1)
     mw = m * p.omega

@@ -70,10 +70,6 @@ class BoundaryCondition(Frozen):
     def is_dirichlet(self) -> bool:
         return self.kind is BCKind.DIRICHLET
 
-    @property
-    def anchors_mean(self) -> bool:     # u = 0, or gamma u at m = 0
-        return self.is_dirichlet or self.gamma != 0.0
-
 
 class Grid(Frozen):
     """Uniform nodes on [0, L]."""

@@ -10,16 +10,18 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .diagnostics import compute_energies, energy_ratios
-from .errors import (NoPeriodicAttractor, StepRejected, UndersampledTime,
-                     UnknownCase)
+from .errors import (NoPeriodicAttractor, StepRejected, TypeMismatch,
+                     UndersampledTime)
 from .linear import solve_linearized
 from .model import (
-    BCKind,
-    BoundaryCondition,
+    MIN_NODES,
     Grid,
     PhysicalParams,
     ValidatedModel,
+    dealiased_samples,
     min_samples,
+    time_derivative,
+    to_harmonics,
     to_time_samples,
     validate_model,
 )
@@ -28,10 +30,8 @@ from .norms import l2l2_norm, u0lo_norm, u0me_norm
 from .spatial import (assemble_laplacian, band_product, gradient,
                       scale_rows, tridiagonal_solver)
 
-CASE_IDS = ("linear-dirichlet", "linear-impedance", "westervelt-dirichlet",
-            "kuznetsov-dirichlet")
 MIN_LEVELS = 3      # fewest grids or epsilons: two observed orders
-CASE_M = 2          # harmonics of a convergence study's cases
+MMS_AMPLITUDE = 1e-2        # the manufactured solution's amplitude A
 ORACLE_STEPS = 512   # the oracle's default steps per period
 DAMPED_STEPS = 2     # each level's first steps, taken as _Oracle.damped_step
 WARMUP_PERIODS = 2   # periods of the coarse warm-up level
@@ -44,87 +44,85 @@ class StudyResult:
         self.metadata = {} if metadata is None else metadata
 
 
-class ManufacturedCase:
-    def __init__(self, u_star: np.ndarray, f: np.ndarray,
-                 bc_left: BoundaryCondition, bc_right: BoundaryCondition,
-                 kind: str):
-        self.u_star = u_star
-        self.f = f
-        self.bc_left = bc_left
-        self.bc_right = bc_right
-        self.kind = kind      # "linear", "westervelt" or "kuznetsov"
+def manufactured_case(model: ValidatedModel, kind: str):
+    """(u_star, f): a periodic solution u* of the model's equation and of
+    its ends' conditions, with the forcing f that makes it one, by the
+    method of manufactured solutions (Roache, J. Fluids Eng. 124 (2002)
+    4-10).
+
+    u*_m = (A/2) phi_m for m = 1..K, phi_m = sin(pi x / L) + a_m x^2 +
+    c_m (L - x)^2, with K = min(2, M) for the linear kind and
+    min(2, M // 2) for a nonlinear one, so that r[u*] has no harmonic above
+    M; a nonlinear kind with M < 2 raises TypeMismatch.  x^2 and its slope
+    vanish at 0, and (L - x)^2 and its slope at L, so each end's condition
+    fixes one coefficient alone: 0 at a Dirichlet end, where the sine
+    vanishes, and pi / (L^2 (2 + q_m L)) at a Robin end, whose condition is
+    -phi'(0) + q_m phi(0) = 0 or phi'(L) + q_m phi(L) = 0 with
+    q_m = bc.robin_coefficient(m, omega).  f = -(A_m u*_m +
+    r_m[u*]) takes the exact phi'', the model's nodal coefficients and
+    exact samples of u*, u*_t and u*_x on `dealiased_samples(M)`, so the
+    discrete solution differs from u* by the spatial error alone."""
+    grid, p, M = model.grid, model.params, model.M
+    L, x, omega, k = grid.L, grid.nodes, p.omega, np.pi / grid.L
+    # r is quadratic, so it reaches harmonic 2K
+    K = min(2, M // 2 if kind in KINDS else M)
+    if K < 1:
+        raise TypeMismatch(f"a manufactured solution of the {kind} kind "
+                           f"needs M >= 2, got M = {M}")
+    u, ux, uxx = (np.zeros((M + 1, grid.nx), complex) for _ in range(3))
+    for m in range(1, K + 1):
+        a, c = (0.0 if bc.is_dirichlet else
+                k / (L * (2.0 + bc.robin_coefficient(m, omega) * L))
+                for bc in (model.bc_right, model.bc_left))
+        u[m] = np.sin(k * x) + a * x**2 + c * (L - x)**2
+        ux[m] = k * np.cos(k * x) + 2.0 * (a * x - c * (L - x))
+        uxx[m] = 2.0 * (a + c) - k * k * np.sin(k * x)
+    for v in (u, ux, uxx):
+        v *= 0.5 * MMS_AMPLITUDE
+    mw = np.arange(M + 1)[:, None] * omega
+    # A_m u_m = (-i tau (m w)^3 - (m w)^2) u_m + (c2 + i m w b) (-u_m'')
+    f = (1j * p.tau * mw**3 + mw**2) * u + (p.c2 + 1j * mw * p.b) * uxx
+    nt = dealiased_samples(M)
+    if kind == "westervelt":        # r = eta (u^2)_tt
+        f -= p.eta * time_derivative(
+            to_harmonics(to_time_samples(u, nt)**2, M), omega, 2)
+    elif kind == "kuznetsov":       # r = (eta~ u_t^2 + u_x^2)_t
+        q = (p.eta_tilde * to_time_samples(time_derivative(u, omega), nt)**2
+             + to_time_samples(ux, nt)**2)
+        f -= time_derivative(to_harmonics(q, M), omega)
+    return u, f
 
 
-def manufactured_case(case_id: str, params: PhysicalParams, grid: Grid,
-                      M: int = 2, amplitude: float = 1e-3) -> ManufacturedCase:
-    """Exact solution A cos(w t) phi(x) with the forcing that makes it solve
-    the equation; the forcing has finite harmonic content (m <= 2)."""
-    if case_id not in CASE_IDS:
-        raise UnknownCase(f"unknown case {case_id!r}; known: {CASE_IDS}")
-    if M < 2:
-        raise ValueError("manufactured cases need M >= 2")
-    omega = params.omega
-    x = grid.nodes
-    A = amplitude
+def convergence_study(model: ValidatedModel, kind: str,
+                      opts: FixedPointOptions | None = None) -> StudyResult:
+    """Errors of the solve against `manufactured_case` on the model's grid
+    and on the grids coarsened by 2 and 4, coarsest first, and the observed
+    orders between them.  A coarse level takes every 2nd or 4th node and
+    nodal coefficient, so nodal data need no interpolation.
 
-    if case_id == "linear-impedance":
-        k = 0.75 * np.pi / grid.L        # cot(kL) = -1, so gamma = k > 0
-        bc_left = BoundaryCondition(BCKind.DIRICHLET)
-        bc_right = BoundaryCondition(BCKind.IMPEDANCE, gamma=k)
-    else:
-        k = np.pi / grid.L
-        bc_left = BoundaryCondition(BCKind.DIRICHLET)
-        bc_right = BoundaryCondition(BCKind.DIRICHLET)
-    phi = np.sin(k * x)
-
-    u_star = np.zeros((M + 1, grid.nx), complex)
-    u_star[1] = 0.5 * A * phi
-
-    # f = -(tau u_ttt + u_tt - c^2 Lap u - b Lap u_t + N(u));  Lap u = -k^2 u
-    f = np.zeros((M + 1, grid.nx), complex)
-    lin = ((-1j * params.tau * omega**3 - omega**2)
-           + (params.c2 + 1j * omega * params.b) * k**2)
-    f[1] = -lin * u_star[1]
-
-    if case_id == "westervelt-dirichlet":
-        # eta (u^2)_tt = -2 eta A^2 w^2 phi^2 cos(2wt)
-        f[2] = params.eta * A**2 * omega**2 * phi**2
-        kind = "westervelt"
-    elif case_id == "kuznetsov-dirichlet":
-        # (eta~ u_t^2 + |grad u|^2)_t = -2 w d(x) sin(2wt)
-        dphi = k * np.cos(k * x)
-        d = 0.5 * A**2 * (dphi**2 - params.eta_tilde * omega**2 * phi**2)
-        f[2] = -1j * omega * d
-        kind = "kuznetsov"
-    else:
-        kind = "linear"
-    return ManufacturedCase(u_star=u_star, f=f, bc_left=bc_left,
-                            bc_right=bc_right, kind=kind)
-
-
-def convergence_study(case_id: str, coeffs: dict, L: float, nx_list,
-                      M: int = CASE_M, amplitude: float = 1e-3) -> StudyResult:
-    """Dyadic-refinement errors against the manufactured solution.
-
-    coeffs holds scalar tau, taubar, b, c2, eta, eta_tilde, T; nodal arrays
-    are rebuilt per grid level.
-    """
-    if len(nx_list) < MIN_LEVELS:
-        raise ValueError(f"need >= {MIN_LEVELS} grids for observed orders")
+    Raises TypeMismatch, before any solve, unless (nx - 1) % 4 == 0 and
+    the coarsest level has MIN_NODES nodes or more, or when
+    `manufactured_case` does."""
+    grid, p, M = model.grid, model.params, model.M
+    if (grid.nx - 1) % 4 or (grid.nx - 1) // 4 + 1 < MIN_NODES:
+        raise TypeMismatch(
+            f"converge needs nx = 4 k + 1 >= {4 * MIN_NODES - 3}, its "
+            f"coarsest level every 4th node, got nx = {grid.nx}")
     rows = []
-    for nx in nx_list:
-        grid = Grid(L=L, nx=nx)
-        params = PhysicalParams.create(grid, **coeffs)
-        case = manufactured_case(case_id, params, grid, M=M,
-                                 amplitude=amplitude)
-        model = validate_model(grid, params, case.bc_left, case.bc_right, M)
-        u = solve(case.f, model, case.kind).u
-        err = u - case.u_star
+    for s in (4, 2, 1):     # the level takes every s-th node
+        level = validate_model(
+            Grid(L=grid.L, nx=(grid.nx - 1) // s + 1),
+            PhysicalParams(tau=p.tau, taubar=p.taubar, b=p.b[::s],
+                           c2=p.c2[::s], eta=p.eta[::s],
+                           eta_tilde=p.eta_tilde[::s], T=p.T),
+            model.bc_left, model.bc_right, M)
+        u_star, f = manufactured_case(level, kind)
+        err = solve(f, level, kind, opts).u - u_star
         rows.append({
-            "nx": nx,
-            "h": grid.h,
-            "err_l2l2": l2l2_norm(err, grid, params.omega, params.T),
-            "err_u0lo": u0lo_norm(err, grid, params.omega, params.T),
+            "nx": level.grid.nx,
+            "h": level.grid.h,
+            "err_l2l2": l2l2_norm(err, level.grid, p.omega, p.T),
+            "err_u0lo": u0lo_norm(err, level.grid, p.omega, p.T),
         })
     for i in range(1, len(rows)):
         ratio_h = rows[i - 1]["h"] / rows[i]["h"]

@@ -3,6 +3,7 @@ PASS/FAIL line.  Tolerances are pinned here and nowhere else."""
 import numpy as np
 import pytest
 
+from exact_cases import linear_dirichlet_case
 from hbwave.diagnostics import choose_multipliers, energy_identity_residual
 from hbwave.errors import (
     DegeneracyDetected,
@@ -19,9 +20,8 @@ from hbwave.model import (
     validate_model,
 )
 from hbwave.nonlinear import FixedPointOptions, fixed_point_solve
+from hbwave.norms import l2l2_norm
 from hbwave.studies import (
-    convergence_study,
-    manufactured_case,
     oracle_discrepancy,
     tau_sweep,
     taylor_test,
@@ -56,9 +56,15 @@ def report(n, ok, detail):
 def test_criterion_01_manufactured_convergence():
     """Linear Dirichlet manufactured solution: L2(L2) order 2.0 +- 0.2
     over Nx in {65, 129, 257}."""
-    result = convergence_study("linear-dirichlet", COEFFS, 1.0,
-                               [65, 129, 257])
-    orders = result.metadata["orders_l2l2"]
+    errors, h = [], []
+    for nx in (65, 129, 257):
+        model, u_star, f = linear_dirichlet_case(nx)
+        p = model.params
+        errors.append(l2l2_norm(solve_linear_mgt(f, model) - u_star,
+                                model.grid, p.omega, p.T))
+        h.append(model.grid.h)
+    orders = [float(np.log(errors[i - 1] / errors[i])
+                    / np.log(h[i - 1] / h[i])) for i in (1, 2)]
     ok = all(abs(o - 2.0) <= 0.2 for o in orders)
     report(1, ok, f"observed orders {['%.3f' % o for o in orders]}")
 
@@ -218,24 +224,18 @@ def test_criterion_09_energy_identity_residual():
     clearly nonzero on a perturbed non-solution field."""
     vals = []
     for nx in (65, 129, 257):
-        grid = Grid(1.0, nx)
-        params = PhysicalParams.create(grid, **COEFFS)
-        case = manufactured_case("linear-dirichlet", params, grid)
-        model = validate_model(grid, params, case.bc_left, case.bc_right)
-        u = solve_linear_mgt(case.f, model)
+        model, _, f = linear_dirichlet_case(nx)
+        u = solve_linear_mgt(f, model)
         mult = choose_multipliers(model)
-        vals.append(energy_identity_residual(u, case.f, mult, model))
+        vals.append(energy_identity_residual(u, f, mult, model))
     order = float(np.log2(vals[-2] / vals[-1]))
-    grid = Grid(1.0, 65)
-    params = PhysicalParams.create(grid, **COEFFS)
-    case = manufactured_case("linear-dirichlet", params, grid)
-    model = validate_model(grid, params, case.bc_left, case.bc_right)
-    u = solve_linear_mgt(case.f, model)
+    model, _, f = linear_dirichlet_case(65)
+    u = solve_linear_mgt(f, model)
     perturbed = u.copy()
     perturbed[1] *= 1.05
     mult = choose_multipliers(model)
-    res_good = energy_identity_residual(u, case.f, mult, model)
-    res_bad = energy_identity_residual(perturbed, case.f, mult, model)
+    res_good = energy_identity_residual(u, f, mult, model)
+    res_bad = energy_identity_residual(perturbed, f, mult, model)
     ok = (vals[0] > vals[1] > vals[2]
           and abs(order - 2.0) <= 0.25
           and res_bad > 10 * res_good)

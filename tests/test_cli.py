@@ -125,12 +125,54 @@ def test_deriv_check_writes_taylor_csv(config, tmp_path):
     assert all(isinstance(n, int) and n >= 1 for n in iterations["eps"])
 
 
-def test_converge_verb(config, tmp_path):
-    code, out = run(config, tmp_path, "converge",
-                    "-s", "study.case=linear-dirichlet",
-                    "-s", "study.grids=33 65 129")
+def convergence_rows(out):
+    with open(os.path.join(out, "convergence.csv")) as fh:
+        lines = fh.read().splitlines()
+    assert lines[0] == "nx,h,err_l2l2,err_u0lo,order_l2l2,order_u0lo"
+    return [line.split(",") for line in lines[1:]]
+
+
+def test_converge_verb_ignores_the_forcing(config, tmp_path):
+    # the configured grid, coarsened by 4 and by 2, and no [forcing] input
+    code, out = run(config, tmp_path, "converge")
     assert code == 0
-    assert os.path.exists(os.path.join(out, "convergence.csv"))
+    rows = convergence_rows(out)
+    assert [row[0] for row in rows] == ["9", "17", "33"]
+    out2 = str(tmp_path / "out2")
+    assert run_command(["converge", config, "-o", out2, "-s",
+                        "forcing.amplitude_1=5", "-s",
+                        "forcing.profile=gaussian"]) == 0
+    assert convergence_rows(out2) == rows
+
+
+def test_converge_verb_checks_the_configured_model(config, tmp_path):
+    # nodal b and c2 files, an absorbing right end and the Westervelt kind
+    x = np.linspace(0.0, 1.0, 65)
+    np.savetxt(tmp_path / "b.txt", 1.0 + 0.08 * np.cos(np.pi * x))
+    np.savetxt(tmp_path / "c2.txt", 1.0 - 0.06 * np.cos(2.0 * np.pi * x))
+    code, out = run(config, tmp_path, "converge", "-s", "domain.nx=65",
+                    "-s", "physics.b=b.txt", "-s", "physics.c2=c2.txt",
+                    "-s", "bc.right.kind=absorbing", "-s", "bc.right.beta=1")
+    assert code == 0
+    rows = convergence_rows(out)
+    assert [row[0] for row in rows] == ["17", "33", "65"]
+    for row in rows[1:]:
+        for order in row[4:]:
+            assert float(order) == pytest.approx(2.0, abs=0.1)
+
+
+@pytest.mark.parametrize("override", [
+    "domain.nx=34",     # nx - 1 is not a multiple of 4
+    "domain.nx=13",     # the coarsest level would have 4 nodes
+    "time.m=1",         # the config's Westervelt kind needs M >= 2
+])
+def test_converge_rejects_its_grid_before_any_solve(config, tmp_path,
+                                                    override):
+    code, out = run(config, tmp_path, "converge", "-s", override)
+    assert code == 1
+    with open(os.path.join(out, "error.json")) as fh:
+        assert json.load(fh)["kind"] == "TypeMismatch"
+    assert not os.path.exists(os.path.join(out, "convergence.csv"))
 
 
 def test_oracle_compare_verb(config, tmp_path):
@@ -424,21 +466,17 @@ def test_no_success_exit_without_outputs(config, tmp_path):
     ("study.period_tol=nan", "TypeMismatch"),
     ("study.taus=", "TypeMismatch"),
     ("study.eps=", "TypeMismatch"),
-    ("study.grids=", "TypeMismatch"),
     ("study.eps=1", "TypeMismatch"),
-    ("study.grids=65", "TypeMismatch"),
     ("study.eps=0.1,0,0.001", "TypeMismatch"),
     ("study.eps=0.1,inf,0.001", "TypeMismatch"),
-    ("study.grids=0,65,129", "TypeMismatch"),
-    ("study.grids=1,65,129", "TypeMismatch"),
-    ("study.grids=65,129,100000000", "TypeMismatch"),
     ("domain.nx=-5", "TypeMismatch"),
     ("domain.nx=3", "TypeMismatch"),      # the energies read four nodes
     ("domain.nx=4", "TypeMismatch"),      # two interior nodes: see MIN_NODES
     ("domain.nx=100000000", "TypeMismatch"),
     ("domain.nx=1000000000000", "TypeMismatch"),
     ("time.m=1000000000000", "TypeMismatch"),
-    ("study.case=bogus", "UnknownCase"),
+    ("study.case=linear-dirichlet", "UnknownKey"),    # not in the schema
+    ("study.grids=65,129,257", "UnknownKey"),
 ])
 def test_degenerate_input_exits_one_with_record(config, tmp_path, override,
                                                 kind):

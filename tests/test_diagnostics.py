@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from exact_cases import linear_dirichlet_case
 from hbwave.diagnostics import (
     choose_multipliers,
     compute_energies,
@@ -19,7 +20,6 @@ from hbwave.model import (
     validate_model,
 )
 from hbwave.nonlinear import solve
-from hbwave.studies import manufactured_case
 
 DIRICHLET = BoundaryCondition(BCKind.DIRICHLET)
 
@@ -99,14 +99,10 @@ def test_identity_residual_small_on_solution_large_on_perturbation():
 def test_identity_residual_refines_at_second_order():
     vals = []
     for nx in (33, 65, 129):
-        grid = Grid(1.0, nx)
-        params = PhysicalParams.create(grid, tau=0.1, taubar=0.5, b=1.0,
-                                       c2=1.0, T=2 * np.pi)
-        case = manufactured_case("linear-dirichlet", params, grid)
-        model = validate_model(grid, params, case.bc_left, case.bc_right)
-        u = solve_linear_mgt(case.f, model)
+        model, _, f = linear_dirichlet_case(nx)
+        u = solve_linear_mgt(f, model)
         vals.append(energy_identity_residual(
-            u, case.f, choose_multipliers(model), model))
+            u, f, choose_multipliers(model), model))
     assert vals[0] > vals[1] > vals[2]
     assert np.log2(vals[1] / vals[2]) > 1.5
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from hbwave.errors import NonContraction, SingularMeanMode, SolveFailure
+from exact_cases import linear_dirichlet_case
+from hbwave.errors import NonContraction, SolveFailure
 from hbwave.linear import (
     NONCONTRACTION_PATIENCE,
     _one_norms,
@@ -21,10 +22,8 @@ from hbwave.model import (
 )
 from hbwave.norms import l2l2_norm
 from hbwave.spatial import band_product, tridiagonal_solver
-from hbwave.studies import manufactured_case
 
 DIRICHLET = BoundaryCondition(BCKind.DIRICHLET)
-NEUMANN = BoundaryCondition(BCKind.NEUMANN)
 
 
 def make_model(nx=65, **kw):
@@ -43,14 +42,11 @@ def test_zero_forcing_gives_zero_solution():
 
 
 def test_manufactured_linear_solution_recovered():
-    grid = Grid(1.0, 129)
-    params = PhysicalParams.create(grid, tau=0.1, taubar=0.5, b=1.0, c2=1.0,
-                                   T=2 * np.pi)
-    case = manufactured_case("linear-dirichlet", params, grid)
-    model = validate_model(grid, params, case.bc_left, case.bc_right)
-    u = solve_linear_mgt(case.f, model)
-    err = l2l2_norm(u - case.u_star, grid, params.omega, params.T)
-    ref = l2l2_norm(case.u_star, grid, params.omega, params.T)
+    model, u_star, f = linear_dirichlet_case(129)
+    grid, params = model.grid, model.params
+    u = solve_linear_mgt(f, model)
+    err = l2l2_norm(u - u_star, grid, params.omega, params.T)
+    ref = l2l2_norm(u_star, grid, params.omega, params.T)
     assert err / ref < 5e-4
 
 
@@ -61,26 +57,6 @@ def test_residual_of_computed_solution_is_tiny():
     f[3] = 0.3j * np.sin(2 * np.pi * model.grid.nodes)
     u = solve_linear_mgt(f, model)
     assert linear_residual(u, f, model) < 1e-12
-
-
-def test_mean_mode_without_anchor_raises():
-    grid = Grid(1.0, 17)
-    params = PhysicalParams.create(grid, tau=0.1, taubar=0.5, b=1.0, c2=1.0,
-                                   T=2 * np.pi)
-
-    def system(left, right):
-        # validation rejects these endpoint pairs; the check stands alone
-        return assemble_harmonic_system(type("M", (), {
-            "params": params, "grid": grid, "bc_left": left,
-            "bc_right": right})(), 0)
-
-    # beta does not anchor the mean mode: its Robin term is i m omega beta
-    for right in (NEUMANN, BoundaryCondition(BCKind.ABSORBING, beta=1.0)):
-        with pytest.raises(SingularMeanMode):
-            system(NEUMANN, right)
-    for right in (DIRICHLET, BoundaryCondition(BCKind.IMPEDANCE, gamma=1.0)):
-        _, bands = system(NEUMANN, right)
-        tridiagonal_solver(bands)       # raises on a zero pivot
 
 
 def test_harmonic_system_diagonal_shift():

@@ -207,11 +207,15 @@ def test_tau_above_taubar_rejected():
 
 
 def test_measure_assumption_needs_anchoring_endpoint():
+    # beta does not anchor the mean mode: its Robin term is i m omega beta
     grid = Grid(1.0, 9)
     neumann = BoundaryCondition(BCKind.NEUMANN)
-    codes = {v.code for v in collect_violations(
-        grid, make_params(grid), neumann, neumann)}
-    assert "MeasureAssumptionViolation" in codes
+    absorbing = BoundaryCondition(BCKind.ABSORBING, beta=1.0)
+    for left, right in ((neumann, neumann), (absorbing, neumann),
+                        (absorbing, absorbing)):
+        codes = {v.code for v in collect_violations(
+            grid, make_params(grid), left, right)}
+        assert "MeasureAssumptionViolation" in codes
 
 
 def test_stability_condition_rejected_when_violated():

@@ -3,8 +3,10 @@
 (the energy identity and the boundary traces) read a boundary condition's
 `beta` or `gamma`, or call `robin_coefficient`; every other module takes
 the end rows, and the Robin u_t diagonal `d_beta`, from the assembled
-operator.  This guard parses the package source and fails on any other
-read."""
+operator.  The one exception is `studies.manufactured_case`, whose exact
+solution must meet each end's condition as the model states it, apart
+from the operator it checks.  This guard parses the package source and
+fails on any other read."""
 import ast
 from pathlib import Path
 
@@ -13,6 +15,7 @@ import pytest
 SRC = Path(__file__).resolve().parents[1] / "src" / "hbwave"
 NAMES = {"beta", "gamma", "robin_coefficient"}
 ALLOWED = {"spatial.py", "model.py", "diagnostics.py"}
+EXEMPT = {("studies.py", "manufactured_case")}   # (file, top-level function)
 
 
 def boundary_reads(tree):
@@ -37,6 +40,8 @@ def boundary_reads(tree):
                          ids=lambda p: p.name)
 def test_boundary_terms_are_read_in_one_place(path):
     tree = ast.parse(path.read_text(), filename=str(path))
+    tree.body = [node for node in tree.body
+                 if (path.name, getattr(node, "name", None)) not in EXEMPT]
     assert sorted(boundary_reads(tree)) == []
 
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from hbwave.diagnostics import compute_energies, energy_ratios
-from hbwave.errors import (NoPeriodicAttractor, StepRejected,
-                           UndersampledTime, UnknownCase)
+from hbwave.errors import (NoPeriodicAttractor, StepRejected, TypeMismatch,
+                           UndersampledTime)
 from hbwave.linear import solve_linear_mgt
 from hbwave.model import (
     BCKind,
@@ -45,60 +45,69 @@ def drive(model, amp=6e-3, M=4):
     return f
 
 
-def test_unknown_case_rejected():
-    grid = Grid(1.0, 9)
-    params = PhysicalParams.create(grid, **COEFFS)
-    with pytest.raises(UnknownCase):
-        manufactured_case("linear-robin", params, grid)
+# the ends of the manufactured-solution matrix; validation accepts a pair
+# with a Dirichlet or an impedance end
+ENDS = {"dirichlet": DIRICHLET,
+        "impedance": BoundaryCondition(BCKind.IMPEDANCE, gamma=1.5),
+        "neumann": BoundaryCondition(BCKind.NEUMANN),
+        "absorbing": BoundaryCondition(BCKind.ABSORBING, beta=1.0)}
+END_PAIRS = [(left, right) for left in ENDS for right in ENDS
+             if {left, right} & {"dirichlet", "impedance"}]
 
 
-def test_zero_amplitude_gives_zero_case():
-    grid = Grid(1.0, 17)
-    params = PhysicalParams.create(grid, **COEFFS)
-    case = manufactured_case("linear-dirichlet", params, grid, amplitude=0.0)
-    assert np.all(case.f == 0)
-    assert np.all(case.u_star == 0)
+def variable_model(left="dirichlet", right="absorbing", nx=129, M=4,
+                   tau=0.1):
+    """A model with space-dependent b, c2, eta and eta_tilde."""
+    grid = Grid(1.0, nx)
+    x = grid.nodes
+    params = PhysicalParams.create(
+        grid, tau=tau, taubar=0.5, b=1.0 + 0.1 * np.cos(np.pi * x),
+        c2=1.0 + 0.1 * np.sin(2.0 * np.pi * x), eta=1.0 + 0.3 * x,
+        eta_tilde=0.8 + 0.4 * x**2, T=2 * np.pi)
+    return validate_model(grid, params, ENDS[left], ENDS[right], M)
 
 
-def test_westervelt_case_has_harmonics_one_and_two():
-    grid = Grid(1.0, 33)
-    params = PhysicalParams.create(grid, **{**COEFFS, "eta": 1.0})
-    case = manufactured_case("westervelt-dirichlet", params, grid)
-    assert np.max(np.abs(case.f[1])) > 0
-    assert np.max(np.abs(case.f[2])) > 0
-    assert np.max(np.abs(case.f[0])) == 0
-
-
-def test_convergence_linear_dirichlet_second_order():
-    result = convergence_study("linear-dirichlet", COEFFS, 1.0,
-                               [33, 65, 129])
+@pytest.mark.parametrize("tau", [0.1, 0.0])
+@pytest.mark.parametrize("kind", ["linear", "westervelt", "kuznetsov"])
+@pytest.mark.parametrize("left, right", END_PAIRS,
+                         ids=[f"{left}-{right}" for left, right in END_PAIRS])
+def test_manufactured_solution_refines_at_second_order(left, right, kind,
+                                                       tau):
+    # all 72 cases take about 1 s; a nodal nonlinearity coefficient taken
+    # at the wrong nodes, or applied to the wrong term, leaves an O(h^0)
+    # error and an order near 0
+    result = convergence_study(variable_model(left, right, tau=tau), kind)
+    assert [row["nx"] for row in result.rows] == [33, 65, 129]
     assert result.metadata["pass"]
-    for order in result.metadata["orders_l2l2"]:
-        assert order == pytest.approx(2.0, abs=0.2)
+    for row in result.rows[1:]:
+        for key in ("order_l2l2", "order_u0lo"):
+            assert row[key] == pytest.approx(2.0, abs=0.1)
 
 
-def test_convergence_impedance_second_order():
-    result = convergence_study("linear-impedance", COEFFS, 1.0,
-                               [33, 65, 129])
-    assert result.metadata["pass"]
+@pytest.mark.parametrize("kind, M, harmonics", [
+    ("linear", 1, [1]), ("linear", 4, [1, 2]), ("westervelt", 3, [1]),
+    ("kuznetsov", 4, [1, 2])])
+def test_manufactured_case_keeps_r_below_harmonic_M(kind, M, harmonics):
+    # a nonlinear kind's r[u*] reaches harmonic 2K, so K <= M // 2
+    model = variable_model(nx=17, M=M)
+    u_star, f = manufactured_case(model, kind)
+    assert u_star.shape == f.shape == (M + 1, 17)
+    assert [m for m in range(M + 1) if np.any(u_star[m])] == harmonics
+    assert not np.any(f[0])
 
 
-def test_convergence_needs_three_grids():
-    with pytest.raises(ValueError):
-        convergence_study("linear-dirichlet", COEFFS, 1.0, [33, 65])
-
-
-def test_nonlinear_cases_recover_manufactured_solution():
-    for case_id, extra in (("westervelt-dirichlet", {"eta": 1.0}),
-                           ("kuznetsov-dirichlet", {"eta_tilde": 1.0})):
-        grid = Grid(1.0, 129)
-        params = PhysicalParams.create(grid, **{**COEFFS, **extra})
-        case = manufactured_case(case_id, params, grid)
-        model = validate_model(grid, params, case.bc_left, case.bc_right)
-        u = solve(case.f, model, case.kind).u
-        rel = (np.max(np.abs((u - case.u_star)))
-               / np.max(np.abs(case.u_star)))
-        assert rel < 5e-4
+@pytest.mark.parametrize("nx, M, kind", [
+    (34, 4, "linear"),          # nx - 1 is not a multiple of 4
+    (13, 4, "linear"),          # its coarsest level has 4 nodes
+    (17, 1, "westervelt"),      # no harmonic for u* below M // 2
+    (17, 1, "kuznetsov")])
+def test_convergence_study_rejects_before_any_solve(monkeypatch, nx, M,
+                                                    kind):
+    solved = []
+    monkeypatch.setattr(studies, "solve", lambda *a: solved.append(a))
+    with pytest.raises(TypeMismatch):
+        convergence_study(variable_model(nx=nx, M=M), kind)
+    assert solved == []
 
 
 def test_tau_sweep_monotone_with_reference_row():
