@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .diagnostics import compute_energies
+from . import diagnostics, nonlinear, studies
 from .errors import ConfigError, HbwaveError
 from .io import (
     apply_overrides,
@@ -26,16 +26,6 @@ from .io import (
     write_error_record,
     write_run_info,
     write_solution_csv,
-)
-from .nonlinear import solve
-from .studies import (
-    ORACLE_STEPS,
-    check_oracle_steps,
-    convergence_study,
-    oracle_discrepancy,
-    tau_sweep,
-    taylor_test,
-    time_stepping_oracle,
 )
 
 VERBS = ("solve", "sweep-tau", "energy", "deriv-check", "converge",
@@ -70,7 +60,8 @@ def _json_number(v):
 def _solve(setup, extra: dict):
     """Solve the configured problem; its report's figures go to `extra`,
     as run_info.json's `metrics`."""
-    report = solve(setup.f, setup.model, setup.solver_kind, setup.options)
+    report = nonlinear.solve(setup.f, setup.model, setup.solver_kind,
+                             setup.options)
     # the margin is -inf where alpha changes sign, which a
     # degeneracy_floor <= 0 lets through, and is written as null
     extra["metrics"] = {
@@ -92,7 +83,7 @@ def _run_verb(verb: str, setup, out: str) -> dict:
 
     if verb in ("solve", "energy"):
         u = _solve(setup, extra)
-        report = compute_energies(u, setup.model)
+        report = diagnostics.compute_energies(u, setup.model)
         # first: its terms square u, so a non-finite u or energy fails
         # there, in write_csv, before any file is written
         write_csv(os.path.join(out, "energy.csv"),
@@ -108,8 +99,9 @@ def _run_verb(verb: str, setup, out: str) -> dict:
     if verb == "sweep-tau":
         # tau_sweep's own default taus hold when the config sets none
         given = {"taus": setup.study["taus"]} if "taus" in setup.study else {}
-        result = tau_sweep(setup.f, setup.model, kind=setup.solver_kind,
-                           opts=setup.options, **given)
+        result = studies.tau_sweep(setup.f, setup.model,
+                                   kind=setup.solver_kind,
+                                   opts=setup.options, **given)
         header = ("tau", "d_lo", "d_me", "rate", "E_lo_ratio", "ratio_me",
                   "ratio_hi")
         write_csv(os.path.join(out, "tau_sweep.csv"), header,
@@ -124,8 +116,9 @@ def _run_verb(verb: str, setup, out: str) -> dict:
         # taylor_test's own default eps hold when the config sets none
         given = ({"eps_list": setup.study["eps"]} if "eps" in setup.study
                  else {})
-        result = taylor_test(setup.f, setup.f, setup.model,
-                             setup.solver_kind, opts=setup.options, **given)
+        result = studies.taylor_test(setup.f, setup.f, setup.model,
+                                     setup.solver_kind, opts=setup.options,
+                                     **given)
         write_csv(os.path.join(out, "taylor.csv"),
                   ("eps", "remainder", "slope"),
                   [(r["eps"], r["remainder"], r["slope"])
@@ -138,8 +131,8 @@ def _run_verb(verb: str, setup, out: str) -> dict:
 
     if verb == "converge":
         # the configured model's manufactured solution; [forcing] is unused
-        result = convergence_study(setup.model, setup.solver_kind,
-                                   setup.options)
+        result = studies.convergence_study(setup.model, setup.solver_kind,
+                                           setup.options)
         header = ("nx", "h", "err_l2l2", "err_u0lo", "order_l2l2",
                   "order_u0lo")
         rows = [(r["nx"], r["h"], r["err_l2l2"], r["err_u0lo"],
@@ -151,18 +144,18 @@ def _run_verb(verb: str, setup, out: str) -> dict:
         return extra
 
     if verb == "oracle-compare":
-        n_steps = setup.study.get("dt_divisor", ORACLE_STEPS)
+        n_steps = setup.study.get("dt_divisor", studies.ORACLE_STEPS)
         # too few oracle steps fail here, before the solve and the march
-        check_oracle_steps(n_steps, setup.model.M)
+        studies.check_oracle_steps(n_steps, setup.model.M)
         u = _solve(setup, extra)
         # the oracle's own defaults hold for what the config leaves out
         given = {k: setup.study[k] for k in ("max_periods", "period_tol")
                  if k in setup.study}
-        samples, gap, counts = time_stepping_oracle(
+        samples, gap, counts = studies.time_stepping_oracle(
             setup.f, setup.model, setup.solver_kind, n_steps, **given)
         extra["metrics"].update(
             {f"oracle_{k}": v for k, v in counts.items()})
-        d = oracle_discrepancy(u, samples, setup.model)
+        d = studies.oracle_discrepancy(u, samples, setup.model)
         write_csv(os.path.join(out, "oracle.csv"), ("metric", "value"),
                   sorted({"discrepancy": d, "periodicity_gap": gap,
                           "dt": setup.model.params.T / n_steps}.items()))

@@ -15,9 +15,11 @@ import json
 import os
 import tempfile
 import time
+import warnings
 
 import numpy as np
 
+from . import studies
 from .errors import (
     ConfigError,
     ConfigSyntaxError,
@@ -35,7 +37,6 @@ from .model import (
     validate_model,
 )
 from .linear import FixedPointOptions
-from .studies import MIN_LEVELS, check_oracle_steps
 
 _SCHEMA = {
     "domain": {"l", "nx"},
@@ -156,7 +157,12 @@ def _coefficient(section_vals: dict, key: str, default: float, nx: int,
         pass
     path = value if os.path.isabs(value) else os.path.join(config_dir, value)
     try:
-        arr = np.loadtxt(path, dtype=float).reshape(-1)
+        # the size check below rejects an empty or comment-only file;
+        # numpy's warning about it would be a second line on stderr
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore",
+                                    "loadtxt: input contained no data")
+            arr = np.loadtxt(path, dtype=float).reshape(-1)
     except OSError as exc:
         raise TypeMismatch(f"[physics] {key}: cannot read {path}: {exc}")
     except ValueError as exc:
@@ -261,9 +267,11 @@ def build_setup(raw: dict, config_path: str) -> RunSetup:
 
     study = {}
     st = raw.get("study", {})
-    for key, need in (("taus", 1), ("eps", MIN_LEVELS)):
+    for key in ("taus", "eps"):
         if key not in st:
             continue
+        # studies is loaded only for a config that sets eps or dt_divisor
+        need = 1 if key == "taus" else studies.MIN_LEVELS
         try:
             study[key] = [float(v)
                           for v in st[key].replace(",", " ").split()]
@@ -290,7 +298,7 @@ def build_setup(raw: dict, config_path: str) -> RunSetup:
     # comparison resolves up to harmonic M only from 2M + 2 samples on;
     # oracle-compare checks the default count, which bounds no other verb
     if "dt_divisor" in study:
-        check_oracle_steps(study["dt_divisor"], M)
+        studies.check_oracle_steps(study["dt_divisor"], M)
     return RunSetup(model=model, f=f, solver_kind=solver_kind,
                     options=options, study=study)
 

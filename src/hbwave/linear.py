@@ -31,6 +31,7 @@ from functools import partial
 
 import numpy as np
 
+from . import norms, spatial
 from .errors import (
     MaxIterExceeded,
     NonContraction,
@@ -38,10 +39,6 @@ from .errors import (
     SolveFailure,
 )
 from .model import Frozen, ValidatedModel
-from .norms import u0lo_norm
-from .spatial import (SingularBlock, assemble_laplacian, band_product,
-                      condition_estimate, gradient, scale_rows,
-                      tridiagonal_solver)
 
 RESIDUAL_RTOL = 1e-10
 NONCONTRACTION_PATIENCE = 5
@@ -58,12 +55,12 @@ def assemble_harmonic_system(model: ValidatedModel, M: int):
     p = model.params
     m = np.arange(M + 1)
     mw = m * p.omega
-    op = assemble_laplacian(model.grid, model.bc_left, model.bc_right, m,
-                            p.omega)
+    op = spatial.assemble_laplacian(model.grid, model.bc_left,
+                                    model.bc_right, m, p.omega)
     # row i of A_m is scaled by c2_i + i m w b_i; the entries scale_rows
     # wraps around meet the zero corners, so no block leaks into the next
-    bands = scale_rows(op.bands,
-                       op.restrict(p.c2) + 1j * mw[:, None] * op.restrict(p.b))
+    bands = spatial.scale_rows(
+        op.bands, op.restrict(p.c2) + 1j * mw[:, None] * op.restrict(p.b))
     bands[:, 1, :] += (-1j * p.tau * mw**3 - mw**2)[:, None]
     return op, bands
 
@@ -75,32 +72,32 @@ def _one_norms(bands: np.ndarray) -> np.ndarray:
 
 
 def _residuals(bands: np.ndarray, x: np.ndarray, rhs: np.ndarray,
-               norms: np.ndarray | None = None):
+               one_norms: np.ndarray | None = None):
     """Re-substitution residual ||A_m x_m - rhs_m|| per m, and its scale
-    ||A_m||_1 ||x_m|| + ||rhs_m||.  `norms`, the bands' 1-norms, is
+    ||A_m||_1 ||x_m|| + ||rhs_m||.  `one_norms`, the bands' 1-norms, is
     computed here when not given; a solver passes the ones it took once.
 
     A square in the norms overflows once rhs passes about 1e154; then both
     are taken again with rhs divided by its largest entry, and x, which is
     about A^-1 rhs, with it.  Scaling only then keeps the common case free
     of the extra passes and temporaries."""
-    if norms is None:
-        norms = _one_norms(bands)
+    if one_norms is None:
+        one_norms = _one_norms(bands)
     with np.errstate(all="ignore"):
-        res = np.linalg.norm(band_product(bands, x) - rhs, axis=-1)
-        scale = norms * np.linalg.norm(x, axis=-1) + np.linalg.norm(
+        res = np.linalg.norm(spatial.band_product(bands, x) - rhs, axis=-1)
+        scale = one_norms * np.linalg.norm(x, axis=-1) + np.linalg.norm(
             rhs, axis=-1)
     if np.isinf(scale).any():
         s = np.abs(rhs).max()
         if 1.0 < s < np.inf:        # after one division s is 1
-            return _residuals(bands, x / s, rhs / s, norms)
+            return _residuals(bands, x / s, rhs / s, one_norms)
     return res, scale
 
 
-def _relative_residual(op, bands, norms, u: np.ndarray,
+def _relative_residual(op, bands, one_norms, u: np.ndarray,
                        rtilde: np.ndarray) -> float:
     res, scale = _residuals(bands, op.restrict(u), -op.restrict(rtilde),
-                            norms)
+                            one_norms)
     den = np.linalg.norm(scale)
     return float(np.linalg.norm(res) / den) if den > 0 else 0.0
 
@@ -118,13 +115,13 @@ def linear_solver(model: ValidatedModel, M: int):
         raise SolveFailure(f"harmonic {int(np.argmax(nonfinite))} has "
                            "non-finite coefficients")
     try:
-        solve = tridiagonal_solver(bands)
-    except SingularBlock as exc:
+        solve = spatial.tridiagonal_solver(bands)
+    except spatial.SingularBlock as exc:
         raise SolveFailure(f"harmonic {exc.block} is singular (zero pivot)")
-    norms = _one_norms(bands)
+    one_norms = _one_norms(bands)
 
     def fail(m: int, what: str):
-        cond = condition_estimate(bands[m])
+        cond = spatial.condition_estimate(bands[m])
         raise SolveFailure(f"harmonic {m} {what} (1-norm cond ~ {cond:.3e})",
                            condition_estimate=cond)
 
@@ -135,17 +132,17 @@ def linear_solver(model: ValidatedModel, M: int):
             # an overflow spreads through the stacked solve to the other
             # harmonics, so each one is judged by its own solve
             for m in range(len(bands)):
-                if not (np.isfinite(rhs[m]).all() and np.isfinite(
-                        tridiagonal_solver(bands[m])(rhs[m])).all()):
+                if not np.isfinite(rhs[m]).all() or not np.isfinite(
+                        spatial.tridiagonal_solver(bands[m])(rhs[m])).all():
                     fail(m, "has a non-finite right-hand side or solution")
-        res, scale = _residuals(bands, sol, rhs, norms)
+        res, scale = _residuals(bands, sol, rhs, one_norms)
         # the first harmonic over tolerance, if any; a NaN residual fails too
         m = int(np.argmin(res <= RESIDUAL_RTOL * scale))
         if not res[m] <= RESIDUAL_RTOL * scale[m]:
             fail(m, f"residual {res[m]:.3e} exceeds tolerance")
         sol[0] = sol[0].real
         return op.extend(sol)
-    return solve_checked, partial(_relative_residual, op, bands, norms)
+    return solve_checked, partial(_relative_residual, op, bands, one_norms)
 
 
 def solve_linear_mgt(f: np.ndarray, model: ValidatedModel) -> np.ndarray:
@@ -220,13 +217,14 @@ def fixed_point(rhs, u: np.ndarray, model: ValidatedModel,
     ratios: list[float] = []
     rising = 0
     solve, residual = linear_solver(model, len(u) - 1)
-    grad = gradient(u, grid)
+    grad = spatial.gradient(u, grid)
     r = rhs(u, grad)
     for it in range(1, opts.max_iter + 1):
         u_new = theta * solve(r) + (1.0 - theta) * u
-        grad_new = gradient(u_new, grid)
-        update = u0lo_norm(u_new - u, grid, p.omega, p.T, grad_new - grad)
-        scale = u0lo_norm(u_new, grid, p.omega, p.T, grad_new)
+        grad_new = spatial.gradient(u_new, grid)
+        update = norms.u0lo_norm(u_new - u, grid, p.omega, p.T,
+                                 grad_new - grad)
+        scale = norms.u0lo_norm(u_new, grid, p.omega, p.T, grad_new)
         update_norms.append(update)
         # the self-mapping guard mirrors the smallness requirement: leaving
         # the ball is the primary diagnosis, a degenerate alpha a consequence

@@ -9,7 +9,7 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .diagnostics import compute_energies, energy_ratios
+from . import diagnostics
 from .errors import (NoPeriodicAttractor, StepRejected, TypeMismatch,
                      UndersampledTime)
 from .linear import solve_linearized
@@ -158,8 +158,8 @@ def tau_sweep(f: np.ndarray, model: ValidatedModel,
         diff = report.u - u_ref
         d_lo = u0lo_norm(diff, grid, omega, T)
         d_me = u0me_norm(diff, grid, omega, T)
-        ratios = energy_ratios(compute_energies(report.u, m_tau),
-                               report.rhs, m_tau)
+        ratios = diagnostics.energy_ratios(
+            diagnostics.compute_energies(report.u, m_tau), report.rhs, m_tau)
         d_by_tau[tau] = d_lo
         # E_lo_ratio is the sweep's name for ratio_lo
         rows.append({"tau": tau, "d_lo": d_lo, "d_me": d_me, "rate": None,

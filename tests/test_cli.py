@@ -13,7 +13,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hbwave
-from hbwave import cli, errors
+from hbwave import errors
 from hbwave.cli import run_command
 from hbwave.io import (_SCHEMA, apply_overrides, build_setup, parse_config,
                        read_solution_csv)
@@ -208,13 +208,11 @@ ORACLE_MARCH = ("-s", "time.m=8", "-s", "bc.right.kind=absorbing",
 
 def test_dt_divisor_below_2m_plus_2_fails_validation(config, tmp_path,
                                                      monkeypatch):
-    import hbwave.cli
-
     def must_not_run(*args, **kwargs):
         raise AssertionError("an undersampled oracle run started")
 
-    monkeypatch.setattr(hbwave.cli, "solve", must_not_run)
-    monkeypatch.setattr(hbwave.cli, "time_stepping_oracle", must_not_run)
+    monkeypatch.setattr(hbwave.nonlinear, "solve", must_not_run)
+    monkeypatch.setattr(hbwave.studies, "time_stepping_oracle", must_not_run)
     for verb in ("validate", "oracle-compare"):
         out = str(tmp_path / verb)
         code = run_command([verb, config, "-o", out, *ORACLE_MARCH,
@@ -234,13 +232,11 @@ def test_default_oracle_steps_below_2m_plus_2_fail_before_the_solve(
         config, tmp_path, monkeypatch):
     # without dt_divisor the oracle takes ORACLE_STEPS = 512 steps, too few
     # for M = 256; that M is valid for every other verb
-    import hbwave.cli
-
     def must_not_run(*args, **kwargs):
         raise AssertionError("an undersampled oracle run started")
 
-    monkeypatch.setattr(hbwave.cli, "solve", must_not_run)
-    monkeypatch.setattr(hbwave.cli, "time_stepping_oracle", must_not_run)
+    monkeypatch.setattr(hbwave.nonlinear, "solve", must_not_run)
+    monkeypatch.setattr(hbwave.studies, "time_stepping_oracle", must_not_run)
     code = run_command(["validate", config, "-o", str(tmp_path / "ok"),
                         "-s", "time.m=256"])
     assert code == 0
@@ -350,7 +346,7 @@ def test_run_info_writes_non_finite_update_norms_as_null(config, tmp_path,
     def no_constant(name):
         raise AssertionError(f"run_info.json holds {name}")
 
-    monkeypatch.setattr(cli, "solve", stand_in)
+    monkeypatch.setattr(hbwave.nonlinear, "solve", stand_in)
     code, out = run(config, tmp_path, "solve")
     assert code == 0
     with open(os.path.join(out, "run_info.json")) as fh:
@@ -439,6 +435,23 @@ def test_overflowing_nonlinearity_coefficient_fails_validation(
     name = overrides[-1].split(".")[1].split("=")[0]
     assert record["violations"] == [
         {"code": "NonFiniteValue", "message": f"2*max|{name}| must be finite"}]
+
+
+@pytest.mark.parametrize("text", ["", "# no values\n", "\n  \n"],
+                         ids=["empty", "comment-only", "blank-lines"])
+def test_nodal_file_without_values_fails_on_one_stderr_line(
+        config, tmp_path, text, capsys):
+    # numpy warns about a file with no data, on two more stderr lines
+    (tmp_path / "b.txt").write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _ = run(config, tmp_path, "validate", "-s", "physics.b=b.txt")
+    assert code == 1
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("error: TypeMismatch: [physics] b: ")
+    assert "has 0 values, expected Nx = 33" in err
 
 
 def test_no_success_exit_without_outputs(config, tmp_path):
@@ -615,6 +628,40 @@ def test_no_verb_imports_scipy(config, tmp_path, verb):
     assert proc.returncode == 0, proc.stderr
 
 
+# `import hbwave` registers every submodule without running it; a verb
+# runs only the modules it calls
+SOLVER_MODULES = {"cli", "errors", "io", "linear", "model", "nonlinear",
+                  "norms", "spatial"}
+VERB_MODULES = {
+    "validate": {"cli", "errors", "io", "linear", "model"},
+    "solve": SOLVER_MODULES | {"diagnostics"},
+    "deriv-check": SOLVER_MODULES | {"studies"},
+    "oracle-compare": SOLVER_MODULES | {"studies"},
+}
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_MODULES))
+def test_each_verb_runs_only_its_modules(config, tmp_path, verb):
+    # a lazily registered module is an importlib.util._LazyModule until an
+    # attribute is read; then its source runs and it is a plain module
+    script = ("import sys, types\n"
+              "from hbwave.cli import run_command\n"
+              "code = run_command(sys.argv[1:])\n"
+              "assert code == 0, code\n"
+              "print(*sorted(name.partition('.')[2]\n"
+              "              for name, module in sys.modules.items()\n"
+              "              if name.startswith('hbwave.')\n"
+              "              and type(module) is types.ModuleType))\n")
+    src = os.path.dirname(os.path.dirname(hbwave.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", script, verb, config, "-o",
+         str(tmp_path / "out")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.splitlines()[-1].split()) == VERB_MODULES[verb]
+
+
 def test_validate_does_not_import_traceback(config, tmp_path):
     # only the record of an error outside the taxonomy formats a traceback,
     # so the module is imported on that path alone
@@ -680,7 +727,7 @@ def test_unexpected_error_exits_two_with_record(config, tmp_path,
     def crash(*args, **kwargs):
         raise RuntimeError("boom")
 
-    monkeypatch.setattr("hbwave.cli.solve", crash)
+    monkeypatch.setattr("hbwave.nonlinear.solve", crash)
     out = str(tmp_path / "out")
     code = run_command(["solve", config, "-o", out])
     assert code == 2

@@ -153,6 +153,7 @@ def test_overflowed_coefficients_name_their_harmonic():
 
 def test_fixed_point_factors_the_harmonic_stack_once(monkeypatch):
     import hbwave.linear
+    import hbwave.spatial
     from hbwave.nonlinear import fixed_point_solve
 
     calls, assemblies = [], []
@@ -165,7 +166,7 @@ def test_fixed_point_factors_the_harmonic_stack_once(monkeypatch):
         assemblies.append(M)
         return assemble_harmonic_system(model, M)
 
-    monkeypatch.setattr(hbwave.linear, "tridiagonal_solver", counting)
+    monkeypatch.setattr(hbwave.spatial, "tridiagonal_solver", counting)
     monkeypatch.setattr(hbwave.linear, "assemble_harmonic_system",
                         counting_assembly)
     model = make_model(nx=33, eta=1.0)

@@ -1,7 +1,5 @@
 """No module of the package imports a name it does not use.  No linter is
-a dependency, so this parses the source with the standard library's `ast`.
-`__init__.py` is exempt: it imports every submodule so that importing the
-package loads them all, which the benchmark's span tracer relies on."""
+a dependency, so this parses the source with the standard library's `ast`."""
 import ast
 from pathlib import Path
 
@@ -25,8 +23,7 @@ def unused_imports(tree):
     return sorted((line, name) for line, name in bound if name not in read)
 
 
-@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
-                                  if p.name != "__init__.py"],
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")),
                          ids=lambda p: p.name)
 def test_every_import_is_used(path):
     tree = ast.parse(path.read_text(), filename=str(path))

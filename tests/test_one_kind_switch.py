@@ -1,7 +1,8 @@
 """The choice between the linear and a nonlinear solve is made in one place,
 `nonlinear.solve`; besides it, only the CLI's refusal of `deriv-check` on
 a linear config asks for the linear kind.  This guard parses the package
-source and fails on any other `==` or `!=` comparison with "linear"."""
+source and fails on any other `==` or `!=` comparison with "linear", or
+`in` or `not in` test against `KINDS` or a tuple holding "linear"."""
 import ast
 from collections import Counter
 from pathlib import Path
@@ -9,17 +10,33 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "hbwave"
-# (file, enclosing function) -> comparisons allowed there
-ALLOWED = {("nonlinear.py", "solve"): 1, ("cli.py", "_run_verb"): 1}
+# (file, enclosing function) -> comparisons allowed there.  Besides the
+# choice and the refusal, three membership tests choose no solve:
+# `_check_kind` (is the kind nonlinear), `manufactured_case` (does r exist,
+# for its harmonic count K) and `_Oracle.__init__` (is the kind known)
+ALLOWED = {("nonlinear.py", "solve"): 1, ("cli.py", "_run_verb"): 1,
+           ("nonlinear.py", "_check_kind"): 1,
+           ("studies.py", "manufactured_case"): 1,
+           ("studies.py", "_Oracle.__init__"): 1}
 
 
 def is_linear(node):
     return isinstance(node, ast.Constant) and node.value == "linear"
 
 
+def is_kinds(node):
+    """`KINDS`, `<module>.KINDS`, or a tuple, list or set display that
+    holds the literal "linear"."""
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(map(is_linear, node.elts))
+    return (isinstance(node, ast.Name) and node.id == "KINDS"
+            or isinstance(node, ast.Attribute) and node.attr == "KINDS")
+
+
 def linear_comparisons(node, scope=""):
     """Dotted name of the enclosing function or class of each == or !=
-    comparison with the literal "linear" under `node`."""
+    comparison with the literal "linear", and each in or not in test
+    against KINDS or a display holding "linear", under `node`."""
     for child in ast.iter_child_nodes(node):
         inner = scope
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
@@ -29,7 +46,9 @@ def linear_comparisons(node, scope=""):
             operands = [child.left] + child.comparators
             for op, a, b in zip(child.ops, operands, operands[1:]):
                 if (isinstance(op, (ast.Eq, ast.NotEq))
-                        and (is_linear(a) or is_linear(b))):
+                        and (is_linear(a) or is_linear(b))
+                        or isinstance(op, (ast.In, ast.NotIn))
+                        and is_kinds(b)):
                     yield scope
         yield from linear_comparisons(child, inner)
 
@@ -55,4 +74,17 @@ def test_guard_sees_each_spelling():
             '        return kind in ("linear",), kind < "linear", inner\n'
             'label = "linear"\n')
     assert Counter(linear_comparisons(ast.parse(code))) == {
-        "": 1, "solve": 2, "Study.run.inner": 1}
+        "": 1, "solve": 2, "Study.run": 1, "Study.run.inner": 1}
+
+
+def test_guard_sees_each_membership_spelling():
+    code = ('def solve(kind):\n'
+            '    if kind in KINDS:\n'
+            '        return kind not in nonlinear.KINDS\n'
+            '    return kind in ("linear", *KINDS), kind in ["linear"]\n'
+            'def run(kind):\n'
+            '    return kind not in {"linear", "westervelt"}\n'
+            'def known(kind):\n'
+            '    return kind in SOLVER_KINDS, "linear" in kind, kind in K\n')
+    assert Counter(linear_comparisons(ast.parse(code))) == {
+        "solve": 4, "run": 1}
