@@ -285,6 +285,11 @@ def build_setup(raw: dict, config_path: str) -> RunSetup:
         if key != "taus" and not all(0 < v < np.inf for v in study[key]):
             raise TypeMismatch(f"[study] {key} = {st[key]!r}; need finite "
                                "values > 0")
+        if key == "eps":
+            try:
+                studies.check_eps_list(study[key])
+            except ValueError as exc:
+                raise TypeMismatch(f"[study] eps = {st[key]!r}; {exc}")
     for tau in study.get("taus", ()):
         model.with_params(params.with_tau(tau))
     for key, convert in (("dt_divisor", _as_int), ("max_periods", _as_int),

@@ -74,8 +74,9 @@ def _one_norms(bands: np.ndarray) -> np.ndarray:
 def _residuals(bands: np.ndarray, x: np.ndarray, rhs: np.ndarray,
                one_norms: np.ndarray | None = None):
     """Re-substitution residual ||A_m x_m - rhs_m|| per m, and its scale
-    ||A_m||_1 ||x_m|| + ||rhs_m||.  `one_norms`, the bands' 1-norms, is
-    computed here when not given; a solver passes the ones it took once.
+    ||A_m||_1 ||x_m|| + ||rhs_m||, each row norm from `norms.row_sq`.
+    `one_norms`, the bands' 1-norms, is computed here when not given; a
+    solver passes the ones it took once.
 
     A square in the norms overflows once rhs passes about 1e154; then both
     are taken again with rhs divided by its largest entry, and x, which is
@@ -84,9 +85,9 @@ def _residuals(bands: np.ndarray, x: np.ndarray, rhs: np.ndarray,
     if one_norms is None:
         one_norms = _one_norms(bands)
     with np.errstate(all="ignore"):
-        res = np.linalg.norm(spatial.band_product(bands, x) - rhs, axis=-1)
-        scale = one_norms * np.linalg.norm(x, axis=-1) + np.linalg.norm(
-            rhs, axis=-1)
+        res = np.sqrt(norms.row_sq(spatial.band_product(bands, x) - rhs))
+        scale = (one_norms * np.sqrt(norms.row_sq(x))
+                 + np.sqrt(norms.row_sq(rhs)))
     if np.isinf(scale).any():
         s = np.abs(rhs).max()
         if 1.0 < s < np.inf:        # after one division s is 1
@@ -201,7 +202,7 @@ class SolveReport:
 
 
 def fixed_point(rhs, u: np.ndarray, model: ValidatedModel,
-                opts: FixedPointOptions) -> SolveReport:
+                opts: FixedPointOptions, solver=None) -> SolveReport:
     """Iterate u <- theta S(rhs(u)) + (1 - theta) u from u, with S the linear
     solve factored once, until the u0lo update is at most tol times the
     iterate's norm; then verify by re-substitution on the same bands.
@@ -210,13 +211,15 @@ def fixed_point(rhs, u: np.ndarray, model: ValidatedModel,
     for each new iterate right after the ball guard and before the
     contraction test, so a rhs that vets its state raises in that order.
     Each state's `spatial.gradient` is taken once, here, and serves both
-    norms and rhs."""
+    norms and rhs.  `solver`, a `linear_solver(model, M)` pair, lets
+    several solves on one model share one factorization; it is built here
+    when not given."""
     grid, p = model.grid, model.params
     theta = opts.relaxation
     update_norms: list[float] = []
     ratios: list[float] = []
     rising = 0
-    solve, residual = linear_solver(model, len(u) - 1)
+    solve, residual = solver or linear_solver(model, len(u) - 1)
     grad = spatial.gradient(u, grid)
     r = rhs(u, grad)
     for it in range(1, opts.max_iter + 1):
@@ -253,13 +256,14 @@ def fixed_point(rhs, u: np.ndarray, model: ValidatedModel,
 
 
 def solve_linearized(u_base: np.ndarray, f_dir: np.ndarray,
-                     model: ValidatedModel, kind: str) -> SolveReport:
+                     model: ValidatedModel, kind: str,
+                     solver=None) -> SolveReport:
     """Derivative of the source-to-state map at u_base in the direction
     f_dir, as the report of its solve: the fixed point u of
     u = S(f_dir + r[2 u_base, u]), with the cross-harmonic coupling applied
     pseudospectrally.  It converges in the same small-data regime as the
     nonlinear solve.  For the second-order linearization pass a model with
-    tau = 0."""
+    tau = 0.  `solver` is passed on to `fixed_point`."""
     from .nonlinear import bilinear_factors, bilinear_product
 
     base2 = bilinear_factors(2.0 * u_base, kind, model)
@@ -267,7 +271,7 @@ def solve_linearized(u_base: np.ndarray, f_dir: np.ndarray,
         lambda u, grad: f_dir + bilinear_product(
             base2, bilinear_factors(u, kind, model, grad), kind, model,
             len(u) - 1),
-        np.zeros(f_dir.shape, complex), model, LINEARIZED)
+        np.zeros(f_dir.shape, complex), model, LINEARIZED, solver)
     if report.final_residual > RESIDUAL_RTOL:
         raise NonConvergedIteration(
             f"linearized solve residual {report.final_residual:.3e} > "

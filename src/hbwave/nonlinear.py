@@ -115,10 +115,12 @@ def degeneracy_monitor(factors: tuple, kind: str,
 
 def fixed_point_solve(f: np.ndarray, model: ValidatedModel, kind: str,
                       opts: FixedPointOptions | None = None,
-                      u0: np.ndarray | None = None) -> SolveReport:
+                      u0: np.ndarray | None = None,
+                      solver=None) -> SolveReport:
     """Iterate u <- solve_linear(f + N(u)) with relaxation until the update
     is small, then verify by full re-substitution into the discrete PDE.
-    Every state, u0 included, must keep alpha above the degeneracy floor."""
+    Every state, u0 included, must keep alpha above the degeneracy floor.
+    `solver` is passed on to `linear.fixed_point`."""
     _check_kind(kind)
     opts = opts or FixedPointOptions()
     monitor = {}
@@ -135,7 +137,7 @@ def fixed_point_solve(f: np.ndarray, model: ValidatedModel, kind: str,
 
     if u0 is None:
         u0 = np.zeros(f.shape, complex)
-    report = fixed_point(rhs, u0, model, opts)
+    report = fixed_point(rhs, u0, model, opts, solver)
     report.alpha_min = monitor["alpha_min"]
     report.stability_margin = monitor["stability_margin_min"]
     return report

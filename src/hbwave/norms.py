@@ -3,9 +3,11 @@
 Time integration uses Parseval with the one-sided convention: weight 1 for
 the mean mode and 2 for m >= 1, so that
 ||d_t^k u||^2_{L2(0,T;X)} = T * sum_m w_m (m omega)^{2k} ||u_m||_X^2.
-u0lo_norm weights each harmonic once and sums once.  The Picard loop takes
-it twice per iteration, for the iterate and for the update, and passes in
-the one gradient it takes per iterate.
+u0lo_norm takes one weighted pass per field: it squares the float view of
+the field, weights it by the trapezoid rule in one product and sums the
+harmonics with weights formed once.  The Picard loop takes it twice per
+iteration, for the iterate and for the update, and passes in the one
+gradient it takes per iterate.
 """
 from __future__ import annotations
 
@@ -34,6 +36,19 @@ def spatial_sq(u: np.ndarray, grid: Grid, spatial=None) -> np.ndarray:
 def _nodal_sq(c: np.ndarray, grid: Grid) -> np.ndarray:
     """Trapezoidal ||c_m||^2_{L2} of each row of nodal values c."""
     return np.sum(grid.trapezoid_weights() * np.abs(c) ** 2, axis=-1)
+
+
+def row_sq(c: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """sum_j weights_j |c_ij|^2 for each row of c (all weights 1 when None),
+    in one pass over the float view of c, which holds the real and
+    imaginary parts of each entry side by side."""
+    c = np.ascontiguousarray(c)
+    if np.iscomplexobj(c):
+        c = c.view(c.real.dtype)
+        if weights is not None:
+            weights = np.repeat(weights, 2)
+    sq = c * c
+    return sq.sum(axis=-1) if weights is None else sq @ weights
 
 
 def time_sum(sq: np.ndarray, omega: float, T: float, t_order: int) -> float:
@@ -65,9 +80,11 @@ def u0lo_norm(u: np.ndarray, grid: Grid, omega: float, T: float,
     if grad is None:
         grad = gradient(u, grid)
     mw2 = (np.arange(len(u)) * omega) ** 2
-    sq = ((1.0 + mw2 + mw2 * mw2) * spatial_sq(u, grid)
-          + (1.0 + mw2) * _nodal_sq(grad, grid))
-    return float(np.sqrt(T * np.sum(parseval_weights(len(u) - 1) * sq)))
+    w = parseval_weights(len(u) - 1)
+    w_grad = w * (1.0 + mw2)
+    w_u = w_grad + w * mw2 * mw2
+    x = grid.trapezoid_weights()
+    return float(np.sqrt(T * (w_u @ row_sq(u, x) + w_grad @ row_sq(grad, x))))
 
 
 def u0me_norm(u: np.ndarray, grid: Grid, omega: float, T: float) -> float:

@@ -12,7 +12,7 @@ from numpy.lib.stride_tricks import as_strided
 from . import diagnostics
 from .errors import (NoPeriodicAttractor, StepRejected, TypeMismatch,
                      UndersampledTime)
-from .linear import solve_linearized
+from .linear import linear_solver, solve_linearized
 from .model import (
     MIN_NODES,
     Grid,
@@ -171,6 +171,18 @@ def tau_sweep(f: np.ndarray, model: ValidatedModel,
     return StudyResult(rows=rows)
 
 
+def check_eps_list(eps_list):
+    """Raise ValueError unless eps_list has MIN_LEVELS or more values and no
+    two consecutive ones are equal: each slope divides by
+    log(eps_(i-1) / eps_i)."""
+    if len(eps_list) < MIN_LEVELS:
+        raise ValueError(f"need >= {MIN_LEVELS} epsilons")
+    for e0, e1 in zip(eps_list, eps_list[1:]):
+        if e0 == e1:
+            raise ValueError(f"eps {e1!r} repeats the one before it; each "
+                             "slope needs two different epsilons")
+
+
 def taylor_test(f: np.ndarray, f_dir: np.ndarray,
                 model: ValidatedModel, kind: str,
                 eps_list=(1e-1, 1e-2, 1e-3),
@@ -178,27 +190,38 @@ def taylor_test(f: np.ndarray, f_dir: np.ndarray,
     """Remainder of the source-to-state map against its linearization.
 
     R(eps) = ||S(f + eps f_dir) - S(f) - eps u_lin|| should shrink at
-    second order; the first-order difference at first order.  Each
-    perturbed solve starts from base + eps u_lin, which is within O(eps^2)
-    of its solution, and the nonlinear solve vets that start for
-    degeneracy like any other state.  `metadata["picard_iterations"]`
+    second order; the first-order difference at first order.  All solves
+    share one factorization of A_0..A_M.  The first perturbed solve starts
+    from base + eps u_lin, within O(eps^2) of its solution; each later one
+    adds (eps / eps_prev)^2 times the previous solve's remainder field,
+    which cancels the eps^2 term and leaves it within O(eps^2 eps_prev).
+    The nonlinear solve vets each start for degeneracy like any other
+    state.  `metadata["picard_iterations"]`
     holds the iterations of each solve: base, linearized, and one per eps.
     """
-    if len(eps_list) < MIN_LEVELS:
-        raise ValueError(f"need >= {MIN_LEVELS} epsilons")
+    check_eps_list(eps_list)
     grid, p = model.grid, model.params
-    base_report = fixed_point_solve(f, model, kind, opts)
-    lin_report = solve_linearized(base_report.u, f_dir, model, kind)
+    solver = linear_solver(model, len(f) - 1)
+    base_report = fixed_point_solve(f, model, kind, opts, solver=solver)
+    lin_report = solve_linearized(base_report.u, f_dir, model, kind, solver)
     base, u_lin = base_report.u, lin_report.u
     iterations = {"base": base_report.iterations,
                   "linearized": lin_report.iterations, "eps": []}
-    rows = []
-    for eps in eps_list:
+    rows, rest = [], None       # rest: the last solve's remainder field
+    for i, eps in enumerate(eps_list):
+        if rest is None:
+            start = base + eps * u_lin
+        else:
+            # in place: the last remainder field is held by nothing else,
+            # and another field alive through the solve shows in peak RSS
+            start = rest
+            start *= (eps / eps_list[i - 1]) ** 2
+            start += base + eps * u_lin
         report = fixed_point_solve(f + eps * f_dir, model, kind, opts,
-                                   u0=base + eps * u_lin)
+                                   u0=start, solver=solver)
         iterations["eps"].append(report.iterations)
-        remainder = u0lo_norm(report.u - base - eps * u_lin, grid, p.omega,
-                              p.T)
+        rest = report.u - base - eps * u_lin
+        remainder = u0lo_norm(rest, grid, p.omega, p.T)
         diff = u0lo_norm(report.u - base, grid, p.omega, p.T)
         rows.append({"eps": eps, "remainder": remainder, "diff": diff,
                      "slope": None})

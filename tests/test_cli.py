@@ -125,6 +125,24 @@ def test_deriv_check_writes_taylor_csv(config, tmp_path):
     assert all(isinstance(n, int) and n >= 1 for n in iterations["eps"])
 
 
+def test_deriv_check_rejects_a_repeated_eps_before_any_solve(
+        config, tmp_path, monkeypatch):
+    import hbwave.studies
+
+    solves = []
+    monkeypatch.setattr(hbwave.studies, "fixed_point_solve",
+                        lambda *args, **kw: solves.append(args))
+    code, out = run(config, tmp_path, "deriv-check",
+                    "-s", "study.eps=0.1 0.1 0.01")
+    assert code == 1
+    with open(os.path.join(out, "error.json")) as fh:
+        record = json.load(fh)
+    assert record["kind"] == "TypeMismatch"
+    assert "repeats" in record["message"]
+    assert solves == []
+    assert not os.path.exists(os.path.join(out, "taylor.csv"))
+
+
 def convergence_rows(out):
     with open(os.path.join(out, "convergence.csv")) as fh:
         lines = fh.read().splitlines()
@@ -482,6 +500,7 @@ def test_no_success_exit_without_outputs(config, tmp_path):
     ("study.eps=1", "TypeMismatch"),
     ("study.eps=0.1,0,0.001", "TypeMismatch"),
     ("study.eps=0.1,inf,0.001", "TypeMismatch"),
+    ("study.eps=0.1 0.1 0.01", "TypeMismatch"),    # a slope over log 1 = 0
     ("domain.nx=-5", "TypeMismatch"),
     ("domain.nx=3", "TypeMismatch"),      # the energies read four nodes
     ("domain.nx=4", "TypeMismatch"),      # two interior nodes: see MIN_NODES

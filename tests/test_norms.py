@@ -90,13 +90,27 @@ def test_vectorised_norm_matches_per_harmonic_loop(spatial):
             pytest.approx(loop, rel=1e-13))
 
 
-@pytest.mark.parametrize("M, seed", [(0, 5), (1, 6), (7, 7)])
-def test_u0lo_norm_matches_its_term_by_term_definition(M, seed):
+@pytest.mark.parametrize("layout", ["real", "complex", "strided"])
+@pytest.mark.parametrize("with_grad", [False, True])
+@pytest.mark.parametrize("M", [0, 1, 8, 32])
+def test_u0lo_norm_matches_its_term_by_term_definition(M, with_grad, layout):
+    # u0lo_norm squares the float view of a contiguous copy; a real field,
+    # or a strided one, must give the same sum
+    from hbwave.spatial import gradient
+
     grid = Grid(1.0, 21)
-    u = random_field(M, 21, seed=seed)
+    u = random_field(M, 42 if layout == "strided" else 21, seed=M)
+    u = {"real": np.ascontiguousarray(u.real), "complex": u,
+         "strided": u[:, ::2]}[layout]
+    assert u.flags.c_contiguous == (layout != "strided")
     omega, T = 1.7, 3.0
     sq = (sum(time_space_norm_sq(u, grid, omega, T, k) for k in range(3))
-          + sum(time_space_norm_sq(u, grid, omega, T, k, "H1_semi")
+          + sum(time_space_norm_sq(gradient(u, grid), grid, omega, T, k)
                 for k in range(2)))
-    assert u0lo_norm(u, grid, omega, T) == pytest.approx(np.sqrt(sq),
-                                                         rel=1e-13)
+    grad = None
+    if with_grad:
+        grad = gradient(u, grid)
+        if layout == "strided":
+            grad = np.asfortranarray(grad)
+    assert u0lo_norm(u, grid, omega, T, grad) == pytest.approx(np.sqrt(sq),
+                                                               rel=1e-13)

@@ -852,23 +852,74 @@ def test_oracle_step_rejected_after_max_stage_iterations(monkeypatch):
     assert len(solves) == _Oracle.MAX_STAGE_ITER
 
 
-def test_taylor_perturbed_solves_start_from_the_linearization():
-    # the deriv-check smoke inputs: 33 nodes, M = 8, Kuznetsov, absorbing
-    # right end; from zero the eps solves take 59 iterations in all
+def smoke_taylor_case(kind):
+    """The deriv-check smoke grid, coefficients and ends: 33 nodes, M = 8,
+    absorbing right end; Kuznetsov at amplitude 1, Westervelt at 0.1."""
     grid = Grid(1.0, 33)
     x = grid.nodes
+    coef = {"kuznetsov": {"eta_tilde": 1.0}, "westervelt": {"eta": 1.0}}
     params = PhysicalParams.create(
         grid, tau=0.1, taubar=0.5, b=1.0 + 0.05 * np.cos(np.pi * x),
-        c2=1.0 + 0.05 * np.sin(2 * np.pi * x), eta_tilde=1.0, T=2 * np.pi)
+        c2=1.0 + 0.05 * np.sin(2 * np.pi * x), T=2 * np.pi, **coef[kind])
     model = validate_model(grid, params, DIRICHLET,
                            BoundaryCondition(BCKind.ABSORBING, beta=1.0), 8)
     f = np.zeros((9, 33), complex)
-    f[1] = np.sin(np.pi * x)
-    result = taylor_test(f, f, model, "kuznetsov", [1e-1, 1e-2, 1e-3])
+    f[1] = (1.0 if kind == "kuznetsov" else 0.1) * np.sin(np.pi * x)
+    return f, model
+
+
+# the eps solves' iterations: from base + eps u_lin alone they take 16/11/7
+# (Kuznetsov) and 6/5/3 (Westervelt); adding the rescaled remainder field
+# of the previous solve cuts them to 16/8/2 and 6/3/1
+@pytest.mark.parametrize("kind, most", [("kuznetsov", 28),
+                                        ("westervelt", 11)])
+def test_taylor_perturbed_solves_start_from_the_linearization(kind, most):
+    f, model = smoke_taylor_case(kind)
+    result = taylor_test(f, f, model, kind, [1e-1, 1e-2, 1e-3])
     iterations = result.metadata["picard_iterations"]
     assert set(iterations) == {"base", "linearized", "eps"}
-    assert len(iterations["eps"]) == 3 and sum(iterations["eps"]) <= 40
+    assert len(iterations["eps"]) == 3 and sum(iterations["eps"]) <= most
     slopes = [r["slope"] for r in result.rows if r["slope"] is not None]
     assert len(slopes) == 2
     for slope in slopes:
         assert slope == pytest.approx(2.0, abs=0.01)
+
+
+def test_taylor_test_factors_the_harmonic_stack_once(monkeypatch):
+    import hbwave.linear
+    import hbwave.spatial
+    from hbwave.linear import assemble_harmonic_system
+    from hbwave.spatial import tridiagonal_solver
+
+    calls, assemblies = [], []
+
+    def counting(bands):
+        calls.append(bands.shape)
+        return tridiagonal_solver(bands)
+
+    def counting_assembly(model, M):
+        assemblies.append(M)
+        return assemble_harmonic_system(model, M)
+
+    monkeypatch.setattr(hbwave.spatial, "tridiagonal_solver", counting)
+    monkeypatch.setattr(hbwave.linear, "assemble_harmonic_system",
+                        counting_assembly)
+    f, model = smoke_taylor_case("westervelt")
+    result = taylor_test(f, f, model, "westervelt", [1e-1, 1e-2, 1e-3])
+    # base, linearized and three eps solves on one factorization
+    assert len(result.metadata["picard_iterations"]["eps"]) == 3
+    assert calls == [(9, 3, 32)]
+    assert assemblies == [8]
+
+
+def test_taylor_test_rejects_a_repeated_eps_before_any_solve(monkeypatch):
+    solves = []
+    monkeypatch.setattr(studies, "fixed_point_solve",
+                        lambda *args, **kw: solves.append(args))
+    f, model = smoke_taylor_case("westervelt")
+    # the slope between equal epsilons divides by log 1 = 0
+    with pytest.raises(ValueError, match="repeats"):
+        taylor_test(f, f, model, "westervelt", [1e-1, 1e-1, 1e-2])
+    assert solves == []
+    # a value may come back once another stands between
+    studies.check_eps_list([1e-1, 1e-2, 1e-1])
