@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from . import diagnostics, nonlinear, studies
+from . import diagnostics, nonlinear, oracle, studies
 from .errors import ConfigError, HbwaveError
 from .io import (
     apply_overrides,
@@ -144,18 +144,18 @@ def _run_verb(verb: str, setup, out: str) -> dict:
         return extra
 
     if verb == "oracle-compare":
-        n_steps = setup.study.get("dt_divisor", studies.ORACLE_STEPS)
+        n_steps = setup.study.get("dt_divisor", oracle.ORACLE_STEPS)
         # too few oracle steps fail here, before the solve and the march
-        studies.check_oracle_steps(n_steps, setup.model.M)
+        oracle.check_oracle_steps(n_steps, setup.model.M)
         u = _solve(setup, extra)
         # the oracle's own defaults hold for what the config leaves out
         given = {k: setup.study[k] for k in ("max_periods", "period_tol")
                  if k in setup.study}
-        samples, gap, counts = studies.time_stepping_oracle(
+        samples, gap, counts = oracle.time_stepping_oracle(
             setup.f, setup.model, setup.solver_kind, n_steps, **given)
         extra["metrics"].update(
             {f"oracle_{k}": v for k, v in counts.items()})
-        d = studies.oracle_discrepancy(u, samples, setup.model)
+        d = oracle.oracle_discrepancy(u, samples, setup.model)
         write_csv(os.path.join(out, "oracle.csv"), ("metric", "value"),
                   sorted({"discrepancy": d, "periodicity_gap": gap,
                           "dt": setup.model.params.T / n_steps}.items()))

@@ -4,9 +4,9 @@ Configs are INI-style files; every key is checked against the schema (no
 silent ignoring), coefficient arrays may be loaded from text files resolved
 relative to the config, and all result CSVs are written atomically with a
 fixed column schema and 17 significant digits.  solution.csv, with one row
-per harmonic and node, is formatted one harmonic block at a time and read
-back in one parse, so both cost time linear in its (M + 1) nx rows; the
-small CSVs go through write_csv cell by cell.
+per harmonic and node, is formatted one harmonic block at a time, so it
+costs time linear in its (M + 1) nx rows; the small CSVs go through
+write_csv cell by cell.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 
-from . import studies
+from . import oracle, studies
 from .errors import (
     ConfigError,
     ConfigSyntaxError,
@@ -270,7 +270,7 @@ def build_setup(raw: dict, config_path: str) -> RunSetup:
     for key in ("taus", "eps"):
         if key not in st:
             continue
-        # studies is loaded only for a config that sets eps or dt_divisor
+        # studies is loaded only for a config that sets eps
         need = 1 if key == "taus" else studies.MIN_LEVELS
         try:
             study[key] = [float(v)
@@ -303,7 +303,7 @@ def build_setup(raw: dict, config_path: str) -> RunSetup:
     # comparison resolves up to harmonic M only from 2M + 2 samples on;
     # oracle-compare checks the default count, which bounds no other verb
     if "dt_divisor" in study:
-        studies.check_oracle_steps(study["dt_divisor"], M)
+        oracle.check_oracle_steps(study["dt_divisor"], M)
     return RunSetup(model=model, f=f, solver_kind=solver_kind,
                     options=options, study=study)
 
@@ -378,37 +378,6 @@ def write_solution_csv(path: str, u: np.ndarray, grid: Grid):
         cells = np.column_stack((c.real, c.imag)).ravel().tolist()
         blocks.append((start + start.join(rows)) % tuple(cells))
     _atomic_write(path, "".join(blocks))
-
-
-def read_solution_csv(path: str) -> np.ndarray:
-    """Inverse of write_solution_csv (17-digit round trip is bit exact).
-
-    Every (m, node_index) of the (M + 1) x nx field must appear exactly
-    once; the x column is not read back.
-    """
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().strip().split(",")
-        lines = fh.read().splitlines()
-    if header != list(SOLUTION_HEADER):
-        raise ConfigError(f"{path}: unexpected header {header}")
-    if not any(line.strip() for line in lines):
-        raise ConfigError(f"{path}: no rows")
-    try:
-        rows = np.loadtxt(lines, delimiter=",", ndmin=1, dtype=[
-            ("m", np.int64), ("j", np.int64), ("x", float), ("re", float),
-            ("im", float)])
-    except ValueError as exc:
-        raise ConfigError(f"{path}: malformed row: {exc}")
-    m, j = rows["m"], rows["j"]
-    M, nx = int(m.max()), int(j.max()) + 1
-    if (m.min() < 0 or j.min() < 0 or len(rows) != (M + 1) * nx
-            or np.unique(m * nx + j).size != len(rows)):
-        raise ConfigError(f"{path}: the rows do not hold each (m, "
-                          f"node_index) of a {M + 1} x {nx} field once")
-    u = np.zeros((M + 1, nx), complex)
-    u.real[m, j] = rows["re"]
-    u.imag[m, j] = rows["im"]
-    return u
 
 
 def write_error_record(output_dir: str, exc, **extra) -> str:

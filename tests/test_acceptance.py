@@ -21,12 +21,8 @@ from hbwave.model import (
 )
 from hbwave.nonlinear import FixedPointOptions, fixed_point_solve
 from hbwave.norms import l2l2_norm
-from hbwave.studies import (
-    oracle_discrepancy,
-    tau_sweep,
-    taylor_test,
-    time_stepping_oracle,
-)
+from hbwave.oracle import oracle_discrepancy, time_stepping_oracle
+from hbwave.studies import tau_sweep, taylor_test
 
 DIRICHLET = BoundaryCondition(BCKind.DIRICHLET)
 T = 2 * np.pi

@@ -15,12 +15,12 @@ from hypothesis import strategies as st
 import hbwave
 from hbwave import errors
 from hbwave.cli import run_command
-from hbwave.io import (_SCHEMA, apply_overrides, build_setup, parse_config,
-                       read_solution_csv)
+from hbwave.io import _SCHEMA, apply_overrides, build_setup, parse_config
 from hbwave.linear import RESIDUAL_RTOL, FixedPointOptions, SolveReport
 from hbwave.model import dealiased_samples, to_time_samples
 from hbwave.nonlinear import solve
-from hbwave.studies import time_stepping_oracle
+from hbwave.oracle import time_stepping_oracle
+from solution_csv import read_solution_csv
 
 CONFIG = """\
 [domain]
@@ -230,7 +230,7 @@ def test_dt_divisor_below_2m_plus_2_fails_validation(config, tmp_path,
         raise AssertionError("an undersampled oracle run started")
 
     monkeypatch.setattr(hbwave.nonlinear, "solve", must_not_run)
-    monkeypatch.setattr(hbwave.studies, "time_stepping_oracle", must_not_run)
+    monkeypatch.setattr(hbwave.oracle, "time_stepping_oracle", must_not_run)
     for verb in ("validate", "oracle-compare"):
         out = str(tmp_path / verb)
         code = run_command([verb, config, "-o", out, *ORACLE_MARCH,
@@ -254,7 +254,7 @@ def test_default_oracle_steps_below_2m_plus_2_fail_before_the_solve(
         raise AssertionError("an undersampled oracle run started")
 
     monkeypatch.setattr(hbwave.nonlinear, "solve", must_not_run)
-    monkeypatch.setattr(hbwave.studies, "time_stepping_oracle", must_not_run)
+    monkeypatch.setattr(hbwave.oracle, "time_stepping_oracle", must_not_run)
     code = run_command(["validate", config, "-o", str(tmp_path / "ok"),
                         "-s", "time.m=256"])
     assert code == 0
@@ -654,15 +654,26 @@ SOLVER_MODULES = {"cli", "errors", "io", "linear", "model", "nonlinear",
 VERB_MODULES = {
     "validate": {"cli", "errors", "io", "linear", "model"},
     "solve": SOLVER_MODULES | {"diagnostics"},
+    "energy": SOLVER_MODULES | {"diagnostics"},
+    "sweep-tau": SOLVER_MODULES | {"diagnostics", "studies"},
     "deriv-check": SOLVER_MODULES | {"studies"},
-    "oracle-compare": SOLVER_MODULES | {"studies"},
+    "converge": SOLVER_MODULES | {"studies"},
+    "oracle-compare": SOLVER_MODULES | {"oracle"},
+}
+# a [study] key is checked by the module that reads it, which runs the
+# modules it imports names from: the oracle's step count by `oracle`, the
+# Taylor test's epsilons by `studies`
+VALIDATE_STUDY_MODULES = {
+    "study.dt_divisor=64": VERB_MODULES["validate"] | {"nonlinear", "oracle",
+                                                       "spatial"},
+    "study.eps=0.1 0.01 0.001": SOLVER_MODULES | {"studies"},
 }
 
 
-@pytest.mark.parametrize("verb", sorted(VERB_MODULES))
-def test_each_verb_runs_only_its_modules(config, tmp_path, verb):
-    # a lazily registered module is an importlib.util._LazyModule until an
-    # attribute is read; then its source runs and it is a plain module
+def modules_run(config, tmp_path, verb, *extra):
+    """The hbwave modules a child process has run once the verb exits 0.
+    A lazily registered module is an importlib.util._LazyModule until an
+    attribute is read; then its source runs and it is a plain module."""
     script = ("import sys, types\n"
               "from hbwave.cli import run_command\n"
               "code = run_command(sys.argv[1:])\n"
@@ -675,10 +686,39 @@ def test_each_verb_runs_only_its_modules(config, tmp_path, verb):
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
         [sys.executable, "-c", script, verb, config, "-o",
-         str(tmp_path / "out")],
+         str(tmp_path / "out"), *extra],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert set(proc.stdout.splitlines()[-1].split()) == VERB_MODULES[verb]
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+@pytest.mark.parametrize("verb", sorted(VERB_MODULES))
+def test_each_verb_runs_only_its_modules(config, tmp_path, verb):
+    assert modules_run(config, tmp_path, verb) == VERB_MODULES[verb]
+
+
+@pytest.mark.parametrize("setting", sorted(VALIDATE_STUDY_MODULES))
+def test_validate_runs_the_module_that_checks_a_study_key(config, tmp_path,
+                                                          setting):
+    assert modules_run(config, tmp_path, "validate", "-s",
+                       setting) == VALIDATE_STUDY_MODULES[setting]
+
+
+def test_import_registers_exactly_the_package_modules():
+    # a module left out of the registration is imported eagerly by the
+    # first `from . import` of it, and compiles in every verb's start-up
+    src = os.path.dirname(os.path.dirname(hbwave.__file__))
+    package = sorted(f[:-3] for f in os.listdir(os.path.dirname(
+        hbwave.__file__)) if f.endswith(".py")
+        and f not in ("__init__.py", "__main__.py"))
+    script = ("import sys, hbwave\n"
+              "print(*sorted(name.partition('.')[2] for name in sys.modules\n"
+              "              if name.startswith('hbwave.')))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == package
 
 
 def test_validate_does_not_import_traceback(config, tmp_path):

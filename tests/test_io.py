@@ -13,11 +13,11 @@ from hbwave.io import (
     apply_overrides,
     build_setup,
     parse_config,
-    read_solution_csv,
     write_csv,
     write_solution_csv,
 )
 from hbwave.model import Grid
+from solution_csv import read_solution_csv
 
 MINIMAL = """\
 [domain]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import hbwave.oracle
 from hbwave.diagnostics import compute_energies, energy_ratios
 from hbwave.errors import (NoPeriodicAttractor, StepRejected, TypeMismatch,
                            UndersampledTime)
@@ -15,15 +16,13 @@ from hbwave.model import (
 )
 from hbwave.nonlinear import FixedPointOptions, fixed_point_solve, solve
 from hbwave import studies
+from hbwave.oracle import _Oracle, oracle_discrepancy, time_stepping_oracle
 from hbwave.spatial import assemble_laplacian
 from hbwave.studies import (
-    _Oracle,
     convergence_study,
     manufactured_case,
-    oracle_discrepancy,
     tau_sweep,
     taylor_test,
-    time_stepping_oracle,
 )
 
 DIRICHLET = BoundaryCondition(BCKind.DIRICHLET)
@@ -557,7 +556,7 @@ def test_oracle_stage_solve_count(monkeypatch, kind, kw, n_steps, periods,
     solves = []         # per factorization, in the order they are made
     steps = {}          # per level, by its steps per period
     thetas = {}         # per level, after its last step
-    factor = studies.tridiagonal_solver
+    factor = hbwave.oracle.tridiagonal_solver
 
     def counted_factor(bands, buffer):
         solve_stage = factor(bands, buffer)
@@ -578,7 +577,7 @@ def test_oracle_stage_solve_count(monkeypatch, kind, kw, n_steps, periods,
             return out
         return counted_step
 
-    monkeypatch.setattr(studies, "tridiagonal_solver", counted_factor)
+    monkeypatch.setattr(hbwave.oracle, "tridiagonal_solver", counted_factor)
     for name in ("step", "damped_step"):
         monkeypatch.setattr(_Oracle, name, counted(getattr(_Oracle, name)))
     grid = Grid(1.0, 33)
@@ -590,17 +589,17 @@ def test_oracle_stage_solve_count(monkeypatch, kind, kw, n_steps, periods,
                                          n_steps=n_steps, period_tol=1e-8)
     assert gap < 1e-8
     # the level at n_steps is built first; M = 4 needs 10 steps a period
-    warmup = n_steps // studies.WARMUP_COARSENING
+    warmup = n_steps // hbwave.oracle.WARMUP_COARSENING
     assert len(solves) == 2
     assert steps == {n_steps: periods * n_steps,
-                     warmup: studies.WARMUP_PERIODS * warmup}
+                     warmup: hbwave.oracle.WARMUP_PERIODS * warmup}
     assert march == {"periods": periods, "steps": sum(steps.values()),
                      "stage_solves": sum(solves),
                      "stage_contraction": thetas[n_steps]}
     for level_solves, level_steps, a_step in zip(
             solves, (steps[n_steps], steps[warmup]), solves_a_step):
         if kind == "linear":
-            assert level_solves == level_steps + studies.DAMPED_STEPS
+            assert level_solves == level_steps + hbwave.oracle.DAMPED_STEPS
         else:
             assert level_solves <= a_step * level_steps + 16
     # the linear stage has no ratio; the nonlinear ones contract fast
@@ -710,9 +709,9 @@ def test_oracle_damped_start_keeps_the_midpoint_attractor():
     midpoint_only[:, oracle.op.span] = last
     # the damped march at n_steps alone, from rest
     alone = np.zeros_like(samples)
-    _, gaps = studies._march(_Oracle(f, model, "westervelt", n_steps),
-                             np.zeros((3, oracle.nr)),
-                             alone[:, oracle.op.span], 200, tol)
+    _, gaps = hbwave.oracle._march(
+        _Oracle(f, model, "westervelt", n_steps), np.zeros((3, oracle.nr)),
+        alone[:, oracle.op.span], 200, tol)
     assert gaps[-1] < tol
     assert counts["steps"] < len(gaps) * n_steps
     for expected in (midpoint_only, alone):
@@ -795,9 +794,9 @@ def test_oracle_stage_values_are_within_tolerance_of_the_fixed_point(
                                         period_tol=1.0)
     assert len({oracle for oracle, *_ in stages}) == 2
     # a damped step is two half-steps, and each level takes DAMPED_STEPS
-    assert len(stages) == counts["steps"] + 2 * studies.DAMPED_STEPS
+    assert len(stages) == counts["steps"] + 2 * hbwave.oracle.DAMPED_STEPS
     half_steps = [s for s in stages if not s[3]]
-    assert len(half_steps) == 2 * 2 * studies.DAMPED_STEPS
+    assert len(half_steps) == 2 * 2 * hbwave.oracle.DAMPED_STEPS
     for oracle, y, forcing, midpoint, y_new, z in stages:
         # a half-step's new state is mid, which moves half as far as 2 mid - y
         gain = oracle.dz_gain if midpoint else 0.5 * oracle.dz_gain
@@ -817,12 +816,12 @@ def test_oracle_samples_the_period_whose_gap_it_reports(monkeypatch, kind,
     periods = counts["periods"]
     assert periods > 1
     # the warm-up level's periods of 16 steps come first
-    warmup = studies.WARMUP_PERIODS * 16
+    warmup = hbwave.oracle.WARMUP_PERIODS * 16
     assert counts["steps"] == len(steps) == warmup + periods * 64
     assert [len(oracle.forcing) for _, oracle, *_ in steps] == (
         [16] * warmup + [64] * (periods * 64))
     # each level's first steps are damped, and every later one is midpoint
-    damped = studies.DAMPED_STEPS
+    damped = hbwave.oracle.DAMPED_STEPS
     names = ["damped_step"] * damped
     assert [name for name, *_ in steps] == (
         names + ["step"] * (warmup - damped)
@@ -850,6 +849,35 @@ def test_oracle_step_rejected_after_max_stage_iterations(monkeypatch):
     with pytest.raises(StepRejected, match="step 5 of the period"):
         oracle.step(y, 5)
     assert len(solves) == _Oracle.MAX_STAGE_ITER
+
+
+@pytest.mark.parametrize("amp", [1e155, 1e200])
+@pytest.mark.parametrize("kind, eta", [("linear", 0.0),
+                                       ("westervelt", 1e-300)])
+def test_oracle_norms_hold_where_a_square_of_the_state_overflows(kind, eta,
+                                                                 amp):
+    # the gap, the stage tolerance and the discrepancy square the state,
+    # which overflows once |u| passes about 1e154 (|u| ~ amp / 26 here): at
+    # 1e155 all three read 0 or inf, and the march stopped after a period
+    # with a discrepancy of 0, the Westervelt stages taking one update
+    # where they take two; at 1e200 the gap was NaN for 200 periods.
+    # At eta = 1e-300 the nonlinear terms are below 1e-100 of the rest, so
+    # harmonic balance's solution at 1e100, scaled, stands for the one at
+    # amp.  The plain sums overflow before each rescaled one, and numpy
+    # warns, as the CLI lets it do in silence
+    model = make_model(nx=17, eta=eta)
+    u = solve(drive(model, 1e100), model, kind).u
+    runs = []
+    for a in (1e100, amp):
+        with np.errstate(over="ignore"):
+            samples, _, counts = time_stepping_oracle(drive(model, a), model,
+                                                      kind, n_steps=64)
+            d = oracle_discrepancy(u * (a / 1e100), samples, model)
+        runs.append((d, counts["periods"], counts["steps"],
+                     counts["stage_solves"]))
+    (d_ref, *counts_ref), (d, *counts) = runs
+    assert d == pytest.approx(d_ref, rel=1e-9)
+    assert counts == counts_ref
 
 
 def smoke_taylor_case(kind):
