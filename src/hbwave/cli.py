@@ -27,6 +27,7 @@ from .io import (
     write_run_info,
     write_solution_csv,
 )
+from .model import check_oracle_steps
 
 VERBS = ("solve", "sweep-tau", "energy", "deriv-check", "converge",
          "oracle-compare", "validate")
@@ -146,7 +147,7 @@ def _run_verb(verb: str, setup, out: str) -> dict:
     if verb == "oracle-compare":
         n_steps = setup.study.get("dt_divisor", oracle.ORACLE_STEPS)
         # too few oracle steps fail here, before the solve and the march
-        oracle.check_oracle_steps(n_steps, setup.model.M)
+        check_oracle_steps(n_steps, setup.model.M)
         u = _solve(setup, extra)
         # the oracle's own defaults hold for what the config leaves out
         given = {k: setup.study[k] for k in ("max_periods", "period_tol")

@@ -19,7 +19,6 @@ import warnings
 
 import numpy as np
 
-from . import oracle, studies
 from .errors import (
     ConfigError,
     ConfigSyntaxError,
@@ -28,12 +27,15 @@ from .errors import (
     UnknownKey,
 )
 from .model import (
+    MIN_LEVELS,
     MIN_NODES,
     BCKind,
     BoundaryCondition,
     Grid,
     PhysicalParams,
     ValidatedModel,
+    check_eps_list,
+    check_oracle_steps,
     validate_model,
 )
 from .linear import FixedPointOptions
@@ -270,8 +272,7 @@ def build_setup(raw: dict, config_path: str) -> RunSetup:
     for key in ("taus", "eps"):
         if key not in st:
             continue
-        # studies is loaded only for a config that sets eps
-        need = 1 if key == "taus" else studies.MIN_LEVELS
+        need = 1 if key == "taus" else MIN_LEVELS
         try:
             study[key] = [float(v)
                           for v in st[key].replace(",", " ").split()]
@@ -287,7 +288,7 @@ def build_setup(raw: dict, config_path: str) -> RunSetup:
                                "values > 0")
         if key == "eps":
             try:
-                studies.check_eps_list(study[key])
+                check_eps_list(study[key])
             except ValueError as exc:
                 raise TypeMismatch(f"[study] eps = {st[key]!r}; {exc}")
     for tau in study.get("taus", ()):
@@ -303,7 +304,7 @@ def build_setup(raw: dict, config_path: str) -> RunSetup:
     # comparison resolves up to harmonic M only from 2M + 2 samples on;
     # oracle-compare checks the default count, which bounds no other verb
     if "dt_divisor" in study:
-        oracle.check_oracle_steps(study["dt_divisor"], M)
+        check_oracle_steps(study["dt_divisor"], M)
     return RunSetup(model=model, f=f, solver_kind=solver_kind,
                     options=options, study=study)
 
@@ -320,13 +321,18 @@ def _format(value) -> str:
     return "%.17g" % float(value)
 
 
-def _atomic_write(path: str, text: str):
+def _atomic_write(path: str, parts):
+    """Write the strings of `parts` in turn to a temporary file beside
+    `path`, LF-only, then move it onto `path`: a reader sees the old file
+    or the whole new one.  Each part is written as soon as it is made, so
+    a generator of parts never holds the whole text."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            for text in parts:
+                fh.write(text)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -356,7 +362,7 @@ def write_csv(path: str, header, rows):
             raise NonFiniteResult(f"{name}: {term} is not finite",
                                   file=name, term=term)
         lines.append(",".join(_format(cell) for cell in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _atomic_write(path, ["\n".join(lines) + "\n"])
 
 
 SOLUTION_HEADER = ("m", "node_index", "x", "re", "im")
@@ -368,16 +374,19 @@ def write_solution_csv(path: str, u: np.ndarray, grid: Grid):
     Each node's `node_index,x,` is formatted once, into that node's row
     format for every harmonic.  A harmonic's block format joins them after
     its own `m,`, and one `%` over a flat tuple fills in re and im, so the
-    cost is linear in the (M + 1) nx rows.
+    cost is linear in the (M + 1) nx rows.  Each block goes to the file as
+    soon as it is formatted: the whole text is never held at once.
     """
     rows = ["%d,%.17g,%%.17g,%%.17g\n" % node
             for node in enumerate(grid.nodes.tolist())]
-    blocks = [",".join(SOLUTION_HEADER) + "\n"]
-    for m, c in enumerate(u):
-        start = "%d," % m
-        cells = np.column_stack((c.real, c.imag)).ravel().tolist()
-        blocks.append((start + start.join(rows)) % tuple(cells))
-    _atomic_write(path, "".join(blocks))
+
+    def blocks():
+        yield ",".join(SOLUTION_HEADER) + "\n"
+        for m, c in enumerate(u):
+            start = "%d," % m
+            cells = np.column_stack((c.real, c.imag)).ravel().tolist()
+            yield (start + start.join(rows)) % tuple(cells)
+    _atomic_write(path, blocks())
 
 
 def write_error_record(output_dir: str, exc, **extra) -> str:
@@ -391,7 +400,7 @@ def write_error_record(output_dir: str, exc, **extra) -> str:
         **extra,
     }
     path = os.path.join(output_dir, "error.json")
-    _atomic_write(path, json.dumps(record, indent=2, default=float) + "\n")
+    _atomic_write(path, [json.dumps(record, indent=2, default=float) + "\n"])
     return path
 
 
@@ -406,5 +415,5 @@ def write_run_info(output_dir: str, verb: str, config_path: str,
     if extra:
         info.update(extra)
     path = os.path.join(output_dir, "run_info.json")
-    _atomic_write(path, json.dumps(info, indent=2, default=float) + "\n")
+    _atomic_write(path, [json.dumps(info, indent=2, default=float) + "\n"])
     return path

@@ -45,10 +45,12 @@ NONCONTRACTION_PATIENCE = 5
 
 
 def assemble_harmonic_system(model: ValidatedModel, M: int):
-    """Bands of A_0..A_M and the -Lap_m operator they scale.
+    """Bands of A_0..A_M, formed in place in those of -Lap_0..-Lap_M.
 
     Returns (op, bands): `op` restricts and extends nodal vectors, `bands`
     has shape (M+1, 3, nr) in LAPACK (1, 1) storage with bands[m] = A_m.
+    They are op.bands, scaled in place, so no -Lap_m stack outlives the
+    assembly.
     """
     # A_0 = c2 (-Lap_0) is nonsingular: validation asks for a Dirichlet
     # end or an impedance end, whose gamma > 0 anchors the mean
@@ -57,10 +59,16 @@ def assemble_harmonic_system(model: ValidatedModel, M: int):
     mw = m * p.omega
     op = spatial.assemble_laplacian(model.grid, model.bc_left,
                                     model.bc_right, m, p.omega)
-    # row i of A_m is scaled by c2_i + i m w b_i; the entries scale_rows
-    # wraps around meet the zero corners, so no block leaks into the next
-    bands = spatial.scale_rows(
-        op.bands, op.restrict(p.c2) + 1j * mw[:, None] * op.restrict(p.b))
+    bands = op.bands
+    # row i of A_m is row i of -Lap_m scaled by s_i = c2_i + i m w b_i.
+    # Band k of column j lies in row j + k - 1, so the super-diagonal from
+    # column 1 takes s[:-1] and the sub-diagonal up to column nr - 2 takes
+    # s[1:]; the zero corners lie in no row and stay zero, so no block
+    # leaks into the next
+    s = op.restrict(p.c2) + 1j * mw[:, None] * op.restrict(p.b)
+    bands[:, 0, 1:] *= s[:, :-1]
+    bands[:, 1] *= s
+    bands[:, 2, :-1] *= s[:, 1:]
     bands[:, 1, :] += (-1j * p.tau * mw**3 - mw**2)[:, None]
     return op, bands
 
@@ -108,18 +116,21 @@ def linear_solver(model: ValidatedModel, M: int):
     A_m u_m = -f_m for m = 0..M, each verified by re-substitution, and the
     relative residual (u, rtilde) -> float of A_m u_m + r_m on the same
     bands.  The bands' 1-norms, which scale every residual check, are
-    taken once here too."""
+    taken once here too, before the factorization, so their temporary and
+    the factors are never alive together.  The closures keep the bands and
+    their one factorization alive, and nothing else of the size of a
+    field."""
     op, bands = assemble_harmonic_system(model, M)
     # LAPACK would report an overflowed entry as a zero pivot, or not at all
     nonfinite = ~np.isfinite(bands).all(axis=(1, 2))
     if nonfinite.any():
         raise SolveFailure(f"harmonic {int(np.argmax(nonfinite))} has "
                            "non-finite coefficients")
+    one_norms = _one_norms(bands)
     try:
         solve = spatial.tridiagonal_solver(bands)
     except spatial.SingularBlock as exc:
         raise SolveFailure(f"harmonic {exc.block} is singular (zero pivot)")
-    one_norms = _one_norms(bands)
 
     def fail(m: int, what: str):
         cond = spatial.condition_estimate(bands[m])
@@ -245,7 +256,8 @@ def fixed_point(rhs, u: np.ndarray, model: ValidatedModel,
                     f"contraction ratio >= 1 for {rising} consecutive "
                     "iterations", history=update_norms)
         u, grad = u_new, grad_new
-        if update <= opts.tol * max(scale, 1e-300):
+        # an update that overflowed is no evidence of convergence
+        if np.isfinite(update) and update <= opts.tol * max(scale, 1e-300):
             return SolveReport(
                 u=u, iterations=it, update_norms=update_norms,
                 contraction_ratios=ratios, final_residual=residual(u, r),

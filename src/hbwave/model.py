@@ -139,6 +139,33 @@ def min_samples(M: int) -> int:
     return 2 * M + 2
 
 
+# The two checks below vet [study] keys for the time-stepping oracle and the
+# Taylor test.  They live here so that config validation runs them without
+# compiling the modules that use them.
+
+def check_oracle_steps(n_steps: int, M: int):
+    """Raise UndersampledTime unless the oracle's period of n_steps samples
+    resolves harmonic M, as `oracle.oracle_discrepancy` needs."""
+    if n_steps < min_samples(M):
+        raise UndersampledTime(f"oracle steps per period: nt={n_steps} < "
+                               f"2M+2={min_samples(M)}")
+
+
+MIN_LEVELS = 3      # fewest epsilons: two observed orders
+
+
+def check_eps_list(eps_list):
+    """Raise ValueError unless eps_list has MIN_LEVELS or more values and no
+    two consecutive ones are equal: each slope divides by
+    log(eps_(i-1) / eps_i)."""
+    if len(eps_list) < MIN_LEVELS:
+        raise ValueError(f"need >= {MIN_LEVELS} epsilons")
+    for e0, e1 in zip(eps_list, eps_list[1:]):
+        if e0 == e1:
+            raise ValueError(f"eps {e1!r} repeats the one before it; each "
+                             "slope needs two different epsilons")
+
+
 def _is_smooth(n: int) -> bool:
     """n has no prime factor above 5."""
     for f in (2, 3, 5):

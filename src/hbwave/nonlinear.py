@@ -61,6 +61,18 @@ def bilinear_product(fv: tuple, fw: tuple, kind: str, model: ValidatedModel,
     p = model.params
     if kind == "westervelt":
         out = time_derivative(to_harmonics(fv[0] * fw[0], M), p.omega, 2)
+        if not np.isfinite(out).all():
+            # the product overflows before eta scales it once the samples
+            # pass about 1e154: form it again from the factors divided by
+            # their largest entries, and scale those back in after eta.
+            # Only then, so results in range stay bit-identical
+            cv, cw = np.abs(fv[0]).max(), np.abs(fw[0]).max()
+            if 0.0 < cv < np.inf and 0.0 < cw < np.inf:
+                out = time_derivative(
+                    to_harmonics((fv[0] / cv) * (fw[0] / cw), M), p.omega, 2)
+                out *= p.eta * cv
+                out *= cw
+                return out
         out *= p.eta
         return out
     # in place: one (nt, nx) temporary besides q

@@ -76,7 +76,12 @@ def u0lo_norm(u: np.ndarray, grid: Grid, omega: float, T: float,
     for k <= 1, taken as one weighted sum over harmonics:
     T sum_m w_m [(1 + (m w)^2 + (m w)^4) ||u_m||^2
                  + (1 + (m w)^2) ||grad u_m||^2].
-    `grad`, the `spatial.gradient` of u, is taken here unless given."""
+    `grad`, the `spatial.gradient` of u, is taken here unless given.
+
+    A square overflows once the fields pass about 1e154; then the sum is
+    taken again over both fields divided by their largest entry.  Scaling
+    only then keeps results in range bit-identical and the common case free
+    of the extra passes."""
     if grad is None:
         grad = gradient(u, grid)
     mw2 = (np.arange(len(u)) * omega) ** 2
@@ -84,7 +89,13 @@ def u0lo_norm(u: np.ndarray, grid: Grid, omega: float, T: float,
     w_grad = w * (1.0 + mw2)
     w_u = w_grad + w * mw2 * mw2
     x = grid.trapezoid_weights()
-    return float(np.sqrt(T * (w_u @ row_sq(u, x) + w_grad @ row_sq(grad, x))))
+    sq = w_u @ row_sq(u, x) + w_grad @ row_sq(grad, x)
+    if not np.isfinite(sq):
+        c = max(np.abs(u).max(), np.abs(grad).max())
+        if 0.0 < c < np.inf:        # inf or NaN: no scale makes it finite
+            return float(c * np.sqrt(T * (w_u @ row_sq(u / c, x)
+                                          + w_grad @ row_sq(grad / c, x))))
+    return float(np.sqrt(T * sq))
 
 
 def u0me_norm(u: np.ndarray, grid: Grid, omega: float, T: float) -> float:

@@ -13,8 +13,9 @@ import math
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from .errors import NoPeriodicAttractor, StepRejected, UndersampledTime
-from .model import ValidatedModel, min_samples, to_time_samples
+from .errors import NoPeriodicAttractor, StepRejected
+from .model import (ValidatedModel, check_oracle_steps, min_samples,
+                    to_time_samples)
 from .nonlinear import KINDS
 from .spatial import (assemble_laplacian, band_product, gradient,
                       scale_rows, tridiagonal_solver)
@@ -263,14 +264,6 @@ def _norms(*arrays) -> list:
     if not 0.0 < c < math.inf:      # inf or NaN: no scale makes it finite
         c = 1.0
     return [c * np.linalg.norm(x / c) for x in arrays]
-
-
-def check_oracle_steps(n_steps: int, M: int):
-    """Raise UndersampledTime unless the oracle's period of n_steps samples
-    resolves harmonic M, as `oracle_discrepancy` needs."""
-    if n_steps < min_samples(M):
-        raise UndersampledTime(f"oracle steps per period: nt={n_steps} < "
-                               f"2M+2={min_samples(M)}")
 
 
 def time_stepping_oracle(f: np.ndarray, model: ValidatedModel, kind: str,

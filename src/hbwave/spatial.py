@@ -161,7 +161,9 @@ class _FallbackFactors:
         import scipy.linalg
         gttrf, self._gttrs, self._gtcon = scipy.linalg.get_lapack_funcs(
             _ROUTINES, (d,))
-        *self.lu, self.info = gttrf(dl, d, du)
+        # the bands are this object's own copies: f2py need not copy them
+        *self.lu, self.info = gttrf(dl, d, du, overwrite_dl=1, overwrite_d=1,
+                                    overwrite_du=1)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return self._gttrs(*self.lu, b)[0]
@@ -175,14 +177,20 @@ class _FallbackFactors:
 
 
 def _gttrf(bands: np.ndarray):
-    """LAPACK ?gttrf of one (3, n) real or complex band array."""
+    """LAPACK ?gttrf of one (3, n) real or complex band array, or of a
+    (K, 3, nr) stack as one matrix of order K nr."""
     dtype = np.result_type(bands.dtype, np.float64)
-    if bands.ndim != 2 or bands.shape[0] != 3 or dtype not in _TYPES:
-        raise ValueError(f"need (3, n) real or complex bands, got shape "
-                         f"{bands.shape} of {bands.dtype}")
-    # ?gttrf overwrites its arguments: it factors copies
-    dl, d, du = (np.array(a, dtype)
-                 for a in (bands[2, :-1], bands[1], bands[0, 1:]))
+    if bands.ndim not in (2, 3) or bands.shape[-2] != 3 or (
+            dtype not in _TYPES):
+        raise ValueError(f"need (3, n) or (K, 3, nr) real or complex bands, "
+                         f"got shape {bands.shape} of {bands.dtype}")
+    # ?gttrf overwrites its arguments: it factors copies, one of each band,
+    # taken straight from the stack; flattened, a stack's band k runs
+    # through its blocks in order, and the sub- and super-diagonal are
+    # contiguous views of theirs, less one end entry
+    dl, d, du = (np.array(bands[..., k, :], dtype).reshape(-1)
+                 for k in (2, 1, 0))
+    dl, du = dl[:-1], du[1:]
     lapack = _bundled_lapack()
     if lapack is None:
         return _FallbackFactors(dl, d, du)
@@ -209,9 +217,11 @@ def tridiagonal_solver(bands: np.ndarray, buffer: np.ndarray | None = None):
     is bit-identical to the other solve's.  The buffer is checked here,
     before the factorization, and bound once, so a solve copies nothing:
     it is the foreign call alone.
+
+    The factors hold one copy of each band of `bands`, taken straight from
+    the stack, and the fill-in and pivots ?gttrf adds; nothing else of the
+    stack is copied.
     """
-    flat = bands if bands.ndim == 2 else (
-        bands.transpose(1, 0, 2).reshape(3, -1))
     if buffer is not None:
         shape = bands.shape[-1:] if bands.ndim == 2 else bands.shape[::2]
         dtype = np.result_type(bands.dtype, np.float64)
@@ -222,7 +232,7 @@ def tridiagonal_solver(bands: np.ndarray, buffer: np.ndarray | None = None):
                 f"need a writable C-contiguous buffer of shape {shape} and "
                 f"dtype {dtype}, got a {type(buffer).__name__} of shape "
                 f"{np.shape(buffer)}, dtype {getattr(buffer, 'dtype', None)}")
-    factors = _gttrf(flat)
+    factors = _gttrf(bands)
     if factors.info > 0:
         raise SingularBlock((factors.info - 1) // bands.shape[-1])
     if buffer is not None:

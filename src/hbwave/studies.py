@@ -14,6 +14,7 @@ from .model import (
     Grid,
     PhysicalParams,
     ValidatedModel,
+    check_eps_list,
     dealiased_samples,
     time_derivative,
     to_harmonics,
@@ -23,7 +24,6 @@ from .model import (
 from .nonlinear import KINDS, FixedPointOptions, fixed_point_solve, solve
 from .norms import l2l2_norm, u0lo_norm, u0me_norm
 
-MIN_LEVELS = 3      # fewest grids or epsilons: two observed orders
 MMS_AMPLITUDE = 1e-2        # the manufactured solution's amplitude A
 
 
@@ -169,18 +169,6 @@ def tau_sweep(f: np.ndarray, model: ValidatedModel,
         if tau > 0 and 2 * tau in d_by_tau and row["d_lo"] > 0:
             row["rate"] = float(np.log2(d_by_tau[2 * tau] / row["d_lo"]))
     return StudyResult(rows=rows)
-
-
-def check_eps_list(eps_list):
-    """Raise ValueError unless eps_list has MIN_LEVELS or more values and no
-    two consecutive ones are equal: each slope divides by
-    log(eps_(i-1) / eps_i)."""
-    if len(eps_list) < MIN_LEVELS:
-        raise ValueError(f"need >= {MIN_LEVELS} epsilons")
-    for e0, e1 in zip(eps_list, eps_list[1:]):
-        if e0 == e1:
-            raise ValueError(f"eps {e1!r} repeats the one before it; each "
-                             "slope needs two different epsilons")
 
 
 def taylor_test(f: np.ndarray, f_dir: np.ndarray,

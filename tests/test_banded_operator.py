@@ -21,8 +21,10 @@ from hbwave.spatial import (
     assemble_laplacian,
     band_product,
     condition_estimate,
+    scale_rows,
     tridiagonal_solver,
 )
+from test_studies import END_PAIRS, variable_model
 
 DIRICHLET = BoundaryCondition(BCKind.DIRICHLET)
 NEUMANN = BoundaryCondition(BCKind.NEUMANN)
@@ -119,6 +121,44 @@ def test_stacked_solve_equals_separate_block_solves(bc_left, bc_right):
     separate[0] = separate[0].real
     np.testing.assert_array_equal(solve_linear_mgt(f, model),
                                   op.extend(separate))
+
+
+def scaled_copy_bands(model, M):
+    """A_0..A_M by the out-of-place formula: diag(s_m) times a separate
+    -Lap_m stack through scale_rows, plus the diagonal shift."""
+    p = model.params
+    m = np.arange(M + 1)
+    mw = m * p.omega
+    op = assemble_laplacian(model.grid, model.bc_left, model.bc_right, m,
+                            p.omega)
+    bands = scale_rows(
+        op.bands, op.restrict(p.c2) + 1j * mw[:, None] * op.restrict(p.b))
+    bands[:, 1, :] += (-1j * p.tau * mw**3 - mw**2)[:, None]
+    return bands
+
+
+@pytest.mark.parametrize("backend", ["bundled", "fallback"])
+@pytest.mark.parametrize("left, right", END_PAIRS,
+                         ids=[f"{left}-{right}" for left, right in END_PAIRS])
+def test_in_place_assembly_and_stacked_factors_are_bit_identical(
+        monkeypatch, left, right, backend):
+    # the bands scaled in place equal the out-of-place product bit for bit,
+    # the zero corners included, and the stack factored from one copy of
+    # each band solves each block as that block's own factorization does
+    if backend == "fallback":
+        monkeypatch.setattr(spatial, "_bundled_lapack", lambda: None)
+    rng = np.random.default_rng(28)
+    for M in range(1, 9):
+        model = variable_model(left, right, nx=33, M=M)
+        _, bands = assemble_harmonic_system(model, M)
+        np.testing.assert_array_equal(
+            np.ascontiguousarray(bands).view(np.uint64),
+            scaled_copy_bands(model, M).view(np.uint64))
+        rhs = rng.normal(size=bands.shape[::2]) + 1j * rng.normal(
+            size=bands.shape[::2])
+        np.testing.assert_array_equal(
+            tridiagonal_solver(bands)(rhs),
+            [tridiagonal_solver(bands[m])(rhs[m]) for m in range(M + 1)])
 
 
 @pytest.mark.parametrize("m", [0, 1, 5])

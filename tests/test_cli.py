@@ -660,13 +660,11 @@ VERB_MODULES = {
     "converge": SOLVER_MODULES | {"studies"},
     "oracle-compare": SOLVER_MODULES | {"oracle"},
 }
-# a [study] key is checked by the module that reads it, which runs the
-# modules it imports names from: the oracle's step count by `oracle`, the
-# Taylor test's epsilons by `studies`
+# a [study] key is checked by `model`, which validation runs anyway: the
+# oracle's step count and the Taylor test's epsilons compile no solver
 VALIDATE_STUDY_MODULES = {
-    "study.dt_divisor=64": VERB_MODULES["validate"] | {"nonlinear", "oracle",
-                                                       "spatial"},
-    "study.eps=0.1 0.01 0.001": SOLVER_MODULES | {"studies"},
+    "study.dt_divisor=64": VERB_MODULES["validate"],
+    "study.eps=0.1 0.01 0.001": VERB_MODULES["validate"],
 }
 
 

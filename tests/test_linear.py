@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from exact_cases import linear_dirichlet_case
-from hbwave.errors import NonContraction, SolveFailure
+from hbwave.errors import MaxIterExceeded, NonContraction, SolveFailure
 from hbwave.linear import (
     NONCONTRACTION_PATIENCE,
     _one_norms,
@@ -177,6 +177,22 @@ def test_fixed_point_factors_the_harmonic_stack_once(monkeypatch):
     assert calls == [(5, 3, 31)]
     # the final residual is taken on the bands the solve factored
     assert assemblies == [4]
+
+
+def test_fixed_point_accepts_no_overflowed_update(monkeypatch):
+    # inf <= tol * inf holds, so an update norm that overflowed passed the
+    # stopping test and ended the iteration after its first step
+    import hbwave.norms
+    from hbwave.linear import FixedPointOptions, fixed_point
+
+    monkeypatch.setattr(hbwave.norms, "u0lo_norm", lambda *args: np.inf)
+    model = make_model(nx=17)
+    f = np.zeros((3, 17), complex)
+    f[1] = np.sin(np.pi * model.grid.nodes)
+    with pytest.raises(MaxIterExceeded) as info:
+        fixed_point(lambda u, grad: f, np.zeros_like(f), model,
+                    FixedPointOptions(max_iter=3))
+    assert info.value.details["history"] == [np.inf] * 3
 
 
 def test_linearized_around_zero_base_is_direct_solve():

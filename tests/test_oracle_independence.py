@@ -11,7 +11,8 @@ SRC = Path(__file__).resolve().parents[1] / "src" / "hbwave"
 # package module -> the names the oracle may import from it; None: any
 ALLOWED = {
     "errors": None,
-    "model": {"ValidatedModel", "min_samples", "to_time_samples"},
+    "model": {"ValidatedModel", "check_oracle_steps", "min_samples",
+              "to_time_samples"},
     "spatial": {"assemble_laplacian", "band_product", "gradient",
                 "scale_rows", "tridiagonal_solver"},
     "nonlinear": {"KINDS"},

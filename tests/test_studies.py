@@ -880,6 +880,30 @@ def test_oracle_norms_hold_where_a_square_of_the_state_overflows(kind, eta,
     assert counts == counts_ref
 
 
+def test_picard_norms_hold_where_a_square_of_the_iterate_overflows():
+    # at amplitude 1e200 the iterate's squares overflow (|u| ~ 4e198): the
+    # u0lo norms read inf, inf <= inf passed the stopping test, and the
+    # solve returned after 1 iteration with update norms [inf] and a
+    # residual of 0.  At eta = 1e-300 the Westervelt term is below 1e-100
+    # of the rest, so the 1e200 run is the 1e100 run scaled: its first
+    # update 1e100 times larger, the later ones, the nonlinear correction,
+    # 1e200 times, and the solution 1e100 times
+    model = make_model(nx=17, eta=1e-300)
+    runs = []
+    for amp in (1e100, 1e200):
+        with np.errstate(over="ignore", invalid="ignore"):
+            runs.append(solve(drive(model, amp), model, "westervelt"))
+    ref, big = runs
+    assert big.iterations == ref.iterations == 2
+    assert big.update_norms[0] == pytest.approx(
+        1e100 * ref.update_norms[0], rel=1e-9)
+    assert big.update_norms[1:] == pytest.approx(
+        [1e200 * n for n in ref.update_norms[1:]], rel=1e-9)
+    assert np.linalg.norm(big.u / 1e100 - ref.u) <= 1e-9 * np.linalg.norm(
+        ref.u)
+    assert 0 < big.final_residual <= 1e-10
+
+
 def smoke_taylor_case(kind):
     """The deriv-check smoke grid, coefficients and ends: 33 nodes, M = 8,
     absorbing right end; Kuznetsov at amplitude 1, Westervelt at 0.1."""
