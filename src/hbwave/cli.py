@@ -11,6 +11,8 @@ output dir.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import os
 import sys
 
@@ -28,6 +30,12 @@ from .io import (
     write_solution_csv,
 )
 from .model import check_oracle_steps
+
+# at exit, freeze the heap: the exit-time collections skip it and the OS
+# takes it back at once (README, "Process lifetime"); unregistering first
+# keeps one registration when this module runs twice
+atexit.unregister(gc.freeze)
+atexit.register(gc.freeze)
 
 VERBS = ("solve", "sweep-tau", "energy", "deriv-check", "converge",
          "oracle-compare", "validate")
@@ -58,6 +66,17 @@ def _json_number(v):
     return v if np.isfinite(v) else None
 
 
+def _say(line: str):
+    """Print a console line.  It is not a result: if stdout's reader has
+    gone, stdout goes to os.devnull and the run carries on."""
+    try:
+        print(line, flush=True)
+    except BrokenPipeError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def _solve(setup, extra: dict):
     """Solve the configured problem; its report's figures go to `extra`,
     as run_info.json's `metrics`."""
@@ -79,7 +98,7 @@ def _solve(setup, extra: dict):
 def _run_verb(verb: str, setup, out: str) -> dict:
     extra = {}
     if verb == "validate":
-        print("config valid")
+        _say("config valid")
         return extra
 
     if verb in ("solve", "energy"):
@@ -93,8 +112,8 @@ def _run_verb(verb: str, setup, out: str) -> dict:
             write_solution_csv(os.path.join(out, "solution.csv"), u,
                                setup.model.grid)
         extra["E_lo"] = report.lo_total
-        print(f"wrote {'solution.csv and ' if verb == 'solve' else ''}"
-              f"energy.csv (E_lo = {report.lo_total:.6e})")
+        _say(f"wrote {'solution.csv and ' if verb == 'solve' else ''}"
+             f"energy.csv (E_lo = {report.lo_total:.6e})")
         return extra
 
     if verb == "sweep-tau":
@@ -107,7 +126,7 @@ def _run_verb(verb: str, setup, out: str) -> dict:
                   "ratio_hi")
         write_csv(os.path.join(out, "tau_sweep.csv"), header,
                   ([r[key] for key in header] for r in result.rows))
-        print(f"wrote tau_sweep.csv ({len(result.rows)} rows)")
+        _say(f"wrote tau_sweep.csv ({len(result.rows)} rows)")
         return extra
 
     if verb == "deriv-check":
@@ -126,8 +145,8 @@ def _run_verb(verb: str, setup, out: str) -> dict:
                    for r in result.rows])
         extra["picard_iterations"] = result.metadata["picard_iterations"]
         slopes = [r["slope"] for r in result.rows if r["slope"] is not None]
-        print(f"wrote taylor.csv (slopes: "
-              f"{', '.join('%.3f' % s for s in slopes)})")
+        _say(f"wrote taylor.csv (slopes: "
+             f"{', '.join('%.3f' % s for s in slopes)})")
         return extra
 
     if verb == "converge":
@@ -140,8 +159,8 @@ def _run_verb(verb: str, setup, out: str) -> dict:
                  r.get("order_l2l2"), r.get("order_u0lo"))
                 for r in result.rows]
         write_csv(os.path.join(out, "convergence.csv"), header, rows)
-        print(f"wrote convergence.csv (orders: "
-              f"{result.metadata['orders_l2l2']})")
+        _say(f"wrote convergence.csv (orders: "
+             f"{result.metadata['orders_l2l2']})")
         return extra
 
     if verb == "oracle-compare":
@@ -160,7 +179,7 @@ def _run_verb(verb: str, setup, out: str) -> dict:
         write_csv(os.path.join(out, "oracle.csv"), ("metric", "value"),
                   sorted({"discrepancy": d, "periodicity_gap": gap,
                           "dt": setup.model.params.T / n_steps}.items()))
-        print(f"wrote oracle.csv (discrepancy = {d:.6e})")
+        _say(f"wrote oracle.csv (discrepancy = {d:.6e})")
         return extra
 
     raise ConfigError(f"unknown verb {verb!r}")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import configparser
 import json
 import os
-import tempfile
 import time
 import warnings
 
@@ -31,6 +30,7 @@ from .model import (
     MIN_NODES,
     BCKind,
     BoundaryCondition,
+    FixedPointOptions,
     Grid,
     PhysicalParams,
     ValidatedModel,
@@ -38,7 +38,6 @@ from .model import (
     check_oracle_steps,
     validate_model,
 )
-from .linear import FixedPointOptions
 
 _SCHEMA = {
     "domain": {"l", "nx"},
@@ -321,6 +320,18 @@ def _format(value) -> str:
     return "%.17g" % float(value)
 
 
+def _new_file(directory: str):
+    """(fd, path) of a new file in `directory`, open for writing, with
+    the mode `open` gives: 0o666 less the umask (mkstemp's is 0o600)."""
+    while True:
+        path = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+        try:
+            return os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL,
+                           0o666), path
+        except FileExistsError:
+            continue
+
+
 def _atomic_write(path: str, parts):
     """Write the strings of `parts` in turn to a temporary file beside
     `path`, LF-only, then move it onto `path`: a reader sees the old file
@@ -328,7 +339,7 @@ def _atomic_write(path: str, parts):
     a generator of parts never holds the whole text."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    fd, tmp = _new_file(directory)
     try:
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             for text in parts:

@@ -38,7 +38,7 @@ from .errors import (
     NonConvergedIteration,
     SolveFailure,
 )
-from .model import Frozen, ValidatedModel
+from .model import FixedPointOptions, ValidatedModel
 
 RESIDUAL_RTOL = 1e-10
 NONCONTRACTION_PATIENCE = 5
@@ -167,26 +167,6 @@ def linear_residual(u: np.ndarray, rtilde: np.ndarray,
     """Relative re-substitution residual of A_m u_m + r_m over all harmonics."""
     return _relative_residual(*assemble_harmonic_system(model, len(u) - 1),
                               None, u, rtilde)
-
-
-class FixedPointOptions(Frozen):
-    def __init__(self, tol: float = 1e-11, max_iter: int = 100,
-                 relaxation: float = 1.0, degeneracy_floor: float = 0.1,
-                 ball_radius: float | None = None):
-        if not 0.0 < tol < np.inf:
-            raise ValueError("tol must be finite and > 0")
-        if max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if not 0.0 < relaxation <= 1.0:
-            raise ValueError("relaxation must be in (0, 1]")
-        # a NaN floor or radius would silently switch its guard off
-        if not np.isfinite(degeneracy_floor):
-            raise ValueError("degeneracy_floor must be finite")
-        if not (ball_radius is None or 0.0 < ball_radius < np.inf):
-            raise ValueError("ball_radius must be finite and > 0")
-        vars(self).update(tol=tol, max_iter=max_iter, relaxation=relaxation,
-                          degeneracy_floor=degeneracy_floor,
-                          ball_radius=ball_radius)
 
 
 # the linearized solve's stopping rule, not user options; a base of

@@ -140,8 +140,9 @@ def min_samples(M: int) -> int:
 
 
 # The two checks below vet [study] keys for the time-stepping oracle and the
-# Taylor test.  They live here so that config validation runs them without
-# compiling the modules that use them.
+# Taylor test, and FixedPointOptions vets the [solver] keys.  They live here
+# so that config validation runs them without compiling the modules that
+# use them.
 
 def check_oracle_steps(n_steps: int, M: int):
     """Raise UndersampledTime unless the oracle's period of n_steps samples
@@ -164,6 +165,26 @@ def check_eps_list(eps_list):
         if e0 == e1:
             raise ValueError(f"eps {e1!r} repeats the one before it; each "
                              "slope needs two different epsilons")
+
+
+class FixedPointOptions(Frozen):
+    def __init__(self, tol: float = 1e-11, max_iter: int = 100,
+                 relaxation: float = 1.0, degeneracy_floor: float = 0.1,
+                 ball_radius: float | None = None):
+        if not 0.0 < tol < np.inf:
+            raise ValueError("tol must be finite and > 0")
+        if max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
+        if not 0.0 < relaxation <= 1.0:
+            raise ValueError("relaxation must be in (0, 1]")
+        # a NaN floor or radius would silently switch its guard off
+        if not np.isfinite(degeneracy_floor):
+            raise ValueError("degeneracy_floor must be finite")
+        if not (ball_radius is None or 0.0 < ball_radius < np.inf):
+            raise ValueError("ball_radius must be finite and > 0")
+        vars(self).update(tol=tol, max_iter=max_iter, relaxation=relaxation,
+                          degeneracy_floor=degeneracy_floor,
+                          ball_radius=ball_radius)
 
 
 def _is_smooth(n: int) -> bool:

@@ -652,7 +652,7 @@ def test_no_verb_imports_scipy(config, tmp_path, verb):
 SOLVER_MODULES = {"cli", "errors", "io", "linear", "model", "nonlinear",
                   "norms", "spatial"}
 VERB_MODULES = {
-    "validate": {"cli", "errors", "io", "linear", "model"},
+    "validate": {"cli", "errors", "io", "model"},
     "solve": SOLVER_MODULES | {"diagnostics"},
     "energy": SOLVER_MODULES | {"diagnostics"},
     "sweep-tau": SOLVER_MODULES | {"diagnostics", "studies"},

@@ -9,6 +9,7 @@ from hbwave.errors import (
     UnknownKey,
 )
 from hbwave.io import (
+    _atomic_write,
     _format,
     apply_overrides,
     build_setup,
@@ -245,6 +246,19 @@ def test_non_finite_cell_fails_and_nothing_is_written(tmp_path, header, rows,
     assert (info.value.file, info.value.term) == ("out.csv", term)
     assert info.value.exit_code == 2
     assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_write_keeps_the_old_file_and_leaves_no_temporary(tmp_path):
+    path = tmp_path / "out.csv"
+    path.write_text("old\n")
+
+    def parts():
+        yield "half of the new text\n"
+        raise RuntimeError("the writer failed")
+    with pytest.raises(RuntimeError):
+        _atomic_write(str(path), parts())
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_text() == "old\n"
 
 
 def test_seventeen_digit_round_trip(tmp_path):
