@@ -66,14 +66,16 @@ def _json_number(v):
     return v if np.isfinite(v) else None
 
 
-def _say(line: str):
-    """Print a console line.  It is not a result: if stdout's reader has
-    gone, stdout goes to os.devnull and the run carries on."""
+def _say(line: str, stream=None):
+    """Print a console line on `stream`, stdout when None.  It is not a
+    result: if the stream's reader has gone, the stream goes to os.devnull
+    and the run carries on to the exit code it would have had."""
+    stream = stream or sys.stdout
     try:
-        print(line, flush=True)
+        print(line, file=stream, flush=True)
     except BrokenPipeError:
         devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
+        os.dup2(devnull, stream.fileno())
         os.close(devnull)
 
 
@@ -206,11 +208,13 @@ def run_command(argv) -> int:
             details["traceback"] = traceback.format_exc()
         if os.path.isdir(out):      # else there is nowhere to leave it
             write_error_record(out, exc, **details)
-        print(f"error: {type(exc).__name__}: {exc}".translate(_LINE_BREAKS),
-              file=sys.stderr)
-        return getattr(exc, "exit_code", 2)
-    write_run_info(out, args.verb, args.config, args.overrides, extra)
-    return 0
+        failure = exc
+    else:
+        write_run_info(out, args.verb, args.config, args.overrides, extra)
+        return 0
+    _say(f"error: {type(failure).__name__}: {failure}".translate(
+        _LINE_BREAKS), sys.stderr)
+    return getattr(failure, "exit_code", 2)
 
 
 def main() -> None:

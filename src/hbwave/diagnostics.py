@@ -18,7 +18,7 @@ from .model import (
     time_derivative,
     to_time_samples,
 )
-from .norms import spatial_sq, time_space_norm_sq, time_sum
+from .norms import row_sq, time_space_norm_sq, time_sum
 from .spatial import dual_norm_h1star, gradient, laplacian_fd
 
 
@@ -97,12 +97,14 @@ def compute_energies(u: np.ndarray, model: ValidatedModel) -> EnergyReport:
     tb, tau, omega, T = p.taubar, p.tau, p.omega, p.T
 
     lap_coeffs = laplacian_fd(u, grid)
-    sq = {None: spatial_sq(u, grid), "H1_semi": spatial_sq(u, grid, "H1_semi"),
-          "laplacian": spatial_sq(lap_coeffs, grid),
-          "grad_laplacian": spatial_sq(lap_coeffs, grid, "H1_semi")}
+    x = grid.trapezoid_weights()
+    # ||u_m||^2, ||grad u_m||^2, ||lap u_m||^2 and ||grad lap u_m||^2
+    u_sq, grad_sq, lap_sq, grad_lap_sq = (
+        row_sq(c, x) for c in (u, gradient(u, grid), lap_coeffs,
+                               gradient(lap_coeffs, grid)))
 
-    def vol(k, spatial=None):
-        return time_sum(sq[spatial], omega, T, k)
+    def vol(k, sq=u_sq):
+        return time_sum(sq, omega, T, k)
 
     gamma_a = _endpoints(model, ABSORBING_ONLY)
     gamma = _endpoints(model, GAMMA_KINDS)
@@ -111,15 +113,15 @@ def compute_energies(u: np.ndarray, model: ValidatedModel) -> EnergyReport:
     lo = {
         "uttt_dual": uttt_dual,
         "utt_l2": tb * vol(2),
-        "u_h1h1": vol(0) + vol(1) + vol(0, "H1_semi") + vol(1, "H1_semi"),
+        "u_h1h1": vol(0) + vol(1) + vol(0, grad_sq) + vol(1, grad_sq),
         "utt_trace_absorbing": tb * _trace_norm_sq(u, model, 2, gamma_a),
         "u_h1_trace_gamma": sum(
             _trace_norm_sq(u, model, k, gamma, 1) for k in (0, 1)),
     }
     me = {
         "uttt_l2": tb * tau**2 * vol(3),
-        "utt_h1": tb * (vol(2) + vol(2, "H1_semi")),
-        "lap_u_h1l2": vol(0, "laplacian") + vol(1, "laplacian"),
+        "utt_h1": tb * (vol(2) + vol(2, grad_sq)),
+        "lap_u_h1l2": vol(0, lap_sq) + vol(1, lap_sq),
         "uttt_trace_absorbing": tb * tau * _trace_norm_sq(u, model, 3,
                                                           gamma_a),
         "u_h2_trace_gamma": sum(
@@ -127,8 +129,8 @@ def compute_energies(u: np.ndarray, model: ValidatedModel) -> EnergyReport:
     }
     hi = {
         "uttt_dual": uttt_dual,
-        "lap_utt_l2": tb * vol(2, "laplacian"),
-        "grad_lap_u_h1l2": vol(0, "grad_laplacian") + vol(1, "grad_laplacian"),
+        "lap_utt_l2": tb * vol(2, lap_sq),
+        "grad_lap_u_h1l2": vol(0, grad_lap_sq) + vol(1, grad_lap_sq),
         "lap_utt_trace_absorbing": tb * _trace_norm_sq(lap_coeffs, model, 2,
                                                        gamma_a),
         "lap_u_h1_trace_gamma": sum(

@@ -26,7 +26,7 @@ from .errors import (
     UnknownKey,
 )
 from .model import (
-    MIN_LEVELS,
+    KINDS,
     MIN_NODES,
     BCKind,
     BoundaryCondition,
@@ -58,7 +58,7 @@ PROFILES = {
     "gaussian": lambda x, L: np.exp(-(((x - 0.5 * L) / (0.125 * L)) ** 2)),
 }
 
-SOLVER_KINDS = ("linear", "westervelt", "kuznetsov")
+SOLVER_KINDS = ("linear", *KINDS)
 # bound on (M + 1) * nx, the complex coefficients of one field: 16 MB a
 # field, about 29 times the largest size of the ROADMAP grid sweep
 # (nx=2049, M=16)
@@ -271,27 +271,23 @@ def build_setup(raw: dict, config_path: str) -> RunSetup:
     for key in ("taus", "eps"):
         if key not in st:
             continue
-        need = 1 if key == "taus" else MIN_LEVELS
         try:
             study[key] = [float(v)
                           for v in st[key].replace(",", " ").split()]
         except ValueError:
             raise TypeMismatch(f"[study] {key} = {st[key]!r} is not a "
                                "numeric list")
-        if len(study[key]) < need:
-            raise TypeMismatch(f"[study] {key} = {st[key]!r}; need "
-                               f"{need} or more values")
-        # each tau is validated below, with its model
-        if key != "taus" and not all(0 < v < np.inf for v in study[key]):
-            raise TypeMismatch(f"[study] {key} = {st[key]!r}; need finite "
-                               "values > 0")
-        if key == "eps":
-            try:
-                check_eps_list(study[key])
-            except ValueError as exc:
-                raise TypeMismatch(f"[study] eps = {st[key]!r}; {exc}")
+        if not study[key]:
+            raise TypeMismatch(f"[study] {key} is empty")
+    # each tau is validated with its model, the epsilons by the Taylor
+    # test's own check
     for tau in study.get("taus", ()):
         model.with_params(params.with_tau(tau))
+    if "eps" in study:
+        try:
+            check_eps_list(study["eps"])
+        except ValueError as exc:
+            raise TypeMismatch(f"[study] eps = {st['eps']!r}; {exc}")
     for key, convert in (("dt_divisor", _as_int), ("max_periods", _as_int),
                          ("period_tol", _as_float)):
         if key in st:

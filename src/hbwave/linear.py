@@ -59,39 +59,23 @@ def assemble_harmonic_system(model: ValidatedModel, M: int):
     mw = m * p.omega
     op = spatial.assemble_laplacian(model.grid, model.bc_left,
                                     model.bc_right, m, p.omega)
-    bands = op.bands
-    # row i of A_m is row i of -Lap_m scaled by s_i = c2_i + i m w b_i.
-    # Band k of column j lies in row j + k - 1, so the super-diagonal from
-    # column 1 takes s[:-1] and the sub-diagonal up to column nr - 2 takes
-    # s[1:]; the zero corners lie in no row and stay zero, so no block
-    # leaks into the next
-    s = op.restrict(p.c2) + 1j * mw[:, None] * op.restrict(p.b)
-    bands[:, 0, 1:] *= s[:, :-1]
-    bands[:, 1] *= s
-    bands[:, 2, :-1] *= s[:, 1:]
+    # row i of A_m is row i of -Lap_m scaled by s_i = c2_i + i m w b_i
+    bands = spatial.scale_rows(
+        op.bands, op.restrict(p.c2) + 1j * mw[:, None] * op.restrict(p.b))
     bands[:, 1, :] += (-1j * p.tau * mw**3 - mw**2)[:, None]
     return op, bands
 
 
-def _one_norms(bands: np.ndarray) -> np.ndarray:
-    """The 1-norm of each tridiagonal block of (..., 3, n) bands."""
-    with np.errstate(all="ignore"):
-        return np.abs(bands).sum(axis=-2).max(axis=-1)
-
-
 def _residuals(bands: np.ndarray, x: np.ndarray, rhs: np.ndarray,
-               one_norms: np.ndarray | None = None):
+               one_norms: np.ndarray):
     """Re-substitution residual ||A_m x_m - rhs_m|| per m, and its scale
     ||A_m||_1 ||x_m|| + ||rhs_m||, each row norm from `norms.row_sq`.
-    `one_norms`, the bands' 1-norms, is computed here when not given; a
-    solver passes the ones it took once.
+    `one_norms` is `spatial.one_norms(bands)`, which a solver takes once.
 
     A square in the norms overflows once rhs passes about 1e154; then both
     are taken again with rhs divided by its largest entry, and x, which is
     about A^-1 rhs, with it.  Scaling only then keeps the common case free
     of the extra passes and temporaries."""
-    if one_norms is None:
-        one_norms = _one_norms(bands)
     with np.errstate(all="ignore"):
         res = np.sqrt(norms.row_sq(spatial.band_product(bands, x) - rhs))
         scale = (one_norms * np.sqrt(norms.row_sq(x))
@@ -126,7 +110,7 @@ def linear_solver(model: ValidatedModel, M: int):
     if nonfinite.any():
         raise SolveFailure(f"harmonic {int(np.argmax(nonfinite))} has "
                            "non-finite coefficients")
-    one_norms = _one_norms(bands)
+    one_norms = spatial.one_norms(bands)
     try:
         solve = spatial.tridiagonal_solver(bands)
     except spatial.SingularBlock as exc:
@@ -165,8 +149,8 @@ def solve_linear_mgt(f: np.ndarray, model: ValidatedModel) -> np.ndarray:
 def linear_residual(u: np.ndarray, rtilde: np.ndarray,
                     model: ValidatedModel) -> float:
     """Relative re-substitution residual of A_m u_m + r_m over all harmonics."""
-    return _relative_residual(*assemble_harmonic_system(model, len(u) - 1),
-                              None, u, rtilde)
+    op, bands = assemble_harmonic_system(model, len(u) - 1)
+    return _relative_residual(op, bands, spatial.one_norms(bands), u, rtilde)
 
 
 # the linearized solve's stopping rule, not user options; a base of

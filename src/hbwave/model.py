@@ -23,6 +23,8 @@ TWO_PI = 2.0 * np.pi
 # alone, which scipy's ?gttrf wrapper, the solve kernel's fallback, cannot do
 # below order 3
 MIN_NODES = 5
+# the nonlinear kinds, whose r[u, u] the Picard solve adds; "linear" has none
+KINDS = ("westervelt", "kuznetsov")
 
 
 class Frozen:
@@ -156,11 +158,14 @@ MIN_LEVELS = 3      # fewest epsilons: two observed orders
 
 
 def check_eps_list(eps_list):
-    """Raise ValueError unless eps_list has MIN_LEVELS or more values and no
-    two consecutive ones are equal: each slope divides by
-    log(eps_(i-1) / eps_i)."""
+    """Raise ValueError unless eps_list has MIN_LEVELS or more values, each
+    finite and > 0, and no two consecutive ones are equal: each slope
+    divides by log(eps_(i-1) / eps_i)."""
     if len(eps_list) < MIN_LEVELS:
         raise ValueError(f"need >= {MIN_LEVELS} epsilons")
+    for e in eps_list:
+        if not 0 < e < np.inf:
+            raise ValueError(f"eps {e!r} is not finite and > 0")
     for e0, e1 in zip(eps_list, eps_list[1:]):
         if e0 == e1:
             raise ValueError(f"eps {e1!r} repeats the one before it; each "

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import DegeneracyDetected
 from .linear import FixedPointOptions, SolveReport, fixed_point, linear_solver
 from .model import (
+    KINDS,
     ValidatedModel,
     dealiased_samples,
     time_derivative,
@@ -30,8 +31,6 @@ from .model import (
     to_time_samples,
 )
 from .spatial import gradient
-
-KINDS = ("westervelt", "kuznetsov")
 
 
 def _check_kind(kind: str):

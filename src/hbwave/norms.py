@@ -3,9 +3,11 @@
 Time integration uses Parseval with the one-sided convention: weight 1 for
 the mean mode and 2 for m >= 1, so that
 ||d_t^k u||^2_{L2(0,T;X)} = T * sum_m w_m (m omega)^{2k} ||u_m||_X^2.
-u0lo_norm takes one weighted pass per field: it squares the float view of
-the field, weights it by the trapezoid rule in one product and sums the
-harmonics with weights formed once.  The Picard loop takes it twice per
+Every spatial square here and in `diagnostics` is `row_sq` with the
+trapezoid weights: one pass that squares the float view of the field and
+weights it in one product.  A norm in H1 or with the Laplacian takes it of
+`spatial.gradient` or `spatial.laplacian_fd` of the field.  u0lo_norm sums
+the harmonics with weights formed once.  The Picard loop takes it twice per
 iteration, for the iterate and for the update, and passes in the one
 gradient it takes per iterate.
 """
@@ -21,21 +23,6 @@ def parseval_weights(M: int) -> np.ndarray:
     w = np.full(M + 1, 2.0)
     w[0] = 1.0
     return w
-
-
-def spatial_sq(u: np.ndarray, grid: Grid, spatial=None) -> np.ndarray:
-    """||X u_m||^2 for every harmonic m, shape (M+1,); X as in
-    time_space_norm_sq."""
-    if spatial in ("laplacian", "grad_laplacian"):
-        u = laplacian_fd(u, grid)
-    if spatial in ("H1_semi", "grad_laplacian"):
-        u = gradient(u, grid)
-    return _nodal_sq(u, grid)
-
-
-def _nodal_sq(c: np.ndarray, grid: Grid) -> np.ndarray:
-    """Trapezoidal ||c_m||^2_{L2} of each row of nodal values c."""
-    return np.sum(grid.trapezoid_weights() * np.abs(c) ** 2, axis=-1)
 
 
 def row_sq(c: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
@@ -59,10 +46,10 @@ def time_sum(sq: np.ndarray, omega: float, T: float, t_order: int) -> float:
 
 
 def time_space_norm_sq(u: np.ndarray, grid: Grid, omega: float, T: float,
-                       t_order: int = 0, spatial=None) -> float:
-    """||d_t^k u||^2_{L2(0,T;X)} where X is given by `spatial`: None (L2),
-    "H1_semi", "laplacian" or "grad_laplacian"."""
-    return time_sum(spatial_sq(u, grid, spatial), omega, T, t_order)
+                       t_order: int = 0) -> float:
+    """||d_t^k u||^2_{L2(0,T;L2)}; for another space X, pass X's transform
+    of u, such as `spatial.gradient(u, grid)` for the H1 seminorm."""
+    return time_sum(row_sq(u, grid.trapezoid_weights()), omega, T, t_order)
 
 
 def l2l2_norm(u: np.ndarray, grid: Grid, omega: float, T: float) -> float:
@@ -100,8 +87,9 @@ def u0lo_norm(u: np.ndarray, grid: Grid, omega: float, T: float,
 
 def u0me_norm(u: np.ndarray, grid: Grid, omega: float, T: float) -> float:
     """Discrete H^2(H^1) + H^1(L^2 with Laplacian) norm (medium level)."""
-    l2_h1 = spatial_sq(u, grid) + spatial_sq(u, grid, "H1_semi")
-    lap = spatial_sq(u, grid, "laplacian")
+    x = grid.trapezoid_weights()
+    l2_h1 = row_sq(u, x) + row_sq(gradient(u, grid), x)
+    lap = row_sq(laplacian_fd(u, grid), x)
     sq = (sum(time_sum(l2_h1, omega, T, k) for k in range(3))
           + sum(time_sum(lap, omega, T, k) for k in range(2)))
     return float(np.sqrt(sq))

@@ -14,9 +14,8 @@ import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
 from .errors import NoPeriodicAttractor, StepRejected
-from .model import (ValidatedModel, check_oracle_steps, min_samples,
+from .model import (KINDS, ValidatedModel, check_oracle_steps, min_samples,
                     to_time_samples)
-from .nonlinear import KINDS
 from .spatial import (assemble_laplacian, band_product, gradient,
                       scale_rows, tridiagonal_solver)
 
@@ -123,7 +122,7 @@ class _Oracle:
             """sum_k w_k B_k over k < n, plus the diagonal diag."""
             s, e, a = (sum(wk * c[i] for wk, c in zip(w, coeffs))
                        for i in range(3))
-            out = scale_rows(op.bands.real, s)
+            out = scale_rows(op.bands.real.copy(), s)
             out[1] += (diag + a) + e * op.d_beta
             return out
         # the midpoint is affine in z, mid = P y + g z: P_kj = h^(j - k) for

@@ -34,11 +34,23 @@ def band_product(bands: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def scale_rows(bands: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """diag(s) times tridiagonal (..., 3, n) bands, for (..., n) scales s."""
-    # band k of column j lies in row j + k - 1; the entries np.roll wraps
-    # around meet the zero corners
-    return bands * np.stack(
-        [np.roll(s, 1, axis=-1), s, np.roll(s, -1, axis=-1)], axis=-2)
+    """diag(s) times tridiagonal (..., 3, n) bands, for (..., n) scales s,
+    in place; returns `bands`."""
+    # band k of column j lies in row j + k - 1, so the super-diagonal from
+    # column 1 takes s[:-1] and the sub-diagonal up to column n - 2 takes
+    # s[1:]; the zero corners lie in no row and stay zero, so no block of
+    # a stack leaks into the next
+    bands[..., 0, 1:] *= s[..., :-1]
+    bands[..., 1, :] *= s
+    bands[..., 2, :-1] *= s[..., 1:]
+    return bands
+
+
+def one_norms(bands: np.ndarray) -> np.ndarray:
+    """The 1-norm, the largest column sum, of each tridiagonal block of
+    (..., 3, n) bands; column j of a block is bands[..., :, j]."""
+    with np.errstate(all="ignore"):
+        return np.abs(bands).sum(axis=-2).max(axis=-1)
 
 
 class SingularBlock(np.linalg.LinAlgError):
@@ -250,8 +262,7 @@ def condition_estimate(bands: np.ndarray) -> float:
     scale = np.abs(bands).max()
     if scale > 0:
         bands = bands / scale
-    # column j of the matrix is bands[:, j]; the corners are zero
-    rcond = _gttrf(bands).rcond(np.abs(bands).sum(axis=0).max())
+    rcond = _gttrf(bands).rcond(one_norms(bands))
     return 1.0 / rcond if rcond > 0 else np.inf
 
 

@@ -10,18 +10,21 @@ from . import diagnostics
 from .errors import TypeMismatch
 from .linear import linear_solver, solve_linearized
 from .model import (
+    KINDS,
     MIN_NODES,
     Grid,
     PhysicalParams,
     ValidatedModel,
     check_eps_list,
-    dealiased_samples,
-    time_derivative,
-    to_harmonics,
-    to_time_samples,
     validate_model,
 )
-from .nonlinear import KINDS, FixedPointOptions, fixed_point_solve, solve
+from .nonlinear import (
+    FixedPointOptions,
+    bilinear_factors,
+    bilinear_product,
+    fixed_point_solve,
+    solve,
+)
 from .norms import l2l2_norm, u0lo_norm, u0me_norm
 
 MMS_AMPLITUDE = 1e-2        # the manufactured solution's amplitude A
@@ -36,6 +39,15 @@ def __getattr__(name):
         from . import oracle
         return getattr(oracle, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def observed_order(e0: float, e1: float, ratio: float) -> float | None:
+    """log(e0 / e1) / log(ratio), the order at which a quantity fell from
+    e0 to e1 as its parameter shrank by `ratio`; None unless both levels
+    are > 0, which leaves the order's cell empty."""
+    if e0 > 0 and e1 > 0:
+        return float(np.log(e0 / e1) / np.log(ratio))
+    return None
 
 
 class StudyResult:
@@ -59,13 +71,15 @@ def manufactured_case(model: ValidatedModel, kind: str):
     vanishes, and pi / (L^2 (2 + q_m L)) at a Robin end, whose condition is
     -phi'(0) + q_m phi(0) = 0 or phi'(L) + q_m phi(L) = 0 with
     q_m = bc.robin_coefficient(m, omega).  f = -(A_m u*_m +
-    r_m[u*]) takes the exact phi'', the model's nodal coefficients and
-    exact samples of u*, u*_t and u*_x on `dealiased_samples(M)`, so the
-    discrete solution differs from u* by the spatial error alone."""
+    r_m[u*, u*]) takes the exact phi'', the model's nodal coefficients
+    and r[u*, u*] from `nonlinear.bilinear_product` on the factors of u*
+    with its exact u*_x, so the discrete solution differs from u* by the
+    spatial error alone."""
     grid, p, M = model.grid, model.params, model.M
     L, x, omega, k = grid.L, grid.nodes, p.omega, np.pi / grid.L
+    nonlinear = kind in KINDS
     # r is quadratic, so it reaches harmonic 2K
-    K = min(2, M // 2 if kind in KINDS else M)
+    K = min(2, M // 2 if nonlinear else M)
     if K < 1:
         raise TypeMismatch(f"a manufactured solution of the {kind} kind "
                            f"needs M >= 2, got M = {M}")
@@ -82,14 +96,9 @@ def manufactured_case(model: ValidatedModel, kind: str):
     mw = np.arange(M + 1)[:, None] * omega
     # A_m u_m = (-i tau (m w)^3 - (m w)^2) u_m + (c2 + i m w b) (-u_m'')
     f = (1j * p.tau * mw**3 + mw**2) * u + (p.c2 + 1j * mw * p.b) * uxx
-    nt = dealiased_samples(M)
-    if kind == "westervelt":        # r = eta (u^2)_tt
-        f -= p.eta * time_derivative(
-            to_harmonics(to_time_samples(u, nt)**2, M), omega, 2)
-    elif kind == "kuznetsov":       # r = (eta~ u_t^2 + u_x^2)_t
-        q = (p.eta_tilde * to_time_samples(time_derivative(u, omega), nt)**2
-             + to_time_samples(ux, nt)**2)
-        f -= time_derivative(to_harmonics(q, M), omega)
+    if nonlinear:
+        factors = bilinear_factors(u, kind, model, ux)
+        f -= bilinear_product(factors, factors, kind, model, M)
     return u, f
 
 
@@ -124,14 +133,11 @@ def convergence_study(model: ValidatedModel, kind: str,
             "err_l2l2": l2l2_norm(err, level.grid, p.omega, p.T),
             "err_u0lo": u0lo_norm(err, level.grid, p.omega, p.T),
         })
-    for i in range(1, len(rows)):
-        ratio_h = rows[i - 1]["h"] / rows[i]["h"]
-        for key in ("err_l2l2", "err_u0lo"):
-            prev, cur = rows[i - 1][key], rows[i][key]
-            order = (np.log(prev / cur) / np.log(ratio_h)
-                     if prev > 0 and cur > 0 else np.nan)
-            rows[i][f"order_{key[4:]}"] = float(order)
-    orders = [r.get("order_l2l2") for r in rows[1:]]
+    for r0, r1 in zip(rows, rows[1:]):
+        for key in ("l2l2", "u0lo"):
+            r1[f"order_{key}"] = observed_order(
+                r0[f"err_{key}"], r1[f"err_{key}"], r0["h"] / r1["h"])
+    orders = [r["order_l2l2"] for r in rows[1:]]
     ok = all(o is not None and 1.8 <= o <= 2.2 for o in orders)
     return StudyResult(rows=rows,
                        metadata={"pass": ok, "orders_l2l2": orders})
@@ -166,8 +172,8 @@ def tau_sweep(f: np.ndarray, model: ValidatedModel,
                      "E_lo_ratio": ratios.pop("ratio_lo"), **ratios})
     for row in rows:
         tau = row["tau"]
-        if tau > 0 and 2 * tau in d_by_tau and row["d_lo"] > 0:
-            row["rate"] = float(np.log2(d_by_tau[2 * tau] / row["d_lo"]))
+        if tau > 0 and 2 * tau in d_by_tau:
+            row["rate"] = observed_order(d_by_tau[2 * tau], row["d_lo"], 2.0)
     return StudyResult(rows=rows)
 
 
@@ -213,12 +219,9 @@ def taylor_test(f: np.ndarray, f_dir: np.ndarray,
         diff = u0lo_norm(report.u - base, grid, p.omega, p.T)
         rows.append({"eps": eps, "remainder": remainder, "diff": diff,
                      "slope": None})
-    for i in range(1, len(rows)):
-        r0, r1 = rows[i - 1], rows[i]
-        dl = np.log(r0["eps"] / r1["eps"])
-        if r0["remainder"] > 0 and r1["remainder"] > 0:
-            r1["slope"] = float(np.log(r0["remainder"] / r1["remainder"]) / dl)
-        r1["diff_slope"] = (float(np.log(r0["diff"] / r1["diff"]) / dl)
-                            if r0["diff"] > 0 and r1["diff"] > 0 else None)
+    for r0, r1 in zip(rows, rows[1:]):
+        ratio = r0["eps"] / r1["eps"]
+        r1["slope"] = observed_order(r0["remainder"], r1["remainder"], ratio)
+        r1["diff_slope"] = observed_order(r0["diff"], r1["diff"], ratio)
     return StudyResult(rows=rows,
                        metadata={"picard_iterations": iterations})

@@ -21,7 +21,6 @@ from hbwave.spatial import (
     assemble_laplacian,
     band_product,
     condition_estimate,
-    scale_rows,
     tridiagonal_solver,
 )
 from test_studies import END_PAIRS, variable_model
@@ -124,15 +123,19 @@ def test_stacked_solve_equals_separate_block_solves(bc_left, bc_right):
 
 
 def scaled_copy_bands(model, M):
-    """A_0..A_M by the out-of-place formula: diag(s_m) times a separate
-    -Lap_m stack through scale_rows, plus the diagonal shift."""
+    """A_0..A_M by an out-of-place formula of its own: a separate -Lap_m
+    stack times a (M+1, 3, nr) stack of row scales s_m, each band's shifted
+    by np.roll to its rows, plus the diagonal shift."""
     p = model.params
     m = np.arange(M + 1)
     mw = m * p.omega
     op = assemble_laplacian(model.grid, model.bc_left, model.bc_right, m,
                             p.omega)
-    bands = scale_rows(
-        op.bands, op.restrict(p.c2) + 1j * mw[:, None] * op.restrict(p.b))
+    s = op.restrict(p.c2) + 1j * mw[:, None] * op.restrict(p.b)
+    # band k of column j lies in row j + k - 1; the entries np.roll wraps
+    # around meet the zero corners
+    bands = op.bands * np.stack(
+        [np.roll(s, 1, axis=-1), s, np.roll(s, -1, axis=-1)], axis=-2)
     bands[:, 1, :] += (-1j * p.tau * mw**3 - mw**2)[:, None]
     return bands
 

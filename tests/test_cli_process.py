@@ -1,6 +1,6 @@
 """The command line as a process: the exit hook that freezes the heap, the
-same results from every way of launching a verb, a console line whose
-reader has gone, and the modes of the result files."""
+same results from every way of launching a verb, a console or error line
+whose reader has gone, and the modes of the result files."""
 import gc
 import json
 import os
@@ -35,14 +35,26 @@ def config(tmp_path):
     return str(path)
 
 
-def child(args, tmp_path, *, stdout=subprocess.PIPE, unbuffered=False):
+def child(args, tmp_path, *, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+          unbuffered=False):
     env = dict(os.environ, PYTHONPATH=SRC)
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
     return subprocess.run([sys.executable, *args], env=env, stdout=stdout,
-                          stderr=subprocess.PIPE, text=True, timeout=120,
-                          cwd=tmp_path)
+                          stderr=stderr, text=True, timeout=120, cwd=tmp_path)
+
+
+def closed_pipe_child(args, tmp_path, stream, unbuffered):
+    """Run a child whose `stream`, "stdout" or "stderr", is a pipe whose
+    reader has gone: a write to it raises EPIPE."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return child(args, tmp_path, unbuffered=unbuffered,
+                     **{stream: write_end})
+    finally:
+        os.close(write_end)
 
 
 def argv(code, config, out):
@@ -127,13 +139,8 @@ def test_every_launch_gives_the_in_process_results(config, tmp_path, capsys,
 def test_a_closed_stdout_does_not_fail_a_finished_run(config, tmp_path, verb,
                                                       unbuffered):
     out = tmp_path / "out"
-    read_end, write_end = os.pipe()
-    os.close(read_end)      # the reader has gone: a write raises EPIPE
-    try:
-        proc = child(["-m", "hbwave", verb, config, "-o", str(out)],
-                     tmp_path, stdout=write_end, unbuffered=unbuffered)
-    finally:
-        os.close(write_end)
+    proc = closed_pipe_child(["-m", "hbwave", verb, config, "-o", str(out)],
+                             tmp_path, "stdout", unbuffered)
     assert proc.returncode == 0, proc.stderr
     assert proc.stderr == ""
     names = set(os.listdir(out))
@@ -141,6 +148,22 @@ def test_a_closed_stdout_does_not_fail_a_finished_run(config, tmp_path, verb,
     assert "error.json" not in names
     if verb == "solve":
         assert {"solution.csv", "energy.csv"} <= names
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+@pytest.mark.parametrize("code", [1, 2])
+def test_a_closed_stderr_keeps_a_failed_run_exit_code(config, tmp_path, code,
+                                                      unbuffered):
+    # the error line is lost with its reader; the exit code and error.json
+    # still carry the failure
+    out = tmp_path / "out"
+    proc = closed_pipe_child(["-m", "hbwave", *argv(code, config, out)],
+                             tmp_path, "stderr", unbuffered)
+    assert proc.returncode == code
+    assert proc.stdout == ""
+    with open(out / "error.json") as fh:
+        record = json.load(fh)
+    assert record["kind"] == {1: "InvalidModel", 2: "NonContraction"}[code]
 
 
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],

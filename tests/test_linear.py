@@ -5,7 +5,6 @@ from exact_cases import linear_dirichlet_case
 from hbwave.errors import MaxIterExceeded, NonContraction, SolveFailure
 from hbwave.linear import (
     NONCONTRACTION_PATIENCE,
-    _one_norms,
     _residuals,
     assemble_harmonic_system,
     linear_residual,
@@ -21,7 +20,7 @@ from hbwave.model import (
     validate_model,
 )
 from hbwave.norms import l2l2_norm
-from hbwave.spatial import band_product, tridiagonal_solver
+from hbwave.spatial import band_product, one_norms, tridiagonal_solver
 
 DIRICHLET = BoundaryCondition(BCKind.DIRICHLET)
 
@@ -267,24 +266,35 @@ def test_residuals_with_given_one_norms_match_computed_ones(size):
         overflows = np.isinf(np.linalg.norm(rhs, axis=-1)).any()
     # 1e200 takes the rescaled path, whose scale is finite again
     assert overflows == (size > 1e154)
-    res, scale = _residuals(bands, x, rhs)
-    given = _residuals(bands, x, rhs, _one_norms(bands))
-    np.testing.assert_array_equal(given[0], res)
-    np.testing.assert_array_equal(given[1], scale)
+    dense = [np.diag(b[1]) + np.diag(b[0, 1:], 1) + np.diag(b[2, :-1], -1)
+             for b in bands]
+    given = one_norms(bands)
+    np.testing.assert_allclose(given, [np.linalg.norm(a, 1) for a in dense],
+                               rtol=1e-15)
+    res, scale = _residuals(bands, x, rhs, given)
     assert np.isfinite(scale).all() and (res > 0).all()
+    # the relative residual against the dense one, on x and rhs divided by
+    # size, which keeps it in range; the rescaled path may divide by
+    # another factor, so only res / scale is compared
+    xs, rs = x / size, rhs / size
+    ref = [np.linalg.norm(a @ v - r) / (np.linalg.norm(a, 1)
+                                       * np.linalg.norm(v)
+                                       + np.linalg.norm(r))
+           for a, v, r in zip(dense, xs, rs)]
+    np.testing.assert_allclose(res / scale, ref, rtol=1e-6)
 
 
 def test_one_norms_taken_once_per_factorization(monkeypatch):
-    import hbwave.linear
+    import hbwave.spatial
     from hbwave.nonlinear import fixed_point_solve
 
     calls = []
 
     def counting(bands):
         calls.append(bands.shape)
-        return _one_norms(bands)
+        return one_norms(bands)
 
-    monkeypatch.setattr(hbwave.linear, "_one_norms", counting)
+    monkeypatch.setattr(hbwave.spatial, "one_norms", counting)
     model = make_model(nx=33, eta=1.0)
     f = np.zeros((5, 33), complex)
     f[1] = 3e-2 * np.sin(np.pi * model.grid.nodes)

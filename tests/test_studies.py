@@ -11,6 +11,9 @@ from hbwave.model import (
     BoundaryCondition,
     Grid,
     PhysicalParams,
+    dealiased_samples,
+    time_derivative,
+    to_harmonics,
     to_time_samples,
     validate_model,
 )
@@ -19,8 +22,10 @@ from hbwave import studies
 from hbwave.oracle import _Oracle, oracle_discrepancy, time_stepping_oracle
 from hbwave.spatial import assemble_laplacian
 from hbwave.studies import (
+    MMS_AMPLITUDE,
     convergence_study,
     manufactured_case,
+    observed_order,
     tau_sweep,
     taylor_test,
 )
@@ -93,6 +98,46 @@ def test_manufactured_case_keeps_r_below_harmonic_M(kind, M, harmonics):
     assert u_star.shape == f.shape == (M + 1, 17)
     assert [m for m in range(M + 1) if np.any(u_star[m])] == harmonics
     assert not np.any(f[0])
+
+
+@pytest.mark.parametrize("kind", ["westervelt", "kuznetsov"])
+@pytest.mark.parametrize("left, right", END_PAIRS,
+                         ids=[f"{left}-{right}" for left, right in END_PAIRS])
+def test_manufactured_forcing_matches_the_closed_form_of_r(left, right,
+                                                          kind):
+    # the forcing takes r[u*, u*] from the solver's bilinear form; here r
+    # is written out, eta (u^2)_tt or (eta~ u_t^2 + u_x^2)_t, with u*_x
+    # the exact derivative of u*_m = (A/2) (sin(k x) + a x^2 + c (L - x)^2)
+    model = variable_model(left, right, nx=33, M=4)
+    grid, p, M = model.grid, model.params, model.M
+    L, x, omega, k = grid.L, grid.nodes, p.omega, np.pi / grid.L
+    ux = np.zeros((M + 1, grid.nx), complex)
+    for m in (1, 2):
+        a, c = (0.0 if bc.is_dirichlet else
+                k / (L * (2.0 + bc.robin_coefficient(m, omega) * L))
+                for bc in (model.bc_right, model.bc_left))
+        ux[m] = 0.5 * MMS_AMPLITUDE * (k * np.cos(k * x)
+                                       + 2.0 * (a * x - c * (L - x)))
+    u, f = manufactured_case(model, kind)
+    u_linear, f_linear = manufactured_case(model, "linear")   # A_m u*_m
+    assert np.array_equal(u, u_linear)
+    nt = dealiased_samples(M)
+    if kind == "westervelt":
+        r = p.eta * time_derivative(
+            to_harmonics(to_time_samples(u, nt)**2, M), omega, 2)
+    else:
+        q = (p.eta_tilde * to_time_samples(time_derivative(u, omega), nt)**2
+             + to_time_samples(ux, nt)**2)
+        r = time_derivative(to_harmonics(q, M), omega)
+    expected = f_linear - r
+    assert np.linalg.norm(f - expected) <= 1e-15 * np.linalg.norm(expected)
+
+
+@pytest.mark.parametrize("e0, e1", [(0.0, 1.0), (1.0, 0.0), (0.0, 0.0),
+                                    (-1.0, 0.5), (0.5, -1.0)])
+def test_observed_order_is_none_at_a_non_positive_level(e0, e1):
+    assert observed_order(e0, e1, 2.0) is None
+    assert observed_order(4.0, 1.0, 2.0) == 2.0
 
 
 @pytest.mark.parametrize("nx, M, kind", [
@@ -975,3 +1020,17 @@ def test_taylor_test_rejects_a_repeated_eps_before_any_solve(monkeypatch):
     assert solves == []
     # a value may come back once another stands between
     studies.check_eps_list([1e-1, 1e-2, 1e-1])
+
+
+@pytest.mark.parametrize("eps", [(0.1, 0.0, 0.001), (0.1, -0.01, 0.001),
+                                 (0.1, np.inf, 0.001), (0.1, np.nan, 0.001)],
+                         ids=["zero", "negative", "inf", "nan"])
+def test_taylor_test_rejects_a_non_positive_or_infinite_eps_before_any_solve(
+        monkeypatch, eps):
+    solves = []
+    monkeypatch.setattr(studies, "fixed_point_solve",
+                        lambda *args, **kw: solves.append(args))
+    f, model = smoke_taylor_case("westervelt")
+    with pytest.raises(ValueError, match="not finite and > 0"):
+        taylor_test(f, f, model, "westervelt", eps)
+    assert solves == []
