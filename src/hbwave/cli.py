@@ -13,10 +13,9 @@ from __future__ import annotations
 import argparse
 import atexit
 import gc
+import math
 import os
 import sys
-
-import numpy as np
 
 from . import diagnostics, nonlinear, oracle, studies
 from .errors import ConfigError, HbwaveError
@@ -63,7 +62,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def _json_number(v):
     """v, or None where it is not finite: JSON has no infinity."""
-    return v if np.isfinite(v) else None
+    return v if math.isfinite(v) else None
 
 
 def _say(line: str, stream=None):
@@ -99,10 +98,6 @@ def _solve(setup, extra: dict):
 
 def _run_verb(verb: str, setup, out: str) -> dict:
     extra = {}
-    if verb == "validate":
-        _say("config valid")
-        return extra
-
     if verb in ("solve", "energy"):
         u = _solve(setup, extra)
         report = diagnostics.compute_energies(u, setup.model)
@@ -192,12 +187,19 @@ def run_command(argv) -> int:
     out = args.output_dir
     try:
         os.makedirs(out, exist_ok=True)
-        # numpy stays quiet: a non-finite value fails the finiteness check
-        # of a solve or a result file, whose error is the one stderr line
-        with np.errstate(all="ignore"):
-            raw = apply_overrides(parse_config(args.config), args.overrides)
-            setup = build_setup(raw, args.config)
-            extra = _run_verb(args.verb, setup, out)
+        raw = apply_overrides(parse_config(args.config), args.overrides)
+        setup = build_setup(raw, args.config)
+        if args.verb == "validate":
+            _say("config valid")
+            extra = {}
+        else:
+            # the checks above import no numpy, so only a verb that solves
+            # pays for it; numpy stays quiet: a non-finite value fails the
+            # finiteness check of a solve or a result file, whose error is
+            # the one stderr line
+            import numpy as np
+            with np.errstate(all="ignore"):
+                extra = _run_verb(args.verb, setup, out)
     except Exception as exc:
         # an error outside the taxonomy is a bug: its record keeps the
         # traceback for a bug report instead of printing it on stderr;

@@ -7,16 +7,20 @@ fixed column schema and 17 significant digits.  solution.csv, with one row
 per harmonic and node, is formatted one harmonic block at a time, so it
 costs time linear in its (M + 1) nx rows; the small CSVs go through
 write_csv cell by cell.
+
+Reading and checking a config imports no numpy: the checks run on Python
+floats, and a command that solves turns the checked values into arrays
+when it first reads its RunSetup's `model` or `f`.
 """
 from __future__ import annotations
 
 import configparser
+import functools
+import importlib
 import json
+import math
 import os
 import time
-import warnings
-
-import numpy as np
 
 from .errors import (
     ConfigError,
@@ -51,12 +55,20 @@ _SCHEMA = {
     "study": {"taus", "eps", "dt_divisor", "max_periods", "period_tol"},
 }
 
-PROFILES = {
-    "sine": lambda x, L: np.sin(np.pi * x / L),
-    "sine2": lambda x, L: np.sin(2.0 * np.pi * x / L),
-    "constant": lambda x, L: np.ones_like(x),
-    "gaussian": lambda x, L: np.exp(-(((x - 0.5 * L) / (0.125 * L)) ** 2)),
-}
+PROFILES = ("sine", "sine2", "constant", "gaussian")
+
+
+def forcing_profile(name: str, x, L: float):
+    """The spatial shape of the forcing at the nodes x of [0, L]."""
+    import numpy as np
+    if name == "sine":
+        return np.sin(np.pi * x / L)
+    if name == "sine2":
+        return np.sin(2.0 * np.pi * x / L)
+    if name == "constant":
+        return np.ones_like(x)
+    return np.exp(-(((x - 0.5 * L) / (0.125 * L)) ** 2))      # gaussian
+
 
 SOLVER_KINDS = ("linear", *KINDS)
 # bound on (M + 1) * nx, the complex coefficients of one field: 16 MB a
@@ -66,15 +78,36 @@ MAX_UNKNOWNS = 10**6
 
 
 class RunSetup:
-    """Everything a command needs: validated model, forcing, options."""
+    """Everything a command needs: validated model, forcing, options.
 
-    def __init__(self, model: ValidatedModel, f: np.ndarray, solver_kind: str,
+    `checked` is the model as validated, with each coefficient a float or
+    a tuple of nodal floats.  `model`, with nodal arrays, and `f`, the
+    forcing harmonics `amplitudes` ({m: amplitude}) give to the profile,
+    are made once, on first read, by the commands that solve."""
+
+    def __init__(self, checked: ValidatedModel, profile: str,
+                 amplitudes: dict, solver_kind: str,
                  options: FixedPointOptions, study: dict | None = None):
-        self.model = model
-        self.f = f
+        self.checked = checked
+        self.profile = profile
+        self.amplitudes = amplitudes
         self.solver_kind = solver_kind
         self.options = options
         self.study = {} if study is None else study
+
+    @functools.cached_property
+    def model(self) -> ValidatedModel:
+        return self.checked.with_arrays()
+
+    @functools.cached_property
+    def f(self):
+        import numpy as np
+        grid = self.checked.grid
+        profile = forcing_profile(self.profile, grid.nodes, grid.L)
+        f = np.zeros((self.checked.M + 1, grid.nx), complex)
+        for m, amp in self.amplitudes.items():
+            f[m] = amp * profile if m == 0 else 0.5 * amp * profile
+        return f
 
 
 def _in_schema(section: str, key: str) -> bool:
@@ -146,9 +179,86 @@ def _as_int(section: str, key: str, value: str) -> int:
         raise TypeMismatch(f"[{section}] {key} = {value!r} is not an integer")
 
 
+# the compressed forms np.loadtxt reads, by extension, in the order it
+# looks for them beside a missing file
+_COMPRESSED = {".bz2": "bz2", ".gz": "gzip", ".xz": "lzma", ".lzma": "lzma"}
+
+
+def _open_nodal(path: str):
+    """`path` open for reading text as np.loadtxt opens it: in the locale's
+    encoding with universal newlines, decompressed by its extension, and,
+    where `path` is missing, the first of `path` + a compressed extension
+    that exists.  (loadtxt's search of its download cache for a missing
+    path is not mirrored.)"""
+    names = [path]
+    if os.path.splitext(path)[1] not in _COMPRESSED:
+        names += [path + ext for ext in _COMPRESSED]
+    for name in names:
+        if os.path.exists(name):
+            module = _COMPRESSED.get(os.path.splitext(name)[1])
+            if module is None:
+                return open(name)
+            return importlib.import_module(module).open(name, "rt")
+    raise FileNotFoundError(f"{path} not found.")
+
+
+def _number(field: str) -> float:
+    """A field as np.loadtxt reads it: ASCII without underscores, so not
+    the "1_0" or other scripts' digits that float() also reads."""
+    if field.isascii() and "_" not in field:
+        return float(field)
+    raise ValueError(field)
+
+
+def read_nodal(path: str) -> tuple:
+    """The numbers of a nodal file, row by row, as Python floats.
+
+    It accepts and rejects what np.loadtxt(path, dtype=float) does, with
+    the same messages: `#` starts a comment, whitespace separates numbers,
+    a line without numbers is skipped, every row has as many numbers as the
+    first, and each number is read by `_number`; "1e999" reads as inf.
+    Raises OSError when the file cannot be read, ValueError when it is not
+    such a table; like loadtxt, it reports the first bad row or number in
+    reading order.
+    """
+    with _open_nodal(path) as fh:
+        # in loadtxt's chunks, so that a decoding error gives its position
+        text = "".join(iter(functools.partial(fh.read, 1 << 14), ""))
+    lines = text.split("\n")
+    if "#" in text:
+        lines = [line.partition("#")[0] for line in lines]
+    rows = [fields for fields in map(str.split, lines) if fields]
+    width = len(rows[0]) if rows else 0
+    ragged = next((row for row, fields in enumerate(rows)
+                   if len(fields) != width), len(rows))
+    fields = [field for row in rows[:ragged] for field in row]
+    joined = "".join(fields)
+    try:
+        if not joined.isascii() or "_" in joined:
+            raise ValueError(joined)
+        values = tuple(map(float, fields))
+    except ValueError:
+        # the first field that `_number` rejects
+        for i, field in enumerate(fields):
+            try:
+                _number(field)
+            except ValueError:
+                row, column = divmod(i, width)
+                raise ValueError(
+                    f"could not convert string {repr(field)[:100]} to "
+                    f"float64 at row {row}, column {column + 1}.") from None
+    if ragged < len(rows):
+        raise ValueError(
+            f"the number of columns changed from {width} to "
+            f"{len(rows[ragged])} at row {ragged + 1}; use `usecols` to "
+            "select a subset and avoid this error")
+    return values
+
+
 def _coefficient(section_vals: dict, key: str, default: float, nx: int,
                  config_dir: str):
-    """Scalar, or path to a whitespace/newline-separated nodal array."""
+    """Scalar, or path to a whitespace/newline-separated nodal file, whose
+    values it returns as a tuple."""
     if key not in section_vals:
         return default
     value = section_vals[key].strip()
@@ -158,22 +268,17 @@ def _coefficient(section_vals: dict, key: str, default: float, nx: int,
         pass
     path = value if os.path.isabs(value) else os.path.join(config_dir, value)
     try:
-        # the size check below rejects an empty or comment-only file;
-        # numpy's warning about it would be a second line on stderr
-        with warnings.catch_warnings():
-            warnings.filterwarnings("ignore",
-                                    "loadtxt: input contained no data")
-            arr = np.loadtxt(path, dtype=float).reshape(-1)
+        values = read_nodal(path)
     except OSError as exc:
         raise TypeMismatch(f"[physics] {key}: cannot read {path}: {exc}")
     except ValueError as exc:
         raise TypeMismatch(f"[physics] {key}: non-numeric data in {path}: "
                            f"{exc}")
-    if arr.size != nx:
+    if len(values) != nx:
         raise TypeMismatch(
-            f"[physics] {key}: file {path} has {arr.size} values, "
+            f"[physics] {key}: file {path} has {len(values)} values, "
             f"expected Nx = {nx}")
-    return arr
+    return values
 
 
 def _boundary(raw: dict, section: str) -> BoundaryCondition:
@@ -191,13 +296,14 @@ def _boundary(raw: dict, section: str) -> BoundaryCondition:
 
 
 def build_setup(raw: dict, config_path: str) -> RunSetup:
-    """Turn a parsed config into a validated model, forcing and options."""
+    """Check a parsed config and turn it into a validated model, forcing
+    and options, on Python floats: see RunSetup."""
     config_dir = os.path.dirname(os.path.abspath(config_path))
     dom = raw["domain"]
     L = _as_float("domain", "l", dom.get("l", "1"))
     nx = _as_int("domain", "nx", dom.get("nx", "65"))
     tim = raw["time"]
-    T = _as_float("time", "t", tim.get("t", str(2 * np.pi)))
+    T = _as_float("time", "t", tim.get("t", str(2 * math.pi)))
     M = _as_int("time", "m", tim.get("m", "8"))
     if M < 1:
         raise TypeMismatch(f"[time] m = {M}; need >= 1")
@@ -211,8 +317,7 @@ def build_setup(raw: dict, config_path: str) -> RunSetup:
     grid = Grid(L=L, nx=nx)
 
     phys = raw["physics"]
-    params = PhysicalParams.create(
-        grid,
+    params = PhysicalParams(
         tau=_as_float("physics", "tau", phys.get("tau", "0")),
         taubar=_as_float("physics", "taubar", phys.get("taubar", "0")),
         b=_coefficient(phys, "b", 1.0, nx, config_dir),
@@ -231,22 +336,27 @@ def build_setup(raw: dict, config_path: str) -> RunSetup:
         raise TypeMismatch(
             f"[forcing] profile = {profile_name!r}; expected one of "
             f"{sorted(PROFILES)}")
-    profile = PROFILES[profile_name](grid.nodes, L)
-    f = np.zeros((M + 1, nx), complex)
+    amplitudes = {}
     for key, value in forc.items():
         if not key.startswith("amplitude_"):
             continue
+        index = key[len("amplitude_"):]
         try:
-            m = int(key[len("amplitude_"):])
+            m = int(index)
         except ValueError:
             raise TypeMismatch(f"[forcing] {key}: harmonic index must be an "
                                "integer")
+        # int() also reads "01", "+1", "0_1" and other scripts' digits: one
+        # spelling per harmonic, so that no key silently replaces another
+        if str(m) != index:
+            raise TypeMismatch(f"[forcing] {key}: write harmonic {m} as "
+                               f"amplitude_{m}")
         if not 0 <= m <= M:
             raise TypeMismatch(f"[forcing] {key}: harmonic {m} outside 0..{M}")
         amp = _as_float("forcing", key, value)
-        if not np.isfinite(amp):
+        if not math.isfinite(amp):
             raise TypeMismatch(f"[forcing] {key} = {value!r} is not finite")
-        f[m] = amp * profile if m == 0 else 0.5 * amp * profile
+        amplitudes[m] = amp
 
     sol = raw.get("solver", {})
     solver_kind = sol.get("kind", "linear").strip().lower()
@@ -292,7 +402,7 @@ def build_setup(raw: dict, config_path: str) -> RunSetup:
                          ("period_tol", _as_float)):
         if key in st:
             study[key] = convert("study", key, st[key])
-            if not 0 < study[key] < np.inf:
+            if not 0 < study[key] < math.inf:
                 raise TypeMismatch(f"[study] {key} = {st[key]!r}; need a "
                                    "finite value > 0")
     # the oracle samples one period at its dt_divisor steps, which the
@@ -300,13 +410,15 @@ def build_setup(raw: dict, config_path: str) -> RunSetup:
     # oracle-compare checks the default count, which bounds no other verb
     if "dt_divisor" in study:
         check_oracle_steps(study["dt_divisor"], M)
-    return RunSetup(model=model, f=f, solver_kind=solver_kind,
+    return RunSetup(checked=model, profile=profile_name,
+                    amplitudes=amplitudes, solver_kind=solver_kind,
                     options=options, study=study)
 
 
 # --- serialization ---------------------------------------------------------
 
 def _format(value) -> str:
+    import numpy as np
     if value is None:
         return ""
     if isinstance(value, (int, np.integer)):
@@ -351,7 +463,7 @@ def _non_finite_term(header, row) -> str | None:
     """The term of the row's first non-finite number, or None: the row's
     text cells, or else the column at the row's first cell."""
     for name, cell in zip(header, row):
-        if not (cell is None or isinstance(cell, str) or np.isfinite(cell)):
+        if not (cell is None or isinstance(cell, str) or math.isfinite(cell)):
             labels = [c for c in row if isinstance(c, str)]
             return " ".join(labels) if labels else (
                 f"{name} at {header[0]} = {_format(row[0])}")
@@ -375,7 +487,7 @@ def write_csv(path: str, header, rows):
 SOLUTION_HEADER = ("m", "node_index", "x", "re", "im")
 
 
-def write_solution_csv(path: str, u: np.ndarray, grid: Grid):
+def write_solution_csv(path: str, u, grid: Grid):
     """One row per (m, j), harmonic-major, in the format of write_csv.
 
     Each node's `node_index,x,` is formatted once, into that node's row
@@ -384,6 +496,7 @@ def write_solution_csv(path: str, u: np.ndarray, grid: Grid):
     cost is linear in the (M + 1) nx rows.  Each block goes to the file as
     soon as it is formatted: the whole text is never held at once.
     """
+    import numpy as np
     rows = ["%d,%.17g,%%.17g,%%.17g\n" % node
             for node in enumerate(grid.nodes.tolist())]
 

@@ -12,12 +12,13 @@ over the interval (0, L).
 from __future__ import annotations
 
 import enum
-
-import numpy as np
+import math
+import operator
+import sys
 
 from .errors import InvalidModel, UndersampledTime
 
-TWO_PI = 2.0 * np.pi
+TWO_PI = 2.0 * math.pi
 # fewest grid nodes: the energies' one-sided end stencils read four, and
 # between two Dirichlet ends the H^1-dual norm factors the interior nodes
 # alone, which scipy's ?gttrf wrapper, the solve kernel's fallback, cannot do
@@ -84,10 +85,12 @@ class Grid(Frozen):
         return self.L / (self.nx - 1)
 
     @property
-    def nodes(self) -> np.ndarray:
+    def nodes(self):
+        import numpy as np
         return np.linspace(0.0, self.L, self.nx)
 
-    def trapezoid_weights(self) -> np.ndarray:
+    def trapezoid_weights(self):
+        import numpy as np
         w = np.full(self.nx, self.h)
         w[0] = w[-1] = 0.5 * self.h
         return w
@@ -99,11 +102,12 @@ class PhysicalParams(Frozen):
     tau is the relaxation time, taubar an upper bound used in the energy
     weights, b the attenuation field, c2 the squared sound speed field,
     eta / eta_tilde the quadratic nonlinearity coefficients, T the period.
-    omega is always derived from T.
+    omega is always derived from T.  The solvers take each coefficient as
+    an array of its nodal values (`create`); a checked config holds each
+    as a float or a tuple of floats, which validation reads alike.
     """
 
-    def __init__(self, tau: float, taubar: float, b: np.ndarray,
-                 c2: np.ndarray, eta: np.ndarray, eta_tilde: np.ndarray,
+    def __init__(self, tau: float, taubar: float, b, c2, eta, eta_tilde,
                  T: float):
         vars(self).update(tau=tau, taubar=taubar, b=b, c2=c2, eta=eta,
                           eta_tilde=eta_tilde, T=T)
@@ -115,6 +119,8 @@ class PhysicalParams(Frozen):
     @staticmethod
     def create(grid: Grid, *, tau, taubar, b, c2, eta=0.0, eta_tilde=0.0, T):
         """Broadcast scalar coefficients to nodal arrays."""
+        import numpy as np
+
         def nodal(v):
             a = np.asarray(v, dtype=float)
             if a.ndim == 0:
@@ -130,8 +136,9 @@ class PhysicalParams(Frozen):
                               eta_tilde=self.eta_tilde, T=self.T)
 
 
-def time_derivative(u: np.ndarray, omega: float, order: int = 1) -> np.ndarray:
+def time_derivative(u, omega: float, order: int = 1):
     """d_t^order of the harmonic field u: u_m times (i m omega)^order."""
+    import numpy as np
     m = np.arange(len(u))
     return u * ((1j * m * omega) ** order)[:, None]
 
@@ -164,7 +171,7 @@ def check_eps_list(eps_list):
     if len(eps_list) < MIN_LEVELS:
         raise ValueError(f"need >= {MIN_LEVELS} epsilons")
     for e in eps_list:
-        if not 0 < e < np.inf:
+        if not 0 < e < math.inf:
             raise ValueError(f"eps {e!r} is not finite and > 0")
     for e0, e1 in zip(eps_list, eps_list[1:]):
         if e0 == e1:
@@ -176,16 +183,16 @@ class FixedPointOptions(Frozen):
     def __init__(self, tol: float = 1e-11, max_iter: int = 100,
                  relaxation: float = 1.0, degeneracy_floor: float = 0.1,
                  ball_radius: float | None = None):
-        if not 0.0 < tol < np.inf:
+        if not 0.0 < tol < math.inf:
             raise ValueError("tol must be finite and > 0")
         if max_iter < 1:
             raise ValueError("max_iter must be >= 1")
         if not 0.0 < relaxation <= 1.0:
             raise ValueError("relaxation must be in (0, 1]")
         # a NaN floor or radius would silently switch its guard off
-        if not np.isfinite(degeneracy_floor):
+        if not math.isfinite(degeneracy_floor):
             raise ValueError("degeneracy_floor must be finite")
-        if not (ball_radius is None or 0.0 < ball_radius < np.inf):
+        if not (ball_radius is None or 0.0 < ball_radius < math.inf):
             raise ValueError("ball_radius must be finite and > 0")
         vars(self).update(tol=tol, max_iter=max_iter, relaxation=relaxation,
                           degeneracy_floor=degeneracy_floor,
@@ -213,8 +220,9 @@ def dealiased_samples(M: int) -> int:
     return n
 
 
-def to_time_samples(u: np.ndarray, nt: int) -> np.ndarray:
+def to_time_samples(u, nt: int):
     """Real (nt, nx) samples of the harmonic field u at t_k = k T / nt."""
+    import numpy as np
     M = len(u) - 1
     if nt < min_samples(M):
         raise UndersampledTime(f"nt={nt} < 2M+2={min_samples(M)}")
@@ -222,9 +230,10 @@ def to_time_samples(u: np.ndarray, nt: int) -> np.ndarray:
     return np.fft.irfft(u, n=nt, axis=0, norm="forward")
 
 
-def to_harmonics(v: np.ndarray, M: int) -> np.ndarray:
+def to_harmonics(v, M: int):
     """Order-M truncation of the discrete Fourier series of each node of
     the real (nt, nx) samples v."""
+    import numpy as np
     nt = len(v)
     if nt < min_samples(M):
         raise UndersampledTime(f"nt={nt} < 2M+2={min_samples(M)}")
@@ -245,11 +254,23 @@ class ValidatedModel(Frozen):
 
     def stability_margin(self) -> float:
         """min(b/c2) - taubar, the margin at alpha = 1."""
+        import numpy as np
         p = self.params
         return float(np.min(p.b / p.c2) - p.taubar)
 
     def with_params(self, params: PhysicalParams) -> "ValidatedModel":
         return validate_model(self.grid, params, self.bc_left, self.bc_right,
+                              self.M)
+
+    def with_arrays(self) -> "ValidatedModel":
+        """This model with each coefficient an array of its nx nodal
+        values, as the solvers take them.  The values are the same, so the
+        checks it passed still hold."""
+        p = self.params
+        params = PhysicalParams.create(
+            self.grid, tau=p.tau, taubar=p.taubar, b=p.b, c2=p.c2, eta=p.eta,
+            eta_tilde=p.eta_tilde, T=p.T)
+        return ValidatedModel(self.grid, params, self.bc_left, self.bc_right,
                               self.M)
 
 
@@ -278,79 +299,114 @@ def _check_bc(bc: BoundaryCondition, side: str, violations):
                 f"{side} Neumann endpoint must have beta = gamma = 0"))
 
 
-def _finite_normal(value) -> bool:
-    """Every entry of `value` is finite and normal (zero is not normal)."""
-    return bool(np.all(np.isfinite(value)
-                       & (np.abs(value) >= np.finfo(float).tiny)))
+def _values(value, n: int = 1) -> list:
+    """The values of a scalar or a nodal coefficient as Python floats: an
+    array or a sequence gives its entries, a scalar n copies of itself."""
+    value = value.tolist() if hasattr(value, "tolist") else value
+    return list(value) if isinstance(value, (list, tuple)) else [value] * n
+
+
+# Validation runs on Python floats, which differ from numpy's float64 in
+# two places: `**` raises OverflowError where numpy gives inf, and a
+# division by zero raises where numpy gives inf or NaN.  These two give
+# numpy's values; numpy's scalar power is C's pow, and so is math.pow.
+
+def _pow(x: float, n: int) -> float:
+    try:
+        return math.pow(x, n)
+    except OverflowError:
+        return math.copysign(math.inf, x) if n % 2 else math.inf
+
+
+def _div(a: float, b: float) -> float:
+    if b:
+        return a / b
+    if a == 0 or math.isnan(a):
+        return math.nan
+    return math.copysign(math.inf, a) * math.copysign(1.0, b)
+
+
+def _finite_normal(value: float) -> bool:
+    """`value` is finite and normal (zero is not normal)."""
+    return math.isfinite(value) and abs(value) >= sys.float_info.min
 
 
 def collect_violations(grid, params, bc_left, bc_right, M: int = 1):
     """All structural-assumption failures of a candidate configuration.
 
-    `M` is the highest harmonic the model is solved with.
+    `M` is the highest harmonic the model is solved with.  Each coefficient
+    may be a scalar or its nodal values, as an array or a sequence; the
+    checks read them as Python floats, so they import no numpy.
     """
-    values = {"L": grid.L, "T": params.T, "tau": params.tau,
-              "taubar": params.taubar, "b": params.b, "c2": params.c2,
-              "eta": params.eta, "eta_tilde": params.eta_tilde,
-              "left beta": bc_left.beta, "left gamma": bc_left.gamma,
-              "right beta": bc_right.beta, "right gamma": bc_right.gamma}
-    nonfinite = [name for name, value in values.items()
-                 if not np.all(np.isfinite(value))]
+    nx = grid.nx
+    values = {"L": _values(grid.L), "T": _values(params.T),
+              "tau": _values(params.tau), "taubar": _values(params.taubar),
+              "b": _values(params.b, nx), "c2": _values(params.c2, nx),
+              "eta": _values(params.eta, nx),
+              "eta_tilde": _values(params.eta_tilde, nx),
+              "left beta": _values(bc_left.beta),
+              "left gamma": _values(bc_left.gamma),
+              "right beta": _values(bc_right.beta),
+              "right gamma": _values(bc_right.gamma)}
+    nonfinite = [name for name, vs in values.items()
+                 if not all(map(math.isfinite, vs))]
     violations = [Violation("NonFiniteValue", f"{name} must be finite")
                   for name in nonfinite]
     # alpha = 1 + 2 eta u (or 2 eta_tilde u_t); zero coefficients are legal
-    with np.errstate(over="ignore"):
-        violations.extend(
-            Violation("NonFiniteValue", f"2*max|{name}| must be finite")
-            for name in ("eta", "eta_tilde") if name not in nonfinite
-            and not np.all(np.isfinite(2.0 * values[name])))
-    if grid.nx < MIN_NODES:
-        violations.append(Violation("BadGrid", f"nx={grid.nx} < {MIN_NODES}"))
+    violations.extend(
+        Violation("NonFiniteValue", f"2*max|{name}| must be finite")
+        for name in ("eta", "eta_tilde") if name not in nonfinite
+        and not math.isfinite(2.0 * max(map(abs, values[name]), default=0)))
+    b, c2 = values["b"], values["c2"]
+    # a b or c2 <= 0 has its own violation below; no value is NaN once
+    # all are finite, so min and max, whose result with a NaN depends on
+    # where it sits, are safe from here on
+    positive = not nonfinite and min(b + c2, default=1.0) > 0
+    if nx < MIN_NODES:
+        violations.append(Violation("BadGrid", f"nx={nx} < {MIN_NODES}"))
     if grid.L <= 0:
         violations.append(Violation("BadGrid", f"L={grid.L} <= 0"))
     if params.T <= 0:
         violations.append(Violation("BadGrid", f"T={params.T} <= 0"))
-    if not nonfinite and grid.nx >= MIN_NODES and grid.L > 0 and params.T > 0:
+    if not nonfinite and nx >= MIN_NODES and grid.L > 0 and params.T > 0:
         # the grid and time scales the operators are built from, up to the
         # highest harmonic's diagonal terms (M omega)^2 and tau (M omega)^3,
         # its row scale (c2 + i M omega b)/h^2, its Robin entries and a bound
         # on its largest entry; and gamma^2, the energies' trace weight
-        with np.errstate(all="ignore"):
-            h = np.float64(grid.L) / (grid.nx - 1)
-            omega = TWO_PI / np.float64(params.T)
-            derived = {"h": h, "1/h^2": 1.0 / h**2, "omega": omega,
-                       "M*omega": M * omega, "(M*omega)^2": (M * omega)**2}
+        h = float(grid.L) / (nx - 1)
+        omega = TWO_PI / float(params.T)
+        h2, w = _pow(h, 2), M * omega
+        derived = {"h": h, "1/h^2": _div(1.0, h2), "omega": omega,
+                   "M*omega": w, "(M*omega)^2": _pow(w, 2)}
+        if params.tau > 0:
+            derived["tau*(M*omega)^3"] = params.tau * _pow(w, 3)
+        if positive:
+            derived["M*omega*max(b)/h^2"] = _div(w * max(b), h2)
+            derived["max(c2)/h^2"] = _div(max(c2), h2)
+            # |A_M| entries are at most the row scale times the largest
+            # -Lap row sum (a Robin row adds 2 |q_M| / h), plus the
+            # diagonal shift; 0 * inf is NaN, so tau = 0 adds nothing
+            robin = max((_div(2.0 * (w * abs(bc.beta) + abs(bc.gamma)), h)
+                         for bc in (bc_left, bc_right)
+                         if not bc.is_dirichlet), default=0.0)
+            entry = ((max(c2) + w * max(b)) * (_div(4.0, h2) + robin)
+                     + _pow(w, 2))
             if params.tau > 0:
-                derived["tau*(M*omega)^3"] = params.tau * (M * omega)**3
-            # a b or c2 <= 0 has its own violation below
-            if np.all(params.b > 0) and np.all(params.c2 > 0):
-                derived["M*omega*max(b)/h^2"] = (M * omega * params.b.max()
-                                                 / h**2)
-                derived["max(c2)/h^2"] = params.c2.max() / h**2
-                # |A_M| entries are at most the row scale times the largest
-                # -Lap row sum (a Robin row adds 2 |q_M| / h), plus the
-                # diagonal shift; 0 * inf is NaN, so tau = 0 adds nothing
-                robin = max((2.0 * (M * omega * abs(bc.beta) + abs(bc.gamma))
-                             / h for bc in (bc_left, bc_right)
-                             if not bc.is_dirichlet), default=0.0)
-                entry = ((params.c2.max() + M * omega * params.b.max())
-                         * (4.0 / h**2 + robin) + (M * omega)**2)
-                if params.tau > 0:
-                    entry += params.tau * (M * omega)**3
-                derived["|A_M| entry bound"] = entry
-            for side, bc in (("left", bc_left), ("right", bc_right)):
-                if not bc.is_dirichlet and bc.beta != 0:
-                    derived[f"M*omega*{side} beta/h"] = M * omega * bc.beta / h
-                if not bc.is_dirichlet and bc.gamma != 0:
-                    derived[f"{side} gamma^2"] = np.float64(bc.gamma)**2
+                entry += params.tau * _pow(w, 3)
+            derived["|A_M| entry bound"] = entry
+        for side, bc in (("left", bc_left), ("right", bc_right)):
+            if not bc.is_dirichlet and bc.beta != 0:
+                derived[f"M*omega*{side} beta/h"] = _div(w * bc.beta, h)
+            if not bc.is_dirichlet and bc.gamma != 0:
+                derived[f"{side} gamma^2"] = _pow(bc.gamma, 2)
         violations.extend(
             Violation("BadGrid", f"{name} = {value:.6g} is not a finite, "
                       "normal number")
             for name, value in derived.items() if not _finite_normal(value))
-    if np.any(params.b <= 0):
+    if any(v <= 0 for v in b):
         violations.append(Violation(
             "NonPositiveCoefficient", "b must be > 0 at every node"))
-    if np.any(params.c2 <= 0):
+    if any(v <= 0 for v in c2):
         violations.append(Violation(
             "NonPositiveCoefficient", "c2 must be > 0 at every node"))
     if params.tau < 0 or params.taubar < params.tau:
@@ -371,15 +427,16 @@ def collect_violations(grid, params, bc_left, bc_right, M: int = 1):
             "is singular"))
 
     # a-priori stability with alpha = 1; an overflowing b/c2 would pass it
-    if not nonfinite and np.all(params.b > 0) and np.all(params.c2 > 0):
-        with np.errstate(all="ignore"):
-            ratio = params.b / params.c2
-        margin = float(np.min(ratio) - params.taubar)
-        if not _finite_normal(ratio):
+    if positive:
+        ratio = list(map(operator.truediv, b, c2))
+        lo, hi = min(ratio), max(ratio)
+        margin = lo - params.taubar
+        # no ratio is negative: all are finite and normal if lo and hi are
+        if not (_finite_normal(lo) and _finite_normal(hi)):
             violations.append(Violation(
                 "StabilityViolation",
-                f"b/c2 ranges over [{np.min(ratio):.6g}, "
-                f"{np.max(ratio):.6g}], not finite, normal numbers"))
+                f"b/c2 ranges over [{lo:.6g}, {hi:.6g}], not finite, "
+                "normal numbers"))
         elif margin <= 0:
             violations.append(Violation(
                 "StabilityViolation",

@@ -563,6 +563,58 @@ def test_out_of_range_derived_scale_exits_one_with_record(config, tmp_path,
         assert not os.path.exists(os.path.join(out, "solution.csv"))
 
 
+BAD_GRID = "is not a finite, normal number"
+# validation runs on Python floats, where x**2 raises OverflowError, a
+# division by zero raises ZeroDivisionError, and min and max depend on
+# where a NaN sits; each of these exits 1 with the record numpy's float64
+# gave, byte for byte
+FLOAT_EDGE_CASES = {
+    # h * h underflows to 0, so 1/h^2 is inf
+    "l=1e-300": (["domain.l=1e-300"], [
+        ("BadGrid", f"1/h^2 = inf {BAD_GRID}"),
+        ("BadGrid", f"M*omega*max(b)/h^2 = inf {BAD_GRID}"),
+        ("BadGrid", f"max(c2)/h^2 = inf {BAD_GRID}"),
+        ("BadGrid", f"|A_M| entry bound = inf {BAD_GRID}")]),
+    "t=5e-324": (["time.t=5e-324"], [
+        ("BadGrid", f"omega = inf {BAD_GRID}"),
+        ("BadGrid", f"M*omega = inf {BAD_GRID}"),
+        ("BadGrid", f"(M*omega)^2 = inf {BAD_GRID}"),
+        ("BadGrid", f"tau*(M*omega)^3 = inf {BAD_GRID}"),
+        ("BadGrid", f"M*omega*max(b)/h^2 = inf {BAD_GRID}"),
+        ("BadGrid", f"|A_M| entry bound = inf {BAD_GRID}")]),
+    "gamma=1.35e154": (["bc.right.kind=absorbing", "bc.right.beta=1",
+                        "bc.right.gamma=1.35e154"], [
+        ("BadGrid", f"right gamma^2 = inf {BAD_GRID}")]),
+    "b=1e-320": (["physics.b=1e-320"], [
+        ("BadGrid", f"M*omega*max(b)/h^2 = 4.09595e-317 {BAD_GRID}"),
+        ("StabilityViolation", "b/c2 ranges over [9.99989e-321, "
+         "9.99989e-321], not finite, normal numbers")]),
+    "c2=1e-320": (["physics.c2=1e-320"], [
+        ("BadGrid", f"max(c2)/h^2 = 1.02399e-317 {BAD_GRID}"),
+        ("StabilityViolation", "b/c2 ranges over [inf, inf], not finite, "
+         "normal numbers")]),
+    "eta=1e308": (["physics.eta=1e308"], [
+        ("NonFiniteValue", "2*max|eta| must be finite")]),
+    "nodal b with a nan": (["physics.b=b.txt"], [
+        ("NonFiniteValue", "b must be finite")]),
+}
+
+
+@pytest.mark.parametrize("name", FLOAT_EDGE_CASES)
+def test_float_edge_cases_keep_their_records(config, tmp_path, name):
+    overrides, violations = FLOAT_EDGE_CASES[name]
+    (tmp_path / "b.txt").write_text("1\n" * 16 + "nan\n" + "1\n" * 16)
+    code, out = run(config, tmp_path, "validate",
+                    *(a for o in overrides for a in ("-s", o)))
+    assert code == 1
+    record = {"kind": "InvalidModel", "code": "InvalidModel",
+              "message": "; ".join(f"{c}: {m}" for c, m in violations),
+              "violations": [{"code": c, "message": m}
+                             for c, m in violations]}
+    with open(os.path.join(out, "error.json")) as fh:
+        assert fh.read() == json.dumps(record, indent=2) + "\n"
+
+
 # at M = 8, T = 2e-102: tau (M omega)^3 overflows for tau = 0.4, though
 # tau omega^3 does not
 SWEEP_AT_M8 = ["time.m=8", "time.t=2e-102", "physics.tau=0",
@@ -700,6 +752,38 @@ def test_validate_runs_the_module_that_checks_a_study_key(config, tmp_path,
                                                           setting):
     assert modules_run(config, tmp_path, "validate", "-s",
                        setting) == VALIDATE_STUDY_MODULES[setting]
+
+
+# the config checks run on Python floats: validate, and a config error
+# of any verb, import no numpy
+NUMPY_FREE_RUNS = {
+    "validate": (0, ["validate"]),
+    "validate with a nodal file and study keys": (0, [
+        "validate", "-s", "physics.b=b.txt", "-s", "study.taus=0.2,0.1",
+        "-s", "study.eps=0.1 0.01 0.001", "-s", "study.dt_divisor=64"]),
+    "solve of an invalid model": (1, ["solve", "-s", "physics.taubar=2"]),
+}
+
+
+@pytest.mark.parametrize("name", NUMPY_FREE_RUNS)
+def test_config_checks_import_no_numpy(config, tmp_path, name):
+    code, (verb, *extra) = NUMPY_FREE_RUNS[name]
+    (tmp_path / "b.txt").write_text("1.05\n" * 33)
+    script = ("import sys\n"
+              "from hbwave.cli import run_command\n"
+              "code = run_command(sys.argv[2:])\n"
+              "assert code == int(sys.argv[1]), code\n"
+              "assert 'numpy' not in sys.modules, 'numpy was imported'\n")
+    src = os.path.dirname(os.path.dirname(hbwave.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(code), verb, config, "-o",
+         str(tmp_path / "out"), *extra],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+        text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    if code == 1:
+        with open(tmp_path / "out" / "error.json") as fh:
+            assert json.load(fh)["kind"] == "InvalidModel"
 
 
 def test_import_registers_exactly_the_package_modules():

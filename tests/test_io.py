@@ -1,9 +1,13 @@
+import gzip
+import warnings
+
 import numpy as np
 import pytest
 
 from hbwave.errors import (
     ConfigError,
     ConfigSyntaxError,
+    InvalidModel,
     NonFiniteResult,
     TypeMismatch,
     UnknownKey,
@@ -14,6 +18,7 @@ from hbwave.io import (
     apply_overrides,
     build_setup,
     parse_config,
+    read_nodal,
     write_csv,
     write_solution_csv,
 )
@@ -130,6 +135,102 @@ def test_forcing_harmonic_outside_range_rejected(config_path):
     raw = apply_overrides(parse_config(config_path), ["forcing.amplitude_9=1"])
     with pytest.raises(TypeMismatch):
         build_setup(raw, config_path)
+
+
+@pytest.mark.parametrize("key", ["amplitude_01", "amplitude_0_1",
+                                 "amplitude_+1"])
+def test_forcing_harmonic_has_one_spelling(config_path, key):
+    # int() reads each of these as 1; next to amplitude_1 the last one
+    # would silently have set harmonic 1
+    raw = apply_overrides(parse_config(config_path), [f"forcing.{key}=7.0"])
+    with pytest.raises(TypeMismatch) as exc:
+        build_setup(raw, config_path)
+    assert key in str(exc.value)
+    assert "amplitude_1" in str(exc.value)
+
+
+def loadtxt(path):
+    """np.loadtxt's reading of a nodal file: ("ok", values) or
+    ("ValueError", message)."""
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")      # an empty file warns
+            return "ok", np.loadtxt(path, dtype=float).reshape(-1).tolist()
+    except ValueError as exc:
+        return "ValueError", str(exc)
+
+
+NODAL_TEXTS = {
+    # Python's float() reads these, loadtxt does not
+    "underscore": "1_0\n",
+    "arabic-indic digits": "\u0661\u0662\n",
+    "leading BOM": "\ufeff1\n",
+    "ragged rows": "1 2\n3\n",
+    "ragged after a blank line": "1\n\n2 3\n",
+    "bad field on row 2": "1 2\n3 x\n",
+    "comma": "1,2\n",
+    # loadtxt reads these
+    "trailing comment": "1 2 # c\n3 4\n",
+    "infinity and nan": "Infinity NaN\n",
+    "overflow": "1e999\n",
+    "CRLF line ends": "1\r\n2\r\n",
+    "CR line ends": "1\r2\r",
+    "unicode whitespace": "1\x0b2\x853\u20284\n",
+    "two columns": "1 2\n3 4\n\n5 6\n",
+    "empty": "",
+    "blank": "\n  \n",
+    "comment-only": "# no values\n",
+}
+
+
+@pytest.mark.parametrize("text", NODAL_TEXTS.values(), ids=NODAL_TEXTS)
+def test_nodal_reader_matches_loadtxt(tmp_path, text):
+    path = tmp_path / "b.txt"
+    path.write_bytes(text.encode())
+    expected = loadtxt(str(path))
+    try:
+        got = "ok", list(read_nodal(str(path)))
+    except ValueError as exc:
+        got = "ValueError", str(exc)
+    # repr: NaN equals itself there
+    assert repr(got) == repr(expected)
+
+
+def test_nodal_reader_reads_compressed_files_as_loadtxt(tmp_path):
+    # loadtxt decompresses by extension and, for a missing path, reads
+    # path + ".gz"; its message for a path it cannot find is its own
+    with gzip.open(tmp_path / "b.txt.gz", "wt") as fh:
+        fh.write("1 2\n3 4\n")
+    for name in ("b.txt.gz", "b.txt"):
+        assert list(read_nodal(str(tmp_path / name))) == loadtxt(
+            str(tmp_path / name))[1] == [1.0, 2.0, 3.0, 4.0]
+    with pytest.raises(FileNotFoundError) as ours:
+        read_nodal(str(tmp_path / "c.txt"))
+    with pytest.raises(FileNotFoundError) as numpy_s:
+        np.loadtxt(str(tmp_path / "c.txt"))
+    assert str(ours.value) == str(numpy_s.value)
+
+
+@pytest.mark.parametrize("text", ["1_0\n", "1 2\n3\n"])
+def test_non_numeric_nodal_file_is_a_type_mismatch(tmp_path, text):
+    (tmp_path / "b.txt").write_text(text)
+    path = tmp_path / "run.ini"
+    path.write_text(MINIMAL.replace("b = 1.0", "b = b.txt"))
+    with pytest.raises(TypeMismatch) as exc:
+        build_setup(parse_config(str(path)), str(path))
+    assert str(exc.value).startswith(
+        f"[physics] b: non-numeric data in {tmp_path / 'b.txt'}: ")
+
+
+def test_overflowing_nodal_value_reads_as_inf(tmp_path):
+    # loadtxt reads 1e999 as inf, which validation then rejects
+    (tmp_path / "b.txt").write_text("1\n" * 16 + "1e999\n")
+    path = tmp_path / "run.ini"
+    path.write_text(MINIMAL.replace("b = 1.0", "b = b.txt"))
+    with pytest.raises(InvalidModel) as exc:
+        build_setup(parse_config(str(path)), str(path))
+    assert [(v.code, v.message) for v in exc.value.violations] == [
+        ("NonFiniteValue", "b must be finite")]
 
 
 SPECIAL = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 2.5e-310, 1e308, -1e308]
