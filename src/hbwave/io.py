@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import configparser
 import functools
-import importlib
 import json
 import math
 import os
@@ -121,7 +120,7 @@ def parse_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cp.read_file(fh, source=path)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:     # or not UTF-8
         raise ConfigError(f"cannot read config {path}: {exc}")
     except (configparser.MissingSectionHeaderError,
             configparser.DuplicateSectionError,
@@ -179,29 +178,6 @@ def _as_int(section: str, key: str, value: str) -> int:
         raise TypeMismatch(f"[{section}] {key} = {value!r} is not an integer")
 
 
-# the compressed forms np.loadtxt reads, by extension, in the order it
-# looks for them beside a missing file
-_COMPRESSED = {".bz2": "bz2", ".gz": "gzip", ".xz": "lzma", ".lzma": "lzma"}
-
-
-def _open_nodal(path: str):
-    """`path` open for reading text as np.loadtxt opens it: in the locale's
-    encoding with universal newlines, decompressed by its extension, and,
-    where `path` is missing, the first of `path` + a compressed extension
-    that exists.  (loadtxt's search of its download cache for a missing
-    path is not mirrored.)"""
-    names = [path]
-    if os.path.splitext(path)[1] not in _COMPRESSED:
-        names += [path + ext for ext in _COMPRESSED]
-    for name in names:
-        if os.path.exists(name):
-            module = _COMPRESSED.get(os.path.splitext(name)[1])
-            if module is None:
-                return open(name)
-            return importlib.import_module(module).open(name, "rt")
-    raise FileNotFoundError(f"{path} not found.")
-
-
 def _number(field: str) -> float:
     """A field as np.loadtxt reads it: ASCII without underscores, so not
     the "1_0" or other scripts' digits that float() also reads."""
@@ -211,19 +187,18 @@ def _number(field: str) -> float:
 
 
 def read_nodal(path: str) -> tuple:
-    """The numbers of a nodal file, row by row, as Python floats.
+    """The numbers of the UTF-8 text file at `path`, row by row, as floats.
 
-    It accepts and rejects what np.loadtxt(path, dtype=float) does, with
-    the same messages: `#` starts a comment, whitespace separates numbers,
-    a line without numbers is skipped, every row has as many numbers as the
-    first, and each number is read by `_number`; "1e999" reads as inf.
-    Raises OSError when the file cannot be read, ValueError when it is not
-    such a table; like loadtxt, it reports the first bad row or number in
-    reading order.
+    It accepts and rejects the text that np.loadtxt(path, dtype=float)
+    does, with the same messages: `#` starts a comment, whitespace
+    separates numbers, a line without numbers is skipped, every row has as
+    many numbers as the first, and each number is read by `_number`;
+    "1e999" reads as inf.  Raises OSError when the file cannot be read,
+    ValueError when it is not UTF-8 or not such a table; like loadtxt, it
+    reports the first bad row or number in reading order.
     """
-    with _open_nodal(path) as fh:
-        # in loadtxt's chunks, so that a decoding error gives its position
-        text = "".join(iter(functools.partial(fh.read, 1 << 14), ""))
+    with open(path, encoding="utf-8") as fh:
+        text = fh.read()
     lines = text.split("\n")
     if "#" in text:
         lines = [line.partition("#")[0] for line in lines]

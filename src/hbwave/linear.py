@@ -67,24 +67,28 @@ def assemble_harmonic_system(model: ValidatedModel, M: int):
 
 
 def _residuals(bands: np.ndarray, x: np.ndarray, rhs: np.ndarray,
-               one_norms: np.ndarray):
+               one_norms: np.ndarray, rescaled: bool = False):
     """Re-substitution residual ||A_m x_m - rhs_m|| per m, and its scale
     ||A_m||_1 ||x_m|| + ||rhs_m||, each row norm from `norms.row_sq`.
     `one_norms` is `spatial.one_norms(bands)`, which a solver takes once.
 
-    A square in the norms overflows once rhs passes about 1e154; then both
-    are taken again with rhs divided by its largest entry, and x, which is
-    about A^-1 rhs, with it.  Scaling only then keeps the common case free
-    of the extra passes and temporaries."""
+    A square in the norms overflows once rhs passes about 1e154, and the
+    residual's squares underflow, reading 0, once rhs falls below 1e-138;
+    then both are taken again, once, with rhs divided by its largest entry,
+    and x, which is about A^-1 rhs, with it.  Scaling only then keeps the
+    common case free of the extra passes and temporaries."""
     with np.errstate(all="ignore"):
-        res = np.sqrt(norms.row_sq(spatial.band_product(bands, x) - rhs))
+        sq = norms.row_sq(spatial.band_product(bands, x) - rhs)
         scale = (one_norms * np.sqrt(norms.row_sq(x))
                  + np.sqrt(norms.row_sq(rhs)))
-    if np.isinf(scale).any():
+    over = np.isinf(scale).any()
+    # an exact solve's residual, 0, is 0 again after the division
+    if not rescaled and (over or sq.sum() < norms.TINY):
         s = np.abs(rhs).max()
-        if 1.0 < s < np.inf:        # after one division s is 1
-            return _residuals(bands, x / s, rhs / s, one_norms)
-    return res, scale
+        # dividing by s helps only if s lies past 1 on the sums' side
+        if 0.0 < s < np.inf and over == (s > 1.0):
+            return _residuals(bands, x / s, rhs / s, one_norms, True)
+    return np.sqrt(sq), scale
 
 
 def _relative_residual(op, bands, one_norms, u: np.ndarray,
@@ -221,7 +225,7 @@ def fixed_point(rhs, u: np.ndarray, model: ValidatedModel,
                     "iterations", history=update_norms)
         u, grad = u_new, grad_new
         # an update that overflowed is no evidence of convergence
-        if np.isfinite(update) and update <= opts.tol * max(scale, 1e-300):
+        if np.isfinite(update) and update <= opts.tol * scale:
             return SolveReport(
                 u=u, iterations=it, update_norms=update_norms,
                 contraction_ratios=ratios, final_residual=residual(u, r),

@@ -18,6 +18,9 @@ import numpy as np
 from .model import Grid
 from .spatial import gradient, laplacian_fd
 
+# the smallest normal float: a sum of squares below it has lost digits
+TINY = np.finfo(float).tiny
+
 
 def parseval_weights(M: int) -> np.ndarray:
     w = np.full(M + 1, 2.0)
@@ -65,10 +68,10 @@ def u0lo_norm(u: np.ndarray, grid: Grid, omega: float, T: float,
                  + (1 + (m w)^2) ||grad u_m||^2].
     `grad`, the `spatial.gradient` of u, is taken here unless given.
 
-    A square overflows once the fields pass about 1e154; then the sum is
-    taken again over both fields divided by their largest entry.  Scaling
-    only then keeps results in range bit-identical and the common case free
-    of the extra passes."""
+    A square overflows past about 1e154, and the sum underflows below
+    1e-154; then it is taken again over both fields divided by their
+    largest entry.  Scaling only then keeps results in range bit-identical
+    and the common case free of the extra passes."""
     if grad is None:
         grad = gradient(u, grid)
     mw2 = (np.arange(len(u)) * omega) ** 2
@@ -77,9 +80,9 @@ def u0lo_norm(u: np.ndarray, grid: Grid, omega: float, T: float,
     w_u = w_grad + w * mw2 * mw2
     x = grid.trapezoid_weights()
     sq = w_u @ row_sq(u, x) + w_grad @ row_sq(grad, x)
-    if not np.isfinite(sq):
+    if not TINY <= sq < np.inf:
         c = max(np.abs(u).max(), np.abs(grad).max())
-        if 0.0 < c < np.inf:        # inf or NaN: no scale makes it finite
+        if 0.0 < c < np.inf:        # 0, inf or NaN: no scale changes it
             return float(c * np.sqrt(T * (w_u @ row_sq(u / c, x)
                                           + w_grad @ row_sq(grad / c, x))))
     return float(np.sqrt(T * sq))

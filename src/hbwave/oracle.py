@@ -23,6 +23,10 @@ ORACLE_STEPS = 512   # the oracle's default steps per period
 DAMPED_STEPS = 2     # each level's first steps, taken as _Oracle.damped_step
 WARMUP_PERIODS = 2   # periods of the coarse warm-up level
 WARMUP_COARSENING = 4    # its steps per period: n_steps // 4
+# the smallest normal float, and the norm whose square it is: a sum of
+# squares below it has lost digits
+_TINY = np.finfo(float).tiny
+_TINY_NORM = math.sqrt(_TINY)
 
 
 class _Oracle:
@@ -256,11 +260,11 @@ class _Oracle:
 def _norms(*arrays) -> list:
     """The 2-norm of each array, taken over the array divided by the
     largest entry of them all and multiplied back.  A plain norm squares
-    the entries, which overflows once one passes about 1e154; the callers
-    take the plain norms first and come here only when one is not finite,
-    so results in range stay bit-identical and pay no extra pass."""
+    the entries, which overflows past about 1e154 and underflows below
+    1e-154; the callers take the plain norms first and come here only when
+    one is out of range, so results in range stay bit-identical."""
     c = max(float(np.abs(x).max()) for x in arrays)
-    if not 0.0 < c < math.inf:      # inf or NaN: no scale makes it finite
+    if not 0.0 < c < math.inf:      # 0, inf or NaN: no scale changes them
         c = 1.0
     return [c * np.linalg.norm(x / c) for x in arrays]
 
@@ -338,7 +342,8 @@ def _march(oracle: _Oracle, y: np.ndarray, u: np.ndarray, max_periods: int,
             y, z = step(y, j, zs)
             zs = (z, *zs[:4])
         norm, moved = np.linalg.norm(y), np.linalg.norm(y - y_start)
-        if not norm + moved < np.inf:   # a square overflowed
+        # a square overflowed, or a sum of squares underflowed
+        if not (_TINY_NORM <= norm < np.inf and _TINY_NORM <= moved < np.inf):
             norm, moved = _norms(y, y - y_start)
         gaps.append(moved / norm if norm > 0 else 0.0)
         if gaps[-1] < period_tol:
@@ -349,24 +354,31 @@ def _march(oracle: _Oracle, y: np.ndarray, u: np.ndarray, max_periods: int,
 def oracle_discrepancy(u_hb: np.ndarray, samples: np.ndarray,
                        model: ValidatedModel) -> float:
     """Relative L2(L2) distance between a harmonic-balance solution and the
-    (nt, nx) samples of an oracle trajectory on its own time grid."""
+    (nt, nx) samples of an oracle trajectory on its own time grid, absolute
+    where the solution is 0.  Sums of squares out of range (fields past
+    about 1e154 or below 1e-154) are taken again over the fields divided
+    by their largest entry c, and an absolute distance multiplied by c."""
     nt = len(samples)
     w = model.grid.trapezoid_weights()
-    # the reference's sum of squares over the samples by Parseval (exact,
-    # as nt > 2M), so the difference is squared and weighted in place with
-    # no temporary of the trajectories' size: each adds to peak memory
-    power = u_hb[0].real**2 + 2.0 * np.sum(np.abs(u_hb[1:])**2, axis=0)
-    ref = float(nt * (w @ power))
-    sq = to_time_samples(u_hb, nt)
-    sq -= samples
-    sq *= sq
-    sq *= w
-    diff = float(np.sum(sq))
-    if not ref + diff < np.inf:     # a square overflowed
+
+    def sums(u_hb, samples):
+        # the reference's sum of squares over the samples by Parseval
+        # (exact, as nt > 2M), so the difference is squared and weighted
+        # in place with no temporary of the trajectories' size: each adds
+        # to peak memory
+        power = u_hb[0].real**2 + 2.0 * np.sum(np.abs(u_hb[1:])**2, axis=0)
+        sq = to_time_samples(u_hb, nt)
+        sq -= samples
+        sq *= sq
+        sq *= w
+        return float(nt * (w @ power)), float(np.sum(sq))
+
+    ref, diff = sums(u_hb, samples)
+    c = 1.0
+    if not (_TINY <= ref < np.inf and _TINY <= diff < np.inf):
         c = max(np.abs(u_hb).max(), np.abs(samples).max())
-        if 1.0 < c < np.inf:        # after one division c is 1
-            d = oracle_discrepancy(u_hb / c, samples / c, model)
-            return d if ref > 0.0 else c * d
+        c = c if 0.0 < c < np.inf else 1.0   # 0, inf or NaN: no scale helps
+        ref, diff = sums(u_hb / c, samples / c)
     if ref == 0.0:
-        return float(np.sqrt(diff))
+        return c * float(np.sqrt(diff))
     return float(np.sqrt(diff / ref))

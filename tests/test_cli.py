@@ -1,4 +1,5 @@
 import contextlib
+import gzip
 import io
 import json
 import os
@@ -1007,16 +1008,80 @@ def test_solve_exits_with_outputs_or_an_error_class(overrides):
             assert code == ERROR_CLASSES[record["kind"]].exit_code
 
 
-def test_huge_forcing_keeps_the_residual_check_finite(tmp_path):
+@pytest.mark.parametrize("amplitude", ["1e200", "1e-150", "1e-250"])
+def test_huge_forcing_keeps_the_residual_check_finite(tmp_path, amplitude):
     """A right-hand side beyond about 1e154 overflowed the norms of the
     re-substitution check, which then passed whatever the residual, and
-    the report's residual read inf / inf = nan."""
+    the report's residual read inf / inf = nan.  Below about 1e-138 the
+    residual's squares underflowed, and it read 0 whatever the error."""
     config = tmp_path / "run.ini"
     config.write_text(SOLVE_CONFIG)
     raw = apply_overrides(parse_config(str(config)), [
-        "solver.kind=linear", "forcing.amplitude_1=1e200"])
+        "solver.kind=linear", f"forcing.amplitude_1={amplitude}"])
     setup = build_setup(raw, str(config))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = solve(setup.f, setup.model, setup.solver_kind)
-    assert 0 <= report.final_residual <= RESIDUAL_RTOL
+    assert 0 < report.final_residual <= RESIDUAL_RTOL
+
+
+# a config naming a nodal file, b, with its Nx = 33 values
+BYTE_FUZZ_FILES = {
+    "run.ini": CONFIG.replace("b = 1.0", "b = b.txt").encode(),
+    "b.txt": "".join(f"{1.0 + 0.001 * i!r}\n" for i in range(33)).encode(),
+}
+
+
+def validate_files(files: dict, *overrides) -> tuple:
+    """Run validate in process on run.ini among `files`, {name: bytes},
+    and check the README contract: exit 0, or exit 1 or 2 with an
+    error.json whose kind is an hbwave error class and that holds no
+    traceback.  Returns the exit code and the record (None on exit 0)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, data in files.items():
+            with open(os.path.join(tmp, name), "wb") as fh:
+                fh.write(data)
+        out = os.path.join(tmp, "out")
+        argv = ["validate", os.path.join(tmp, "run.ini"), "-o", out]
+        for item in overrides:
+            argv += ["-s", item]
+        code = run_command(argv)
+        if code == 0:
+            return code, None
+        with open(os.path.join(out, "error.json"), encoding="utf-8") as fh:
+            record = json.load(fh)
+    assert code in (1, 2)
+    assert record["kind"] in ERROR_CLASSES, record
+    assert "traceback" not in record
+    return code, record
+
+
+# 300 examples take about 1 s
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(st.sampled_from(sorted(BYTE_FUZZ_FILES)),
+       st.lists(st.tuples(st.integers(0, 2000),
+                          st.none() | st.integers(0, 255)),
+                min_size=1, max_size=4))
+# a config that is not UTF-8 failed as a bug, with a traceback
+@example("run.ini", [(0, 0xFF)])
+def test_validate_keeps_its_contract_on_edited_bytes(name, edits):
+    """Each edit replaces the byte at a position, or deletes it (None), in
+    the config or in its nodal file."""
+    data = bytearray(BYTE_FUZZ_FILES[name])
+    for position, byte in edits:
+        position %= len(data)
+        if byte is None:
+            del data[position]
+        else:
+            data[position] = byte
+    validate_files({**BYTE_FUZZ_FILES, name: bytes(data)})
+
+
+def test_a_truncated_gz_nodal_file_exits_one_without_a_traceback():
+    # loadtxt decompressed it by its name, and the truncation escaped the
+    # config errors and failed as a bug, exit 2 with a traceback
+    gz = gzip.compress(BYTE_FUZZ_FILES["b.txt"])[:-8]
+    code, record = validate_files({**BYTE_FUZZ_FILES, "trunc.txt.gz": gz},
+                                  "physics.b=trunc.txt.gz")
+    assert (code, record["kind"]) == (1, "TypeMismatch")
+    assert record["message"].startswith("[physics] b: non-numeric data in ")

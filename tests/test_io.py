@@ -196,19 +196,41 @@ def test_nodal_reader_matches_loadtxt(tmp_path, text):
     assert repr(got) == repr(expected)
 
 
-def test_nodal_reader_reads_compressed_files_as_loadtxt(tmp_path):
-    # loadtxt decompresses by extension and, for a missing path, reads
-    # path + ".gz"; its message for a path it cannot find is its own
-    with gzip.open(tmp_path / "b.txt.gz", "wt") as fh:
-        fh.write("1 2\n3 4\n")
-    for name in ("b.txt.gz", "b.txt"):
-        assert list(read_nodal(str(tmp_path / name))) == loadtxt(
-            str(tmp_path / name))[1] == [1.0, 2.0, 3.0, 4.0]
-    with pytest.raises(FileNotFoundError) as ours:
-        read_nodal(str(tmp_path / "c.txt"))
-    with pytest.raises(FileNotFoundError) as numpy_s:
-        np.loadtxt(str(tmp_path / "c.txt"))
-    assert str(ours.value) == str(numpy_s.value)
+GZIP = gzip.compress(b"1\n" * 17)
+# (file written, its bytes, the file b names); loadtxt decompressed a .gz
+# file, failing as a bug where it was cut short, and read b.txt.gz for a
+# missing b.txt
+COMPRESSED_CASES = {
+    "gz named .gz": ("b.txt.gz", GZIP, "b.txt.gz"),
+    "gz named .txt": ("b.txt", GZIP, "b.txt"),
+    "truncated gz named .gz": ("b.txt.gz", GZIP[:-8], "b.txt.gz"),
+    "truncated gz named .txt": ("b.txt", GZIP[:-8], "b.txt"),
+    "missing .txt beside .gz": ("b.txt.gz", GZIP, "b.txt"),
+}
+
+
+@pytest.mark.parametrize("written, data, named", COMPRESSED_CASES.values(),
+                         ids=COMPRESSED_CASES)
+def test_nodal_reader_reads_the_named_text_file_only(tmp_path, written,
+                                                     data, named):
+    (tmp_path / written).write_bytes(data)
+    path = tmp_path / "run.ini"
+    path.write_text(MINIMAL.replace("b = 1.0", f"b = {named}"))
+    with pytest.raises(TypeMismatch) as exc:
+        build_setup(parse_config(str(path)), str(path))
+    error = "non-numeric data in" if named == written else "cannot read"
+    assert str(exc.value).startswith(
+        f"[physics] b: {error} {tmp_path / named}: ")
+
+
+def test_config_that_is_not_utf8_is_a_config_error(tmp_path):
+    path = tmp_path / "run.ini"
+    path.write_bytes(MINIMAL.encode().replace(b"1.0", b"1.0\xff", 1))
+    with pytest.raises(ConfigError) as exc:
+        parse_config(str(path))
+    assert type(exc.value) is ConfigError
+    assert str(exc.value).startswith(f"cannot read config {path}: 'utf-8' "
+                                     "codec can't decode byte 0xff")
 
 
 @pytest.mark.parametrize("text", ["1_0\n", "1 2\n3\n"])

@@ -116,13 +116,15 @@ def test_u0lo_norm_matches_its_term_by_term_definition(M, with_grad, layout):
                                                                rel=1e-13)
 
 
-@pytest.mark.parametrize("scale", [1e160, 1e300])
+@pytest.mark.parametrize("scale", [1e160, 1e300, 1e-160, 1e-300])
 def test_u0lo_norm_holds_where_a_square_overflows(scale):
-    # a square of an entry past about 1e154 overflows; the norm is taken
-    # again over the fields divided by their largest entry
+    # a square of an entry past about 1e154 overflows, and a sum of squares
+    # of entries below about 1e-154 loses digits (below 1e-162, all of
+    # them); the norm is taken again over the fields divided by their
+    # largest entry
     grid = Grid(1.0, 21)
     u = random_field(4, 21)
     with np.errstate(over="ignore"):
         big = u0lo_norm(scale * u, grid, 1.7, 3.0)
     assert big == pytest.approx(scale * u0lo_norm(u, grid, 1.7, 3.0),
-                                rel=1e-13)
+                                rel=1e-13, abs=0.0)

@@ -1,14 +1,17 @@
 """Exact relations of the discrete problem, which hold to rounding whatever
-the solution is: a mirrored problem has the mirrored solution, and a
-forcing shifted in time has the solution shifted by the same time.
+the solution is: a mirrored problem has the mirrored solution, a forcing
+shifted in time has the solution shifted by the same time, and the linear
+solve superposes, S(f1 + a f2) = S(f1) + a S(f2).
 
 They need no reference solution, so they see errors that tolerances and
 the oracle, which shares the spatial operator, let through.  Two errors
 were tried on a copy of the code: a first-order right-end row in
 `spatial.gradient` raises the Kuznetsov mirror error to 8.4e-7, and a
 dealiasing length of 3M - 2 samples in `model.dealiased_samples` raises
-the time-shift error to 6.8e-12 - 1.1e-10.  The bounds sit 25 and 100
-times above the largest error measured here (numpy 2.4, x86-64)."""
+the time-shift error to 6.8e-12 - 1.1e-10, and a linear kind that solves
+as Westervelt or Kuznetsov raises the superposition error to 6.7e-4 -
+0.18 or 4.4e-3 - 0.060.  The bounds sit 25, 100 and 43 times above the
+largest error measured here (numpy 2.4, x86-64)."""
 import itertools
 
 import numpy as np
@@ -33,6 +36,8 @@ KINDS = ("linear", "westervelt", "kuznetsov")
 MIRROR_BOUND = 1e-11
 # measured 6.0e-16 to 1.0e-15 over both kinds and both shifts
 SHIFT_BOUND = 1e-13
+# measured 6.6e-16 to 2.3e-14 over every pair
+SUPERPOSITION_BOUND = 1e-12
 
 
 def model(x, left="dirichlet", right="absorbing", mirrored=False):
@@ -86,3 +91,23 @@ def test_a_time_shifted_forcing_shifts_the_solution(kind, amplitude, s):
     u = solve(f, m, kind).u
     u_shifted = solve(f * phase, m, kind).u
     assert relative(u_shifted, u * phase) <= SHIFT_BOUND
+
+
+def second_forcing(x):
+    """A drive on harmonics 0 and 3, which `forcing` leaves at 0; the mean
+    mode is real."""
+    f = np.zeros((M + 1, len(x)), complex)
+    f[0] = 0.3 * np.cos(np.pi * x) + 0.1 * x
+    f[3] = 0.2 * np.sin(3 * np.pi * x) * (1.0 - 0.5j * x)
+    return f
+
+
+@pytest.mark.parametrize("left, right", PAIRS,
+                         ids=[f"{left}-{right}" for left, right in PAIRS])
+def test_the_linear_solve_superposes(left, right):
+    x = np.linspace(0.0, 1.0, NX)
+    m = model(x, left, right)
+    f1, f2, a = forcing(x, 0.15), second_forcing(x), -1.7
+    u1, u2 = (solve(f, m, "linear").u for f in (f1, f2))
+    assert relative(solve(f1 + a * f2, m, "linear").u,
+                    u1 + a * u2) <= SUPERPOSITION_BOUND

@@ -896,7 +896,7 @@ def test_oracle_step_rejected_after_max_stage_iterations(monkeypatch):
     assert len(solves) == _Oracle.MAX_STAGE_ITER
 
 
-@pytest.mark.parametrize("amp", [1e155, 1e200])
+@pytest.mark.parametrize("amp", [1e155, 1e200, 1e-160, 1e-250])
 @pytest.mark.parametrize("kind, eta", [("linear", 0.0),
                                        ("westervelt", 1e-300)])
 def test_oracle_norms_hold_where_a_square_of_the_state_overflows(kind, eta,
@@ -905,19 +905,23 @@ def test_oracle_norms_hold_where_a_square_of_the_state_overflows(kind, eta,
     # which overflows once |u| passes about 1e154 (|u| ~ amp / 26 here): at
     # 1e155 all three read 0 or inf, and the march stopped after a period
     # with a discrepancy of 0, the Westervelt stages taking one update
-    # where they take two; at 1e200 the gap was NaN for 200 periods.
-    # At eta = 1e-300 the nonlinear terms are below 1e-100 of the rest, so
-    # harmonic balance's solution at 1e100, scaled, stands for the one at
-    # amp.  The plain sums overflow before each rescaled one, and numpy
+    # where they take two; at 1e200 the gap was NaN for 200 periods.  The
+    # squares of the gap and the discrepancy underflow once |u| falls below
+    # about 1e-154: at 1e-160 and 1e-250 both read 0, and the march stopped
+    # after a period.  At eta = 1e-300 the nonlinear terms are below 1e-100
+    # of the rest, so harmonic balance's solution at 1e100, scaled, stands
+    # for the one at amp.  A tiny run is compared with the run at 1e-100,
+    # whose stage tolerance, STAGE_TOL (|y| + 1), is as absolute as its
+    # own.  The plain sums overflow before each rescaled one, and numpy
     # warns, as the CLI lets it do in silence
     model = make_model(nx=17, eta=eta)
     u = solve(drive(model, 1e100), model, kind).u
     runs = []
-    for a in (1e100, amp):
+    for a in (1e100 if amp > 1.0 else 1e-100, amp):
         with np.errstate(over="ignore"):
             samples, _, counts = time_stepping_oracle(drive(model, a), model,
                                                       kind, n_steps=64)
-            d = oracle_discrepancy(u * (a / 1e100), samples, model)
+            d = oracle_discrepancy(u / 1e100 * a, samples, model)
         runs.append((d, counts["periods"], counts["steps"],
                      counts["stage_solves"]))
     (d_ref, *counts_ref), (d, *counts) = runs
@@ -925,26 +929,33 @@ def test_oracle_norms_hold_where_a_square_of_the_state_overflows(kind, eta,
     assert counts == counts_ref
 
 
-def test_picard_norms_hold_where_a_square_of_the_iterate_overflows():
+@pytest.mark.parametrize("amp", [1e200, 1e-170, 1e-250])
+def test_picard_norms_hold_where_a_square_of_the_iterate_overflows(amp):
     # at amplitude 1e200 the iterate's squares overflow (|u| ~ 4e198): the
     # u0lo norms read inf, inf <= inf passed the stopping test, and the
     # solve returned after 1 iteration with update norms [inf] and a
-    # residual of 0.  At eta = 1e-300 the Westervelt term is below 1e-100
-    # of the rest, so the 1e200 run is the 1e100 run scaled: its first
-    # update 1e100 times larger, the later ones, the nonlinear correction,
-    # 1e200 times, and the solution 1e100 times
+    # residual of 0.  At 1e-170 and 1e-250 they underflow: the norms read
+    # 0, 0 <= tol * 1e-300 passed the stopping test after 1 iteration,
+    # and the residual read 0.  At eta = 1e-300 the Westervelt term is
+    # below 1e-100 of the rest, so the run at amp is the 1e100 run scaled,
+    # its first update amp / 1e100 times, the later ones, the nonlinear
+    # correction, (amp / 1e100)^2 times, and the solution amp / 1e100
+    # times.  A tiny run is compared with the run at 1e-100, whose
+    # correction, like its own, is 0
     model = make_model(nx=17, eta=1e-300)
+    a_ref = 1e100 if amp > 1.0 else 1e-100
     runs = []
-    for amp in (1e100, 1e200):
+    for a in (a_ref, amp):
         with np.errstate(over="ignore", invalid="ignore"):
-            runs.append(solve(drive(model, amp), model, "westervelt"))
+            runs.append(solve(drive(model, a), model, "westervelt"))
     ref, big = runs
+    r = amp / a_ref
     assert big.iterations == ref.iterations == 2
     assert big.update_norms[0] == pytest.approx(
-        1e100 * ref.update_norms[0], rel=1e-9)
+        r * ref.update_norms[0], rel=1e-9, abs=0.0)
     assert big.update_norms[1:] == pytest.approx(
-        [1e200 * n for n in ref.update_norms[1:]], rel=1e-9)
-    assert np.linalg.norm(big.u / 1e100 - ref.u) <= 1e-9 * np.linalg.norm(
+        [r * r * n for n in ref.update_norms[1:]], rel=1e-9, abs=0.0)
+    assert np.linalg.norm(big.u / r - ref.u) <= 1e-9 * np.linalg.norm(
         ref.u)
     assert 0 < big.final_residual <= 1e-10
 
