@@ -39,10 +39,12 @@ atexit.register(gc.freeze)
 VERBS = ("solve", "sweep-tau", "energy", "deriv-check", "converge",
          "oracle-compare", "validate")
 
-# the characters str.splitlines breaks at, escaped in the one stderr line
-# of a failure, whose message may quote them from the input
-_LINE_BREAKS = {ord(c): repr(c)[1:-1]
-                for c in "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"}
+
+def _escaped(text: str) -> str:
+    """text with each character that str.isprintable rejects escaped as
+    repr escapes it: the one stderr line of a failure, whose message may
+    quote line breaks, NULs or other control characters from the input."""
+    return "".join(c if c.isprintable() else repr(c)[1:-1] for c in text)
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -214,8 +216,7 @@ def run_command(argv) -> int:
     else:
         write_run_info(out, args.verb, args.config, args.overrides, extra)
         return 0
-    _say(f"error: {type(failure).__name__}: {failure}".translate(
-        _LINE_BREAKS), sys.stderr)
+    _say(_escaped(f"error: {type(failure).__name__}: {failure}"), sys.stderr)
     return getattr(failure, "exit_code", 2)
 
 

@@ -197,6 +197,8 @@ def read_nodal(path: str) -> tuple:
     ValueError when it is not UTF-8 or not such a table; like loadtxt, it
     reports the first bad row or number in reading order.
     """
+    if "\0" in path:         # which `open` raises ValueError for
+        raise OSError("embedded null byte")
     with open(path, encoding="utf-8") as fh:
         text = fh.read()
     lines = text.split("\n")
@@ -393,14 +395,12 @@ def build_setup(raw: dict, config_path: str) -> RunSetup:
 # --- serialization ---------------------------------------------------------
 
 def _format(value) -> str:
-    import numpy as np
+    # %.17g writes an int below 1e17, Python's or numpy's, as its digits
     if value is None:
         return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
     if isinstance(value, str):
         return value
-    return "%.17g" % float(value)
+    return "%.17g" % value
 
 
 def _new_file(directory: str):

@@ -58,27 +58,21 @@ def bilinear_product(fv: tuple, fw: tuple, kind: str, model: ValidatedModel,
                      M: int) -> np.ndarray:
     """Order-M truncation of r[v, w] from the factors of v and of w."""
     p = model.params
+    # each product is rebound to its harmonics, so its samples are freed
+    # before the time derivative
     if kind == "westervelt":
-        out = time_derivative(to_harmonics(fv[0] * fw[0], M), p.omega, 2)
-        if not np.isfinite(out).all():
-            # the product overflows before eta scales it once the samples
-            # pass about 1e154: form it again from the factors divided by
-            # their largest entries, and scale those back in after eta.
-            # Only then, so results in range stay bit-identical
-            cv, cw = np.abs(fv[0]).max(), np.abs(fw[0]).max()
-            if 0.0 < cv < np.inf and 0.0 < cw < np.inf:
-                out = time_derivative(
-                    to_harmonics((fv[0] / cv) * (fw[0] / cw), M), p.omega, 2)
-                out *= p.eta * cv
-                out *= cw
-                return out
-        out *= p.eta
-        return out
+        # eta fv first: alpha = 1 + 2 eta fv bounds it, so it overflows
+        # only if alpha does, and u -> s u, eta -> eta / s scales exactly
+        q = p.eta * fv[0]
+        q *= fw[0]
+        q = to_harmonics(q, M)
+        return time_derivative(q, p.omega, 2)
     # in place: one (nt, nx) temporary besides q
     q = p.eta_tilde * fv[0]
     q *= fw[0]
     q += fv[1] * fw[1]
-    return time_derivative(to_harmonics(q, M), p.omega)
+    q = to_harmonics(q, M)
+    return time_derivative(q, p.omega)
 
 
 def eval_bilinear(v: np.ndarray, w: np.ndarray, kind: str,

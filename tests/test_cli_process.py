@@ -166,6 +166,23 @@ def test_a_closed_stderr_keeps_a_failed_run_exit_code(config, tmp_path, code,
     assert record["kind"] == {1: "InvalidModel", 2: "NonContraction"}[code]
 
 
+def test_the_error_line_escapes_what_is_not_printable(tmp_path):
+    # a NUL in a nodal path reached the terminal raw; the line is the one
+    # error.json's message gives, as repr escapes it
+    config = tmp_path / "run.ini"
+    config.write_text(CONFIG.replace("b = 1.0", "b = a\0b"))
+    out = tmp_path / "out"
+    proc = child(["-m", "hbwave", "validate", str(config), "-o", str(out)],
+                 tmp_path)
+    assert proc.returncode == 1
+    with open(out / "error.json") as fh:
+        message = json.load(fh)["message"]
+    assert message == (f"[physics] b: cannot read {tmp_path / 'a'}\0b: "
+                       "embedded null byte")
+    assert proc.stderr == "error: TypeMismatch: " + message.replace(
+        "\0", "\\x00") + "\n"
+
+
 @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
                          ids=["umask022", "umask077"])
 def test_result_files_take_the_process_umask(config, tmp_path, umask, mode):

@@ -124,7 +124,7 @@ def test_ratio_invariant_under_forcing_rescaling():
     assert set(r1) == {"ratio_lo", "ratio_me", "ratio_hi"}
     for key in r1:
         assert r1[key] > 0
-        assert r1[key] == pytest.approx(r2[key], rel=1e-10)
+        assert r1[key] == pytest.approx(r2[key], rel=1e-10, abs=0.0)
 
 
 def test_ratios_undefined_for_zero_forcing():

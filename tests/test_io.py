@@ -223,6 +223,18 @@ def test_nodal_reader_reads_the_named_text_file_only(tmp_path, written,
         f"[physics] b: {error} {tmp_path / named}: ")
 
 
+def test_a_nul_in_a_nodal_path_is_a_read_error(tmp_path):
+    # open raises ValueError for it, which was reported as non-numeric data
+    with pytest.raises(OSError):
+        read_nodal(str(tmp_path / "a\0b"))
+    path = tmp_path / "run.ini"
+    path.write_text(MINIMAL.replace("b = 1.0", "b = a\0b"))
+    with pytest.raises(TypeMismatch) as exc:
+        build_setup(parse_config(str(path)), str(path))
+    assert str(exc.value) == (
+        f"[physics] b: cannot read {tmp_path / 'a'}\0b: embedded null byte")
+
+
 def test_config_that_is_not_utf8_is_a_config_error(tmp_path):
     path = tmp_path / "run.ini"
     path.write_bytes(MINIMAL.encode().replace(b"1.0", b"1.0\xff", 1))

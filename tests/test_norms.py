@@ -37,7 +37,8 @@ def test_l2l2_matches_brute_force_time_quadrature():
     samples = to_time_samples(u, nt)
     brute = np.sqrt(sum(l2_norm(samples[k], grid) ** 2 for k in range(nt))
                     * T / nt)
-    assert l2l2_norm(u, grid, omega, T) == pytest.approx(brute, rel=1e-12)
+    assert l2l2_norm(u, grid, omega, T) == pytest.approx(brute, rel=1e-12,
+                                                         abs=0.0)
 
 
 def test_time_derivative_weighting():
@@ -87,7 +88,7 @@ def test_vectorised_norm_matches_per_harmonic_loop(spatial):
                        * l2_norm(transform(u[m]), grid) ** 2
                        for m in range(len(u)))
         assert time_space_norm_sq(transform(u), grid, omega, T, k) == (
-            pytest.approx(loop, rel=1e-13))
+            pytest.approx(loop, rel=1e-13, abs=0.0))
 
 
 @pytest.mark.parametrize("layout", ["real", "complex", "strided"])
@@ -112,8 +113,8 @@ def test_u0lo_norm_matches_its_term_by_term_definition(M, with_grad, layout):
         grad = gradient(u, grid)
         if layout == "strided":
             grad = np.asfortranarray(grad)
-    assert u0lo_norm(u, grid, omega, T, grad) == pytest.approx(np.sqrt(sq),
-                                                               rel=1e-13)
+    assert u0lo_norm(u, grid, omega, T, grad) == pytest.approx(
+        np.sqrt(sq), rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("scale", [1e160, 1e300, 1e-160, 1e-300])

@@ -1,7 +1,8 @@
 """Exact relations of the discrete problem, which hold to rounding whatever
 the solution is: a mirrored problem has the mirrored solution, a forcing
-shifted in time has the solution shifted by the same time, and the linear
-solve superposes, S(f1 + a f2) = S(f1) + a S(f2).
+shifted in time has the solution shifted by the same time, the linear
+solve superposes, S(f1 + a f2) = S(f1) + a S(f2), and the Westervelt solve
+scales, S_{eta/s}(s f) = s S_eta(f), exactly when s is a power of two.
 
 They need no reference solution, so they see errors that tolerances and
 the oracle, which shares the spatial operator, let through.  Two errors
@@ -11,15 +12,23 @@ dealiasing length of 3M - 2 samples in `model.dealiased_samples` raises
 the time-shift error to 6.8e-12 - 1.1e-10, and a linear kind that solves
 as Westervelt or Kuznetsov raises the superposition error to 6.7e-4 -
 0.18 or 4.4e-3 - 0.060.  The bounds sit 25, 100 and 43 times above the
-largest error measured here (numpy 2.4, x86-64)."""
+largest error measured here (numpy 2.4, x86-64).  A Westervelt product
+that forms u u before it applies eta loses the term below about 1e-154,
+which fails the scaling at 2^-530 and 1e-160 with errors of 2.4e-4 to
+8.1e-3 or a Picard failure."""
+import functools
 import itertools
+import json
 
 import numpy as np
 import pytest
 
+from hbwave.cli import run_command
 from hbwave.model import (BCKind, BoundaryCondition, Grid, PhysicalParams,
                           validate_model)
 from hbwave.nonlinear import solve
+from solution_csv import read_solution_csv
+from test_cli import CONFIG
 
 NX, M = 129, 8
 ENDS = {
@@ -40,9 +49,10 @@ SHIFT_BOUND = 1e-13
 SUPERPOSITION_BOUND = 1e-12
 
 
-def model(x, left="dirichlet", right="absorbing", mirrored=False):
+def model(x, left="dirichlet", right="absorbing", mirrored=False, s=1.0):
     """Smooth coefficients with no mirror symmetry on the nodes x of
-    [0, 1], read at 1 - x when mirrored, with the ends swapped."""
+    [0, 1], read at 1 - x when mirrored, with the ends swapped; eta is
+    divided by s."""
     if mirrored:
         x, left, right = 1.0 - x, right, left
     grid = Grid(1.0, len(x))
@@ -50,7 +60,7 @@ def model(x, left="dirichlet", right="absorbing", mirrored=False):
         grid, tau=0.1, taubar=0.5, T=2 * np.pi,
         b=1.0 + 0.08 * np.cos(np.pi * x + 0.3),
         c2=1.0 + 0.07 * np.sin(2 * np.pi * x + 0.5),
-        eta=1.0 + 0.3 * x, eta_tilde=0.8 + 0.4 * x**2)
+        eta=(1.0 + 0.3 * x) / s, eta_tilde=0.8 + 0.4 * x**2)
     return validate_model(grid, params, ENDS[left], ENDS[right], M)
 
 
@@ -111,3 +121,57 @@ def test_the_linear_solve_superposes(left, right):
     u1, u2 = (solve(f, m, "linear").u for f in (f1, f2))
     assert relative(solve(f1 + a * f2, m, "linear").u,
                     u1 + a * u2) <= SUPERPOSITION_BOUND
+
+
+# the drive at which alpha_min, over every pair, is closest to the
+# degeneracy floor 0.1 (0.114, impedance-neumann), so the Westervelt term
+# is far from negligible
+SCALING_AMPLITUDE = 0.237
+
+
+@functools.cache
+def unscaled(left, right):
+    x = np.linspace(0.0, 1.0, NX)
+    return solve(forcing(x, SCALING_AMPLITUDE), model(x, left, right),
+                 "westervelt")
+
+
+# a power of two scales every rounding exactly; 1e+-160 change the
+# rounding, which the linear solve alone carries to 5.3e-14 here, and the
+# Westervelt solve to 4.2e-14 at most
+@pytest.mark.parametrize("s, bound", [(2.0**530, 0.0), (2.0**-530, 0.0),
+                                      (1e160, 1e-12), (1e-160, 1e-12)])
+@pytest.mark.parametrize("left, right", PAIRS,
+                         ids=[f"{left}-{right}" for left, right in PAIRS])
+def test_the_westervelt_solve_scales(left, right, s, bound):
+    # alpha = 1 + 2 eta u is unchanged by u -> s u, eta -> eta / s, so
+    # S_{eta/s}(s f) = s S_eta(f) in as many Picard steps, compared at
+    # the unscaled size.  At 1e160 the norms' first squares overflow,
+    # and they are taken again scaled
+    x = np.linspace(0.0, 1.0, NX)
+    base = unscaled(left, right)
+    with np.errstate(over="ignore"):
+        scaled = solve(s * forcing(x, SCALING_AMPLITUDE),
+                       model(x, left, right, s=s), "westervelt")
+    assert scaled.iterations == base.iterations
+    assert relative(scaled.u / s, base.u) <= bound
+
+
+def test_the_cli_solve_scales_by_a_power_of_two(tmp_path):
+    # eta = 2^530 and amplitude_1 = 2 * 2^-530: the run with eta = 1 and
+    # amplitude_1 = 2 scaled by 2^-530, to the bit
+    config = tmp_path / "run.ini"
+    config.write_text(CONFIG)
+    runs = {}
+    for name, eta, amplitude in (("base", 1.0, 2.0),
+                                 ("scaled", 2.0**530, 2.0 * 2.0**-530)):
+        out = tmp_path / name
+        assert run_command(["solve", str(config), "-o", str(out),
+                            "-s", f"physics.eta={eta!r}",
+                            "-s", f"forcing.amplitude_1={amplitude!r}"]) == 0
+        metrics = json.loads((out / "run_info.json").read_text())["metrics"]
+        runs[name] = read_solution_csv(str(out / "solution.csv")), metrics
+    (u, base), (u_scaled, scaled) = runs["base"], runs["scaled"]
+    assert scaled["iterations"] == base["iterations"]
+    assert scaled["alpha_min"] == base["alpha_min"]
+    assert np.array_equal(u_scaled, u * 2.0**-530)

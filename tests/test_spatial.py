@@ -138,7 +138,7 @@ def test_dual_norm_on_operator_eigenvector():
     h = grid.h
     lam = 4.0 / h**2 * np.sin(np.pi * h / 2) ** 2
     expected = l2_norm(v, grid) / np.sqrt(1.0 + lam)
-    assert val == pytest.approx(expected, rel=1e-6)
+    assert val == pytest.approx(expected, rel=1e-6, abs=0.0)
 
 
 def test_dual_norm_nonnegative_and_dominated_by_l2():

@@ -258,9 +258,9 @@ def test_oracle_discrepancy_is_a_relative_sample_norm():
     w = model.grid.trapezoid_weights()
     expected = np.sqrt(np.sum((hb - other)**2 * w) / np.sum(hb**2 * w))
     assert oracle_discrepancy(u, other, model) == pytest.approx(
-        expected, rel=1e-14)
-    assert oracle_discrepancy(u, np.zeros_like(hb),
-                              model) == pytest.approx(1.0, rel=1e-14)
+        expected, rel=1e-14, abs=0.0)
+    assert oracle_discrepancy(u, np.zeros_like(hb), model) == pytest.approx(
+        1.0, rel=1e-14, abs=0.0)
 
 
 ABSORBING = BoundaryCondition(BCKind.ABSORBING, beta=1.0)
@@ -331,7 +331,7 @@ def test_oracle_second_harmonic_agreement_westervelt():
     u_or = to_harmonics(samples, len(u) - 1)
     a_hb = np.max(np.abs(u[2]))
     a_or = np.max(np.abs(u_or[2]))
-    assert a_or == pytest.approx(a_hb, rel=1e-2)
+    assert a_or == pytest.approx(a_hb, rel=1e-2, abs=0.0)
 
 
 def test_oracle_reports_missing_attractor():
@@ -925,7 +925,7 @@ def test_oracle_norms_hold_where_a_square_of_the_state_overflows(kind, eta,
         runs.append((d, counts["periods"], counts["steps"],
                      counts["stage_solves"]))
     (d_ref, *counts_ref), (d, *counts) = runs
-    assert d == pytest.approx(d_ref, rel=1e-9)
+    assert d == pytest.approx(d_ref, rel=1e-9, abs=0.0)
     assert counts == counts_ref
 
 
