@@ -214,7 +214,10 @@ def fixed_point(rhs, u: np.ndarray, model: ValidatedModel,
             raise NonContraction(
                 f"iterate left the ball of radius {opts.ball_radius}",
                 history=update_norms)
-        r = rhs(u_new, grad_new)
+        # the last state is dead: freed here, it is not held while rhs
+        # synthesizes the new one
+        u, grad, r = u_new, grad_new, None
+        r = rhs(u, grad)
         if len(update_norms) >= 2 and update_norms[-2] > 0:
             ratio = update_norms[-1] / update_norms[-2]
             ratios.append(ratio)
@@ -223,7 +226,6 @@ def fixed_point(rhs, u: np.ndarray, model: ValidatedModel,
                 raise NonContraction(
                     f"contraction ratio >= 1 for {rising} consecutive "
                     "iterations", history=update_norms)
-        u, grad = u_new, grad_new
         # an update that overflowed is no evidence of convergence
         if np.isfinite(update) and update <= opts.tol * scale:
             return SolveReport(

@@ -138,7 +138,9 @@ def fixed_point_solve(f: np.ndarray, model: ValidatedModel, kind: str,
             raise DegeneracyDetected(
                 f"alpha dropped to {monitor['alpha_min']:.4g} below floor "
                 f"{opts.degeneracy_floor}", alpha_min=monitor["alpha_min"])
-        return f + bilinear_product(factors, factors, kind, model, len(u) - 1)
+        out = bilinear_product(factors, factors, kind, model, len(u) - 1)
+        out += f
+        return out
 
     if u0 is None:
         u0 = np.zeros(f.shape, complex)

@@ -325,12 +325,24 @@ def assemble_laplacian(grid: Grid, bc_left: BoundaryCondition,
     return SpatialOperator(bands, span, grid, d_beta[span])
 
 
+def _flat(v: np.ndarray):
+    """The field g to fill, shaped like v, and the C-contiguous rows of v
+    and of g as one 1-D array each.  A stencil taken in one pass over the
+    flat rows needs no iterator buffer, which numpy gives each operand of a
+    strided 2-D ufunc; the entries it writes across two rows are the rows'
+    end entries, which the one-sided formulas then overwrite."""
+    g = np.empty(v.shape, np.result_type(v, float))
+    return g, np.ascontiguousarray(v).reshape(-1), g.reshape(-1)
+
+
 def gradient(v: np.ndarray, grid: Grid) -> np.ndarray:
     """Second-order first derivative along the last axis."""
     v = np.asarray(v)
     h = grid.h
-    g = np.empty_like(v, dtype=np.result_type(v, float))
-    g[..., 1:-1] = (v[..., 2:] - v[..., :-2]) / (2 * h)
+    g, vf, gi = _flat(v)
+    gi = gi[1:-1]
+    np.subtract(vf[2:], vf[:-2], out=gi)
+    gi /= 2 * h
     g[..., 0] = (-3 * v[..., 0] + 4 * v[..., 1] - v[..., 2]) / (2 * h)
     g[..., -1] = (3 * v[..., -1] - 4 * v[..., -2] + v[..., -3]) / (2 * h)
     return g
@@ -340,8 +352,12 @@ def laplacian_fd(v: np.ndarray, grid: Grid) -> np.ndarray:
     """Second-order second derivative along the last axis (one-sided ends)."""
     v = np.asarray(v)
     h = grid.h
-    g = np.empty_like(v, dtype=np.result_type(v, float))
-    g[..., 1:-1] = (v[..., 2:] - 2 * v[..., 1:-1] + v[..., :-2]) / h**2
+    g, vf, gi = _flat(v)
+    gi = gi[1:-1]
+    np.multiply(2, vf[1:-1], out=gi)
+    np.subtract(vf[2:], gi, out=gi)
+    gi += vf[:-2]
+    gi /= h**2
     g[..., 0] = (2 * v[..., 0] - 5 * v[..., 1] + 4 * v[..., 2]
                  - v[..., 3]) / h**2
     g[..., -1] = (2 * v[..., -1] - 5 * v[..., -2] + 4 * v[..., -3]

@@ -1,3 +1,5 @@
+import weakref
+
 import numpy as np
 import pytest
 
@@ -192,6 +194,29 @@ def test_fixed_point_accepts_no_overflowed_update(monkeypatch):
         fixed_point(lambda u, grad: f, np.zeros_like(f), model,
                     FixedPointOptions(max_iter=3))
     assert info.value.details["history"] == [np.inf] * 3
+
+
+def test_fixed_point_frees_the_last_state_before_rhs_runs():
+    # rhs synthesizes the new state's samples, the solve's peak; the last
+    # state's u, gradient and rhs are dead by then and must not be held
+    from hbwave.linear import FixedPointOptions, fixed_point
+
+    model = make_model(nx=33)
+    f = np.zeros((4, 33), complex)
+    f[1] = np.sin(np.pi * model.grid.nodes)
+    states, alive = [], []
+
+    def rhs(u, grad):
+        if states:
+            alive.append([ref() is not None for ref in states[-1]])
+        out = f + 1e-3 * u
+        states.append([weakref.ref(a) for a in (u, grad, out)])
+        return out
+
+    report = fixed_point(rhs, np.zeros_like(f), model,
+                         FixedPointOptions(tol=1e-14))
+    assert report.iterations >= 3
+    assert alive == [[False] * 3] * report.iterations
 
 
 def test_linearized_around_zero_base_is_direct_solve():

@@ -138,7 +138,15 @@ def unscaled(left, right):
 
 # a power of two scales every rounding exactly; 1e+-160 change the
 # rounding, which the linear solve alone carries to 5.3e-14 here, and the
-# Westervelt solve to 4.2e-14 at most
+# Westervelt solve to 4.2e-14 at most.  The 5.3e-14 is the elimination
+# order's, not the conditioning's: LAPACK eliminates from the first row,
+# and from a Neumann row the solve's forward error is 2.4e-13 - 5.4e-13
+# against 1.1e-14 - 6.4e-14 from any other (harmonic 1, against a
+# long-double solve), at the same backward error (4e-17 - 6e-17).
+# neumann-dirichlet and dirichlet-neumann have equal condition estimates
+# (5.2e4, 5.3e4) but harmonic 1 scales to 3.0e-14 and 7.3e-16; solved
+# with the unknowns in reverse order they read 9.4e-16 and 6.5e-14.
+# Every error is within cond * eps
 @pytest.mark.parametrize("s, bound", [(2.0**530, 0.0), (2.0**-530, 0.0),
                                       (1e160, 1e-12), (1e-160, 1e-12)])
 @pytest.mark.parametrize("left, right", PAIRS,

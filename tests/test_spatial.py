@@ -44,6 +44,53 @@ def test_gradient_handles_complex_2d_arrays():
     np.testing.assert_allclose(g[1].real, 2 * grid.nodes, atol=1e-10)
 
 
+def row_gradient(v, h):
+    """The gradient stencil on one row."""
+    return np.concatenate([[(-3 * v[0] + 4 * v[1] - v[2]) / (2 * h)],
+                           (v[2:] - v[:-2]) / (2 * h),
+                           [(3 * v[-1] - 4 * v[-2] + v[-3]) / (2 * h)]])
+
+
+def row_laplacian(v, h):
+    """The second-difference stencil on one row."""
+    return np.concatenate(
+        [[(2 * v[0] - 5 * v[1] + 4 * v[2] - v[3]) / h**2],
+         (v[2:] - 2 * v[1:-1] + v[:-2]) / h**2,
+         [(2 * v[-1] - 5 * v[-2] + 4 * v[-3] - v[-4]) / h**2]])
+
+
+STACKS = {
+    "contiguous": lambda a: a,
+    "transposed": lambda a: a.T.copy().T,
+    "sliced": lambda a: np.repeat(a, 2, axis=-1)[..., ::2],
+}
+
+
+@pytest.mark.parametrize("layout", STACKS)
+@pytest.mark.parametrize("dtype", [float, complex])
+@pytest.mark.parametrize("stencil, row, smallest", [
+    (gradient, row_gradient, 3), (laplacian_fd, row_laplacian, 4)],
+    ids=["gradient", "laplacian_fd"])
+def test_stencils_match_a_per_row_reference_bit_for_bit(stencil, row,
+                                                        smallest, dtype,
+                                                        layout):
+    # the interior stencil runs over the flattened rows; the entries it
+    # writes across two rows are each row's ends, which must be
+    # overwritten by the one-sided formulas
+    rng = np.random.default_rng(7)
+    for n in (smallest, smallest + 1, 33):
+        grid = Grid(1.0, n)
+        v = rng.standard_normal((5, n))
+        if dtype is complex:
+            v = v + 1j * rng.standard_normal((5, n))
+        v = STACKS[layout](v)
+        expected = np.stack([row(r, grid.h) for r in v])
+        got = stencil(v, grid)
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+        assert stencil(v[2], grid).tobytes() == expected[2].tobytes()
+
+
 def test_laplacian_fd_second_order():
     errs = []
     for nx in (33, 65, 129):
