@@ -164,8 +164,9 @@ def _run_verb(verb: str, setup, out: str) -> dict:
 
     if verb == "oracle-compare":
         n_steps = setup.study.get("dt_divisor", oracle.ORACLE_STEPS)
-        # too few oracle steps fail here, before the solve and the march
-        check_oracle_steps(n_steps, setup.model.M)
+        # too few or too many oracle steps fail here, before the solve and
+        # the march
+        check_oracle_steps(n_steps, setup.model.M, setup.model.grid.nx)
         u = _solve(setup, extra)
         # the oracle's own defaults hold for what the config leaves out
         given = {k: setup.study[k] for k in ("max_periods", "period_tol")

@@ -30,6 +30,7 @@ from .errors import (
 )
 from .model import (
     KINDS,
+    MAX_UNKNOWNS,
     MIN_NODES,
     BCKind,
     BoundaryCondition,
@@ -70,10 +71,6 @@ def forcing_profile(name: str, x, L: float):
 
 
 SOLVER_KINDS = ("linear", *KINDS)
-# bound on (M + 1) * nx, the complex coefficients of one field: 16 MB a
-# field, about 29 times the largest size of the ROADMAP grid sweep
-# (nx=2049, M=16)
-MAX_UNKNOWNS = 10**6
 
 
 class RunSetup:
@@ -151,11 +148,11 @@ def apply_overrides(raw: dict, overrides) -> dict:
     for item in overrides or ():
         if "=" not in item:
             raise ConfigError(f"override {item!r} is not section.key=value")
-        lhs, value = item.split("=", 1)
+        # stripped, as configparser strips a file's names and values
+        lhs, value = map(str.strip, item.split("=", 1))
         if "." not in lhs:
             raise ConfigError(f"override {item!r} is not section.key=value")
-        sec, key = lhs.rsplit(".", 1)
-        sec, key = sec.lower(), key.lower()
+        sec, key = (part.strip().lower() for part in lhs.rsplit(".", 1))
         if sec not in _SCHEMA:
             raise UnknownKey(f"unknown section [{sec}] in override {item!r}")
         if not _in_schema(sec, key):
@@ -383,10 +380,11 @@ def build_setup(raw: dict, config_path: str) -> RunSetup:
                 raise TypeMismatch(f"[study] {key} = {st[key]!r}; need a "
                                    "finite value > 0")
     # the oracle samples one period at its dt_divisor steps, which the
-    # comparison resolves up to harmonic M only from 2M + 2 samples on;
-    # oracle-compare checks the default count, which bounds no other verb
+    # comparison resolves up to harmonic M only from 2M + 2 samples on, and
+    # tabulates each step; oracle-compare checks the default count, which
+    # bounds no other verb
     if "dt_divisor" in study:
-        check_oracle_steps(study["dt_divisor"], M)
+        check_oracle_steps(study["dt_divisor"], M, nx)
     return RunSetup(checked=model, profile=profile_name,
                     amplitudes=amplitudes, solver_kind=solver_kind,
                     options=options, study=study)

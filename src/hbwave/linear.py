@@ -27,6 +27,7 @@ norm of the iterate, that of the update as a difference of gradients
 """
 from __future__ import annotations
 
+import math
 from functools import partial
 
 import numpy as np
@@ -38,7 +39,7 @@ from .errors import (
     NonConvergedIteration,
     SolveFailure,
 )
-from .model import FixedPointOptions, ValidatedModel
+from .model import FixedPointOptions, ValidatedModel, rescaled
 
 RESIDUAL_RTOL = 1e-10
 NONCONTRACTION_PATIENCE = 5
@@ -67,36 +68,32 @@ def assemble_harmonic_system(model: ValidatedModel, M: int):
 
 
 def _residuals(bands: np.ndarray, x: np.ndarray, rhs: np.ndarray,
-               one_norms: np.ndarray, rescaled: bool = False):
+               one_norms: np.ndarray):
     """Re-substitution residual ||A_m x_m - rhs_m|| per m, and its scale
     ||A_m||_1 ||x_m|| + ||rhs_m||, each row norm from `norms.row_sq`.
     `one_norms` is `spatial.one_norms(bands)`, which a solver takes once.
 
-    A square in the norms overflows once rhs passes about 1e154, and the
-    residual's squares underflow, reading 0, once rhs falls below 1e-138;
-    then both are taken again, once, with rhs divided by its largest entry,
-    and x, which is about A^-1 rhs, with it.  Scaling only then keeps the
-    common case free of the extra passes and temporaries."""
+    A square overflows once rhs passes about 1e154, and the residual's
+    squares underflow once rhs falls below about 1e-138; then all are
+    taken again by `model.rescaled`, over x and rhs divided by their
+    largest entry c.  Both results are then divided by c, which leaves
+    their ratio, all a caller reads."""
+    def sums(x, rhs):
+        return (norms.row_sq(spatial.band_product(bands, x) - rhs),
+                norms.row_sq(x), norms.row_sq(rhs))
     with np.errstate(all="ignore"):
-        sq = norms.row_sq(spatial.band_product(bands, x) - rhs)
-        scale = (one_norms * np.sqrt(norms.row_sq(x))
-                 + np.sqrt(norms.row_sq(rhs)))
-    over = np.isinf(scale).any()
-    # an exact solve's residual, 0, is 0 again after the division
-    if not rescaled and (over or sq.sum() < norms.TINY):
-        s = np.abs(rhs).max()
-        # dividing by s helps only if s lies past 1 on the sums' side
-        if 0.0 < s < np.inf and over == (s > 1.0):
-            return _residuals(bands, x / s, rhs / s, one_norms, True)
-    return np.sqrt(sq), scale
+        (sq, x_sq, rhs_sq), _ = rescaled(sums, x, rhs)
+        return np.sqrt(sq), one_norms * np.sqrt(x_sq) + np.sqrt(rhs_sq)
 
 
 def _relative_residual(op, bands, one_norms, u: np.ndarray,
                        rtilde: np.ndarray) -> float:
     res, scale = _residuals(bands, op.restrict(u), -op.restrict(rtilde),
                             one_norms)
-    den = np.linalg.norm(scale)
-    return float(np.linalg.norm(res) / den) if den > 0 else 0.0
+    # the scale's square overflows long before its entries do
+    (num, den), _ = rescaled(lambda r, s: (np.vdot(r, r), np.vdot(s, s)),
+                             res, scale)
+    return math.sqrt(num) / math.sqrt(den) if den > 0 else 0.0
 
 
 def linear_solver(model: ValidatedModel, M: int):

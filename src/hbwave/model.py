@@ -16,7 +16,7 @@ import math
 import operator
 import sys
 
-from .errors import InvalidModel, UndersampledTime
+from .errors import InvalidModel, TypeMismatch, UndersampledTime
 
 TWO_PI = 2.0 * math.pi
 # fewest grid nodes: the energies' one-sided end stencils read four, and
@@ -26,6 +26,12 @@ TWO_PI = 2.0 * math.pi
 MIN_NODES = 5
 # the nonlinear kinds, whose r[u, u] the Picard solve adds; "linear" has none
 KINDS = ("westervelt", "kuznetsov")
+# bound on (M + 1) * nx, the complex coefficients of one field: 16 MB a
+# field, about 29 times the largest size of the ROADMAP grid sweep
+# (nx=2049, M=16)
+MAX_UNKNOWNS = 10**6
+# the smallest normal float: a sum of squares below it has lost digits
+TINY = sys.float_info.min
 
 
 class Frozen:
@@ -153,12 +159,18 @@ def min_samples(M: int) -> int:
 # so that config validation runs them without compiling the modules that
 # use them.
 
-def check_oracle_steps(n_steps: int, M: int):
+def check_oracle_steps(n_steps: int, M: int, nx: int):
     """Raise UndersampledTime unless the oracle's period of n_steps samples
-    resolves harmonic M, as `oracle.oracle_discrepancy` needs."""
+    resolves harmonic M, as `oracle.oracle_discrepancy` needs, and
+    TypeMismatch if a table of its steps, (n_steps, nx) samples or forcing
+    or (n_steps, 2M) phases, would hold more floats than one largest field,
+    (M + 1) nx = MAX_UNKNOWNS complex values."""
     if n_steps < min_samples(M):
         raise UndersampledTime(f"oracle steps per period: nt={n_steps} < "
                                f"2M+2={min_samples(M)}")
+    if n_steps * max(nx, 2 * M) > 2 * MAX_UNKNOWNS:
+        raise TypeMismatch(f"oracle steps per period: nt={n_steps}; nt * "
+                           f"max(nx, 2M) > {2 * MAX_UNKNOWNS} table entries")
 
 
 MIN_LEVELS = 3      # fewest epsilons: two observed orders
@@ -328,7 +340,23 @@ def _div(a: float, b: float) -> float:
 
 def _finite_normal(value: float) -> bool:
     """`value` is finite and normal (zero is not normal)."""
-    return math.isfinite(value) and abs(value) >= sys.float_info.min
+    return math.isfinite(value) and abs(value) >= TINY
+
+
+def rescaled(sums, *fields):
+    """(sums(*fields), 1.0), a tuple of sums of squares and 1.0, when each
+    sum's total lies in [TINY, inf); else, if the fields' largest entry c
+    is finite and > 0, the sums over the fields divided by c, and c (Blue,
+    ACM TOMS 4 (1978) 15-23).  A square overflows past about 1e154 entries
+    and a sum underflows below about 1e-154."""
+    import numpy as np
+    values = sums(*fields)
+    if all(TINY <= np.sum(v) < math.inf for v in values):
+        return values, 1.0
+    c = float(np.max([np.abs(f).max() for f in fields]))
+    if not 0.0 < c < math.inf:
+        return values, 1.0
+    return sums(*(f / c for f in fields)), c
 
 
 def collect_violations(grid, params, bc_left, bc_right, M: int = 1):

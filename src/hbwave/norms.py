@@ -15,11 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import Grid
+from .model import Grid, rescaled
 from .spatial import gradient, laplacian_fd
-
-# the smallest normal float: a sum of squares below it has lost digits
-TINY = np.finfo(float).tiny
 
 
 def parseval_weights(M: int) -> np.ndarray:
@@ -68,10 +65,8 @@ def u0lo_norm(u: np.ndarray, grid: Grid, omega: float, T: float,
                  + (1 + (m w)^2) ||grad u_m||^2].
     `grad`, the `spatial.gradient` of u, is taken here unless given.
 
-    A square overflows past about 1e154, and the sum underflows below
-    1e-154; then it is taken again over both fields divided by their
-    largest entry.  Scaling only then keeps results in range bit-identical
-    and the common case free of the extra passes."""
+    A sum out of range is taken again over both fields by
+    `model.rescaled`."""
     if grad is None:
         grad = gradient(u, grid)
     mw2 = (np.arange(len(u)) * omega) ** 2
@@ -79,13 +74,10 @@ def u0lo_norm(u: np.ndarray, grid: Grid, omega: float, T: float,
     w_grad = w * (1.0 + mw2)
     w_u = w_grad + w * mw2 * mw2
     x = grid.trapezoid_weights()
-    sq = w_u @ row_sq(u, x) + w_grad @ row_sq(grad, x)
-    if not TINY <= sq < np.inf:
-        c = max(np.abs(u).max(), np.abs(grad).max())
-        if 0.0 < c < np.inf:        # 0, inf or NaN: no scale changes it
-            return float(c * np.sqrt(T * (w_u @ row_sq(u / c, x)
-                                          + w_grad @ row_sq(grad / c, x))))
-    return float(np.sqrt(T * sq))
+    (sq,), c = rescaled(
+        lambda u, grad: (w_u @ row_sq(u, x) + w_grad @ row_sq(grad, x),),
+        u, grad)
+    return float(c * np.sqrt(T * sq))
 
 
 def u0me_norm(u: np.ndarray, grid: Grid, omega: float, T: float) -> float:

@@ -4,7 +4,9 @@ The damped initial-value problem is marched by implicit midpoint steps
 from rest until the state repeats over a period, and its last period is
 sampled for comparison with a harmonic-balance solution.  The oracle
 shares the model, the m = 0 spatial operator and the kinds' names with
-harmonic balance, and nothing of its solve, norms or studies.
+harmonic balance, and nothing of its solve, norms or studies.  Its norms
+retake sums of squares out of range by the model's one rule,
+`model.rescaled`, shared numerics like `model.to_time_samples`.
 """
 from __future__ import annotations
 
@@ -15,7 +17,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from .errors import NoPeriodicAttractor, StepRejected
 from .model import (KINDS, ValidatedModel, check_oracle_steps, min_samples,
-                    to_time_samples)
+                    rescaled, to_time_samples)
 from .spatial import (assemble_laplacian, band_product, gradient,
                       scale_rows, tridiagonal_solver)
 
@@ -23,10 +25,6 @@ ORACLE_STEPS = 512   # the oracle's default steps per period
 DAMPED_STEPS = 2     # each level's first steps, taken as _Oracle.damped_step
 WARMUP_PERIODS = 2   # periods of the coarse warm-up level
 WARMUP_COARSENING = 4    # its steps per period: n_steps // 4
-# the smallest normal float, and the norm whose square it is: a sum of
-# squares below it has lost digits
-_TINY = np.finfo(float).tiny
-_TINY_NORM = math.sqrt(_TINY)
 
 
 class _Oracle:
@@ -241,7 +239,8 @@ class _Oracle:
             y_new = 2.0 * mid - y if midpoint else mid
             s, n = math.sqrt(dz.dot(dz)), math.sqrt(np.vdot(y_new, y_new))
             if not s + n < math.inf:    # a square overflowed
-                s, n = _norms(dz, y_new)
+                (s, n), c = rescaled(_squares, dz, y_new)
+                s, n = c * math.sqrt(s), c * math.sqrt(n)
             s *= gain
             tol = self.STAGE_TOL * (n + 1.0)
             if s <= tol:
@@ -257,16 +256,9 @@ class _Oracle:
                            "of the period")
 
 
-def _norms(*arrays) -> list:
-    """The 2-norm of each array, taken over the array divided by the
-    largest entry of them all and multiplied back.  A plain norm squares
-    the entries, which overflows past about 1e154 and underflows below
-    1e-154; the callers take the plain norms first and come here only when
-    one is out of range, so results in range stay bit-identical."""
-    c = max(float(np.abs(x).max()) for x in arrays)
-    if not 0.0 < c < math.inf:      # 0, inf or NaN: no scale changes them
-        c = 1.0
-    return [c * np.linalg.norm(x / c) for x in arrays]
+def _squares(*arrays) -> tuple:
+    """The sum of squares of each real array's entries."""
+    return tuple(np.vdot(x, x) for x in arrays)
 
 
 def time_stepping_oracle(f: np.ndarray, model: ValidatedModel, kind: str,
@@ -297,7 +289,7 @@ def time_stepping_oracle(f: np.ndarray, model: ValidatedModel, kind: str,
     to resolve harmonic M raise UndersampledTime, and an unknown kind or
     max_periods < 1 ValueError, before the first step."""
     M = len(f) - 1
-    check_oracle_steps(n_steps, M)
+    check_oracle_steps(n_steps, M, model.grid.nx)
     if max_periods < 1:
         raise ValueError(f"max_periods must be at least 1, got {max_periods}")
     oracle = _Oracle(f, model, kind, n_steps)
@@ -341,11 +333,9 @@ def _march(oracle: _Oracle, y: np.ndarray, u: np.ndarray, max_periods: int,
                     else oracle.step)
             y, z = step(y, j, zs)
             zs = (z, *zs[:4])
-        norm, moved = np.linalg.norm(y), np.linalg.norm(y - y_start)
-        # a square overflowed, or a sum of squares underflowed
-        if not (_TINY_NORM <= norm < np.inf and _TINY_NORM <= moved < np.inf):
-            norm, moved = _norms(y, y - y_start)
-        gaps.append(moved / norm if norm > 0 else 0.0)
+        # the scale of a retake cancels in the ratio
+        (norm, moved), _ = rescaled(_squares, y, y - y_start)
+        gaps.append(math.sqrt(moved) / math.sqrt(norm) if norm > 0 else 0.0)
         if gaps[-1] < period_tol:
             break
     return y, gaps
@@ -355,9 +345,8 @@ def oracle_discrepancy(u_hb: np.ndarray, samples: np.ndarray,
                        model: ValidatedModel) -> float:
     """Relative L2(L2) distance between a harmonic-balance solution and the
     (nt, nx) samples of an oracle trajectory on its own time grid, absolute
-    where the solution is 0.  Sums of squares out of range (fields past
-    about 1e154 or below 1e-154) are taken again over the fields divided
-    by their largest entry c, and an absolute distance multiplied by c."""
+    where the solution is 0.  Sums of squares out of range are taken again
+    by `model.rescaled`, and an absolute distance multiplied by its c."""
     nt = len(samples)
     w = model.grid.trapezoid_weights()
 
@@ -373,12 +362,7 @@ def oracle_discrepancy(u_hb: np.ndarray, samples: np.ndarray,
         sq *= w
         return float(nt * (w @ power)), float(np.sum(sq))
 
-    ref, diff = sums(u_hb, samples)
-    c = 1.0
-    if not (_TINY <= ref < np.inf and _TINY <= diff < np.inf):
-        c = max(np.abs(u_hb).max(), np.abs(samples).max())
-        c = c if 0.0 < c < np.inf else 1.0   # 0, inf or NaN: no scale helps
-        ref, diff = sums(u_hb / c, samples / c)
+    (ref, diff), c = rescaled(sums, u_hb, samples)
     if ref == 0.0:
-        return c * float(np.sqrt(diff))
-    return float(np.sqrt(diff / ref))
+        return c * math.sqrt(diff)
+    return math.sqrt(diff / ref)

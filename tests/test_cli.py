@@ -270,6 +270,38 @@ def test_default_oracle_steps_below_2m_plus_2_fail_before_the_solve(
     assert "nt=512 < 2M+2=514" in record["message"]
 
 
+def test_default_oracle_steps_past_one_field_fail_before_the_solve(
+        config, tmp_path, monkeypatch):
+    # ORACLE_STEPS = 512 rows of nx = 4000 exceed the 2e6 floats of one
+    # largest field; that nx is valid for every other verb
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("an oversized oracle run started")
+
+    monkeypatch.setattr(hbwave.nonlinear, "solve", must_not_run)
+    monkeypatch.setattr(hbwave.oracle, "time_stepping_oracle", must_not_run)
+    wide = ("-s", "domain.nx=4000", "-s", "time.m=1")
+    assert run_command(["validate", config, "-o", str(tmp_path / "ok"),
+                        *wide]) == 0
+    out = str(tmp_path / "oracle")
+    assert run_command(["oracle-compare", config, "-o", out, *wide]) == 1
+    assert os.listdir(out) == ["error.json"]
+    with open(os.path.join(out, "error.json")) as fh:
+        record = json.load(fh)
+    assert record["kind"] == "TypeMismatch"
+    assert "nt=512" in record["message"]
+
+
+def test_deriv_check_needs_a_nonlinear_kind(config, tmp_path):
+    code, out = run(config, tmp_path, "deriv-check",
+                    "-s", "solver.kind=linear")
+    assert code == 1
+    with open(os.path.join(out, "error.json")) as fh:
+        record = json.load(fh)
+    assert record["kind"] == "ConfigError"
+    assert "kind = westervelt or kuznetsov" in record["message"]
+    assert not os.path.exists(os.path.join(out, "taylor.csv"))
+
+
 # amplitude 5.0 exits 0 with alpha_min about 0.25 and a negative stability
 # margin: a run outside the paper's hypotheses
 AMPLITUDE_5 = ("-s", "domain.nx=129", "-s", "time.m=16",
@@ -493,6 +525,8 @@ def test_no_success_exit_without_outputs(config, tmp_path):
     ("solver.ball_radius=nan", "TypeMismatch"),
     ("forcing.amplitude_1=nan", "TypeMismatch"),
     ("study.dt_divisor=0", "TypeMismatch"),
+    # its oracle tables would take about 26 GB
+    ("study.dt_divisor=100000000", "TypeMismatch"),
     ("study.max_periods=0", "TypeMismatch"),
     ("study.period_tol=0", "TypeMismatch"),
     ("study.period_tol=nan", "TypeMismatch"),

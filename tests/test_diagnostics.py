@@ -45,6 +45,14 @@ def test_multiplier_choice_constant_coefficients():
     assert mult.rho == pytest.approx(0.375)
 
 
+def test_multiplier_choice_at_taubar_zero():
+    # no bound rho <= sigma alpha / taubar: rho is half of sigma min(c2/b)
+    model = make_model(tau=0.0, taubar=0.0, b=2.0, c2=1.0)
+    mult = choose_multipliers(model)
+    assert mult.sigma == 0.5
+    assert mult.rho == 0.125
+
+
 def test_multipliers_satisfy_constraints():
     model = make_model(taubar=0.3, b=2.0, c2=1.5)
     p = model.params

@@ -121,9 +121,26 @@ def test_overrides_replace_values(config_path):
     assert setup.model.grid.nx == 33
 
 
+def test_override_names_and_value_are_stripped(config_path):
+    # as configparser strips a file's "tau = 0.2"
+    raw = apply_overrides(parse_config(config_path),
+                          ["physics.tau = 0.2", " Domain . Nx= 33 "])
+    assert raw["physics"]["tau"] == "0.2"
+    assert raw["domain"]["nx"] == "33"
+    setup = build_setup(raw, config_path)
+    assert setup.model.params.tau == 0.2
+    assert setup.model.grid.nx == 33
+
+
 def test_override_unknown_key_rejected(config_path):
     with pytest.raises(UnknownKey):
         apply_overrides(parse_config(config_path), ["domain.nz=33"])
+
+
+def test_override_unknown_section_rejected(config_path):
+    with pytest.raises(UnknownKey) as exc:
+        apply_overrides(parse_config(config_path), ["extras.nx=33"])
+    assert "unknown section [extras]" in str(exc.value)
 
 
 def test_malformed_override_rejected(config_path):
@@ -131,10 +148,39 @@ def test_malformed_override_rejected(config_path):
         apply_overrides(parse_config(config_path), ["just-a-token"])
 
 
+def test_override_without_a_section_rejected(config_path):
+    with pytest.raises(ConfigError) as exc:
+        apply_overrides(parse_config(config_path), ["nx=33"])
+    assert "is not section.key=value" in str(exc.value)
+
+
 def test_forcing_harmonic_outside_range_rejected(config_path):
     raw = apply_overrides(parse_config(config_path), ["forcing.amplitude_9=1"])
     with pytest.raises(TypeMismatch):
         build_setup(raw, config_path)
+
+
+def test_forcing_harmonic_index_must_be_an_integer(config_path):
+    raw = apply_overrides(parse_config(config_path), ["forcing.amplitude_x=1"])
+    with pytest.raises(TypeMismatch) as exc:
+        build_setup(raw, config_path)
+    assert "amplitude_x: harmonic index must be an integer" in str(exc.value)
+
+
+@pytest.mark.parametrize("profile, shape", [
+    ("sine", lambda x: np.sin(np.pi * x)),
+    ("sine2", lambda x: np.sin(2.0 * np.pi * x)),
+    ("constant", np.ones_like),
+    ("gaussian", lambda x: np.exp(-((x - 0.5) / 0.125) ** 2)),
+])
+def test_forcing_profiles_shape_the_amplitudes(config_path, profile, shape):
+    raw = apply_overrides(parse_config(config_path),
+                          [f"forcing.profile={profile}"])
+    setup = build_setup(raw, config_path)
+    x = setup.model.grid.nodes
+    np.testing.assert_allclose(setup.f[1], 0.005 * shape(x), rtol=1e-15,
+                               atol=1e-18)
+    assert not setup.f[[0, 2, 3]].any()
 
 
 @pytest.mark.parametrize("key", ["amplitude_01", "amplitude_0_1",

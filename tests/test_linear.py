@@ -4,12 +4,19 @@ import numpy as np
 import pytest
 
 from exact_cases import linear_dirichlet_case
-from hbwave.errors import MaxIterExceeded, NonContraction, SolveFailure
+from hbwave.errors import (
+    MaxIterExceeded,
+    NonContraction,
+    NonConvergedIteration,
+    SolveFailure,
+)
 from hbwave.linear import (
     NONCONTRACTION_PATIENCE,
+    RESIDUAL_RTOL,
     _residuals,
     assemble_harmonic_system,
     linear_residual,
+    linear_solver,
     solve_linear_mgt,
     solve_linearized,
 )
@@ -229,6 +236,20 @@ def test_linearized_around_zero_base_is_direct_solve():
     np.testing.assert_allclose(u_lin, direct, atol=1e-14)
 
 
+def test_linearized_solve_fails_on_its_residual():
+    # a fixed point whose re-substitution residual exceeds RESIDUAL_RTOL
+    # is no solution: the residual here is the solver's, forced to 1e-9
+    model = make_model(nx=17)
+    f_dir = np.zeros((4, 17), complex)
+    f_dir[1] = np.sin(np.pi * model.grid.nodes)
+    solve, _ = linear_solver(model, 3)
+    with pytest.raises(NonConvergedIteration) as info:
+        solve_linearized(np.zeros_like(f_dir), f_dir, model, "westervelt",
+                         solver=(solve, lambda u, rhs: 1e-9))
+    assert info.value.residual == 1e-9 > RESIDUAL_RTOL
+    assert info.value.iterations >= 1
+
+
 def test_linearized_matches_finite_difference():
     model = make_model(eta=1.0)
     from hbwave.nonlinear import fixed_point_solve, FixedPointOptions
@@ -307,6 +328,19 @@ def test_residuals_with_given_one_norms_match_computed_ones(size):
                                        + np.linalg.norm(r))
            for a, v, r in zip(dense, xs, rs)]
     np.testing.assert_allclose(res / scale, ref, rtol=1e-6)
+
+
+def test_relative_residual_scales_by_a_power_of_two():
+    # at 2^505 (about 1e152) every entry and row norm is in range, but the
+    # square of the scale's norm overflows: the residual read 0.0
+    model = make_model(nx=33)
+    f = np.zeros((4, 33), complex)
+    f[1] = np.sin(np.pi * model.grid.nodes)
+    u = solve_linear_mgt(f, model)
+    s = 2.0 ** 505
+    ref = linear_residual(u, f, model)
+    assert 0.0 < ref < RESIDUAL_RTOL
+    assert linear_residual(s * u, s * f, model) == ref
 
 
 def test_one_norms_taken_once_per_factorization(monkeypatch):

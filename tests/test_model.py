@@ -10,17 +10,20 @@ import pytest
 
 import hbwave
 from hbwave.diagnostics import Multipliers
-from hbwave.errors import InvalidModel, UndersampledTime
+from hbwave.errors import InvalidModel, TypeMismatch, UndersampledTime
 from hbwave.linear import FixedPointOptions
 from hbwave.model import (
+    MAX_UNKNOWNS,
     BCKind,
     BoundaryCondition,
     Grid,
     PhysicalParams,
     Violation,
+    check_oracle_steps,
     collect_violations,
     dealiased_samples,
     min_samples,
+    rescaled,
     time_derivative,
     to_harmonics,
     to_time_samples,
@@ -232,6 +235,97 @@ def test_absorbing_requires_positive_beta():
     codes = {v.code for v in collect_violations(
         grid, make_params(grid), DIRICHLET, bad)}
     assert "NonPositiveCoefficient" in codes
+
+
+# an absorbing end's beta <= 0: test_absorbing_requires_positive_beta
+@pytest.mark.parametrize("bc, message", [
+    (BoundaryCondition(BCKind.ABSORBING, beta=1.0, gamma=-1.0),
+     "right gamma must be >= 0"),
+    (BoundaryCondition(BCKind.IMPEDANCE, gamma=0.0),
+     "right impedance endpoint needs gamma > 0, got 0.0"),
+    (BoundaryCondition(BCKind.IMPEDANCE, beta=1.0, gamma=1.0),
+     "right impedance endpoint must have beta = 0"),
+    (BoundaryCondition(BCKind.NEUMANN, gamma=1.0),
+     "right Neumann endpoint must have beta = gamma = 0"),
+], ids=["absorbing gamma", "impedance gamma", "impedance beta", "neumann"])
+def test_each_endpoint_rule_has_its_violation(bc, message):
+    grid = Grid(1.0, 9)
+    violations = collect_violations(grid, make_params(grid), DIRICHLET, bc)
+    assert [(v.code, v.message) for v in violations] == [
+        ("NonPositiveCoefficient", message)]
+
+
+@pytest.mark.parametrize("kw, code, message", [
+    (dict(T=-1.0), "BadGrid", "T=-1.0 <= 0"),
+    (dict(T=0.0), "BadGrid", "T=0.0 <= 0"),
+    (dict(c2=-1.0), "NonPositiveCoefficient", "c2 must be > 0 at every node"),
+    (dict(c2=0.0), "NonPositiveCoefficient", "c2 must be > 0 at every node"),
+])
+def test_nonpositive_period_and_sound_speed_rejected(kw, code, message):
+    grid = Grid(1.0, 9)
+    violations = collect_violations(grid, make_params(grid, **kw),
+                                    DIRICHLET, DIRICHLET)
+    assert (code, message) in [(v.code, v.message) for v in violations]
+
+
+def test_oracle_tables_are_bounded_by_one_largest_field():
+    # (n_steps, nx) samples and forcing and (n_steps, 2M) phases: at most
+    # the floats of one field of MAX_UNKNOWNS complex values
+    limit = 2 * MAX_UNKNOWNS
+    check_oracle_steps(limit // 129, 8, 129)
+    check_oracle_steps(limit // 400, 200, 129)
+    for n_steps, M, nx in ((limit // 129 + 1, 8, 129),
+                           (limit // 400 + 1, 200, 129), (10**8, 8, 129)):
+        with pytest.raises(TypeMismatch):
+            check_oracle_steps(n_steps, M, nx)
+
+
+def squares(*fields):
+    return tuple(float(np.vdot(f, f).real) for f in fields)
+
+
+def test_rescaled_sums_in_range_come_back_bit_identical():
+    rng = np.random.default_rng(4)
+    for scale in (1e-150, 1.0, 1e150):
+        fields = (scale * rng.normal(size=7),
+                  scale * rng.normal(size=(3, 5)))
+        values, c = rescaled(squares, *fields)
+        assert c == 1.0
+        assert values == squares(*fields)
+    # each sum's total is tested, not its entries: a zero row of one
+    # field among rows in range is not out of range
+    rows = np.array([[1.0, 2.0], [0.0, 0.0]])
+    values, c = rescaled(lambda f: (np.sum(f * f, axis=-1),), rows)
+    assert c == 1.0 and values[0].tolist() == [5.0, 0.0]
+
+
+@pytest.mark.parametrize("scale", [1e200, 1e-200])
+def test_rescaled_retakes_sums_out_of_range_over_the_largest_entry(scale):
+    fields = (scale * np.array([3.0, -4.0]), scale * np.array([[1.0j]]))
+    (a, b), c = rescaled(squares, *fields)
+    assert c == 4.0 * scale
+    assert (a, b) == (25.0 / 16.0, 1.0 / 16.0)
+
+
+@pytest.mark.parametrize("fields", [
+    (np.zeros(3), np.zeros((2, 2))),
+    (np.array([2.0]), np.array([1.0, np.inf])),
+    # the NaN sits after a finite largest entry, in the second field
+    (np.array([2.0]), np.array([np.nan, 1e200])),
+], ids=["zero", "inf", "nan"])
+def test_rescaled_leaves_zero_or_nonfinite_fields_alone(fields):
+    calls = []
+
+    def counted(*fields):
+        calls.append(fields)
+        return squares(*fields)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        values, c = rescaled(counted, *fields)
+        expected = squares(*fields)
+    assert c == 1.0
+    assert len(calls) == 1
+    assert repr(values) == repr(expected)
 
 
 def test_robin_coefficient():

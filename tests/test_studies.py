@@ -263,6 +263,21 @@ def test_oracle_discrepancy_is_a_relative_sample_norm():
         1.0, rel=1e-14, abs=0.0)
 
 
+@pytest.mark.parametrize("size", [1.0, 1e200])
+def test_oracle_discrepancy_from_a_zero_solution_is_absolute(size):
+    # a zero solution's reference sum is 0, so the distance is the samples'
+    # own L2(L2) norm, taken over them divided by their largest entry and
+    # multiplied back: at 1e200 each square overflows
+    model = make_model(nx=17)
+    rng = np.random.default_rng(6)
+    samples = size * rng.uniform(0.5, 1.0, size=(8, 17))
+    w = model.grid.trapezoid_weights()
+    expected = size * np.sqrt(np.sum((samples / size) ** 2 * w))
+    with np.errstate(over="ignore"):
+        d = oracle_discrepancy(np.zeros((4, 17), complex), samples, model)
+    assert d == pytest.approx(expected, rel=1e-14, abs=0.0)
+
+
 ABSORBING = BoundaryCondition(BCKind.ABSORBING, beta=1.0)
 IMPEDANCE = BoundaryCondition(BCKind.IMPEDANCE, gamma=1.0)
 NEUMANN = BoundaryCondition(BCKind.NEUMANN)
