@@ -482,6 +482,12 @@ def write_solution_csv(path: str, u, grid: Grid):
     _atomic_write(path, blocks())
 
 
+def _write_json(path: str, record: dict) -> str:
+    """Write `record` to `path` as indented JSON, atomically; returns path."""
+    _atomic_write(path, [json.dumps(record, indent=2, default=float) + "\n"])
+    return path
+
+
 def write_error_record(output_dir: str, exc, **extra) -> str:
     """error.json: the class, its code, the message, then the details the
     error carries (errors.HbwaveError) and any `extra` fields."""
@@ -492,9 +498,7 @@ def write_error_record(output_dir: str, exc, **extra) -> str:
         **getattr(exc, "details", {}),
         **extra,
     }
-    path = os.path.join(output_dir, "error.json")
-    _atomic_write(path, [json.dumps(record, indent=2, default=float) + "\n"])
-    return path
+    return _write_json(os.path.join(output_dir, "error.json"), record)
 
 
 def write_run_info(output_dir: str, verb: str, config_path: str,
@@ -504,9 +508,6 @@ def write_run_info(output_dir: str, verb: str, config_path: str,
         "config": os.path.abspath(config_path),
         "overrides": list(overrides or ()),
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
+        **(extra or {}),
     }
-    if extra:
-        info.update(extra)
-    path = os.path.join(output_dir, "run_info.json")
-    _atomic_write(path, [json.dumps(info, indent=2, default=float) + "\n"])
-    return path
+    return _write_json(os.path.join(output_dir, "run_info.json"), info)

@@ -7,12 +7,12 @@ gives the decoupled family
     A_m u_m = -r_m,
     A_m = (-i tau m^3 w^3 - m^2 w^2) I + diag(c2 + i m w b) Lap_m,
 with Lap_m the discrete -Laplacian carrying the harmonic-m Robin rows.
-Every A_m is tridiagonal; all M+1 are assembled as one (M+1, 3, nr) band
-array and factored, in O(M nx), as one block-diagonal tridiagonal system of
-order (M+1) nr by `spatial.tridiagonal_solver`.  That is exact: the corners
-[0, 0] and [2, -1] of every block are zero and LAPACK eliminates nothing
-across a zero sub-diagonal, so each harmonic's solution is bit-identical to
-its own.
+Every A_m is tridiagonal; all M+1 are assembled as one (3, M+1, nr) band
+array, which flattened is the (3, (M+1) nr) band storage of the
+block-diagonal system, and factored as that one matrix, in O(M nx), by
+`spatial.tridiagonal_solver`.  That is exact: the corners [0, m, 0] and
+[2, m, -1] are zero and LAPACK eliminates nothing across a zero
+sub-diagonal, so each harmonic's solution is bit-identical to its own.
 
 The nonlinear solve and the linearized solve around a state are both
 `fixed_point`, the iteration u <- S(rhs(u)) with S this decoupled solve.
@@ -49,7 +49,7 @@ def assemble_harmonic_system(model: ValidatedModel, M: int):
     """Bands of A_0..A_M, formed in place in those of -Lap_0..-Lap_M.
 
     Returns (op, bands): `op` restricts and extends nodal vectors, `bands`
-    has shape (M+1, 3, nr) in LAPACK (1, 1) storage with bands[m] = A_m.
+    has shape (3, M+1, nr) in LAPACK (1, 1) storage with bands[:, m] = A_m.
     They are op.bands, scaled in place, so no -Lap_m stack outlives the
     assembly.
     """
@@ -63,7 +63,7 @@ def assemble_harmonic_system(model: ValidatedModel, M: int):
     # row i of A_m is row i of -Lap_m scaled by s_i = c2_i + i m w b_i
     bands = spatial.scale_rows(
         op.bands, op.restrict(p.c2) + 1j * mw[:, None] * op.restrict(p.b))
-    bands[:, 1, :] += (-1j * p.tau * mw**3 - mw**2)[:, None]
+    bands[1] += (-1j * p.tau * mw**3 - mw**2)[:, None]
     return op, bands
 
 
@@ -107,7 +107,7 @@ def linear_solver(model: ValidatedModel, M: int):
     field."""
     op, bands = assemble_harmonic_system(model, M)
     # LAPACK would report an overflowed entry as a zero pivot, or not at all
-    nonfinite = ~np.isfinite(bands).all(axis=(1, 2))
+    nonfinite = ~np.isfinite(bands).all(axis=(0, 2))
     if nonfinite.any():
         raise SolveFailure(f"harmonic {int(np.argmax(nonfinite))} has "
                            "non-finite coefficients")
@@ -118,7 +118,7 @@ def linear_solver(model: ValidatedModel, M: int):
         raise SolveFailure(f"harmonic {exc.block} is singular (zero pivot)")
 
     def fail(m: int, what: str):
-        cond = spatial.condition_estimate(bands[m])
+        cond = spatial.condition_estimate(bands[:, m])
         raise SolveFailure(f"harmonic {m} {what} (1-norm cond ~ {cond:.3e})",
                            condition_estimate=cond)
 
@@ -128,9 +128,9 @@ def linear_solver(model: ValidatedModel, M: int):
         if not np.isfinite(sol).all():
             # an overflow spreads through the stacked solve to the other
             # harmonics, so each one is judged by its own solve
-            for m in range(len(bands)):
+            for m in range(len(rhs)):
                 if not np.isfinite(rhs[m]).all() or not np.isfinite(
-                        spatial.tridiagonal_solver(bands[m])(rhs[m])).all():
+                        spatial.tridiagonal_solver(bands[:, m])(rhs[m])).all():
                     fail(m, "has a non-finite right-hand side or solution")
         res, scale = _residuals(bands, sol, rhs, one_norms)
         # the first harmonic over tolerance, if any; a NaN residual fails too

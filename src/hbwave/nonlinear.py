@@ -58,21 +58,18 @@ def bilinear_product(fv: tuple, fw: tuple, kind: str, model: ValidatedModel,
                      M: int) -> np.ndarray:
     """Order-M truncation of r[v, w] from the factors of v and of w."""
     p = model.params
-    # each product is rebound to its harmonics, so its samples are freed
-    # before the time derivative
-    if kind == "westervelt":
-        # eta fv first: alpha = 1 + 2 eta fv bounds it, so it overflows
-        # only if alpha does, and u -> s u, eta -> eta / s scales exactly
-        q = p.eta * fv[0]
-        q *= fw[0]
-        q = to_harmonics(q, M)
-        return time_derivative(q, p.omega, 2)
-    # in place: one (nt, nx) temporary besides q
-    q = p.eta_tilde * fv[0]
+    westervelt = kind == "westervelt"
+    # the coefficient first: alpha = 1 + 2 coef fv[0] bounds coef fv[0], so
+    # it overflows only if alpha does, and u -> s u, eta -> eta / s scales
+    # exactly; the rest in place, with one (nt, nx) temporary besides q
+    q = (p.eta if westervelt else p.eta_tilde) * fv[0]
     q *= fw[0]
-    q += fv[1] * fw[1]
+    if not westervelt:
+        q += fv[1] * fw[1]
+    # rebound to its harmonics, so its samples are freed before the time
+    # derivative
     q = to_harmonics(q, M)
-    return time_derivative(q, p.omega)
+    return time_derivative(q, p.omega, 2 if westervelt else 1)
 
 
 def eval_bilinear(v: np.ndarray, w: np.ndarray, kind: str,

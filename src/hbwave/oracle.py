@@ -137,8 +137,8 @@ class _Oracle:
         # with K = sum_k g_k B_k + B_n / h and the z-free terms the sum over
         # state rows j of lin_j y_j, lin_j = -sum_k P_kj B_k (+ B_n / h)
         K = bands(self.g, top / h)
-        lin = np.array([-bands(self.P[:, j]) for j in range(n)])
-        lin[-1, 1] += top / h
+        lin = np.stack([-bands(self.P[:, j]) for j in range(n)], axis=1)
+        lin[1, -1] += top / h
         # _rest's tau = 0 elimination of u_tt reads B_0, B_1 and B_n = B_2
         self.B = [bands(np.eye(n)[k]) for k in (0, 1)] + [top]
         # the z-free terms at node i are the dot product of the state's
@@ -149,9 +149,9 @@ class _Oracle:
                                    (n * self._padded.itemsize,
                                     self._padded.itemsize), writeable=False)
         coef = np.zeros((nr, 3, n))
-        coef[1:, 0] = lin[:, 2, :-1].T
-        coef[:, 1] = lin[:, 1].T
-        coef[:-1, 2] = lin[:, 0, 1:].T
+        coef[1:, 0] = lin[2, :, :-1].T
+        coef[:, 1] = lin[1].T
+        coef[:-1, 2] = lin[0, :, 1:].T
         self._coef = coef.reshape(nr, -1)
         # y_new = 2 mid - y, so |y_new - y_new'| = dz_gain |z - z'|; a
         # half-step's new state is mid, which moves half as far

@@ -4,16 +4,19 @@ discrete H^1-dual norm, and the package's one linear-solve kernel.
 
 Robin rows use ghost-node elimination of the central stencil, so the
 operator stays tridiagonal (complex for m >= 1 with an absorbing
-endpoint).  It is stored in LAPACK (1, 1) band form, (3, n) per harmonic:
-row 0 the super-diagonal, row 1 the diagonal, row 2 the sub-diagonal, with
-the unused corners [0, 0] and [2, -1] zero.  Assembling all M+1 harmonics,
-applying them and solving with them each cost O(M nx); every solve goes
-through `tridiagonal_solver` (LAPACK ?gttrf/?gttrs), and no nx x nx matrix
-is formed.  The routines are the ones in the OpenBLAS that numpy's wheel
-bundles, called through ctypes and looked up on the first solve, so
-importing the package or validating a config loads no linear-algebra
-library beyond numpy.  A numpy without them falls back to scipy's wrappers
-of the same routines (`_FallbackFactors`), imported only then.
+endpoint).  Over the reduced (non-Dirichlet) nodes it is stored in LAPACK
+(1, 1) band form, one C-contiguous (3, ..., nr) array: row 0 the
+super-diagonal, row 1 the diagonal, row 2 the sub-diagonal, with the unused
+corners [0, ..., 0] and [2, ..., -1] zero, so a stack of harmonics,
+flattened, is the (3, N) band storage of its block-diagonal matrix.
+Assembling all M+1 harmonics, applying them and solving with them each cost
+O(M nx); every solve goes through `tridiagonal_solver` (LAPACK
+?gttrf/?gttrs), and no nx x nx matrix is formed.  The routines are the ones
+in the OpenBLAS that numpy's wheel bundles, called through ctypes and
+looked up on the first solve, so importing the package or validating a
+config loads no linear-algebra library beyond numpy.  A numpy without them
+falls back to scipy's wrappers of the same routines (`_FallbackFactors`),
+imported only then.
 """
 from __future__ import annotations
 
@@ -26,31 +29,37 @@ from .model import BoundaryCondition, Grid
 
 
 def band_product(bands: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Tridiagonal (..., 3, n) bands times (..., n) vectors."""
-    out = bands[..., 1, :] * v
-    out[..., 1:] += bands[..., 2, :-1] * v[..., :-1]
-    out[..., :-1] += bands[..., 0, 1:] * v[..., 1:]
-    return out
+    """Tridiagonal (3, ..., n) bands times v, over the flat (3, N) bands."""
+    # the zero corners make every term between two blocks zero
+    b, x = bands.reshape(3, -1), np.reshape(v, -1)
+    out = b[1] * x
+    out[1:] += b[2, :-1] * x[:-1]
+    out[:-1] += b[0, 1:] * x[1:]
+    return out.reshape(np.shape(v))
 
 
 def scale_rows(bands: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """diag(s) times tridiagonal (..., 3, n) bands, for (..., n) scales s,
-    in place; returns `bands`."""
+    """diag(s) times C-contiguous tridiagonal (3, ..., n) bands, for scales
+    s of shape (..., n), in place; returns `bands`."""
+    if not bands.flags.c_contiguous:    # its flat view would be a copy
+        raise ValueError("scale_rows needs C-contiguous bands")
     # band k of column j lies in row j + k - 1, so the super-diagonal from
-    # column 1 takes s[:-1] and the sub-diagonal up to column n - 2 takes
-    # s[1:]; the zero corners lie in no row and stay zero, so no block of
-    # a stack leaks into the next
-    bands[..., 0, 1:] *= s[..., :-1]
-    bands[..., 1, :] *= s
-    bands[..., 2, :-1] *= s[..., 1:]
+    # column 1 takes s[:-1] and the sub-diagonal up to column N - 2 takes
+    # s[1:]; the corners, which take the neighbour block's s, are zeroed
+    # again, as a -0 or NaN left there would join two blocks
+    b, s = bands.reshape(3, -1), np.reshape(s, -1)
+    b[0, 1:] *= s[:-1]
+    b[1] *= s
+    b[2, :-1] *= s[1:]
+    bands[0, ..., 0] = bands[2, ..., -1] = 0.0
     return bands
 
 
 def one_norms(bands: np.ndarray) -> np.ndarray:
     """The 1-norm, the largest column sum, of each tridiagonal block of
-    (..., 3, n) bands; column j of a block is bands[..., :, j]."""
+    (3, ..., n) bands; column j of a block is bands[:, ..., j]."""
     with np.errstate(all="ignore"):
-        return np.abs(bands).sum(axis=-2).max(axis=-1)
+        return np.abs(bands).sum(axis=0).max(axis=-1)
 
 
 class SingularBlock(np.linalg.LinAlgError):
@@ -189,19 +198,16 @@ class _FallbackFactors:
 
 
 def _gttrf(bands: np.ndarray):
-    """LAPACK ?gttrf of one (3, n) real or complex band array, or of a
-    (K, 3, nr) stack as one matrix of order K nr."""
+    """LAPACK ?gttrf of real or complex (3, ..., n) bands, flattened to the
+    (3, N) band storage of one matrix of order N."""
     dtype = np.result_type(bands.dtype, np.float64)
-    if bands.ndim not in (2, 3) or bands.shape[-2] != 3 or (
-            dtype not in _TYPES):
-        raise ValueError(f"need (3, n) or (K, 3, nr) real or complex bands, "
-                         f"got shape {bands.shape} of {bands.dtype}")
-    # ?gttrf overwrites its arguments: it factors copies, one of each band,
-    # taken straight from the stack; flattened, a stack's band k runs
-    # through its blocks in order, and the sub- and super-diagonal are
-    # contiguous views of theirs, less one end entry
-    dl, d, du = (np.array(bands[..., k, :], dtype).reshape(-1)
-                 for k in (2, 1, 0))
+    if bands.shape[:1] != (3,) or dtype not in _TYPES:
+        raise ValueError(f"need (3, ..., n) real or complex bands, got "
+                         f"shape {bands.shape} of {bands.dtype}")
+    # ?gttrf overwrites its arguments: it factors one C-contiguous copy of
+    # the bands, whose flattened rows are the super-diagonal, the diagonal
+    # and the sub-diagonal, each off-diagonal less one end entry
+    du, d, dl = np.array(bands, dtype, order="C").reshape(3, -1)
     dl, du = dl[:-1], du[1:]
     lapack = _bundled_lapack()
     if lapack is None:
@@ -213,29 +219,27 @@ def tridiagonal_solver(bands: np.ndarray, buffer: np.ndarray | None = None):
     """Factor real or complex tridiagonal bands once (?gttrf) and return the
     function that solves with them (?gttrs).
 
-    `bands` is one (3, n) array, whose solve takes (n,) or (n, k) right-hand
-    sides, or a (K, 3, nr) stack of blocks with zero corners, whose solve
-    takes (K, nr) right-hand sides.  The stack is factored as one matrix of
-    order K nr.  That is exact: no entry couples two blocks, and LAPACK
-    eliminates nothing across a zero sub-diagonal, so each block's finite
-    solution is bit-identical to its own.  (A block that overflows spreads
-    NaN to its neighbours, as 0 * inf at the zero corners.)  A zero pivot
-    raises SingularBlock.  The returned solve keeps the factors alive.
+    `bands` is one (3, n) block or a (3, ..., n) stack of blocks with zero
+    corners, factored whole as the matrix of order N whose band storage is
+    the flat (3, N) bands.  That is exact: no entry couples two blocks, and
+    LAPACK eliminates nothing across a zero sub-diagonal, so each block's
+    finite solution is bit-identical to its own.  (A block that overflows
+    spreads NaN to its neighbours, as 0 * inf at the zero corners.)  The
+    solve takes right-hand sides of shape bands.shape[1:], or that plus a
+    trailing axis of k of them.  A zero pivot raises SingularBlock.  The
+    returned solve keeps the factors alive.
 
-    With a `buffer`, the caller's writable C-contiguous array of shape (n,),
-    or (K, nr) for a stack, in the bands' dtype (complex for complex bands,
-    else float64), the solve takes no argument: it overwrites the
-    right-hand side the caller wrote into `buffer` with the solution, which
-    is bit-identical to the other solve's.  The buffer is checked here,
-    before the factorization, and bound once, so a solve copies nothing:
-    it is the foreign call alone.
-
-    The factors hold one copy of each band of `bands`, taken straight from
-    the stack, and the fill-in and pivots ?gttrf adds; nothing else of the
-    stack is copied.
+    With a `buffer`, the caller's writable C-contiguous array of shape
+    bands.shape[1:], in the bands' dtype (complex for complex bands, else
+    float64), the solve takes no argument: it overwrites the right-hand
+    side the caller wrote into `buffer` with the solution, which is
+    bit-identical to the other solve's.  The buffer is checked here, before
+    the factorization, and bound once, so a solve copies nothing: it is the
+    foreign call alone.  The factors hold one copy of the bands and the
+    fill-in and pivots ?gttrf adds.
     """
+    shape = bands.shape[1:]
     if buffer is not None:
-        shape = bands.shape[-1:] if bands.ndim == 2 else bands.shape[::2]
         dtype = np.result_type(bands.dtype, np.float64)
         if not (isinstance(buffer, np.ndarray) and buffer.shape == shape
                 and buffer.dtype == dtype and buffer.flags.c_contiguous
@@ -249,9 +253,9 @@ def tridiagonal_solver(bands: np.ndarray, buffer: np.ndarray | None = None):
         raise SingularBlock((factors.info - 1) // bands.shape[-1])
     if buffer is not None:
         return factors.in_place(buffer.reshape(-1))
-    if bands.ndim == 2:
-        return factors.solve
-    return lambda rhs: factors.solve(rhs.reshape(-1)).reshape(rhs.shape)
+    # the block axes flattened, a trailing axis of k right-hand sides kept
+    return lambda rhs: factors.solve(np.reshape(
+        rhs, (-1, *np.shape(rhs)[len(shape):]))).reshape(np.shape(rhs))
 
 
 def condition_estimate(bands: np.ndarray) -> float:
@@ -278,7 +282,7 @@ class SpatialOperator:
 
     def __init__(self, bands: np.ndarray, span: slice, grid: Grid,
                  d_beta: np.ndarray):
-        self.bands = bands      # (3, nr) or (len(m), 3, nr), see module doc
+        self.bands = bands      # (3, nr) or (3, len(m), nr), see module doc
         self.span = span        # the non-Dirichlet nodes, lo:hi
         self.grid = grid
         self.d_beta = d_beta    # (nr,)
@@ -302,27 +306,26 @@ def assemble_laplacian(grid: Grid, bc_left: BoundaryCondition,
                        omega: float) -> SpatialOperator:
     """Second-order -d_xx with the harmonic-m Robin data i m omega beta + gamma.
 
-    `m` is one harmonic or an array of them; the bands of an array stack
-    along a leading axis.
+    `m` is one harmonic or an array of them, whose bands are (3, len(m), nr).
     """
     m = np.asarray(m)
     nx, h = grid.nx, grid.h
     inv_h2 = 1.0 / h**2
-    bands = np.empty(m.shape + (3, nx), dtype=complex)
-    bands[...] = np.array([[-inv_h2], [2.0 * inv_h2], [-inv_h2]])
-    d_beta = np.zeros(nx)
+    span = slice(int(bc_left.is_dirichlet), nx - int(bc_right.is_dirichlet))
+    bands = np.empty((3, *m.shape, span.stop - span.start), dtype=complex)
+    bands[0] = bands[2] = -inv_h2
+    bands[1] = 2.0 * inv_h2
+    d_beta = np.zeros(bands.shape[-1])
     # a Robin end's ghost node doubles its neighbour's entry, which lies in
-    # band `band` of column `col`; a Dirichlet end's node is eliminated
+    # band `band` of column `col`; a Dirichlet end's node is not stored
     for bc, node, band, col in ((bc_left, 0, 0, 1), (bc_right, -1, 2, -2)):
         if not bc.is_dirichlet:
             q = bc.robin_coefficient(m, omega)
-            bands[..., 1, node] = (2.0 + 2.0 * h * q) * inv_h2
-            bands[..., band, col] = -2.0 * inv_h2
+            bands[1, ..., node] = (2.0 + 2.0 * h * q) * inv_h2
+            bands[band, ..., col] = -2.0 * inv_h2
             d_beta[node] = 2.0 * bc.beta / h
-    span = slice(int(bc_left.is_dirichlet), nx - int(bc_right.is_dirichlet))
-    bands = bands[..., span]
-    bands[..., 0, 0] = bands[..., 2, -1] = 0.0
-    return SpatialOperator(bands, span, grid, d_beta[span])
+    bands[0, ..., 0] = bands[2, ..., -1] = 0.0
+    return SpatialOperator(bands, span, grid, d_beta)
 
 
 def _flat(v: np.ndarray):

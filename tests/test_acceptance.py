@@ -87,7 +87,7 @@ def test_criterion_02_damping_sign():
         mw = np.arange(1, M + 1) * params.omega
         s = c2 + 1j * mw * b
         # (-Lap_m)[i, i] at an interior row is 2 / h^2 for every m
-        kappa2 = -(bands[1:, 1, i] - s * (2.0 / grid.h**2)) / s
+        kappa2 = -(bands[1, 1:, i] - s * (2.0 / grid.h**2)) / s
         violations += int(np.sum(kappa2.imag >= 0))
     report(2, violations == 0, f"{violations} sign violations in 6400 checks")
 

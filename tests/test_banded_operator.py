@@ -21,6 +21,8 @@ from hbwave.spatial import (
     assemble_laplacian,
     band_product,
     condition_estimate,
+    one_norms,
+    scale_rows,
     tridiagonal_solver,
 )
 from test_studies import END_PAIRS, variable_model
@@ -102,8 +104,8 @@ def test_every_harmonic_block_has_zero_corners(bc_left, bc_right):
     # the stacked solve of all harmonics relies on these: with them zero,
     # no entry of the stacked tridiagonal matrix couples two blocks
     _, bands = assemble_harmonic_system(make_model(bc_left, bc_right), 5)
-    assert np.all(bands[:, 0, 0] == 0)
-    assert np.all(bands[:, 2, -1] == 0)
+    assert np.all(bands[0, :, 0] == 0)
+    assert np.all(bands[2, :, -1] == 0)
 
 
 @pytest.mark.parametrize("bc_left, bc_right", ENDPOINTS)
@@ -114,7 +116,7 @@ def test_stacked_solve_equals_separate_block_solves(bc_left, bc_right):
     f[0] = f[0].real
     op, bands = assemble_harmonic_system(model, len(f) - 1)
     rhs = -op.restrict(f)
-    separate = np.array([scipy.linalg.solve_banded((1, 1), bands[m], rhs[m])
+    separate = np.array([scipy.linalg.solve_banded((1, 1), bands[:, m], rhs[m])
                          for m in range(len(f))])
     np.testing.assert_array_equal(tridiagonal_solver(bands)(rhs), separate)
     separate[0] = separate[0].real
@@ -124,7 +126,7 @@ def test_stacked_solve_equals_separate_block_solves(bc_left, bc_right):
 
 def scaled_copy_bands(model, M):
     """A_0..A_M by an out-of-place formula of its own: a separate -Lap_m
-    stack times a (M+1, 3, nr) stack of row scales s_m, each band's shifted
+    stack times a (3, M+1, nr) stack of row scales s_m, each band's shifted
     by np.roll to its rows, plus the diagonal shift."""
     p = model.params
     m = np.arange(M + 1)
@@ -135,8 +137,8 @@ def scaled_copy_bands(model, M):
     # band k of column j lies in row j + k - 1; the entries np.roll wraps
     # around meet the zero corners
     bands = op.bands * np.stack(
-        [np.roll(s, 1, axis=-1), s, np.roll(s, -1, axis=-1)], axis=-2)
-    bands[:, 1, :] += (-1j * p.tau * mw**3 - mw**2)[:, None]
+        [np.roll(s, 1, axis=-1), s, np.roll(s, -1, axis=-1)], axis=0)
+    bands[1] += (-1j * p.tau * mw**3 - mw**2)[:, None]
     return bands
 
 
@@ -157,11 +159,70 @@ def test_in_place_assembly_and_stacked_factors_are_bit_identical(
         np.testing.assert_array_equal(
             np.ascontiguousarray(bands).view(np.uint64),
             scaled_copy_bands(model, M).view(np.uint64))
-        rhs = rng.normal(size=bands.shape[::2]) + 1j * rng.normal(
-            size=bands.shape[::2])
+        rhs = rng.normal(size=bands.shape[1:]) + 1j * rng.normal(
+            size=bands.shape[1:])
         np.testing.assert_array_equal(
             tridiagonal_solver(bands)(rhs),
-            [tridiagonal_solver(bands[m])(rhs[m]) for m in range(M + 1)])
+            [tridiagonal_solver(bands[:, m])(rhs[m]) for m in range(M + 1)])
+
+
+@pytest.mark.parametrize("left, right", END_PAIRS,
+                         ids=[f"{left}-{right}" for left, right in END_PAIRS])
+def test_assembled_stacks_are_contiguous_and_band_first(left, right):
+    # scale_rows and the factorization read the flattened (3, N) bands, so
+    # every stack is one C-contiguous (3, M+1, nr) array, scaled in place
+    M = 4
+    model = variable_model(left, right, nx=33, M=M)
+    p = model.params
+    op = assemble_laplacian(model.grid, model.bc_left, model.bc_right,
+                            np.arange(M + 1), p.omega)
+    op_h, bands = assemble_harmonic_system(model, M)
+    nr = len(op.active)
+    for b in (op.bands, bands):
+        assert b.shape == (3, M + 1, nr) and b.flags.c_contiguous
+    assert bands is op_h.bands
+
+
+def test_scale_rows_refuses_a_strided_stack():
+    # a strided view would be scaled through a copy, leaving it unscaled
+    bands = np.ones((3, 4, 10))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        scale_rows(bands[..., 1:-1], np.full((4, 8), 2.0))
+    with pytest.raises(ValueError, match="C-contiguous"):
+        scale_rows(np.ones((4, 3, 10)).transpose(1, 0, 2),
+                   np.full((4, 10), 2.0))
+    assert (bands == 1.0).all()
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+@pytest.mark.parametrize("K", [1, 2, 33])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_flat_band_passes_equal_the_blockwise_ones(dtype, K):
+    # one pass over the flattened (3, K nr) bands of a zero-cornered stack
+    # gives, bit for bit, what each (3, nr) block gives alone: the corners
+    # make every term between two blocks zero, and scale_rows leaves them
+    # zero whatever sign the scales have
+    rng = np.random.default_rng(37)
+    nr = 19
+    stack = random_bands(rng, nr, dtype, shape=(K,))
+    v = rng.normal(size=(K, nr)) + (
+        1j * rng.normal(size=(K, nr)) if dtype is complex else 0.0)
+    s = rng.normal(size=(K, nr)) + (
+        1j * rng.normal(size=(K, nr)) if dtype is complex else 0.0)
+    blocks = [stack[:, k].copy() for k in range(K)]
+    np.testing.assert_array_equal(
+        _bits(band_product(stack, v)),
+        _bits([band_product(b, v[k]) for k, b in enumerate(blocks)]))
+    np.testing.assert_array_equal(
+        _bits(one_norms(stack)), _bits([one_norms(b) for b in blocks]))
+    scaled = scale_rows(stack.copy(), s)
+    np.testing.assert_array_equal(
+        _bits(scaled),
+        _bits(np.stack([scale_rows(b, s[k]) for k, b in enumerate(blocks)],
+                       axis=1)))
 
 
 @pytest.mark.parametrize("m", [0, 1, 5])
@@ -169,7 +230,7 @@ def test_in_place_assembly_and_stacked_factors_are_bit_identical(
 def test_condition_estimate_is_the_dense_one_norm_condition(bc_left,
                                                             bc_right, m):
     _, bands = assemble_harmonic_system(make_model(bc_left, bc_right), 5)
-    block = bands[m]
+    block = bands[:, m]
     dense = (np.diag(block[1]) + np.diag(block[0, 1:], 1)
              + np.diag(block[2, :-1], -1))
     exact = np.linalg.cond(dense, 1)
@@ -180,11 +241,11 @@ def test_condition_estimate_is_the_dense_one_norm_condition(bc_left,
 
 
 def test_zero_pivot_names_its_block():
-    bands = np.tile(np.array([[0.0, -1.0, -1.0], [2.0, 2.0, 2.0],
-                              [-1.0, -1.0, 0.0]]), (4, 1, 1))
+    bands = np.tile(np.array([[[0.0, -1.0, -1.0]], [[2.0, 2.0, 2.0]],
+                              [[-1.0, -1.0, 0.0]]]), (1, 4, 1))
     # block 2 is zero: the stack's first zero pivot is its row 7 of 12, and
     # (7 - 1) // 3 names the block
-    bands[2, :, :] = 0.0
+    bands[:, 2, :] = 0.0
     with pytest.raises(SingularBlock) as info:
         tridiagonal_solver(bands)
     assert info.value.block == 2
@@ -229,9 +290,10 @@ def random_bands(rng, n, dtype, shape=()):
     bands = rng.normal(size=shape + (3, n))
     if dtype is complex:
         bands = bands + 1j * rng.normal(size=shape + (3, n))
-    bands[..., 1, :] += 4.0      # keeps every block well conditioned
-    bands[..., 0, 0] = 0.0
-    bands[..., 2, -1] = 0.0
+    bands = np.moveaxis(bands, -2, 0).copy()    # (3, *shape, n), band first
+    bands[1] += 4.0      # keeps every block well conditioned
+    bands[0, ..., 0] = 0.0
+    bands[2, ..., -1] = 0.0
     return bands
 
 
@@ -267,13 +329,14 @@ def test_stacked_solve_is_bit_identical_to_scipy(backend, dtype):
     if dtype is float:
         rhs = rhs.real
     separate = [gttrs(*lu, rhs[m])[0]
-                for m, (lu, gttrs, _) in enumerate(map(scipy_factors, stack))]
+                for m, (lu, gttrs, _) in enumerate(
+                    map(scipy_factors, stack.transpose(1, 0, 2)))]
     np.testing.assert_array_equal(tridiagonal_solver(stack)(rhs), separate)
 
 
 def test_zero_pivot_names_its_block_in_either_backend(backend):
     bands = random_bands(np.random.default_rng(32), 6, complex, shape=(5,))
-    bands[3] = 0.0
+    bands[:, 3] = 0.0
     with pytest.raises(SingularBlock) as info:
         tridiagonal_solver(bands)
     assert info.value.block == 3
@@ -357,7 +420,7 @@ def factors_class(request, monkeypatch):
 def test_in_place_solve_is_bit_identical(factors_class, dtype, shape):
     rng = np.random.default_rng(36)
     bands = random_bands(rng, 23, dtype, shape)
-    assert isinstance(spatial._gttrf(bands.reshape(-1, 3, 23)[0]),
+    assert isinstance(spatial._gttrf(bands.reshape(3, -1, 23)[:, 0]),
                       factors_class)
     buffer = np.empty(shape + (23,), bands.dtype)
     solve = tridiagonal_solver(bands, buffer)
@@ -384,13 +447,13 @@ def read_only(a):
     (np.ones((3, 5)), np.zeros(10)[::2]),       # not contiguous
     (np.ones((3, 5)), read_only(np.zeros(5))),
     (np.ones((3, 5)), [0.0] * 5),               # not an array
-    (np.ones((2, 3, 5)), np.zeros(10)),         # a stack's flat buffer
+    (np.ones((3, 2, 5)), np.zeros(10)),         # a stack's flat buffer
 ], ids=["short", "long", "2-d", "complex", "float32", "real-for-complex",
         "strided", "read-only", "list", "stack-flat"])
 def test_bad_buffer_raises_before_any_foreign_call(monkeypatch, bands,
                                                     buffer):
     bands = bands.copy()
-    bands[..., 1, :] = 4.0
+    bands[1] = 4.0
     calls = []
     lapack = spatial._bundled_lapack()
     monkeypatch.setattr(spatial, "_bundled_lapack", lambda: {

@@ -1031,7 +1031,7 @@ def test_taylor_test_factors_the_harmonic_stack_once(monkeypatch):
     result = taylor_test(f, f, model, "westervelt", [1e-1, 1e-2, 1e-3])
     # base, linearized and three eps solves on one factorization
     assert len(result.metadata["picard_iterations"]["eps"]) == 3
-    assert calls == [(9, 3, 32)]
+    assert calls == [(3, 9, 32)]
     assert assemblies == [8]
 
 
