@@ -60,8 +60,9 @@ def bilinear_product(fv: tuple, fw: tuple, kind: str, model: ValidatedModel,
     p = model.params
     westervelt = kind == "westervelt"
     # the coefficient first: alpha = 1 + 2 coef fv[0] bounds coef fv[0], so
-    # it overflows only if alpha does, and u -> s u, eta -> eta / s scales
-    # exactly; the rest in place, with one (nt, nx) temporary besides q
+    # it overflows only if alpha does, and the Westervelt scaling u -> s u,
+    # eta -> eta / s is exact; the rest in place, with one (nt, nx)
+    # temporary besides q
     q = (p.eta if westervelt else p.eta_tilde) * fv[0]
     q *= fw[0]
     if not westervelt:
